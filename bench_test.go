@@ -35,7 +35,6 @@ import (
 	"hybriddkg/internal/store"
 	"hybriddkg/internal/telemetry"
 	"hybriddkg/internal/thresh"
-	"hybriddkg/internal/verify"
 	"hybriddkg/internal/vss"
 )
 
@@ -795,16 +794,9 @@ func BenchmarkE16RestartRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkE18CoreScaling measures how verification throughput scales
-// with cores, across both backends, at GOMAXPROCS ∈ {1, 2, 4, 8}:
+// BenchmarkE18CoreScaling measures how DKG throughput and latency
+// scale with cores, across both backends, at GOMAXPROCS ∈ {1, 2, 4, 8}:
 //
-//   - point-flood: the aggregate pipeline scenario — 8 concurrent
-//     sessions' worth of echo/ready floods (8 matrices at n=64, t=21,
-//     126 point checks each) pushed through the speculative worker
-//     pool while a sequential consumer performs the state machines'
-//     inline checks against the shared verdict cache. This is the
-//     workload the ≥2.5x @ 4-core acceptance gate reads
-//     (points/sec).
 //   - session: E15-style sessions/sec for S=8 concurrent DKG
 //     instances with the verification pipeline attached
 //     (VerifyWorkers = GOMAXPROCS).
@@ -812,10 +804,9 @@ func BenchmarkE16RestartRecovery(b *testing.B) {
 //     pipeline attached (ms/session).
 //
 // On a single-core host every procs level measures the same hardware
-// and the curve is flat (the pipeline's overhead bound); the scaling
-// claims require ≥4 physical cores. CI's bench job runs the
-// point-flood and session scenarios; the latency sweep is for
-// workstation runs (see DESIGN.md, E18).
+// and the curve is flat (the pipeline's overhead bound). CI's bench job
+// runs the session scenario; the latency sweep is for workstation runs
+// (see DESIGN.md, E18).
 func BenchmarkE18CoreScaling(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	procsList := []int{1, 2, 4, 8}
@@ -824,69 +815,6 @@ func BenchmarkE18CoreScaling(b *testing.B) {
 		gr, err := group.ByName(name)
 		if err != nil {
 			b.Fatal(err)
-		}
-
-		// --- point-flood fixtures: 8 sessions' matrices at n=64 ------
-		const floodN, floodT, floodSelf, floodMats = 64, 21, 3, 8
-		r := randutil.NewReader(18)
-		mats := make([]*commit.Matrix, floodMats)
-		alphas := make([][]*big.Int, floodMats)
-		for mi := range mats {
-			secret, _ := gr.RandScalar(r)
-			f, err := poly.NewRandomSymmetric(gr.Q(), secret, floodT, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mats[mi] = commit.NewMatrix(gr, f)
-			alphas[mi] = make([]*big.Int, floodN+1)
-			for s := int64(1); s <= floodN; s++ {
-				alphas[mi][s] = f.Eval(s, floodSelf)
-			}
-			if !mats[mi].VerifyPoint(floodSelf, 1, alphas[mi][1]) { // warm the row memo
-				b.Fatal("fixture broken")
-			}
-		}
-
-		for _, procs := range procsList {
-			runtime.GOMAXPROCS(procs)
-			b.Run(fmt.Sprintf("point-flood/%s/procs=%d", name, procs), func(b *testing.B) {
-				pool := verify.NewPool(procs)
-				defer pool.Close()
-				points := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cache := verify.NewCache(0)
-					// Speculation stage: read loops hand the flood to
-					// the workers...
-					for mi, m := range mats {
-						for s := int64(1); s <= floodN; s++ {
-							if s == floodSelf {
-								continue
-							}
-							m, s, a := m, s, alphas[mi][s]
-							pool.Submit(func() { m.VerifyPointVia(cache, floodSelf, s, a) })
-						}
-					}
-					// ...while the sequential consumer (the protocol
-					// state machine) performs the inline checks — cache
-					// hits when speculation won the race, recomputation
-					// when it didn't. Both echo and ready carry the
-					// point, as in E17.
-					for mi, m := range mats {
-						for s := int64(1); s <= floodN; s++ {
-							if s == floodSelf {
-								continue
-							}
-							if !m.VerifyPointVia(cache, floodSelf, s, alphas[mi][s]) ||
-								!m.VerifyPointVia(cache, floodSelf, s, alphas[mi][s]) {
-								b.Fatal("verify failed")
-							}
-							points += 2
-						}
-					}
-				}
-				b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/sec")
-			})
 		}
 
 		// --- session throughput: S=8 concurrent DKGs -----------------

@@ -51,6 +51,13 @@ const (
 	// requests against every dealer session, probing the DMax service
 	// budgets that bound help amplification.
 	StratFlood = "flood"
+	// StratBadSigReady follows the protocol except that every VSS ready
+	// it sends carries garbage where the signature belongs. The point
+	// is valid, so Fig. 1 counts the ready; the forgery must never
+	// reach a proposal's R_d set. RandomSpec does not draw it: the
+	// catalog's draw order is what recorded seeds replay against, so
+	// it runs from hand-written specs (TestBadSigReady).
+	StratBadSigReady = "bad-sig-ready"
 )
 
 // build accumulates everything the strategies hook into a run before
@@ -128,6 +135,8 @@ func installStrategy(b *build, st StrategySpec) error {
 		installAdaptive(b)
 	case StratFlood:
 		installFlood(b, v)
+	case StratBadSigReady:
+		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env} }, nil)
 	default:
 		return fmt.Errorf("chaos: unknown strategy %q", st.Name)
 	}
@@ -271,6 +280,23 @@ func (s *spliceRuntime) StopTimer(id uint64)             { s.env.StopTimer(id) }
 func installEchoSplice(b *build, v msg.NodeID) {
 	installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &spliceRuntime{env: env} }, nil)
 }
+
+// badSigRuntime replaces the signature of every outgoing VSS ready.
+type badSigRuntime struct {
+	env *simnet.Env
+}
+
+func (s *badSigRuntime) Send(to msg.NodeID, body msg.Body) {
+	if r, ok := body.(*vss.ReadyMsg); ok {
+		forged := *r
+		forged.Sig = []byte("bad-sig-ready")
+		body = &forged
+	}
+	s.env.Send(to, body)
+}
+
+func (s *badSigRuntime) SetTimer(id uint64, delay int64) { s.env.SetTimer(id, delay) }
+func (s *badSigRuntime) StopTimer(id uint64)             { s.env.StopTimer(id) }
 
 // installWrappedNode registers a Byzantine victim that runs a real
 // protocol node behind a mutating runtime, started alongside the

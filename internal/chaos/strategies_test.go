@@ -77,6 +77,41 @@ func TestStrategiesStacked(t *testing.T) {
 	}
 }
 
+// TestBadSigReady fields t nodes whose VSS readies carry garbage
+// signatures over valid points — beside an honest initial leader, and
+// with the leader one of them. The readies count (Fig. 1 gates on
+// verify-point), so sharings complete holding forgeries; agreement and
+// liveness must hold all the same, without a leader change when the
+// leader is honest, which they only do if every R_d set is verified
+// before it is proposed or accepted. The run replays hash-identically
+// at any verify-pool width.
+func TestBadSigReady(t *testing.T) {
+	cell := Cell{N: 13, T: 2, F: 3, Backend: "modp"}
+	for _, forgers := range [][2]msg.NodeID{{5, 8}, {1, 8}} {
+		spec := cleanSpec(23, cell)
+		spec.Strategies = []StrategySpec{{Name: StratBadSigReady, Node: forgers[0]}, {Name: StratBadSigReady, Node: forgers[1]}}
+		var hash string
+		for _, workers := range []int{0, 1, 4} {
+			spec.VerifyWorkers = workers
+			r := Run(spec)
+			if r.Failed() {
+				t.Fatalf("forgers %v, pool width %d:\n%s", forgers, workers, r.Report())
+			}
+			if r.HonestDone != cell.N-cell.T {
+				t.Errorf("forgers %v, pool width %d: %d of %d honest nodes done", forgers, workers, r.HonestDone, cell.N-cell.T)
+			}
+			if forgers[0] != 1 && r.LeaderMax != 0 {
+				t.Errorf("forgers %v: %d leader changes under an honest leader", forgers, r.LeaderMax)
+			}
+			if hash == "" {
+				hash = r.TraceHash
+			} else if r.TraceHash != hash {
+				t.Errorf("forgers %v: trace hash moved with the pool width (%d workers)", forgers, workers)
+			}
+		}
+	}
+}
+
 // TestStrategyValidation rejects malformed strategy specs instead of
 // running them.
 func TestStrategyValidation(t *testing.T) {

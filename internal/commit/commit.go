@@ -112,42 +112,6 @@ func (m *Matrix) VerifyPoly(i int64, a *poly.Poly) bool {
 	return true
 }
 
-// VerdictCache memoizes VerifyPoint outcomes across matrix *instances*
-// (messages decode their own copies of a matrix, so per-instance memos
-// never see a speculative worker's result). Implementations key
-// verdicts by (commitment hash, verifier, sender, point) and must be
-// safe for concurrent use; internal/verify.Cache is the production
-// one. VerifyPoint is a pure function of that key, so a memoized
-// verdict is bit-identical to recomputation.
-type VerdictCache interface {
-	// LookupPoint returns the memoized verdict for
-	// verify-point(C, i, m, α) and whether one exists.
-	LookupPoint(cHash [32]byte, i, m int64, alpha *big.Int) (verdict, ok bool)
-	// StorePoint memoizes a verdict. Implementations may drop entries
-	// at will (the cache is an accelerator, never an authority).
-	StorePoint(cHash [32]byte, i, m int64, alpha *big.Int, verdict bool)
-}
-
-// VerifyPointVia is VerifyPoint through a shared verdict memo: a hit
-// skips the exponentiations, a miss computes and stores. vc may be
-// nil (plain VerifyPoint). The out-of-range rejections stay outside
-// the cache so keys are always canonical scalars.
-func (m *Matrix) VerifyPointVia(vc VerdictCache, i, mIdx int64, alpha *big.Int) bool {
-	if alpha == nil || alpha.Sign() < 0 || alpha.Cmp(m.gr.Q()) >= 0 {
-		return false
-	}
-	if vc == nil {
-		return m.VerifyPoint(i, mIdx, alpha)
-	}
-	h := m.Hash()
-	if v, ok := vc.LookupPoint(h, i, mIdx, alpha); ok {
-		return v
-	}
-	v := m.VerifyPoint(i, mIdx, alpha)
-	vc.StorePoint(h, i, mIdx, alpha, v)
-	return v
-}
-
 // VerifyPoint implements verify-point(C, i, m, α): it checks that α is
 // the evaluation f(mIdx, i), i.e. g^α = Π_{j,ℓ} (C_{jℓ})^{mIdx^j · i^ℓ}.
 //

@@ -197,8 +197,11 @@ type ring[V any] struct {
 	cap   int
 }
 
+// newRing allocates nothing up front: capacity bounds growth (put), it
+// is not a size hint — an installed key that never serves a request
+// must not hold two full-size maps.
 func newRing[V any](capacity int) *ring[V] {
-	return &ring[V]{m: make(map[[32]byte]V, capacity), cap: capacity}
+	return &ring[V]{m: make(map[[32]byte]V), cap: capacity}
 }
 
 func (r *ring[V]) get(k [32]byte) (V, bool) {

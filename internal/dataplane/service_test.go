@@ -3,6 +3,7 @@ package dataplane
 import (
 	"errors"
 	"math/big"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,6 +108,25 @@ func TestInstallKeyValidation(t *testing.T) {
 	}
 	if _, err := rig.svc.InstallKey(2, nil, rig.keyV); err == nil {
 		t.Fatal("nil share accepted")
+	}
+}
+
+// TestIdleKeyHoldsNoPresizedRing: CacheSize bounds how far a key's
+// result and partial caches may grow; it is not memory every installed
+// key pays up front. At CacheSize 2²⁰ two pre-sized maps would come to
+// well over 64 MiB per key.
+func TestIdleKeyHoldsNoPresizedRing(t *testing.T) {
+	rig := newTestRig(t, 3, 1, func(c *Config) { c.CacheSize = 1 << 20 })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := msg.SessionID(2); id < 10; id++ {
+		if _, err := rig.svc.InstallKey(id, rig.keyP.EvalInt(1), rig.keyV); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("installing 8 idle keys allocated %d MiB", grew>>20)
 	}
 }
 

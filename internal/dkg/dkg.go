@@ -84,11 +84,6 @@ type Params struct {
 	// verification (see vss.Params.DisableBatch); batching is on by
 	// default.
 	DisableBatch bool
-	// Verdicts, when set, is the shared verify-point memo of the
-	// verification pipeline, threaded to every embedded VSS instance
-	// (see vss.Params.Verdicts). Pure memoization: protocol behaviour
-	// is bit-identical with or without it.
-	Verdicts commit.VerdictCache
 	// Parallel, when set, is the worker pool batch flushes use to
 	// build group equations concurrently (see vss.Params.Parallel).
 	Parallel commit.Parallel
@@ -337,7 +332,6 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 		DedupDealings:  params.DedupDealings,
 		CompressedWire: params.CompressedWire,
 		DisableBatch:   params.DisableBatch,
-		Verdicts:       params.Verdicts,
 		Parallel:       params.Parallel,
 		Extended:       true,
 		Directory:      params.Directory,
@@ -451,8 +445,17 @@ func (nd *Node) routeVSS(from msg.NodeID, session vss.SessionID, body msg.Body) 
 	if session.Tau != nd.tau {
 		return
 	}
-	if vnode, ok := nd.vssNodes[session.Dealer]; ok {
-		vnode.Handle(from, body)
+	vnode, ok := nd.vssNodes[session.Dealer]
+	if !ok {
+		return
+	}
+	vnode.Handle(from, body)
+	// A leader holding enough completed sharings that could not propose
+	// because one R_d set was short of valid signatures (ownQhat) tries
+	// again on every ready that may have topped it up.
+	if _, ready := body.(*vss.ReadyMsg); ready && vnode.Done() &&
+		nd.Leader(nd.curView) == nd.self && len(nd.vssDone) >= nd.params.QSize {
+		nd.proposeAsLeader()
 	}
 }
 
@@ -503,7 +506,10 @@ func (nd *Node) bestMaterial() *Proposal {
 }
 
 // ownQhat assembles a KindVSS proposal from the first QSize locally
-// completed sharings (deterministically: lowest dealer indices).
+// completed sharings (deterministically: lowest dealer indices) whose
+// R_d set holds n−t−f valid signatures. The sets are verified here,
+// where they are about to leave the node (vss.Node.ReadyProof); a
+// sharing whose set is still short is passed over.
 func (nd *Node) ownQhat() *Proposal {
 	if len(nd.vssDone) < nd.params.QSize {
 		return nil
@@ -513,19 +519,20 @@ func (nd *Node) ownQhat() *Proposal {
 		dealers = append(dealers, d)
 	}
 	sort.Slice(dealers, func(i, j int) bool { return dealers[i] < dealers[j] })
-	dealers = dealers[:nd.params.QSize]
-	p := &Proposal{
-		Q:         dealers,
-		CHashes:   make([][32]byte, len(dealers)),
-		Kind:      KindVSS,
-		VSSProofs: make([][]vss.SignedReady, len(dealers)),
+	p := &Proposal{Kind: KindVSS}
+	for _, d := range dealers {
+		proof := nd.vssNodes[d].ReadyProof()
+		if proof == nil {
+			continue
+		}
+		p.Q = append(p.Q, d)
+		p.CHashes = append(p.CHashes, nd.vssDone[d].C.Hash())
+		p.VSSProofs = append(p.VSSProofs, proof)
+		if len(p.Q) == nd.params.QSize {
+			return p
+		}
 	}
-	for i, d := range dealers {
-		ev := nd.vssDone[d]
-		p.CHashes[i] = ev.C.Hash()
-		p.VSSProofs[i] = ev.ReadyProof
-	}
-	return p
+	return nil
 }
 
 // proposeAsLeader broadcasts the send message for the current view.

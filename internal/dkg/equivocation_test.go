@@ -71,9 +71,8 @@ func (e *equivLeader) maybeEquivocate() {
 			VSSProofs: make([][]vss.SignedReady, len(ds)),
 		}
 		for i, d := range ds {
-			ev := e.inner.vssDone[d]
-			p.CHashes[i] = ev.C.Hash()
-			p.VSSProofs[i] = ev.ReadyProof
+			p.CHashes[i] = e.inner.vssDone[d].C.Hash()
+			p.VSSProofs[i] = e.inner.vssNodes[d].ReadyProof()
 		}
 		return p
 	}

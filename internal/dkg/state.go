@@ -28,9 +28,11 @@ import (
 // merely restarted, not skipped).
 
 // v2 appended the certificate-mode block (fallback latch, suppressed
-// classic messages and per-digest certificate state). Restores of v1
-// snapshots fail the magic check and fall back to WAL replay.
-const dkgStateMagic = "hybriddkg/dkg-state/v2"
+// classic messages and per-digest certificate state). v3 dropped the
+// per-sharing copy of R_d, which the embedded VSS state already holds.
+// Restores of older snapshots fail the magic check and fall back to
+// WAL replay.
+const dkgStateMagic = "hybriddkg/dkg-state/v3"
 
 const stateListMax = 1 << 20
 
@@ -133,7 +135,6 @@ func (nd *Node) MarshalState() ([]byte, error) {
 			return nil, err
 		}
 		w.BigPtr(ev.Share)
-		vss.EncodeSignedReadies(w, ev.ReadyProof)
 	}
 
 	// Embedded VSS instances, dealer order 1..n.
@@ -305,16 +306,10 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 			return err
 		}
 		share := r.BigPtr()
-		proof := vss.DecodeSignedReadies(r)
 		if d < 1 || int(d) > nd.params.N {
 			return fmt.Errorf("dkg: vssDone dealer %d out of range", d)
 		}
-		nd.vssDone[d] = vss.SharedEvent{
-			Session:    vss.SessionID{Dealer: d, Tau: nd.tau},
-			C:          c,
-			Share:      share,
-			ReadyProof: proof,
-		}
+		nd.vssDone[d] = vss.SharedEvent{Session: vss.SessionID{Dealer: d, Tau: nd.tau}, C: c, Share: share}
 	}
 
 	for d := 1; d <= nd.params.N; d++ {

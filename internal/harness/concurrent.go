@@ -89,10 +89,9 @@ type ConcurrentDKGResult struct {
 	Engines map[msg.NodeID]*engine.Engine
 	// Completed maps session -> node -> completion event.
 	Completed map[msg.SessionID]map[msg.NodeID]dkg.CompletedEvent
-	// VerifyPool/VerifyCache are the verification pipeline's stage
-	// (nil unless VerifyWorkers > 0); Close releases the pool.
-	VerifyPool  *verify.Pool
-	VerifyCache *verify.Cache
+	// VerifyPool is the verification pipeline's worker pool (nil
+	// unless VerifyWorkers > 0); Close releases it.
+	VerifyPool *verify.Pool
 	// Tracer holds the cluster-wide per-session protocol timelines
 	// (nil with NoTrace).
 	Tracer *telemetry.Tracer
@@ -137,9 +136,8 @@ func RunConcurrentSessions(opts ConcurrentDKGOptions) (*ConcurrentDKGResult, err
 		DisableAccounting: opts.DisableAccounting,
 	}
 	var pool *verify.Pool
-	var cache *verify.Cache
 	if opts.VerifyWorkers > 0 {
-		pool, cache, simOpts.Observer = attachVerifyPipeline(opts.VerifyWorkers, dir, opts.N)
+		pool, simOpts.Observer = attachVerifyPipeline(opts.VerifyWorkers, dir)
 	}
 	net := simnet.New(simOpts)
 	tracer := opts.Trace
@@ -147,14 +145,13 @@ func RunConcurrentSessions(opts ConcurrentDKGOptions) (*ConcurrentDKGResult, err
 		tracer = telemetry.NewTracer(telemetry.TracerOptions{RingSize: 128})
 	}
 	res := &ConcurrentDKGResult{
-		Opts:        opts,
-		Net:         net,
-		Directory:   dir,
-		Engines:     make(map[msg.NodeID]*engine.Engine, opts.N),
-		Completed:   make(map[msg.SessionID]map[msg.NodeID]dkg.CompletedEvent, opts.Sessions),
-		VerifyPool:  pool,
-		VerifyCache: cache,
-		Tracer:      tracer,
+		Opts:       opts,
+		Net:        net,
+		Directory:  dir,
+		Engines:    make(map[msg.NodeID]*engine.Engine, opts.N),
+		Completed:  make(map[msg.SessionID]map[msg.NodeID]dkg.CompletedEvent, opts.Sessions),
+		VerifyPool: pool,
+		Tracer:     tracer,
 	}
 	for s := 1; s <= opts.Sessions; s++ {
 		res.Completed[msg.SessionID(s)] = make(map[msg.NodeID]dkg.CompletedEvent, opts.N)
@@ -190,8 +187,7 @@ func RunConcurrentSessions(opts ConcurrentDKGOptions) (*ConcurrentDKGResult, err
 					Metrics:       opts.Metrics,
 					Trace:         tracer,
 				}
-				if cache != nil {
-					params.Verdicts = cache
+				if pool != nil {
 					params.Parallel = pool
 				}
 				return dkg.NewNode(params, uint64(sid), id, rt, dkg.Options{

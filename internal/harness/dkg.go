@@ -98,9 +98,6 @@ type DKGResult struct {
 	// RunDKG (renewal, addition) may keep using it; Close releases its
 	// goroutines.
 	VerifyPool *verify.Pool
-	// VerifyCache is the shared verdict cache (nil unless
-	// VerifyWorkers > 0).
-	VerifyCache *verify.Cache
 	// Tracer holds the cluster-wide protocol event timeline (nil with
 	// NoTrace).
 	Tracer *telemetry.Tracer
@@ -114,23 +111,16 @@ func (r *DKGResult) Close() {
 	}
 }
 
-// attachVerifyPipeline builds the pool/cache/speculator stage shared
-// by the single-run and concurrent harnesses: one pool and one verdict
-// cache for the whole simulated cluster, one speculator per honest
-// node, all fed from the simulator's send-time observer.
-func attachVerifyPipeline(workers int, dir *sig.Directory, n int) (*verify.Pool, *verify.Cache, func(to msg.NodeID, sid msg.SessionID, from msg.NodeID, body msg.Body)) {
+// attachVerifyPipeline builds the pool/speculator stage shared by the
+// single-run and concurrent harnesses: one pool and one speculator
+// over the cluster's shared directory, fed from the simulator's
+// send-time observer.
+func attachVerifyPipeline(workers int, dir *sig.Directory) (*verify.Pool, func(to msg.NodeID, sid msg.SessionID, from msg.NodeID, body msg.Body)) {
 	pool := verify.NewPool(workers)
-	cache := verify.NewCache(0)
-	specs := make([]*verify.Speculator, n+1)
-	for i := 1; i <= n; i++ {
-		specs[i] = verify.NewSpeculator(pool, cache, dir, msg.NodeID(i))
+	spec := verify.NewSpeculator(pool, dir)
+	return pool, func(_ msg.NodeID, _ msg.SessionID, from msg.NodeID, body msg.Body) {
+		spec.Observe(from, body)
 	}
-	observer := func(to msg.NodeID, _ msg.SessionID, from msg.NodeID, body msg.Body) {
-		if int(to) >= 1 && int(to) < len(specs) {
-			specs[to].Observe(from, body)
-		}
-	}
-	return pool, cache, observer
 }
 
 // dkgAdapter adapts dkg.Node to simnet.Handler.
@@ -162,10 +152,9 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 		Coalesce:          opts.Coalesce,
 	}
 	var pool *verify.Pool
-	var cache *verify.Cache
 	if opts.VerifyWorkers > 0 {
 		dir.EnableVerifyCache(0)
-		pool, cache, simOpts.Observer = attachVerifyPipeline(opts.VerifyWorkers, dir, opts.N)
+		pool, simOpts.Observer = attachVerifyPipeline(opts.VerifyWorkers, dir)
 	}
 	if opts.TuneNet != nil {
 		opts.TuneNet(&simOpts)
@@ -176,15 +165,14 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 		tracer = telemetry.NewTracer(telemetry.TracerOptions{RingSize: 128})
 	}
 	res := &DKGResult{
-		Opts:        *opts,
-		Nodes:       make(map[msg.NodeID]*dkg.Node, opts.N),
-		Completed:   make(map[msg.NodeID]dkg.CompletedEvent, opts.N),
-		Net:         net,
-		Directory:   dir,
-		Privs:       privs,
-		VerifyPool:  pool,
-		VerifyCache: cache,
-		Tracer:      tracer,
+		Opts:       *opts,
+		Nodes:      make(map[msg.NodeID]*dkg.Node, opts.N),
+		Completed:  make(map[msg.NodeID]dkg.CompletedEvent, opts.N),
+		Net:        net,
+		Directory:  dir,
+		Privs:      privs,
+		VerifyPool: pool,
+		Tracer:     tracer,
 	}
 	for i := 1; i <= opts.N; i++ {
 		id := msg.NodeID(i)
@@ -210,8 +198,7 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 			Metrics:        opts.Metrics,
 			Trace:          tracer,
 		}
-		if cache != nil {
-			params.Verdicts = cache
+		if pool != nil {
 			params.Parallel = pool
 		}
 		node, err := dkg.NewNode(params, 1, id, env, dkg.Options{

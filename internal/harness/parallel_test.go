@@ -98,7 +98,7 @@ func TestParallelVerifyDifferentialHonest(t *testing.T) {
 		_, par := runPair(t, harness.ConcurrentDKGOptions{
 			Sessions: 3, N: 7, T: 2, Seed: 42, HashedEcho: hashed,
 		})
-		if st := par.VerifyCache.Stats(); st.Stores == 0 {
+		if stored, _ := par.Directory.SpeculationStats(); stored == 0 {
 			t.Fatal("pipeline ran but never stored a verdict (speculation dead?)")
 		}
 	}

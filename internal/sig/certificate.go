@@ -249,32 +249,31 @@ func VerifyCertificate(d *Directory, n int, transcript []byte, cert *Certificate
 // the rare path and must stay exact). Without a cache this is exactly
 // VerifyCertificate.
 func VerifyCertificateCached(d *Directory, n int, transcript []byte, cert *Certificate) error {
+	return verifyCertificateMemo(d, n, transcript, cert, false)
+}
+
+// SpeculateCertificate is Directory.Speculate for a whole certificate.
+func SpeculateCertificate(d *Directory, n int, transcript []byte, cert *Certificate) {
+	if d != nil && d.cache != nil {
+		verifyCertificateMemo(d, n, transcript, cert, true)
+	}
+}
+
+func verifyCertificateMemo(d *Directory, n int, transcript []byte, cert *Certificate, speculative bool) error {
 	if d == nil || d.cache == nil || cert == nil {
 		return VerifyCertificate(d, n, transcript, cert)
 	}
-	key := certVerifyKey(n, transcript, cert)
-	d.mu.Lock()
-	if valid, hit := d.cache[key]; hit {
-		d.hits++
-		d.mu.Unlock()
-		if valid {
-			return nil
-		}
-		return VerifyCertificate(d, n, transcript, cert)
+	var err error
+	ran := false
+	valid := d.memoized(certVerifyKey(n, transcript, cert), speculative, func() bool {
+		ran = true
+		err = VerifyCertificate(d, n, transcript, cert)
+		return err == nil
+	})
+	if valid || ran {
+		return err
 	}
-	d.misses++
-	gen := d.cacheGen
-	d.mu.Unlock()
-	err := VerifyCertificate(d, n, transcript, cert)
-	d.mu.Lock()
-	if d.cache != nil && d.cacheGen == gen {
-		if len(d.cache) >= d.cacheCap {
-			d.cache = make(map[verifyKey]bool, d.cacheCap/4)
-		}
-		d.cache[key] = err == nil
-	}
-	d.mu.Unlock()
-	return err
+	return VerifyCertificate(d, n, transcript, cert)
 }
 
 // certVerifyKey folds the whole certificate (and the signer-range

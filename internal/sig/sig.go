@@ -195,21 +195,28 @@ func (Null) Verify(_, _, _ []byte) bool { return true }
 // re-verified many times — by every node of an in-process cluster and
 // again on every retransmission. A multi-session engine hands one
 // cached directory to all of its sessions, making it the shared
-// signature verifier of the session-multiplexed runtime.
+// signature verifier of the session-multiplexed runtime, and the
+// verification pipeline's workers warm the same memo ahead of the
+// state machines (Speculate).
 type Directory struct {
 	scheme Scheme
 
-	// mu guards keys and the verification memo. The memo carries a
-	// generation counter so a verdict computed against a key that was
-	// rotated mid-verification is never inserted (stale verdicts for
-	// a revoked key must not be cacheable).
+	// mu guards keys and the verification memo. A memo entry is
+	// created when its verification starts, the signer's key is read
+	// after that, and a key change replaces the whole map: a verdict
+	// computed across a rotation therefore lives only in an entry
+	// nobody can find again (stale verdicts for a revoked key must not
+	// be cacheable).
 	mu       sync.Mutex
 	keys     map[int64][]byte
-	cache    map[verifyKey]bool
+	cache    map[verifyKey]*verdict
 	cacheCap int
-	cacheGen uint64
 	hits     uint64
 	misses   uint64
+	// specStored counts memo entries whose verification a speculative
+	// caller started; specUsed counts those an inline check then read.
+	specStored uint64
+	specUsed   uint64
 }
 
 // verifyKey identifies one (signer, message, signature) verification.
@@ -218,6 +225,17 @@ type verifyKey struct {
 	node int64
 	msg  [32]byte
 	sig  [32]byte
+}
+
+// verdict is one memo entry. It exists from the moment a verification
+// starts, so a second caller asking for the same key waits on done
+// instead of repeating the work.
+type verdict struct {
+	done  chan struct{} // closed once valid is set
+	valid bool
+	// ahead marks an entry a speculative caller started and no inline
+	// check has read yet.
+	ahead bool
 }
 
 // NewDirectory creates an empty directory for the given scheme.
@@ -237,14 +255,25 @@ func (d *Directory) EnableVerifyCache(capacity int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cacheCap = capacity
-	d.cache = make(map[verifyKey]bool, capacity/4)
+	d.cache = make(map[verifyKey]*verdict, capacity/4)
 }
 
-// VerifyCacheStats reports cache hits and misses since enablement.
+// VerifyCacheStats reports how many inline checks (Verify,
+// VerifyCertificateCached) the memo answered and how many it did not,
+// since enablement. Speculative calls are not lookups in this sense.
 func (d *Directory) VerifyCacheStats() (hits, misses uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.hits, d.misses
+}
+
+// SpeculationStats reports how many verdicts speculative callers
+// produced and how many of those an inline check went on to read; the
+// difference is verification nobody needed.
+func (d *Directory) SpeculationStats() (stored, used uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.specStored, d.specUsed
 }
 
 // Scheme returns the directory's signature scheme.
@@ -283,12 +312,11 @@ func (d *Directory) Remove(node int64) {
 }
 
 // dropCachedLocked clears memoized verdicts after a key change (stale
-// entries would otherwise answer for the old key) and bumps the
-// generation so in-flight verifications cannot re-insert them.
+// entries would otherwise answer for the old key); verifications still
+// in flight finish into the discarded map.
 func (d *Directory) dropCachedLocked() {
-	d.cacheGen++
 	if d.cache != nil {
-		d.cache = make(map[verifyKey]bool, d.cacheCap/4)
+		d.cache = make(map[verifyKey]*verdict, d.cacheCap/4)
 	}
 }
 
@@ -317,41 +345,71 @@ func (d *Directory) Nodes() []int64 {
 // Verify checks a signature attributed to node, consulting the memo
 // first when EnableVerifyCache is active.
 func (d *Directory) Verify(node int64, msg, sigBytes []byte) bool {
+	return d.verify(node, msg, sigBytes, false)
+}
+
+// Speculate runs the same check ahead of the state machine that will
+// ask for it, so that Verify finds the verdict in the memo. Without a
+// memo there is nowhere to leave the verdict and it does nothing.
+func (d *Directory) Speculate(node int64, msg, sigBytes []byte) {
+	d.verify(node, msg, sigBytes, true)
+}
+
+func (d *Directory) verify(node int64, msg, sigBytes []byte, speculative bool) bool {
 	d.mu.Lock()
 	pub, ok := d.keys[node]
-	if !ok {
-		d.mu.Unlock()
+	cached := d.cache != nil
+	d.mu.Unlock()
+	if !ok || (speculative && !cached) {
 		return false
 	}
-	if d.cache == nil {
-		d.mu.Unlock()
+	if !cached {
 		return d.scheme.Verify(pub, msg, sigBytes)
 	}
-	d.mu.Unlock()
 	// Key hashing happens outside the lock; the cache can only be
 	// enabled, never disabled, so no re-check is needed.
 	key := verifyKey{node: node, msg: sha256.Sum256(msg), sig: sha256.Sum256(sigBytes)}
+	return d.memoized(key, speculative, func() bool {
+		// Read the key again now that the entry exists: an entry still
+		// in the memo then answers for the key that is current.
+		pub, err := d.PublicKey(node)
+		return err == nil && d.scheme.Verify(pub, msg, sigBytes)
+	})
+}
+
+// memoized answers key from the memo, or runs check and leaves its
+// verdict there. An entry is created when its check starts, so of two
+// goroutines asking for one key only the first computes and the second
+// waits for that verdict; nothing ever waits on work that has not
+// started.
+func (d *Directory) memoized(key verifyKey, speculative bool, check func() bool) bool {
 	d.mu.Lock()
-	if valid, hit := d.cache[key]; hit {
-		d.hits++
-		d.mu.Unlock()
-		return valid
-	}
-	d.misses++
-	gen := d.cacheGen
-	d.mu.Unlock()
-	valid := d.scheme.Verify(pub, msg, sigBytes)
-	d.mu.Lock()
-	// Only memoize if no key rotation happened while verifying: a
-	// verdict for a revoked key must not enter the fresh cache.
-	if d.cache != nil && d.cacheGen == gen {
-		if len(d.cache) >= d.cacheCap {
-			d.cache = make(map[verifyKey]bool, d.cacheCap/4)
+	if v, hit := d.cache[key]; hit {
+		if !speculative {
+			d.hits++
+			if v.ahead {
+				v.ahead = false
+				d.specUsed++
+			}
 		}
-		d.cache[key] = valid
+		d.mu.Unlock()
+		<-v.done
+		return v.valid
 	}
+	if speculative {
+		d.specStored++
+	} else {
+		d.misses++
+	}
+	if len(d.cache) >= d.cacheCap {
+		d.cache = make(map[verifyKey]*verdict, d.cacheCap/4)
+	}
+	v := &verdict{done: make(chan struct{}), ahead: speculative}
+	d.cache[key] = v
 	d.mu.Unlock()
-	return valid
+	v.valid = check()
+	close(v.done)
+	return v.valid
 }
 
 // --- signature encoding helpers -------------------------------------

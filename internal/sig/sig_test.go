@@ -2,6 +2,8 @@ package sig
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -326,4 +328,80 @@ func mustSign(t *testing.T, s Scheme, priv, msg []byte) []byte {
 		t.Fatal(err)
 	}
 	return sg
+}
+
+// gateScheme is Ed25519 whose Verify announces that it has started and
+// then waits for release, so a test can hold a verification in flight.
+type gateScheme struct {
+	Ed25519
+	calls   atomic.Int64
+	started chan struct{}
+	release chan struct{}
+}
+
+func (g *gateScheme) Verify(pub, msg, sigBytes []byte) bool {
+	g.calls.Add(1)
+	g.started <- struct{}{}
+	<-g.release
+	return g.Ed25519.Verify(pub, msg, sigBytes)
+}
+
+// TestVerifySingleFlight: a second goroutine asking for a key whose
+// verification is in flight waits for that verdict instead of running
+// the scheme again, and a verdict computed across a key rotation is
+// not what the memo answers with afterwards.
+func TestVerifySingleFlight(t *testing.T) {
+	g := &gateScheme{started: make(chan struct{}, 4), release: make(chan struct{})}
+	d := NewDirectory(g)
+	r := randutil.NewReader(11)
+	priv, pub, err := g.GenerateKey(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Add(1, pub); err != nil {
+		t.Fatal(err)
+	}
+	d.EnableVerifyCache(0)
+	m := []byte("single flight")
+	sg := mustSign(t, g, priv, m)
+
+	verdicts := make(chan bool, 2)
+	go func() { d.Speculate(1, m, sg); verdicts <- true }()
+	<-g.started // the speculative verification is now in flight
+	go func() { verdicts <- d.Verify(1, m, sg) }()
+	// The inline caller registers its hit before it starts waiting.
+	for {
+		if hits, _ := d.VerifyCacheStats(); hits == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(g.release)
+	if !<-verdicts || !<-verdicts {
+		t.Fatal("valid signature rejected")
+	}
+	if n := g.calls.Load(); n != 1 {
+		t.Fatalf("scheme ran %d times for one key, want 1", n)
+	}
+	if stored, used := d.SpeculationStats(); stored != 1 || used != 1 {
+		t.Fatalf("stored=%d used=%d, want 1/1", stored, used)
+	}
+
+	// Rotation while a verification is in flight: the old-key verdict
+	// must not answer for the new key.
+	g.release = make(chan struct{})
+	m2 := []byte("across a rotation")
+	sg2 := mustSign(t, g, priv, m2)
+	go func() { verdicts <- d.Verify(1, m2, sg2) }()
+	<-g.started
+	_, pubNew, err := g.GenerateKey(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Replace(1, pubNew)
+	close(g.release)
+	<-verdicts // whichever key that call saw; it started before the rotation
+	if d.Verify(1, m2, sg2) {
+		t.Fatal("old-key signature verified after rotation")
+	}
 }

@@ -48,9 +48,12 @@ func TestSessionRouting(t *testing.T) {
 
 // TestSessionUnknownAndStaleDrops: traffic for a session the receiver
 // never hosted is counted unknown; traffic for a retired session is
-// counted stale. Neither reaches any handler.
+// counted stale. Neither reaches any handler, nor the observer.
 func TestSessionUnknownAndStaleDrops(t *testing.T) {
-	net := New(Options{Seed: 4})
+	var observed []msg.SessionID
+	net := New(Options{Seed: 4, Observer: func(_ msg.NodeID, sid msg.SessionID, _ msg.NodeID, _ msg.Body) {
+		observed = append(observed, sid)
+	}})
 	sender := &echoNode{env: net.SessionEnv(1, 7), bound: 0}
 	receiver := &echoNode{env: net.SessionEnv(2, 7), bound: 0}
 	net.RegisterSession(1, 7, sender)
@@ -81,6 +84,9 @@ func TestSessionUnknownAndStaleDrops(t *testing.T) {
 	}
 	if got := net.Stats().DroppedStaleSession; got != 1 {
 		t.Fatalf("DroppedStaleSession = %d, want 1", got)
+	}
+	if len(observed) != 1 || observed[0] != 7 {
+		t.Fatalf("observer saw sessions %v, want only the live delivery on session 7", observed)
 	}
 }
 

@@ -133,7 +133,9 @@ type Options struct {
 	// protocol or network state.
 	EventHook func(TraceEvent)
 	// Observer, when set, sees every scheduled (non-dropped) message
-	// at send time — before its virtual-time delivery. The harness
+	// whose destination holds a registered, un-retired handler for its
+	// session, at send time — before its virtual-time delivery (the
+	// same rule as the TCP transport's observer). The harness
 	// installs the verification pipeline's speculator here: workers
 	// verify a message's crypto while it "travels", mirroring the TCP
 	// runtime where read loops feed the speculator ahead of the event
@@ -605,7 +607,7 @@ func (n *Network) send(from, to msg.NodeID, sid msg.SessionID, body msg.Body) {
 		n.hook(TraceEvent{At: n.now, Kind: kind, Session: sid, From: from, To: to, Type: body.MsgType()})
 		return
 	}
-	if n.opts.Observer != nil {
+	if slot, ok := n.nodes[to]; ok && n.opts.Observer != nil && slot.handlerFor(sid) != nil {
 		n.opts.Observer(to, sid, from, body)
 	}
 	n.stats.MsgCount[body.MsgType()]++

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,14 +46,17 @@ func waitDemux(t *testing.T, node *transport.Node, ok func(transport.DemuxStats)
 
 // TestSessionDemux: frames reach the handler of their own session
 // only; unknown sessions and retired sessions are rejected and
-// counted, and retired sessions cannot be re-registered.
+// counted — without the observer getting a look at them — and retired
+// sessions cannot be re-registered.
 func TestSessionDemux(t *testing.T) {
 	gr := group.Test256()
 	codec := buildCodec(t, gr)
 	secret := []byte("demux-secret")
 
+	var observed atomic.Int64
 	recv, err := transport.Listen(transport.Config{
 		Self: 2, Listen: "127.0.0.1:0", Codec: codec, Secret: secret,
+		Observer: func(msg.SessionID, msg.NodeID, msg.Body) { observed.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +124,9 @@ func TestSessionDemux(t *testing.T) {
 	}
 	if _, err := recv.RegisterSession(1, newSessionSink()); err == nil {
 		t.Fatal("retired session was resurrected")
+	}
+	if got := observed.Load(); got != 1 {
+		t.Fatalf("observer saw %d messages, want only the one for the live session", got)
 	}
 }
 

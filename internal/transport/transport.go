@@ -89,8 +89,11 @@ type Config struct {
 	// DialRetry is the reconnect backoff (default 250ms).
 	DialRetry time.Duration
 	// Observer, when set, sees every successfully decoded inbound
-	// protocol message (including self-delivery) before it is
-	// dispatched. It is the attachment point of the verification
+	// protocol message (including self-delivery) of a live session —
+	// one with a registered, un-retired handler — before it is
+	// dispatched; stragglers of finished sessions and frames of
+	// sessions this node never hosted are not worth a look ahead. It
+	// is the attachment point of the verification
 	// pipeline's speculator: read-loop goroutines feed it concurrently
 	// while the event loop (or session lane) is still working through
 	// earlier traffic, so expensive checks run on idle cores ahead of
@@ -315,6 +318,14 @@ func (n *Node) laneFor(sid msg.SessionID) *lane {
 	return l
 }
 
+// observe shows one inbound message of a live session to the
+// configured observer.
+func (n *Node) observe(sid msg.SessionID, from msg.NodeID, body msg.Body) {
+	if n.cfg.Observer != nil && n.handlerFor(sid, false) != nil {
+		n.cfg.Observer(sid, from, body)
+	}
+}
+
 // Do runs fn on the event loop — operator actions (starting a
 // protocol, injecting inputs) must go through here so protocol state
 // machines are only ever touched by one goroutine.
@@ -374,9 +385,7 @@ func (n *Node) Send(to msg.NodeID, body msg.Body) { n.sendSession(0, to, body) }
 func (n *Node) sendSession(sid msg.SessionID, to msg.NodeID, body msg.Body) {
 	if to == n.cfg.Self {
 		// Self-delivery goes straight onto the event loop.
-		if n.cfg.Observer != nil {
-			n.cfg.Observer(sid, n.cfg.Self, body)
-		}
+		n.observe(sid, n.cfg.Self, body)
 		n.enqueue(event{kind: 1, session: sid, from: n.cfg.Self, body: body})
 		return
 	}
@@ -693,9 +702,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		// observer (a pool submit) overlaps verification with the
 		// event loop's dispatch of earlier traffic.
 		for _, body := range bodies {
-			if n.cfg.Observer != nil {
-				n.cfg.Observer(sid, from, body)
-			}
+			n.observe(sid, from, body)
 			n.enqueue(event{kind: 1, session: sid, from: from, body: body})
 		}
 	}

@@ -1,9 +1,6 @@
 package verify
 
 import (
-	"math/big"
-
-	"hybriddkg/internal/commit"
 	"hybriddkg/internal/dkg"
 	"hybriddkg/internal/msg"
 	"hybriddkg/internal/sig"
@@ -11,16 +8,17 @@ import (
 )
 
 // Speculator inspects protocol messages addressed to one node and
-// schedules their expensive checks on the worker pool before the
-// node's state machine consumes them:
+// schedules their signature checks on the worker pool before the
+// node's state machine consumes them: DKG echo/ready/lead-ch
+// signatures, the proof sets inside DKG proposals, and certificate-mode
+// attestations and certificates all run through the shared
+// sig.Directory, whose verification memo turns the inline re-check
+// into a hit (enable it with Directory.EnableVerifyCache).
 //
-//   - VSS echo/ready points run verify-point against the (carried or
-//     registry-resolved) commitment matrix, landing the verdict in the
-//     shared Cache, which the state machine's inline check consults;
-//   - ready, DKG echo/ready/lead-ch signatures and the proof sets
-//     inside DKG proposals run through the shared sig.Directory, whose
-//     own verification memo turns the inline re-check into a hit
-//     (enable it with Directory.EnableVerifyCache).
+// VSS traffic in flood mode is not speculated on. Its points are
+// checked by one polynomial evaluation once the dealer's row is known,
+// and a ready's signature is checked only if its proof set is used
+// (vss.Node.ReadyProof).
 //
 // Observe is safe for concurrent use (transport read loops call it
 // from several goroutines) and never blocks: it only builds closures
@@ -29,45 +27,23 @@ import (
 // pure function the state machine would otherwise compute inline, so
 // protocol behaviour is bit-identical with or without it.
 type Speculator struct {
-	pool  *Pool
-	cache *Cache
-	dir   *sig.Directory // nil: signature speculation disabled
-	self  msg.NodeID
+	pool *Pool
+	dir  *sig.Directory
 }
 
-// NewSpeculator builds the speculation stage for the node self. dir
-// may be nil when the workload carries no signatures.
-func NewSpeculator(pool *Pool, cache *Cache, dir *sig.Directory, self msg.NodeID) *Speculator {
-	if pool == nil || cache == nil {
-		panic("verify: speculator needs a pool and a cache")
+// NewSpeculator builds the speculation stage over a worker pool and
+// the directory whose memo the state machines consult.
+func NewSpeculator(pool *Pool, dir *sig.Directory) *Speculator {
+	if pool == nil || dir == nil {
+		panic("verify: speculator needs a pool and a directory")
 	}
-	return &Speculator{pool: pool, cache: cache, dir: dir, self: self}
+	return &Speculator{pool: pool, dir: dir}
 }
-
-// Cache returns the speculator's verdict cache (the value to install
-// as vss/dkg Params.Verdicts).
-func (s *Speculator) Cache() *Cache { return s.cache }
-
-// Pool returns the speculator's worker pool (the value to install as
-// vss/dkg Params.Parallel).
-func (s *Speculator) Pool() *Pool { return s.pool }
 
 // Observe inspects one inbound message and schedules its speculative
 // checks. Unknown body types are ignored.
 func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 	switch m := body.(type) {
-	case *vss.SendMsg:
-		s.cache.RegisterMatrix(m.C)
-	case *vss.EchoMsg:
-		s.point(m.C, m.CHash, from, m)
-	case *vss.ReadyMsg:
-		s.point(m.C, m.CHash, from, m)
-		if s.dir != nil && len(m.Sig) > 0 {
-			session, cHash, sigBytes := m.Session, m.CHash, m.Sig
-			s.pool.Submit(func() {
-				s.dir.Verify(int64(from), vss.ReadyTranscript(session, cHash), sigBytes)
-			})
-		}
 	case *dkg.SendMsg:
 		s.proposal(m.Prop, m.Tau)
 		s.leaderProof(m.Tau, m.View, m.LeaderProof)
@@ -76,18 +52,18 @@ func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 	case *dkg.ReadyMsg:
 		s.qsig(from, m.Tau, m.Prop, m.Sig, true)
 	case *dkg.LeadChMsg:
-		if s.dir != nil && len(m.Sig) > 0 {
+		if len(m.Sig) > 0 {
 			tau, view, sigBytes := m.Tau, m.NewView, m.Sig
 			s.pool.Submit(func() {
-				s.dir.Verify(int64(from), dkg.LeadChTranscript(tau, view), sigBytes)
+				s.dir.Speculate(int64(from), dkg.LeadChTranscript(tau, view), sigBytes)
 			})
 		}
 		s.proposal(m.Prop, m.Tau)
 	case *vss.CertSignMsg:
-		if s.dir != nil && len(m.Sig) > 0 {
+		if len(m.Sig) > 0 {
 			session, cHash, phase, sigBytes := m.Session, m.CHash, m.Phase, m.Sig
 			s.pool.Submit(func() {
-				s.dir.Verify(int64(from), vssCertTranscript(session, cHash, phase), sigBytes)
+				s.dir.Speculate(int64(from), vssCertTranscript(session, cHash, phase), sigBytes)
 			})
 		}
 	case *vss.CertMsg:
@@ -96,10 +72,10 @@ func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 			s.certificate(func() []byte { return vssCertTranscript(session, cHash, phase) }, m.Cert)
 		}
 	case *dkg.CertSignMsg:
-		if s.dir != nil && len(m.Sig) > 0 && m.Prop != nil {
+		if len(m.Sig) > 0 && m.Prop != nil {
 			tau, prop, phase, sigBytes := m.Tau, m.Prop, m.Phase, m.Sig
 			s.pool.Submit(func() {
-				s.dir.Verify(int64(from), dkgCertTranscript(tau, prop, phase), sigBytes)
+				s.dir.Speculate(int64(from), dkgCertTranscript(tau, prop, phase), sigBytes)
 			})
 		}
 	case *dkg.CertMsg:
@@ -115,12 +91,9 @@ func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 // VerifyCertificateCached call lands a cache hit. The transcript
 // closure runs on the worker (digest computation included).
 func (s *Speculator) certificate(transcript func() []byte, cert *sig.Certificate) {
-	if s.dir == nil {
-		return
-	}
 	n := len(s.dir.Nodes())
 	s.pool.Submit(func() {
-		sig.VerifyCertificateCached(s.dir, n, transcript(), cert)
+		sig.SpeculateCertificate(s.dir, n, transcript(), cert)
 	})
 }
 
@@ -139,36 +112,10 @@ func dkgCertTranscript(tau uint64, prop *dkg.Proposal, phase uint8) []byte {
 	return dkg.EchoTranscript(tau, digest)
 }
 
-// point schedules one verify-point speculation for an echo/ready
-// evaluation addressed to self. Full-matrix messages also feed the
-// registry so later hashed references resolve.
-func (s *Speculator) point(c *commit.Matrix, cHash [32]byte, from msg.NodeID, body msg.Body) {
-	mat := c
-	if mat != nil {
-		s.cache.RegisterMatrix(mat)
-	} else {
-		var ok bool
-		if mat, ok = s.cache.MatrixFor(cHash); !ok {
-			return // hashed mode before the matrix is known: nothing to check against
-		}
-	}
-	var alpha *big.Int
-	switch m := body.(type) {
-	case *vss.EchoMsg:
-		alpha = m.Alpha
-	case *vss.ReadyMsg:
-		alpha = m.Alpha
-	}
-	if alpha == nil {
-		return
-	}
-	s.pool.Submit(func() { mat.VerifyPointVia(s.cache, int64(s.self), int64(from), alpha) })
-}
-
 // qsig schedules the signature check of a DKG echo/ready message; the
 // proposal digest is computed on the worker, not the caller.
 func (s *Speculator) qsig(from msg.NodeID, tau uint64, prop *dkg.Proposal, sigBytes []byte, ready bool) {
-	if s.dir == nil || prop == nil || len(sigBytes) == 0 {
+	if prop == nil || len(sigBytes) == 0 {
 		return
 	}
 	s.pool.Submit(func() {
@@ -177,7 +124,7 @@ func (s *Speculator) qsig(from msg.NodeID, tau uint64, prop *dkg.Proposal, sigBy
 		if ready {
 			transcript = dkg.ReadyTranscript(tau, digest)
 		}
-		s.dir.Verify(int64(from), transcript, sigBytes)
+		s.dir.Speculate(int64(from), transcript, sigBytes)
 	})
 }
 
@@ -186,7 +133,7 @@ func (s *Speculator) qsig(from msg.NodeID, tau uint64, prop *dkg.Proposal, sigBy
 // or the echo/ready quorum signatures over the proposal digest. One
 // task per proof set keeps task granularity near one multi-exp.
 func (s *Speculator) proposal(p *dkg.Proposal, tau uint64) {
-	if s.dir == nil || p == nil {
+	if p == nil {
 		return
 	}
 	switch p.Kind {
@@ -202,7 +149,7 @@ func (s *Speculator) proposal(p *dkg.Proposal, tau uint64) {
 			s.pool.Submit(func() {
 				transcript := vss.ReadyTranscript(vss.SessionID{Dealer: dealer, Tau: tau}, cHash)
 				for _, sr := range proof {
-					s.dir.Verify(int64(sr.Signer), transcript, sr.Sig)
+					s.dir.Speculate(int64(sr.Signer), transcript, sr.Sig)
 				}
 			})
 		}
@@ -218,7 +165,7 @@ func (s *Speculator) proposal(p *dkg.Proposal, tau uint64) {
 				transcript = dkg.ReadyTranscript(tau, digest)
 			}
 			for _, q := range sigs {
-				s.dir.Verify(int64(q.Signer), transcript, q.Sig)
+				s.dir.Speculate(int64(q.Signer), transcript, q.Sig)
 			}
 		})
 	}
@@ -227,13 +174,13 @@ func (s *Speculator) proposal(p *dkg.Proposal, tau uint64) {
 // leaderProof schedules the signed lead-ch set legitimising a view>1
 // leader proposal.
 func (s *Speculator) leaderProof(tau, view uint64, proof []dkg.SignedQ) {
-	if s.dir == nil || len(proof) == 0 {
+	if len(proof) == 0 {
 		return
 	}
 	s.pool.Submit(func() {
 		transcript := dkg.LeadChTranscript(tau, view)
 		for _, q := range proof {
-			s.dir.Verify(int64(q.Signer), transcript, q.Sig)
+			s.dir.Speculate(int64(q.Signer), transcript, q.Sig)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package verify
 
-import "hybriddkg/internal/telemetry"
+import (
+	"hybriddkg/internal/sig"
+	"hybriddkg/internal/telemetry"
+)
 
 // QueueDepth returns the number of tasks queued but not yet picked up
 // by a worker — the instantaneous backlog of the speculation stage.
@@ -11,12 +14,11 @@ func (p *Pool) QueueDepth() int {
 	return len(p.tasks)
 }
 
-// RegisterMetrics exposes the pool and cache stats as scrape-time
-// telemetry samples. The pool and cache keep their own atomic
-// counters, so the hot path pays nothing for this — the collector
-// reads the atomics only when a scrape happens. Either argument may
-// be nil.
-func RegisterMetrics(reg *telemetry.Registry, pool *Pool, cache *Cache) {
+// RegisterMetrics exposes the pool's stats and the signature memo's
+// as scrape-time telemetry samples. Both keep their own counters, so
+// the hot path pays nothing for this — the collector reads them only
+// when a scrape happens. Either argument may be nil.
+func RegisterMetrics(reg *telemetry.Registry, pool *Pool, dir *sig.Directory) {
 	reg.RegisterCollector(func(emit func(telemetry.Sample)) {
 		if pool != nil {
 			ps := pool.Stats()
@@ -26,25 +28,16 @@ func RegisterMetrics(reg *telemetry.Registry, pool *Pool, cache *Cache) {
 			emit(telemetry.Sample{Name: "verify_pool_dropped_total", Help: "Speculative tasks shed (queue full or closed)", Kind: telemetry.KindCounter, Value: float64(ps.Dropped)})
 			emit(telemetry.Sample{Name: "verify_pool_executed_total", Help: "Speculative tasks executed", Kind: telemetry.KindCounter, Value: float64(ps.Executed)})
 		}
-		if cache != nil {
-			cs := cache.Stats()
-			emit(telemetry.Sample{Name: "verify_cache_hits_total", Help: "Verdict-memo hits (speculative verdicts used)", Kind: telemetry.KindCounter, Value: float64(cs.Hits)})
-			emit(telemetry.Sample{Name: "verify_cache_misses_total", Help: "Verdict-memo misses", Kind: telemetry.KindCounter, Value: float64(cs.Misses)})
-			emit(telemetry.Sample{Name: "verify_cache_stores_total", Help: "Verdicts stored in the memo", Kind: telemetry.KindCounter, Value: float64(cs.Stores)})
-			emit(telemetry.Sample{Name: "verify_cache_matrices", Help: "Decoded commitment matrices registered", Kind: telemetry.KindGauge, Value: float64(cs.Matrices)})
-			if total := cs.Hits + cs.Misses; total > 0 {
-				emit(telemetry.Sample{Name: "verify_cache_hit_ratio", Help: "Verdict-memo hit ratio since start", Kind: telemetry.KindGauge, Value: float64(cs.Hits) / float64(total)})
+		if dir != nil {
+			hits, misses := dir.VerifyCacheStats()
+			emit(telemetry.Sample{Name: "verify_cache_hits_total", Help: "Inline signature checks answered by the memo", Kind: telemetry.KindCounter, Value: float64(hits)})
+			emit(telemetry.Sample{Name: "verify_cache_misses_total", Help: "Inline signature checks the memo could not answer", Kind: telemetry.KindCounter, Value: float64(misses)})
+			if total := hits + misses; total > 0 {
+				emit(telemetry.Sample{Name: "verify_cache_hit_ratio", Help: "Signature-memo hit ratio since start", Kind: telemetry.KindGauge, Value: float64(hits) / float64(total)})
 			}
-			// A stored verdict the state machine never looked up is a
-			// speculation that lost its race — wasted work. Hits can
-			// exceed stores (one verdict can answer many lookups), so
-			// the wasted series clamps at zero.
-			wasted := float64(0)
-			if cs.Stores > cs.Hits {
-				wasted = float64(cs.Stores - cs.Hits)
-			}
-			emit(telemetry.Sample{Name: "verify_speculative_used_total", Help: "Speculative verdicts consumed by inline checks", Kind: telemetry.KindCounter, Value: float64(cs.Hits)})
-			emit(telemetry.Sample{Name: "verify_speculative_wasted_total", Help: "Speculative verdicts never consumed", Kind: telemetry.KindCounter, Value: wasted})
+			stored, used := dir.SpeculationStats()
+			emit(telemetry.Sample{Name: "verify_speculative_used_total", Help: "Verdicts a pool worker stored that an inline check read", Kind: telemetry.KindCounter, Value: float64(used)})
+			emit(telemetry.Sample{Name: "verify_speculative_wasted_total", Help: "Verdicts a pool worker stored that no inline check has read", Kind: telemetry.KindCounter, Value: float64(stored - used)})
 		}
 	})
 }

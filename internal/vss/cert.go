@@ -283,7 +283,9 @@ func (nd *Node) certComplete(h [32]byte, cst *certState, cert *sig.Certificate) 
 		}
 		proof = append(proof, SignedReady{Signer: msg.NodeID(signer), Sig: native})
 	}
-	cs.readySigs = proof
+	// The certificate was verified as a whole: its signatures are the
+	// proof as they stand.
+	nd.certProof = proof
 	nd.params.Metrics.ReadyQuorums.Inc()
 	nd.trace(telemetry.EvQuorum, "vss-cert-ready-quorum")
 	nd.complete(cs)

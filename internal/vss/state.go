@@ -50,7 +50,7 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	if err := EncodeMatrixPtr(w, nd.outC); err != nil {
 		return nil, err
 	}
-	EncodeSignedReadies(w, nd.readyProof)
+	EncodeSignedReadies(w, nd.certProof)
 	w.NodeSet(nd.echoSeen)
 	w.NodeSet(nd.readySeen)
 
@@ -221,7 +221,7 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		return err
 	}
 	nd.outC = outC
-	nd.readyProof = DecodeSignedReadies(r)
+	nd.certProof = DecodeSignedReadies(r)
 	nd.echoSeen = r.NodeSet()
 	nd.readySeen = r.NodeSet()
 

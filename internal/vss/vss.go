@@ -69,14 +69,6 @@ type Params struct {
 	// fallback when a batch fails, so verdicts are identical either
 	// way — this switch exists for benchmarks and differential tests.
 	DisableBatch bool
-	// Verdicts, when set, is a shared memo of verify-point outcomes
-	// (the verification pipeline's cache, warmed speculatively by
-	// worker goroutines before messages reach this state machine).
-	// verify-point is a pure predicate, so consulting the memo changes
-	// no verdict and no state transition — only where the
-	// exponentiations run. Batched and deferred verification behave
-	// identically with or without it.
-	Verdicts commit.VerdictCache
 	// Parallel, when set, is a best-effort worker pool that batch
 	// flushes use to build their independent per-group equations
 	// concurrently (commit.BatchVerifier.SetParallel).
@@ -157,13 +149,13 @@ type Sender interface {
 	Send(to msg.NodeID, body msg.Body)
 }
 
-// SharedEvent reports Sh completion: (P_d, τ, out, shared, C, s_i)
-// plus the R_d proof set in extended mode.
+// SharedEvent reports Sh completion: (P_d, τ, out, shared, C, s_i).
+// The R_d proof set of extended mode is assembled when it is used
+// (Node.ReadyProof).
 type SharedEvent struct {
-	Session    SessionID
-	C          *commit.Matrix
-	Share      *big.Int
-	ReadyProof []SignedReady
+	Session SessionID
+	C       *commit.Matrix
+	Share   *big.Int
 }
 
 // ReconstructedEvent reports Rec completion:
@@ -180,9 +172,15 @@ type cstate struct {
 	points     map[msg.NodeID]*big.Int
 	echoCount  int
 	readyCount int
-	readySigs  []SignedReady
-	sentReady  bool
-	aBar       *poly.Poly // interpolated row polynomial, once available
+	// readySigs holds the signature of every counted ready (extended
+	// mode), in arrival order and unverified: verify-point alone gates
+	// r_C, as in Fig. 1. proof is the valid ones among the first
+	// proofChecked of them (see ReadyProof).
+	readySigs    []SignedReady
+	proof        []SignedReady
+	proofChecked int
+	sentReady    bool
+	aBar         *poly.Poly // interpolated row polynomial, once available
 	// aRow is the row polynomial f(i,·) from the dealer's send, pinned
 	// to this commitment by verify-poly. Once either aRow or aBar is
 	// known, incoming points verify by scalar evaluation (see
@@ -248,10 +246,12 @@ type Node struct {
 	cstates     map[[32]byte]*cstate
 	pending     map[[32]byte][]pendingPoint
 
-	done       bool
-	share      *big.Int
-	outC       *commit.Matrix
-	readyProof []SignedReady
+	done  bool
+	share *big.Int
+	outC  *commit.Matrix
+	// certProof is the R_d set taken from a verified ready certificate
+	// (certificate mode); flood completions derive theirs on use.
+	certProof []SignedReady
 
 	// Recovery state: B (outgoing log) and the help counters c, c_ℓ.
 	outLog    map[msg.NodeID][]msg.Body
@@ -342,8 +342,31 @@ func (nd *Node) Share() *big.Int {
 // Commitment returns the decided commitment matrix (nil until Done).
 func (nd *Node) Commitment() *commit.Matrix { return nd.outC }
 
-// ReadyProof returns the R_d set (extended mode, after Done).
-func (nd *Node) ReadyProof() []SignedReady { return nd.readyProof }
+// ReadyProof returns the R_d set (extended mode, after Done): the first
+// n−t−f valid signatures among the counted readies, in arrival order.
+// A ready's signature matters only as transferable proof, so it is
+// checked here, when the set is about to leave the node, and not when
+// the ready is counted. The result is nil while fewer than n−t−f of
+// them verify; a later ready may still complete the set.
+func (nd *Node) ReadyProof() []SignedReady {
+	if len(nd.certProof) > 0 || !nd.done || !nd.params.Extended {
+		return nd.certProof
+	}
+	rt := nd.params.ReadyThreshold()
+	h := nd.outC.Hash()
+	cs := nd.cstates[h]
+	transcript := ReadyTranscript(nd.session, h)
+	for ; cs.proofChecked < len(cs.readySigs) && len(cs.proof) < rt; cs.proofChecked++ {
+		sr := cs.readySigs[cs.proofChecked]
+		if nd.params.Directory.Verify(int64(sr.Signer), transcript, sr.Sig) {
+			cs.proof = append(cs.proof, sr)
+		}
+	}
+	if len(cs.proof) < rt {
+		return nil
+	}
+	return cs.proof
+}
 
 // Reconstructed returns z_i (nil until Rec completes).
 func (nd *Node) Reconstructed() *big.Int {
@@ -518,9 +541,7 @@ func (nd *Node) pointValid(cs *cstate, from msg.NodeID, alpha *big.Int) bool {
 	if row := cs.rowPoly(); row != nil {
 		return row.EvalInt(int64(from)).Cmp(alpha) == 0
 	}
-	// The expensive path: verify-point through the shared verdict memo
-	// (a speculative worker may already have paid the exponentiations).
-	return cs.c.VerifyPointVia(nd.params.Verdicts, int64(nd.self), int64(from), alpha)
+	return cs.c.VerifyPoint(int64(nd.self), int64(from), alpha)
 }
 
 // deferPoint reports whether pp should join the deferred-verification
@@ -583,23 +604,7 @@ func (nd *Node) maybeFlushBatch(cs *cstate) {
 	cs.unverified = nil
 	bv := commit.NewBatchVerifier(nd.params.Group)
 	bv.SetParallel(nd.params.Parallel)
-	// Points whose verdict the shared memo already holds (speculative
-	// workers verified them while they sat in the queue) skip the
-	// batch entirely; only unknown points pay the multi-exp. Memoized
-	// verdicts equal batch verdicts — both equal verify-point — so the
-	// apply sequence below is unchanged.
-	known := make([]int8, len(pend)) // 0 = batch, +1 = valid, -1 = invalid
 	for idx, pp := range pend {
-		if vc := nd.params.Verdicts; vc != nil {
-			if v, hit := vc.LookupPoint(cs.c.Hash(), int64(nd.self), int64(pp.from), pp.alpha); hit {
-				if v {
-					known[idx] = 1
-				} else {
-					known[idx] = -1
-				}
-				continue
-			}
-		}
 		bv.AddPoint(idx, cs.c, int64(nd.self), int64(pp.from), pp.alpha)
 	}
 	bad := make(map[int]bool, len(pend))
@@ -608,7 +613,7 @@ func (nd *Node) maybeFlushBatch(cs *cstate) {
 	}
 	applied := make(map[msg.NodeID]uint8, len(pend))
 	for idx, pp := range pend {
-		if known[idx] >= 0 && !bad[idx] {
+		if !bad[idx] {
 			nd.applyVerified(cs, pp, applied)
 		}
 	}
@@ -678,11 +683,6 @@ func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 	if m.Session != nd.session || nd.readySeen[from] {
 		return
 	}
-	if nd.params.Extended {
-		if !nd.params.Directory.Verify(int64(from), ReadyTranscript(nd.session, m.CHash), m.Sig) {
-			return
-		}
-	}
 	if m.C != nil && m.C.T() != nd.params.T {
 		return
 	}
@@ -711,7 +711,7 @@ func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 func (nd *Node) addReady(cs *cstate, from msg.NodeID, alpha *big.Int, sigBytes []byte) {
 	cs.points[from] = alpha
 	cs.readyCount++
-	if nd.params.Extended && len(cs.readySigs) < nd.params.ReadyThreshold() {
+	if nd.params.Extended {
 		cs.readySigs = append(cs.readySigs, SignedReady{Signer: from, Sig: sigBytes})
 	}
 	switch {
@@ -794,16 +794,8 @@ func (nd *Node) complete(cs *cstate) {
 	nd.trace(telemetry.EvPhase, "vss-completed")
 	nd.share = cs.aBar.EvalInt(0)
 	nd.outC = cs.c
-	if nd.params.Extended {
-		nd.readyProof = cs.readySigs
-	}
 	if nd.onShared != nil {
-		nd.onShared(SharedEvent{
-			Session:    nd.session,
-			C:          cs.c,
-			Share:      new(big.Int).Set(nd.share),
-			ReadyProof: nd.readyProof,
-		})
+		nd.onShared(SharedEvent{Session: nd.session, C: cs.c, Share: new(big.Int).Set(nd.share)})
 	}
 	nd.drainRecPending()
 }

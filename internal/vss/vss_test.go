@@ -11,6 +11,7 @@ import (
 	"hybriddkg/internal/msg"
 	"hybriddkg/internal/poly"
 	"hybriddkg/internal/randutil"
+	"hybriddkg/internal/sig"
 	"hybriddkg/internal/simnet"
 	"hybriddkg/internal/vss"
 )
@@ -597,4 +598,83 @@ func TestAccessorsBeforeCompletion(t *testing.T) {
 	if nd.Session().Dealer != 1 {
 		t.Error("session mismatch")
 	}
+}
+
+// TestReadyCountedOnPointProofCheckedOnUse: in extended mode a ready
+// with a valid point counts toward Fig. 1's thresholds whatever its
+// signature is worth; the signature is checked when the R_d set is
+// asked for. A garbage signature never appears in the set, the set
+// stays unavailable while it is short, a later valid ready completes
+// it, and a node restored from a snapshot derives the same set.
+func TestReadyCountedOnPointProofCheckedOnUse(t *testing.T) {
+	gr := group.Test256()
+	const n, deg, self = 4, 1, 2
+	scheme := sig.Ed25519{}
+	dir, privs, err := harness.BuildDirectory(scheme, n, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := poly.NewRandomSymmetric(gr.Q(), big.NewInt(7), deg, randutil.NewReader(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := commit.NewMatrix(gr, f)
+	sess := vss.SessionID{Dealer: 1, Tau: 1}
+	params := vss.Params{Group: gr, N: n, T: deg, Extended: true, Directory: dir, SignKey: privs[self]}
+	node, err := vss.NewNode(params, sess, self, discardSender{}, vss.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := func(from msg.NodeID, valid bool) *vss.ReadyMsg {
+		sigBytes := []byte("not a signature")
+		if valid {
+			if sigBytes, err = scheme.Sign(privs[from], vss.ReadyTranscript(sess, c.Hash())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return &vss.ReadyMsg{Session: sess, C: c, CHash: c.Hash(), Alpha: f.Eval(int64(from), self), Sig: sigBytes}
+	}
+	node.Handle(1, &vss.SendMsg{Session: sess, C: c, A: f.Row(self).Coeffs()})
+	node.Handle(1, ready(1, true))
+	node.Handle(3, ready(3, false))
+	if node.Done() {
+		t.Fatal("completed on two readies")
+	}
+	node.Handle(4, ready(4, true))
+	if !node.Done() {
+		t.Fatal("the ready with a garbage signature was not counted: n−t−f = 3 valid points arrived")
+	}
+	if proof := node.ReadyProof(); proof != nil {
+		t.Fatalf("R_d offered with %d signatures, only 2 of the 3 counted readies carry a valid one", len(proof))
+	}
+	node.Handle(self, ready(self, true)) // the top-up
+	want := []msg.NodeID{1, 4, self}
+	check := func(who string, proof []vss.SignedReady) {
+		t.Helper()
+		if len(proof) != len(want) {
+			t.Fatalf("%s: R_d has %d signatures, want %d", who, len(proof), len(want))
+		}
+		for i, sr := range proof {
+			if sr.Signer != want[i] {
+				t.Fatalf("%s: R_d signer %d is %d, want %d (arrival order, forger skipped)", who, i, sr.Signer, want[i])
+			}
+			if !dir.Verify(int64(sr.Signer), vss.ReadyTranscript(sess, c.Hash()), sr.Sig) {
+				t.Fatalf("%s: R_d carries an invalid signature from %d", who, sr.Signer)
+			}
+		}
+	}
+	check("live node", node.ReadyProof())
+
+	snap, err := node.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := vss.NewNode(params, sess, self, discardSender{}, vss.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.UnmarshalState(stateCodec(t, gr), snap); err != nil {
+		t.Fatal(err)
+	}
+	check("restored node", fresh.ReadyProof())
 }

@@ -66,7 +66,6 @@ type Network struct {
 
 	services map[msg.NodeID]*dataplane.Service
 	pool     *verify.Pool
-	verdicts map[msg.NodeID]*verify.Cache
 
 	// Auxiliary (nonce/beacon) DKG sessions requested by the services
 	// but not yet run. The pump loop drains this between simulator
@@ -124,16 +123,6 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		nw.pool = verify.NewPool(workers)
-	}
-	if cfg.verdictEntries != 0 {
-		entries := cfg.verdictEntries
-		if entries < 0 {
-			entries = 0 // implementation default capacity
-		}
-		nw.verdicts = make(map[msg.NodeID]*verify.Cache, roster.N)
-		for i := 1; i <= roster.N; i++ {
-			nw.verdicts[msg.NodeID(i)] = verify.NewCache(entries)
-		}
 	}
 
 	peers := make([]msg.NodeID, 0, roster.N)
@@ -244,9 +233,6 @@ func (nw *Network) dkgParams(id msg.NodeID) dkg.Params {
 	}
 	if nw.pool != nil {
 		p.Parallel = nw.pool
-	}
-	if nw.verdicts != nil {
-		p.Verdicts = nw.verdicts[id]
 	}
 	return p
 }

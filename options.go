@@ -37,7 +37,6 @@ type netConfig struct {
 	disableBatch   bool
 	legacyWire     bool
 	verifyWorkers  int
-	verdictEntries int
 
 	// Data-plane (serving) knobs.
 	rate        float64
@@ -136,29 +135,14 @@ func WithoutBatchVerify() Option {
 	return func(c *netConfig) { c.disableBatch = true }
 }
 
-// WithParallelVerify runs commitment verification on a shared worker
-// pool of the given size, and memoizes point verdicts across sessions
-// in a shared cache. workers ≤ 0 sizes the pool to GOMAXPROCS.
+// WithParallelVerify fans batched commitment verification out over a
+// shared worker pool of the given size. workers ≤ 0 sizes the pool to
+// GOMAXPROCS.
 func WithParallelVerify(workers int) Option {
 	return func(c *netConfig) {
 		c.verifyWorkers = workers
 		if c.verifyWorkers <= 0 {
 			c.verifyWorkers = -1 // resolved to GOMAXPROCS at build time
-		}
-		if c.verdictEntries == 0 {
-			c.verdictEntries = -1 // pool implies a default-sized verdict cache
-		}
-	}
-}
-
-// WithVerdictCache memoizes commitment-point verdicts across sessions
-// in a cache bounded to the given number of entries (0 entries means
-// the implementation default).
-func WithVerdictCache(entries int) Option {
-	return func(c *netConfig) {
-		c.verdictEntries = entries
-		if c.verdictEntries <= 0 {
-			c.verdictEntries = -1
 		}
 	}
 }

@@ -113,8 +113,9 @@ type ServerConfig struct {
 
 	// MaxActive bounds concurrently active sessions (0 = unbounded).
 	MaxActive int
-	// VerifyWorkers sizes the speculative-verification pipeline
-	// (0 = pipeline off). ShardSessions gives concurrent sessions
+	// VerifyWorkers sizes the pool that checks live sessions'
+	// signatures ahead of the state machines and runs batch flushes
+	// (0 = everything inline). ShardSessions gives concurrent sessions
 	// their own dispatch lanes (forced off with StateDir).
 	VerifyWorkers int
 	ShardSessions bool
@@ -279,11 +280,9 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	// paid for once.
 	dir.EnableVerifyCache(0)
 	var vpool *verify.Pool
-	var vcache *verify.Cache
 	if cfg.VerifyWorkers > 0 {
 		vpool = verify.NewPool(cfg.VerifyWorkers)
-		vcache = verify.NewCache(0)
-		spec := verify.NewSpeculator(vpool, vcache, dir, cfg.Self)
+		spec := verify.NewSpeculator(vpool, dir)
 		tcfg.Observer = func(_ msg.SessionID, from msg.NodeID, body msg.Body) {
 			spec.Observe(from, body)
 		}
@@ -352,8 +351,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Metrics:        telemetry.NewProtocolMetrics(s.reg),
 		Trace:          s.tracer,
 	}
-	if vcache != nil {
-		params.Verdicts = vcache
+	if vpool != nil {
 		params.Parallel = vpool
 	}
 
@@ -410,9 +408,8 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Start: func(sid msg.SessionID, r engine.Runner) error {
 			return r.(*dkg.Node).Start(rand.Reader)
 		},
-		MaxActive:     cfg.MaxActive,
-		KeepCompleted: true,
-		OnCompleted:   s.onCompleted,
+		MaxActive:   cfg.MaxActive,
+		OnCompleted: s.onCompleted,
 		OnFailed: func(sid msg.SessionID, err error) {
 			s.fail(uint64(sid), err)
 		},
@@ -432,7 +429,10 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 			return dkg.RestoreNode(params, uint64(sid), cfg.Self, rt, dkg.Options{}, codec, snap)
 		}
 		// Completed sessions keep serving protocol-level help
-		// requests (§5.3) for crashed peers that restart later.
+		// requests (§5.3) for crashed peers that restart later, which
+		// is the one thing a retained runner is reachable for; an
+		// in-memory node releases its runners on completion.
+		ecfg.KeepCompleted = true
 		ecfg.LingerCompleted = true
 	}
 	if vpool != nil {
@@ -460,7 +460,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		// their own cheap stats; registered last so they observe the
 		// fully assembled node.
 		tnode.RegisterMetrics(s.reg)
-		verify.RegisterMetrics(s.reg, vpool, vcache)
+		verify.RegisterMetrics(s.reg, vpool, dir)
 		svc.RegisterMetrics(s.reg)
 		msrv, err := telemetry.ListenAndServe(cfg.MetricsListen, telemetry.ServeOptions{
 			Registry: s.reg,
