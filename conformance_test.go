@@ -2,9 +2,10 @@ package hybriddkg_test
 
 // Protocol-level backend conformance: every registered group backend
 // is run through the same end-to-end battery — Pedersen binding, a
-// full HybridVSS sharing, a complete DKG with threshold Schnorr
-// signing and ElGamal decryption, one proactive renewal phase, and a
-// §6.2 node addition. Group-axiom and encoding conformance lives in
+// full HybridVSS sharing, sharings and DKGs of width 1, 2 and 16 over
+// the flood and over certificates, a complete DKG with threshold
+// Schnorr signing and ElGamal decryption, one proactive renewal phase,
+// and a §6.2 node addition. Group-axiom and encoding conformance lives in
 // internal/group/conformance_test.go; together they mean a new
 // backend gets the whole battery by registering in group.Names().
 
@@ -34,6 +35,7 @@ func TestProtocolConformance(t *testing.T) {
 			}
 			t.Run("pedersen-binding", func(t *testing.T) { conformPedersen(t, gr) })
 			t.Run("vss", func(t *testing.T) { conformVSS(t, gr) })
+			t.Run("width", func(t *testing.T) { conformWidth(t, gr) })
 			t.Run("cluster", func(t *testing.T) { conformCluster(t, name) })
 			t.Run("addition", func(t *testing.T) { conformAddition(t, gr) })
 		})
@@ -75,6 +77,41 @@ func conformVSS(t *testing.T, gr *group.Group) {
 	}
 	if res.HonestDone() != 7 {
 		t.Fatalf("VSS completed on %d/7 nodes", res.HonestDone())
+	}
+}
+
+// conformWidth runs a sharing and a whole DKG at widths 1, 2 and 16,
+// the DKG over the flood and over quorum certificates: every node must
+// finish with the session's width in key pairs, consistent on every
+// coordinate.
+func conformWidth(t *testing.T, gr *group.Group) {
+	for _, w := range []int{1, 2, 16} {
+		vres, err := harness.RunVSS(harness.VSSOptions{N: 4, T: 1, Seed: 36, Group: gr, Width: w, DedupDealings: true, CompressedWire: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vres.HonestDone() != 4 {
+			t.Fatalf("width %d: VSS completed on %d/4 nodes", w, vres.HonestDone())
+		}
+		if err := vres.CheckConsistency(true); err != nil {
+			t.Fatalf("width %d: VSS: %v", w, err)
+		}
+		for _, certs := range []bool{false, true} {
+			dres, err := harness.RunDKG(harness.DKGOptions{
+				N: 4, T: 1, Seed: 37, Group: gr, Width: w, Certificates: certs,
+				HashedEcho: true, DedupDealings: true, CompressedWire: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dres.HonestDone() != 4 {
+				t.Fatalf("width %d, certificates %v: DKG completed on %d/4 nodes", w, certs, dres.HonestDone())
+			}
+			if err := dres.CheckConsistency(); err != nil {
+				t.Fatalf("width %d, certificates %v: %v", w, certs, err)
+			}
+			dres.Close()
+		}
 	}
 }
 

@@ -25,24 +25,34 @@ const (
 	// to node 1, starving one node's quorum participation — a
 	// targeted-starvation regression the agreement+liveness pair flags.
 	InjectDropEchoTo1 = "drop-echo-to-1"
+	// InjectVerifyFirstCoordinateOnly makes every honest node check an
+	// echo's or ready's points on coordinate 0 alone — the shortcut a
+	// batched dealing invites. Nothing stalls; a node that counts a
+	// vector spliced on a later coordinate interpolates a wrong share
+	// for it, and the agreement invariant (every share verifies against
+	// the joint commitment, on every coordinate) flags the run. It takes
+	// a cell of width > 1 and a coordinate splicer to show.
+	InjectVerifyFirstCoordinateOnly = "verify-first-coordinate-only"
 )
 
-// injectFilter returns the fault filter for a named injected bug. The
-// drops acknowledge AllowDrop mechanically (they model lost traffic an
-// implementation bug would cause), but the spec still asserts liveness
-// — that mismatch is exactly what makes the lab flag the bug.
-func injectFilter(name string) (simnet.SessionFilterFunc, error) {
+// installInject wires a named injected bug into the build. Lost-traffic
+// bugs are fault filters: their drops acknowledge AllowDrop
+// mechanically (they model what an implementation bug would lose), but
+// the spec still asserts liveness — that mismatch is exactly what makes
+// the lab flag the bug. A bug inside a state machine is switched on in
+// the honest nodes' options.
+func installInject(b *build, name string) error {
 	switch name {
 	case InjectDropHelp:
-		return func(_ msg.SessionID, _, _ msg.NodeID, body msg.Body) simnet.Verdict {
+		b.filters = append(b.filters, func(_ msg.SessionID, _, _ msg.NodeID, body msg.Body) simnet.Verdict {
 			switch body.MsgType() {
 			case msg.TVSSHelp, msg.TDKGHelp:
 				return simnet.Verdict{Drop: true, AllowDrop: true}
 			}
 			return simnet.Verdict{}
-		}, nil
+		})
 	case InjectDropEchoTo1:
-		return func(_ msg.SessionID, from, to msg.NodeID, body msg.Body) simnet.Verdict {
+		b.filters = append(b.filters, func(_ msg.SessionID, from, to msg.NodeID, body msg.Body) simnet.Verdict {
 			if to == 1 && from != 1 {
 				switch body.MsgType() {
 				case msg.TVSSEcho, msg.TDKGEcho:
@@ -50,8 +60,11 @@ func injectFilter(name string) (simnet.SessionFilterFunc, error) {
 				}
 			}
 			return simnet.Verdict{}
-		}, nil
+		})
+	case InjectVerifyFirstCoordinateOnly:
+		b.opts.InjectVerifyFirstCoordinateOnly = true
 	default:
-		return nil, fmt.Errorf("chaos: unknown injected bug %q", name)
+		return fmt.Errorf("chaos: unknown injected bug %q", name)
 	}
+	return nil
 }

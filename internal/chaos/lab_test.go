@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -162,5 +163,106 @@ func TestDropCountersSurfaced(t *testing.T) {
 	}
 	if !sawPartition || !sawLoss {
 		t.Fatalf("sweep never drew gray=%v loss=%v scenarios; derivation drifted", sawPartition, sawLoss)
+	}
+}
+
+// wideCell is the width-4 cell: every dealer shares four secrets under
+// one broadcast, and half the scenarios field a coordinate splicer.
+var wideCell = Cell{N: 13, T: 2, F: 3, Backend: "modp", Width: 4}
+
+// TestWideCellLeavesRecordedSeedsAlone: the wide cell is a new cell.
+// Its scenarios extend the width-1 cell's draws and nothing in a
+// width-1 cell's spec, rendering or fingerprint knows that widths exist:
+// the hashes below were recorded before sessions had a width.
+func TestWideCellLeavesRecordedSeedsAlone(t *testing.T) {
+	for _, rec := range []struct {
+		seed uint64
+		cell Cell
+		hash string
+	}{
+		{1, Cell{N: 13, T: 2, F: 3, Backend: "modp"}, "cb72b0b1200b"},
+		{1, Cell{N: 13, T: 2, F: 3, Backend: "modp", Certificates: true}, "76b5e364fc3c"},
+		{2, Cell{N: 13, T: 2, F: 3, Backend: "modp"}, "524c6b7c608d"},
+		{1, Cell{N: 13, T: 2, F: 3, Backend: "p256"}, "2c0005442728"},
+	} {
+		if r := Replay(rec.seed, rec.cell, "", 0); !strings.HasPrefix(r.TraceHash, rec.hash) {
+			t.Fatalf("seed %d cell %s: trace hash %.12s, recorded %s", rec.seed, rec.cell, r.TraceHash, rec.hash)
+		}
+	}
+	narrow := wideCell
+	narrow.Width = 0
+	one := narrow
+	one.Width = 1
+	splicers := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		a, b := RandomSpec(seed, narrow), RandomSpec(seed, one)
+		if a.String() != b.String() {
+			t.Fatalf("seed %d: width 0 and width 1 derive different scenarios", seed)
+		}
+		for _, st := range a.Strategies {
+			if st.Name == StratSpliceCoordinate {
+				t.Fatalf("seed %d: a width-1 cell drew %s", seed, st.Name)
+			}
+		}
+		for _, st := range RandomSpec(seed, wideCell).Strategies {
+			if st.Name == StratSpliceCoordinate {
+				splicers++
+			}
+		}
+	}
+	if splicers < 10 {
+		t.Fatalf("only %d of 60 wide scenarios field a coordinate splicer", splicers)
+	}
+}
+
+// TestSweepWideCell: scenarios at width 4, splicers included, hold
+// agreement on all four key pairs and liveness, over the flood and over
+// certificates, and replay hash-identically.
+func TestSweepWideCell(t *testing.T) {
+	cert := wideCell
+	cert.Certificates = true
+	for _, cell := range []Cell{wideCell, cert} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			r := Replay(seed, cell, "", 0)
+			if r.Failed() {
+				t.Fatalf("%s", r.Report())
+			}
+			if again := Replay(seed, cell, "", 0); again.TraceHash != r.TraceHash {
+				t.Fatalf("seed %d cell %s: replay hash moved", seed, cell)
+			}
+		}
+	}
+}
+
+// TestLabCatchesFirstCoordinateOnly: with every honest node verifying
+// points on coordinate 0 alone, a bounded sweep of the wide cell must
+// flag an agreement violation — some node holds a share that its
+// commitment rejects — and the failing seed must replay to the same
+// verdict and trace hash. The same seed without the bug passes.
+func TestLabCatchesFirstCoordinateOnly(t *testing.T) {
+	var caught *Result
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := Replay(seed, wideCell, InjectVerifyFirstCoordinateOnly, 0)
+		if r.Err != nil {
+			t.Fatalf("seed %d: %v", seed, r.Err)
+		}
+		if r.Failed() {
+			caught = r
+			break
+		}
+	}
+	if caught == nil {
+		t.Fatal("injected verify-first-coordinate-only bug not caught within 200 seeds")
+	}
+	if caught.Violation != InvAgreement {
+		t.Fatalf("caught with violation %q, want %q:\n%s", caught.Violation, InvAgreement, caught.Report())
+	}
+	t.Logf("caught at seed=%d: %s", caught.Spec.Seed, caught.Spec.String())
+	again := Replay(caught.Spec.Seed, wideCell, InjectVerifyFirstCoordinateOnly, 0)
+	if again.Violation != caught.Violation || again.TraceHash != caught.TraceHash {
+		t.Fatalf("replay drifted: %q %s, want %q %s", again.Violation, again.TraceHash, caught.Violation, caught.TraceHash)
+	}
+	if clean := Replay(caught.Spec.Seed, wideCell, "", 0); clean.Failed() {
+		t.Fatalf("the catching seed fails without the bug:\n%s", clean.Report())
 	}
 }

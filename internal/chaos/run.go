@@ -63,11 +63,16 @@ func (r *Result) Report() string {
 	return b.String()
 }
 
+// cellMode names the cell's protocol mode as -lab-modes spells it.
 func cellMode(c Cell) string {
+	mode := "flood"
 	if c.Certificates {
-		return "cert"
+		mode = "cert"
 	}
-	return "flood"
+	if c.Width > 1 {
+		mode += fmt.Sprintf("-w%d", c.Width)
+	}
+	return mode
 }
 
 // traceHasher folds the simulator's scheduling trace into a replay
@@ -148,6 +153,7 @@ func Run(spec Spec) *Result {
 		CompressedWire: spec.CompressedWire,
 		Coalesce:       spec.Coalesce,
 		Certificates:   cell.Certificates,
+		Width:          cell.Width,
 		VerifyWorkers:  spec.VerifyWorkers,
 		MaxEvents:      spec.MaxEvents,
 	}
@@ -167,12 +173,10 @@ func Run(spec Spec) *Result {
 		}
 	}
 	if spec.Inject != "" {
-		f, err := injectFilter(spec.Inject)
-		if err != nil {
+		if err := installInject(b, spec.Inject); err != nil {
 			out.Err = err
 			return out
 		}
-		b.filters = append(b.filters, f)
 	}
 	opts.SessionFilter = chainFilters(b.filters)
 

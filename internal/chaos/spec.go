@@ -30,14 +30,15 @@ type Cell struct {
 	// Certificates switches the echo/ready phases to PR-9's
 	// committee-sampled quorum certificates (false = classic flood).
 	Certificates bool
+	// Width is the number of secrets every dealer shares (0 and 1: one,
+	// the cells every recorded seed ran in). A wider cell's rendering,
+	// fingerprint and scenario draws extend a width-1 cell's, so those
+	// seeds replay unchanged.
+	Width int
 }
 
 func (c Cell) String() string {
-	mode := "flood"
-	if c.Certificates {
-		mode = "cert"
-	}
-	return fmt.Sprintf("n=%d t=%d f=%d %s/%s", c.N, c.T, c.F, c.Backend, mode)
+	return fmt.Sprintf("n=%d t=%d f=%d %s/%s", c.N, c.T, c.F, c.Backend, cellMode(c))
 }
 
 // fingerprint folds the cell into the seed so different cells explore
@@ -49,6 +50,9 @@ func (c Cell) fingerprint() uint64 {
 	}
 	if c.Certificates {
 		fp ^= 0xce27
+	}
+	if c.Width > 1 {
+		fp ^= uint64(c.Width) << 48
 	}
 	return fp
 }
@@ -321,6 +325,14 @@ func RandomSpec(seed uint64, cell Cell) Spec {
 			continue
 		}
 		spec.Strategies = append(spec.Strategies, StrategySpec{Name: name, Node: v})
+	}
+	// Wide cells only, and after every draw a width-1 cell makes: half
+	// their scenarios field a coordinate splicer while the Byzantine
+	// budget lasts.
+	if cell.Width > 1 && len(spec.Strategies) < cell.T && rng.IntN(2) == 0 {
+		if v := pickVictim(rng, cell.N, victims); v != 0 {
+			spec.Strategies = append(spec.Strategies, StrategySpec{Name: StratSpliceCoordinate, Node: v})
+		}
 	}
 	return spec
 }

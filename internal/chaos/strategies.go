@@ -58,6 +58,11 @@ const (
 	// catalog's draw order is what recorded seeds replay against, so
 	// it runs from hand-written specs (TestBadSigReady).
 	StratBadSigReady = "bad-sig-ready"
+	// StratSpliceCoordinate follows the protocol on coordinate 0 of a
+	// batched sharing and corrupts coordinate 1 of every echo and ready
+	// it sends: the point vector a node that looked at the first
+	// coordinate alone would count. Only wide cells draw it.
+	StratSpliceCoordinate = "splice-coordinate"
 )
 
 // build accumulates everything the strategies hook into a run before
@@ -137,6 +142,11 @@ func installStrategy(b *build, st StrategySpec) error {
 		installFlood(b, v)
 	case StratBadSigReady:
 		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env} }, nil)
+	case StratSpliceCoordinate:
+		if b.spec.Cell.Width < 2 {
+			return fmt.Errorf("chaos: strategy %s needs a cell of width > 1", st.Name)
+		}
+		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &spliceCoordinateRuntime{env: env} }, nil)
 	default:
 		return fmt.Errorf("chaos: unknown strategy %q", st.Name)
 	}
@@ -228,12 +238,12 @@ func installEquivDealer(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, dkg.Options{})
+		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, dkg.Options{Width: spec.Cell.Width})
 		if err != nil {
 			buildErr = err
 			return th
 		}
-		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, dkg.Options{})
+		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, dkg.Options{Width: spec.Cell.Width})
 		if err != nil {
 			buildErr = err
 			return th
@@ -281,6 +291,34 @@ func installEchoSplice(b *build, v msg.NodeID) {
 	installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &spliceRuntime{env: env} }, nil)
 }
 
+// spliceCoordinateRuntime corrupts coordinate 1 of the point vector in
+// every outgoing VSS echo and ready, and nothing else.
+type spliceCoordinateRuntime struct {
+	env *simnet.Env
+}
+
+func (s *spliceCoordinateRuntime) Send(to msg.NodeID, body msg.Body) {
+	splice := func(more []*big.Int) []*big.Int {
+		out := append([]*big.Int(nil), more...)
+		out[0] = new(big.Int).Add(more[0], big.NewInt(1))
+		return out
+	}
+	switch m := body.(type) {
+	case *vss.EchoMsg:
+		spliced := *m
+		spliced.MoreAlpha = splice(m.MoreAlpha)
+		body = &spliced
+	case *vss.ReadyMsg:
+		spliced := *m
+		spliced.MoreAlpha = splice(m.MoreAlpha)
+		body = &spliced
+	}
+	s.env.Send(to, body)
+}
+
+func (s *spliceCoordinateRuntime) SetTimer(id uint64, delay int64) { s.env.SetTimer(id, delay) }
+func (s *spliceCoordinateRuntime) StopTimer(id uint64)             { s.env.StopTimer(id) }
+
 // badSigRuntime replaces the signature of every outgoing VSS ready.
 type badSigRuntime struct {
 	env *simnet.Env
@@ -310,7 +348,7 @@ func installWrappedNode(b *build, v msg.NodeID, mkRT func(env *simnet.Env) dkg.R
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, mkRT(env), dkg.Options{})
+		nd, err := dkg.NewNode(params, 1, v, mkRT(env), dkg.Options{Width: spec.Cell.Width})
 		if err != nil {
 			buildErr = err
 			return silentHandler{}
@@ -494,7 +532,7 @@ func installFlood(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, env, dkg.Options{})
+		nd, err := dkg.NewNode(params, 1, v, env, dkg.Options{Width: spec.Cell.Width})
 		if err != nil {
 			buildErr = err
 			return silentHandler{}

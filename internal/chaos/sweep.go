@@ -1,6 +1,9 @@
 package chaos
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // SweepOptions configures a seed sweep across lab cells.
 type SweepOptions struct {
@@ -62,9 +65,10 @@ func Replay(seed uint64, cell Cell, inject string, verifyWorkers int) *Result {
 }
 
 // DefaultCells builds the lab's standard sweep grid: each cluster size
-// × each backend × flood and certificate modes. Shapes satisfy
-// n ≥ 3t+2f+1 with small thresholds so large cells stay tractable
-// (the Any-Trust dealer restriction in RandomSpec does the rest).
+// × each backend × the named modes — "flood", "cert", and their width-4
+// variants "flood-w4" and "cert-w4". Shapes satisfy n ≥ 3t+2f+1 with
+// small thresholds so large cells stay tractable (the Any-Trust dealer
+// restriction in RandomSpec does the rest).
 func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error) {
 	var cells []Cell
 	for _, n := range sizes {
@@ -77,14 +81,19 @@ func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error
 				return nil, fmt.Errorf("chaos: unknown backend %q", be)
 			}
 			for _, mode := range modes {
-				switch mode {
-				case "flood":
-					cells = append(cells, Cell{N: n, T: t, F: f, Backend: be})
-				case "cert":
-					cells = append(cells, Cell{N: n, T: t, F: f, Backend: be, Certificates: true})
-				default:
-					return nil, fmt.Errorf("chaos: unknown mode %q (want flood or cert)", mode)
+				cell := Cell{N: n, T: t, F: f, Backend: be}
+				base, wide := strings.CutSuffix(mode, "-w4")
+				if wide {
+					cell.Width = 4
 				}
+				switch base {
+				case "flood":
+				case "cert":
+					cell.Certificates = true
+				default:
+					return nil, fmt.Errorf("chaos: unknown mode %q (want flood, cert, flood-w4 or cert-w4)", mode)
+				}
+				cells = append(cells, cell)
 			}
 		}
 	}

@@ -44,11 +44,17 @@ func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 	cfg.Provision = func(_ msg.SessionID, sids []msg.SessionID) {
 		// Runs on connection goroutines; panic rather than t.Fatal.
 		for _, sid := range sids {
-			p, err := poly.NewRandom(gr.Q(), 0, randutil.NewReader(uint64(sid)))
-			if err != nil {
-				panic(err)
+			rng := randutil.NewReader(uint64(sid))
+			var shares []*big.Int
+			var vs []*commit.Vector
+			for i := 0; i < AuxWidth(sid); i++ {
+				p, err := poly.NewRandom(gr.Q(), 0, rng)
+				if err != nil {
+					panic(err)
+				}
+				shares, vs = append(shares, p.EvalInt(1)), append(vs, commit.NewVector(gr, p))
 			}
-			rig.svc.InstallAux(sid, p.EvalInt(1), commit.NewVector(gr, p))
+			rig.svc.InstallAux(sid, shares, vs)
 		}
 	}
 	if tweak != nil {

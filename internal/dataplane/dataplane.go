@@ -34,6 +34,7 @@ package dataplane
 
 import (
 	"errors"
+	"math/bits"
 
 	"hybriddkg/internal/msg"
 )
@@ -54,6 +55,10 @@ var (
 	ErrUnavailable = errors.New("dataplane: not enough partials")
 	// ErrClosed: the service was shut down.
 	ErrClosed = errors.New("dataplane: service closed")
+	// ErrNoncesExhausted: this node has derived all 2²⁴ nonce ids its
+	// aggregator slot holds for the key, so it can sign under it no more
+	// (another node can still aggregate; a renewed key id starts over).
+	ErrNoncesExhausted = errors.New("dataplane: nonce counter exhausted for this key and aggregator")
 )
 
 // PeerSession is the session ID on which data-plane peer traffic
@@ -66,28 +71,62 @@ const PeerSession msg.SessionID = 1 << 63
 // submits the same session ID for the same purpose without extra
 // coordination:
 //
-//	nonce:  bit62 | key[23:0]<<32 | owner[7:0]<<24 | counter[23:0]
+//	nonce:  bit62 | log₂w[2:0]<<56 | key[23:0]<<32 | owner[7:0]<<24 | counter[23:0]
 //	beacon: bit62 | bit61 | key[23:0]<<32 | round[23:0]
+//
+// A nonce DKG session of width w produces the w nonces numbered
+// counter..counter+w−1. A nonce is named, in requests and in every
+// node's books, by the id with the width bits clear (NonceSID), so a
+// width-1 session and the nonce it produces share one id.
 //
 // The packing bounds primary key session IDs to 24 bits, aggregator
 // node IDs to 8 bits and nonce counters / beacon rounds to 24 bits —
-// far beyond any deployment this repository targets, and checked at
-// derivation time.
+// far beyond any deployment this repository targets. The derivations
+// mask and do not check: key ids are checked by InstallKey, beacon
+// rounds by Beacon, and nonce counters where they are drawn
+// (ErrNoncesExhausted).
 const (
 	auxFlag    uint64 = 1 << 62
 	beaconFlag uint64 = 1 << 61
+	widthShift        = 56
+
+	// MaxNonceWidth is the widest nonce session (vss.MaxWidth);
+	// nonceCounterEnd is one past the last nonce counter.
+	MaxNonceWidth          = 16
+	nonceCounterEnd uint64 = 1 << 24
 )
 
-// NonceSID derives the session ID of the counter-th nonce DKG owned
-// by aggregator owner for the given key. Partitioning the reservoir
-// by owner lets every node aggregate without nonce-assignment races:
-// an aggregator only assigns nonces from sessions it derived itself.
+// NonceSID derives the ID of the counter-th nonce owned by aggregator
+// owner for the given key. Partitioning the reservoir by owner lets
+// every node aggregate without nonce-assignment races: an aggregator
+// only assigns nonces from sessions it derived itself.
 func NonceSID(key msg.SessionID, owner msg.NodeID, counter uint64) msg.SessionID {
 	return msg.SessionID(auxFlag |
 		(uint64(key)&0xFFFFFF)<<32 |
 		(uint64(owner)&0xFF)<<24 |
 		counter&0xFFFFFF)
 }
+
+// NonceSessionSID derives the session ID of the DKG that produces the
+// width nonces counter..counter+width−1 (width a power of two).
+func NonceSessionSID(key msg.SessionID, owner msg.NodeID, counter uint64, width int) msg.SessionID {
+	return NonceSID(key, owner, counter) | msg.SessionID(bits.TrailingZeros(uint(width)))<<widthShift
+}
+
+// AuxWidth reads the width of the session sid names: every node derives
+// it from the identifier alone, so no two can disagree. Only nonce
+// sessions are ever wider than 1.
+func AuxWidth(sid msg.SessionID) int {
+	if !IsAux(sid) || IsBeacon(sid) {
+		return 1
+	}
+	return 1 << (uint64(sid) >> widthShift & 7)
+}
+
+// firstNonce returns the id of the first nonce session sid produces:
+// sid with the width bits clear. The counter sits in the low bits, so
+// the i-th nonce is firstNonce(sid)+i.
+func firstNonce(sid msg.SessionID) msg.SessionID { return sid &^ (7 << widthShift) }
 
 // BeaconSID derives the session ID of the beacon DKG for one round of
 // a key's beacon sequence. It is owner-independent: all aggregators
@@ -102,6 +141,22 @@ func BeaconSID(key msg.SessionID, round uint64) msg.SessionID {
 // control plane uses it to route completed aux sessions to the
 // service instead of announcing them as primary keys.
 func IsAux(sid msg.SessionID) bool { return uint64(sid)&auxFlag != 0 && uint64(sid)&(1<<63) == 0 }
+
+// validAux reports whether sid is an auxiliary session ID a derivation
+// above can have produced: no stray bits, a width up to MaxNonceWidth on
+// nonce sessions only, and every nonce counter inside its 24 bits. The
+// service runs and installs no other.
+func validAux(sid msg.SessionID) bool {
+	const spare = 3 << 59
+	if !IsAux(sid) || uint64(sid)&spare != 0 {
+		return false
+	}
+	if IsBeacon(sid) {
+		return sid == BeaconSID(msg.SessionID(AuxKey(sid)), BeaconRound(sid))
+	}
+	w := AuxWidth(sid)
+	return w <= MaxNonceWidth && NonceCounter(sid)+uint64(w) <= nonceCounterEnd
+}
 
 // IsBeacon reports whether sid is a beacon-round session.
 func IsBeacon(sid msg.SessionID) bool { return IsAux(sid) && uint64(sid)&beaconFlag != 0 }

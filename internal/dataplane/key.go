@@ -89,6 +89,9 @@ type request struct {
 
 	cbs  []Callback
 	done bool
+	// starved marks a sign request that a flush has found waiting on an
+	// empty reservoir (it feeds the key's width once).
+	starved bool
 }
 
 // recorded counts the contributions collected so far for the
@@ -128,10 +131,13 @@ type serveKey struct {
 	state KeyState
 
 	// Aggregator side.
-	reservoir    []msg.SessionID // completed nonce sessions owned by self
-	nonceCtr     uint64
-	provisioning int // nonce sessions requested but not yet installed
-	beaconHi     uint64
+	reservoir    []msg.SessionID // installed, unassigned nonces owned by self
+	nonceCtr     uint64          // next nonce counter to derive
+	provisioning int             // nonces requested but not yet installed
+	// width is the number of nonces the key's next nonce session shares:
+	// 1 until Sign requests starve, then doubling up to MaxNonceWidth.
+	width    int
+	beaconHi uint64
 	// Consumed-nonce bookkeeping: tombstones replay the recorded
 	// partial for retries, but a sustained-load key would accrete one
 	// forever per signature. consumedRing bounds them FIFO; when a

@@ -54,9 +54,14 @@ type Config struct {
 	// Now is the admission-control clock (defaults to time.Now).
 	Now func() time.Time
 
-	// NonceTarget is the reservoir of pre-generated signing nonces
-	// kept per key (default 2). BeaconAhead is the beacon look-ahead
-	// window provisioned past the highest requested round (default 2).
+	// NonceTarget is the low-water mark of pre-generated signing nonces
+	// kept per key (default 2): what a key that signs now and then
+	// holds, counting nonce sessions still running. A key whose Sign
+	// requests find the reservoir empty doubles its nonce sessions'
+	// width, up to 16 nonces per DKG, and from then on keeps
+	// max(NonceTarget, 2·width) in stock. BeaconAhead is the beacon
+	// look-ahead window provisioned past the highest requested round
+	// (default 2).
 	NonceTarget int
 	BeaconAhead int
 
@@ -148,10 +153,14 @@ type Service struct {
 	keys    map[uint64]*serveKey // by low-24-bit key session ID
 	aux     map[msg.SessionID]*auxShare
 	auxWait map[msg.SessionID]bool // submitted, not yet installed
-	timers  map[uint64]bool        // keys with an armed retry timer
-	lag     *poly.LagrangeCache    // combine coefficients at 0, by responder set
-	stats   Stats
-	closed  bool
+	// nonceResume holds, per key id, where this node's nonce counter
+	// restarts: past every nonce session an earlier incarnation of the
+	// process derived (ResumeNonces).
+	nonceResume map[uint64]uint64
+	timers      map[uint64]bool     // keys with an armed retry timer
+	lag         *poly.LagrangeCache // combine coefficients at 0, by responder set
+	stats       Stats
+	closed      bool
 }
 
 // NewService builds a service. Keys are added with InstallKey as
@@ -159,13 +168,14 @@ type Service struct {
 func NewService(cfg Config) *Service {
 	cfg.applyDefaults()
 	return &Service{
-		cfg:     cfg,
-		gr:      cfg.Group,
-		keys:    make(map[uint64]*serveKey),
-		aux:     make(map[msg.SessionID]*auxShare),
-		auxWait: make(map[msg.SessionID]bool),
-		timers:  make(map[uint64]bool),
-		lag:     poly.NewLagrangeCache(cfg.Group.Q(), 0),
+		cfg:         cfg,
+		gr:          cfg.Group,
+		keys:        make(map[uint64]*serveKey),
+		aux:         make(map[msg.SessionID]*auxShare),
+		auxWait:     make(map[msg.SessionID]bool),
+		nonceResume: make(map[uint64]uint64),
+		timers:      make(map[uint64]bool),
+		lag:         poly.NewLagrangeCache(cfg.Group.Q(), 0),
 	}
 }
 
@@ -193,6 +203,8 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	if k == nil {
 		k = &serveKey{
 			id:         id,
+			width:      1,
+			nonceCtr:   s.nonceResume[uint64(id)],
 			inflight:   make(map[[32]byte]*request),
 			results:    newRing[Result](s.cfg.CacheSize),
 			suspects:   make(map[msg.NodeID]bool),
@@ -375,9 +387,7 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 			s.stats.ShedState++
 			return ErrRetiring
 		}
-		if k.state == StateReady {
-			s.activateLocked(k, &acts)
-		}
+		k.state = StateServing
 		if res, ok := k.results.get(req.digest); ok {
 			s.stats.CacheHits++
 			fire = append(fire, func() { cb(res, nil) })
@@ -395,6 +405,11 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 				return nil
 			}
 		}
+		if req.op == OpSign && k.nonceCtr+uint64(k.width) > nonceCounterEnd {
+			// A new signature needs a nonce this node can no longer derive.
+			s.stats.ShedState++
+			return ErrNoncesExhausted
+		}
 		if err := k.admit(s.cfg.Now(), s.cfg.Rate, s.cfg.Burst, s.cfg.MaxPending); err != nil {
 			s.stats.Shed++
 			if errors.Is(err, errShedBacklog) {
@@ -408,7 +423,12 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 		k.served++
 		req.cbs = append(req.cbs, cb)
 		k.queue = append(k.queue, req)
-		if req.op == OpOpen {
+		// Auxiliary sessions are provisioned for the kind of operation
+		// that uses them: a key that only decrypts starts no DKG.
+		switch req.op {
+		case OpSign:
+			s.ensureNoncesLocked(k, 0, &acts)
+		case OpOpen:
 			s.ensureBeaconLocked(k, req.round, &acts)
 		}
 		if len(k.queue) >= s.cfg.MaxBatch {
@@ -498,21 +518,16 @@ func (s *Service) Close() {
 	}
 }
 
-// activateLocked moves a Ready key to Serving and provisions its
-// auxiliary sessions: the nonce reservoir and the beacon window.
-func (s *Service) activateLocked(k *serveKey, acts *[]func()) {
-	k.state = StateServing
-	s.ensureNoncesLocked(k, 0, acts)
-	s.ensureBeaconLocked(k, 0, acts)
-}
-
-// Activate eagerly moves a key to Serving (provisioning its aux
-// sessions) instead of waiting for the first request.
+// Activate eagerly moves a key to Serving and provisions both kinds of
+// auxiliary session, the nonce reservoir and the beacon window, instead
+// of waiting for the first request that needs them.
 func (s *Service) Activate(id msg.SessionID) {
 	var acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(id)]; k != nil && k.state == StateReady {
-		s.activateLocked(k, &acts)
+		k.state = StateServing
+		s.ensureNoncesLocked(k, 0, &acts)
+		s.ensureBeaconLocked(k, 0, &acts)
 	}
 	s.mu.Unlock()
 	for _, a := range acts {
@@ -520,20 +535,45 @@ func (s *Service) Activate(id msg.SessionID) {
 	}
 }
 
-// ensureNoncesLocked tops the reservoir up to NonceTarget plus the
-// immediate need.
+// nonceStockLocked is the number of nonces, in the reservoir or being
+// generated, the service keeps for k.
+func (s *Service) nonceStockLocked(k *serveKey) int {
+	return max(s.cfg.NonceTarget, 2*k.width)
+}
+
+// ensureNoncesLocked tops the stock up to its level plus the immediate
+// need, in sessions of the key's current width. It stops short where
+// the next session's nonces would run past the 24-bit counter; Sign
+// then refuses further requests (ErrNoncesExhausted).
 func (s *Service) ensureNoncesLocked(k *serveKey, need int, acts *[]func()) {
-	want := need + s.cfg.NonceTarget - len(k.reservoir) - k.provisioning
-	if want <= 0 {
+	want := need + s.nonceStockLocked(k) - len(k.reservoir) - k.provisioning
+	var sids []msg.SessionID
+	for ; want > 0 && k.nonceCtr+uint64(k.width) <= nonceCounterEnd; want -= k.width {
+		sids = append(sids, NonceSessionSID(k.id, s.cfg.Self, k.nonceCtr, k.width))
+		k.nonceCtr += uint64(k.width)
+		k.provisioning += k.width
+	}
+	s.provisionLocked(k.id, sids, acts)
+}
+
+// ResumeNonces tells the service that sid was submitted by an earlier
+// incarnation of this process. If it is one of this node's own nonce
+// sessions, the key's nonce counter moves past it: the ids it covers
+// may have been handed to requests before the restart and must not be
+// derived again.
+func (s *Service) ResumeNonces(sid msg.SessionID) {
+	if !IsAux(sid) || IsBeacon(sid) || NonceOwner(sid) != s.cfg.Self {
 		return
 	}
-	sids := make([]msg.SessionID, 0, want)
-	for i := 0; i < want; i++ {
-		sids = append(sids, NonceSID(k.id, s.cfg.Self, k.nonceCtr))
-		k.nonceCtr++
+	next := NonceCounter(sid) + uint64(AuxWidth(sid))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if next > s.nonceResume[AuxKey(sid)] {
+		s.nonceResume[AuxKey(sid)] = next
 	}
-	k.provisioning += len(sids)
-	s.provisionLocked(k.id, sids, acts)
+	if k := s.keys[AuxKey(sid)]; k != nil && next > k.nonceCtr {
+		k.nonceCtr = next
+	}
 }
 
 // ensureBeaconLocked provisions beacon sessions up to
@@ -584,9 +624,11 @@ func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts 
 	})
 }
 
-// InstallAux registers this node's share of a completed auxiliary DKG
-// (nonce or beacon session). Duplicate installs are ignored; a
-// session ID that was already consumed can never be re-installed, so
+// InstallAux registers this node's shares of a completed auxiliary DKG
+// (nonce or beacon session): one (share, commitment) pair per
+// coordinate of the session's width, the i-th installed as the nonce
+// NonceSID(key, owner, counter+i). Duplicate installs are ignored; a
+// nonce ID that was already consumed can never be re-installed, so
 // re-running a nonce session cannot break the one-digest-per-nonce
 // invariant.
 //
@@ -598,33 +640,39 @@ func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts 
 // commitment check (beacon open), which names and evicts the sender.
 // Skipping the t-step commitment evaluation per node per nonce
 // roughly halves the cost of keeping the reservoir full (E20).
-func (s *Service) InstallAux(sid msg.SessionID, share *big.Int, v *commit.Vector) {
-	if !IsAux(sid) || share == nil || v == nil || !s.gr.IsScalar(share) {
+func (s *Service) InstallAux(sid msg.SessionID, shares []*big.Int, vs []*commit.Vector) {
+	if w := AuxWidth(sid); !validAux(sid) || len(shares) != w || len(vs) != w {
 		return
+	}
+	for i := range shares {
+		if shares[i] == nil || vs[i] == nil || !s.gr.IsScalar(shares[i]) {
+			return
+		}
 	}
 	var fire []func()
 	var acts []func()
 	s.mu.Lock()
-	if _, dup := s.aux[sid]; dup {
-		s.mu.Unlock()
-		return
-	}
-	k := s.keys[AuxKey(sid)]
-	if k != nil && !IsBeacon(sid) && NonceCounter(sid) < k.nonceFloor[NonceOwner(sid)] {
-		// The session was consumed and its tombstone aged out; letting
-		// it back in would re-arm a spent nonce.
-		s.mu.Unlock()
-		return
-	}
-	s.aux[sid] = &auxShare{share: share, v: v}
 	delete(s.auxWait, sid)
-	if k != nil {
-		if !IsBeacon(sid) && NonceOwner(sid) == s.cfg.Self {
-			k.reservoir = append(k.reservoir, sid)
+	k := s.keys[AuxKey(sid)]
+	for i := range shares {
+		id := firstNonce(sid) + msg.SessionID(i)
+		if _, dup := s.aux[id]; dup {
+			continue
+		}
+		if k != nil && !IsBeacon(id) && NonceCounter(id) < k.nonceFloor[NonceOwner(id)] {
+			// The nonce was consumed and its tombstone aged out; letting
+			// it back in would re-arm a spent nonce.
+			continue
+		}
+		s.aux[id] = &auxShare{share: shares[i], v: vs[i]}
+		if k != nil && !IsBeacon(id) && NonceOwner(id) == s.cfg.Self {
+			k.reservoir = append(k.reservoir, id)
 			if k.provisioning > 0 {
 				k.provisioning--
 			}
 		}
+	}
+	if k != nil {
 		// Queued requests may have been waiting for exactly this
 		// session (sign: nonce starvation; open: beacon round).
 		s.flushLocked(k, &fire, &acts)
@@ -647,18 +695,21 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	}
 	var ready []*request
 	var waiting []*request
-	starved := 0
+	took, starved, newlyStarved := 0, 0, false
 	for _, req := range k.queue {
 		switch req.op {
 		case OpSign:
 			if req.sid == 0 {
 				if len(k.reservoir) == 0 {
 					starved++
+					newlyStarved = newlyStarved || !req.starved
+					req.starved = true
 					waiting = append(waiting, req)
 					continue
 				}
 				req.sid = k.reservoir[0]
 				k.reservoir = k.reservoir[1:]
+				took++
 			}
 			aux := s.aux[req.sid]
 			if aux == nil { // reservoir invariant: installed before listed
@@ -681,10 +732,18 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 		}
 	}
 	k.queue = waiting
-	if starved > 0 || len(k.reservoir)+k.provisioning < s.cfg.NonceTarget {
+	if took > 0 || starved > 0 {
 		// Refill proactively: consuming a nonce dips the reservoir, and
 		// a starved request is waiting for the refill to land.
 		s.ensureNoncesLocked(k, starved, acts)
+	}
+	if newlyStarved && k.width < MaxNonceWidth {
+		// Demand outran supply: the requests found starved now have been
+		// provided for at the current width, and the sessions after them
+		// carry twice the nonces. A request counts once, however often a
+		// flush finds it still waiting, so width follows arrivals and not
+		// retry timers.
+		k.width *= 2
 	}
 	if len(ready) == 0 {
 		return
@@ -940,10 +999,10 @@ func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 	var todo []msg.SessionID
 	s.mu.Lock()
 	for _, sid := range m.Sids {
-		if !IsAux(sid) || s.auxWait[sid] {
+		if !validAux(sid) || s.auxWait[sid] {
 			continue
 		}
-		if _, have := s.aux[sid]; have {
+		if _, have := s.aux[firstNonce(sid)]; have {
 			continue
 		}
 		s.auxWait[sid] = true

@@ -16,6 +16,7 @@ type KeySnapshot struct {
 	Inflight     int    `json:"inflight"`
 	Reservoir    int    `json:"nonce_reservoir"`
 	Provisioning int    `json:"provisioning"`
+	NonceWidth   int    `json:"nonce_width"`
 	BeaconHigh   uint64 `json:"beacon_high,omitempty"`
 	Requests     uint64 `json:"requests_total"`
 	Suspects     int    `json:"suspects,omitempty"`
@@ -35,6 +36,7 @@ func (s *Service) KeysSnapshot() []KeySnapshot {
 			Inflight:     len(k.inflight),
 			Reservoir:    len(k.reservoir),
 			Provisioning: k.provisioning,
+			NonceWidth:   k.width,
 			BeaconHigh:   k.beaconHi,
 			Requests:     k.served,
 			Suspects:     len(k.suspects),
@@ -82,6 +84,23 @@ func (s *Service) RegisterMetrics(reg *telemetry.Registry) {
 				"In-flight batched requests per key", k.Inflight))
 			emit(gau(fmt.Sprintf("dataplane_key_nonce_reservoir{key=%q}", id),
 				"Pre-generated signing nonces per key", k.Reservoir))
+			emit(gau(fmt.Sprintf("dataplane_key_nonce_width{key=%q}", id),
+				"Nonces shared by each of the key's next auxiliary DKGs", k.NonceWidth))
 		}
 	})
+}
+
+// NonceLedger returns, for every spent nonce whose tombstone this node
+// still holds, the request digest it signed. A nonce signs one digest
+// and no other; the ledger is how that is checked from outside.
+func (s *Service) NonceLedger() map[uint64][32]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[uint64][32]byte)
+	for id, aux := range s.aux {
+		if aux.consumed {
+			out[uint64(id)] = aux.digest
+		}
+	}
+	return out
 }

@@ -40,6 +40,37 @@ func TestSessionIDDerivation(t *testing.T) {
 	if IsAux(key) || IsAux(PeerSession) {
 		t.Fatal("non-aux sid classified as aux")
 	}
+
+	// Width is read off the session id: 1 for everything but a nonce
+	// session that carries it, whose other fields it leaves alone.
+	for _, sid := range []msg.SessionID{key, PeerSession, beacon, nonce} {
+		if w := AuxWidth(sid); w != 1 {
+			t.Fatalf("AuxWidth(%x) = %d, want 1", uint64(sid), w)
+		}
+	}
+	if NonceSessionSID(key, 5, 0x123456, 1) != nonce {
+		t.Fatal("a width-1 nonce session is not named by its nonce's id")
+	}
+	for _, w := range []int{2, 4, 8, 16} {
+		wide := NonceSessionSID(key, 5, 0x123450, w)
+		if AuxWidth(wide) != w || !IsAux(wide) || IsBeacon(wide) || AuxKey(wide) != uint64(key) ||
+			NonceOwner(wide) != 5 || NonceCounter(wide) != 0x123450 || !validAux(wide) {
+			t.Fatalf("width-%d nonce session %x decodes wrongly", w, uint64(wide))
+		}
+	}
+	// Ids no derivation produces are not run: a width on a beacon round,
+	// a width above 16, nonces past the counter's end, stray bits.
+	for _, sid := range []msg.SessionID{
+		beacon | 1<<widthShift,
+		nonce | 5<<widthShift,
+		NonceSessionSID(key, 5, 1<<24-8, 16),
+		nonce | 1<<59,
+		key,
+	} {
+		if validAux(sid) {
+			t.Fatalf("sid %x accepted as an auxiliary session", uint64(sid))
+		}
+	}
 }
 
 func TestPartialReqRoundtrip(t *testing.T) {

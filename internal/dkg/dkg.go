@@ -172,7 +172,9 @@ func (p *Params) applyDefaults() {
 // the Feldman vector commitment to the joint sharing polynomial and is
 // always set; C is the full matrix product and is set only by the
 // standard summation combiner (renewal-style combinations produce
-// vector commitments directly, §5.2).
+// vector commitments directly, §5.2). A session of width w > 1 agreed
+// on one Q and combined each coordinate over it: C, V, Share and
+// PublicKey are coordinate 0, More the others.
 type CompletedEvent struct {
 	Tau       uint64
 	FinalView uint64
@@ -181,6 +183,13 @@ type CompletedEvent struct {
 	V         *commit.Vector
 	Share     *big.Int
 	PublicKey group.Element
+	More      []CombineResult
+}
+
+// Outputs returns the session's w (share, commitment) results in
+// coordinate order.
+func (ev CompletedEvent) Outputs() []CombineResult {
+	return append([]CombineResult{{Share: ev.Share, C: ev.C, V: ev.V}}, ev.More...)
 }
 
 // CombineResult is what a Combiner produces from the decided set.
@@ -209,8 +218,16 @@ type Options struct {
 	// the resharing's constant term against the dealer's previous
 	// share commitment; nil accepts everything.
 	ValidateDealing func(ev vss.SharedEvent) bool
-	// Combine overrides the default summation combiner.
+	// Combine overrides the default summation combiner. It is applied
+	// to each coordinate on its own.
 	Combine Combiner
+	// Width is the number of secrets every dealer shares under one
+	// broadcast (vss.Options.Width): 1 (also the zero value), 2, 4, 8 or
+	// 16. The session agrees on one Q and outputs Width key pairs.
+	Width int
+	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of that
+	// name in the embedded sharings. Never set outside the lab.
+	InjectVerifyFirstCoordinateOnly bool
 }
 
 // qstate tracks echo/ready quorums for one proposal digest.
@@ -303,6 +320,9 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 	if params.Metrics == nil {
 		params.Metrics = &telemetry.ProtocolMetrics{}
 	}
+	if opts.Width == 0 {
+		opts.Width = 1
+	}
 	nd := &Node{
 		params:       params,
 		tau:          tau,
@@ -345,7 +365,9 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 		dealer := msg.NodeID(d)
 		session := vss.SessionID{Dealer: dealer, Tau: tau}
 		vnode, err := vss.NewNode(vssParams, session, self, runtime, vss.Options{
-			OnShared: func(ev vss.SharedEvent) { nd.onVSSShared(ev) },
+			OnShared:                        func(ev vss.SharedEvent) { nd.onVSSShared(ev) },
+			Width:                           opts.Width,
+			InjectVerifyFirstCoordinateOnly: opts.InjectVerifyFirstCoordinateOnly,
 		})
 		if err != nil {
 			return nil, err
@@ -377,7 +399,8 @@ func (nd *Node) Result() *CompletedEvent { return nd.result }
 func (nd *Node) VSSNode(dealer msg.NodeID) *vss.Node { return nd.vssNodes[dealer] }
 
 // Start begins the session: the node deals its own extended HybridVSS
-// sharing of a fresh random secret (or Options.ShareSource).
+// sharing of a fresh random secret (or Options.ShareSource) per
+// coordinate.
 func (nd *Node) Start(rand io.Reader) error {
 	if nd.started {
 		return ErrAlreadyStarted
@@ -526,7 +549,7 @@ func (nd *Node) ownQhat() *Proposal {
 			continue
 		}
 		p.Q = append(p.Q, d)
-		p.CHashes = append(p.CHashes, nd.vssDone[d].C.Hash())
+		p.CHashes = append(p.CHashes, nd.vssDone[d].Digest())
 		p.VSSProofs = append(p.VSSProofs, proof)
 		if len(p.Q) == nd.params.QSize {
 			return p
@@ -793,7 +816,7 @@ func (nd *Node) tryFinish() {
 		}
 	}
 	for i, d := range nd.decided.Q {
-		if nd.vssDone[d].C.Hash() != nd.decided.CHashes[i] {
+		if nd.vssDone[d].Digest() != nd.decided.CHashes[i] {
 			// The VSS agreement property makes this unreachable for
 			// honest quorums; refuse to finish on divergence.
 			return
@@ -803,14 +826,20 @@ func (nd *Node) tryFinish() {
 	if combiner == nil {
 		combiner = SumCombiner(nd.params.Group)
 	}
-	events := make(map[msg.NodeID]vss.SharedEvent, len(nd.decided.Q))
-	for _, d := range nd.decided.Q {
-		events[d] = nd.vssDone[d]
+	// One Q for the whole session, one combination per coordinate.
+	outs := make([]CombineResult, nd.opts.Width)
+	for k := range outs {
+		events := make(map[msg.NodeID]vss.SharedEvent, len(nd.decided.Q))
+		for _, d := range nd.decided.Q {
+			events[d] = nd.vssDone[d].Coordinate(k)
+		}
+		res, err := combiner(nd.self, nd.decided.Q, events)
+		if err != nil || res.V == nil || res.Share == nil {
+			return
+		}
+		outs[k] = res
 	}
-	res, err := combiner(nd.self, nd.decided.Q, events)
-	if err != nil || res.V == nil || res.Share == nil {
-		return
-	}
+	res := outs[0]
 	nd.done = true
 	if nd.certTimerArmed {
 		nd.runtime.StopTimer(CertFallbackTimer)
@@ -825,6 +854,9 @@ func (nd *Node) tryFinish() {
 		V:         res.V,
 		Share:     res.Share,
 		PublicKey: res.V.PublicKey(),
+	}
+	if len(outs) > 1 {
+		nd.result.More = outs[1:]
 	}
 	if nd.opts.OnCompleted != nil {
 		nd.opts.OnCompleted(*nd.result)

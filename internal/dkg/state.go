@@ -30,9 +30,10 @@ import (
 // v2 appended the certificate-mode block (fallback latch, suppressed
 // classic messages and per-digest certificate state). v3 dropped the
 // per-sharing copy of R_d, which the embedded VSS state already holds.
-// Restores of older snapshots fail the magic check and fall back to
-// WAL replay.
-const dkgStateMagic = "hybriddkg/dkg-state/v3"
+// v4 added the further coordinates of batched sessions to the completed
+// sharings and the result. Restores of older snapshots fail the magic
+// check and fall back to WAL replay.
+const dkgStateMagic = "hybriddkg/dkg-state/v4"
 
 const stateListMax = 1 << 20
 
@@ -131,10 +132,13 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	for _, d := range dealers {
 		ev := nd.vssDone[d]
 		w.Node(d)
-		if err := vss.EncodeMatrixPtr(w, ev.C); err != nil {
-			return nil, err
+		for k := 0; k < nd.opts.Width; k++ {
+			co := ev.Coordinate(k)
+			if err := vss.EncodeMatrixPtr(w, co.C); err != nil {
+				return nil, err
+			}
+			w.BigPtr(co.Share)
 		}
-		w.BigPtr(ev.Share)
 	}
 
 	// Embedded VSS instances, dealer order 1..n.
@@ -301,15 +305,26 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 	nd.vssDone = make(map[msg.NodeID]vss.SharedEvent, nDealers)
 	for i := 0; i < nDealers; i++ {
 		d := r.Node()
-		c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
-		if err != nil {
-			return err
+		ev := vss.SharedEvent{Session: vss.SessionID{Dealer: d, Tau: nd.tau}}
+		for k := 0; k < nd.opts.Width; k++ {
+			c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
+			if err != nil {
+				return err
+			}
+			share := r.BigPtr()
+			if c == nil || share == nil {
+				return fmt.Errorf("dkg: vssDone dealer %d coordinate %d incomplete", d, k)
+			}
+			if k == 0 {
+				ev.C, ev.Share = c, share
+			} else {
+				ev.More = append(ev.More, vss.Coordinate{C: c, Share: share})
+			}
 		}
-		share := r.BigPtr()
 		if d < 1 || int(d) > nd.params.N {
 			return fmt.Errorf("dkg: vssDone dealer %d out of range", d)
 		}
-		nd.vssDone[d] = vss.SharedEvent{Session: vss.SessionID{Dealer: d, Tau: nd.tau}, C: c, Share: share}
+		nd.vssDone[d] = ev
 	}
 
 	for d := 1; d <= nd.params.N; d++ {
@@ -467,20 +482,25 @@ func decodeProposalPtr(r *msg.Reader) (*Proposal, error) {
 }
 
 func encodeResult(w *msg.Writer, ev *CompletedEvent) error {
-	if ev == nil || ev.V == nil || ev.Share == nil {
-		return fmt.Errorf("dkg: done without a complete result")
+	if ev == nil {
+		return fmt.Errorf("dkg: done without a result")
 	}
 	w.U64(ev.FinalView)
 	w.Nodes(ev.Q)
-	if err := vss.EncodeMatrixPtr(w, ev.C); err != nil {
-		return err
+	for _, out := range ev.Outputs() {
+		if out.V == nil || out.Share == nil {
+			return fmt.Errorf("dkg: done without a complete result")
+		}
+		if err := vss.EncodeMatrixPtr(w, out.C); err != nil {
+			return err
+		}
+		vEnc, err := out.V.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		w.Blob(vEnc)
+		w.Big(out.Share)
 	}
-	vEnc, err := ev.V.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	w.Blob(vEnc)
-	w.Big(ev.Share)
 	return nil
 }
 
@@ -488,21 +508,25 @@ func decodeResult(r *msg.Reader, nd *Node) (*CompletedEvent, error) {
 	ev := &CompletedEvent{Tau: nd.tau}
 	ev.FinalView = r.U64()
 	ev.Q = r.Nodes()
-	c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
-	if err != nil {
-		return nil, err
+	for k := 0; k < nd.opts.Width; k++ {
+		c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
+		if err != nil {
+			return nil, err
+		}
+		vEnc := r.Blob()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		v, err := commit.UnmarshalVector(nd.params.Group, vEnc)
+		if err != nil {
+			return nil, err
+		}
+		out := CombineResult{Share: r.Big(), C: c, V: v}
+		if k == 0 {
+			ev.C, ev.V, ev.Share, ev.PublicKey = c, v, out.Share, v.PublicKey()
+		} else {
+			ev.More = append(ev.More, out)
+		}
 	}
-	ev.C = c
-	vEnc := r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	v, err := commit.UnmarshalVector(nd.params.Group, vEnc)
-	if err != nil {
-		return nil, err
-	}
-	ev.V = v
-	ev.Share = r.Big()
-	ev.PublicKey = v.PublicKey()
 	return ev, nil
 }

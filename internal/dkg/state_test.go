@@ -46,9 +46,16 @@ func dkgParamsFor(res *harness.DKGResult, id msg.NodeID) dkg.Params {
 
 // TestStateRoundTripCompleted: every completed node's full session
 // state (embedded VSS instances included) survives marshal → restore
-// with identical results, and the codec is deterministic.
+// with identical results on every coordinate, and the codec is
+// deterministic.
 func TestStateRoundTripCompleted(t *testing.T) {
-	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11})
+	for _, width := range []int{1, 4} {
+		testStateRoundTripCompleted(t, width)
+	}
+}
+
+func testStateRoundTripCompleted(t *testing.T, width int) {
+	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, Width: width})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +68,7 @@ func TestStateRoundTripCompleted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d marshal: %v", id, err)
 		}
-		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{}, codec, st1)
+		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{Width: width}, codec, st1)
 		if err != nil {
 			t.Fatalf("node %d restore: %v", id, err)
 		}
@@ -69,8 +76,14 @@ func TestStateRoundTripCompleted(t *testing.T) {
 			t.Fatalf("node %d not done after restore", id)
 		}
 		orig, got := node.Result(), restored.Result()
-		if got.Share.Cmp(orig.Share) != 0 {
-			t.Fatalf("node %d share changed across restore", id)
+		if len(got.Outputs()) != width {
+			t.Fatalf("node %d restored %d outputs, want %d", id, len(got.Outputs()), width)
+		}
+		for k, out := range got.Outputs() {
+			want := orig.Outputs()[k]
+			if out.Share.Cmp(want.Share) != 0 || !out.V.Equal(want.V) {
+				t.Fatalf("node %d coordinate %d changed across restore", id, k)
+			}
 		}
 		if !got.PublicKey.Equal(orig.PublicKey) {
 			t.Fatalf("node %d public key changed across restore", id)
@@ -100,7 +113,13 @@ func TestStateRoundTripCompleted(t *testing.T) {
 // DKG, swap in a restored clone, and require the whole cluster to
 // finish consistently.
 func TestStateRestoreMidProtocol(t *testing.T) {
-	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true}
+	for _, width := range []int{1, 4} {
+		testStateRestoreMidProtocol(t, width)
+	}
+}
+
+func testStateRestoreMidProtocol(t *testing.T, width int) {
+	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true, Width: width}
 	res, err := harness.SetupDKG(&opts)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +142,7 @@ func TestStateRestoreMidProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone, err := dkg.RestoreNode(dkgParamsFor(res, victim), 1, victim, res.Net.Env(victim),
-		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }},
+		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }, Width: width},
 		codec, st)
 	if err != nil {
 		t.Fatal(err)

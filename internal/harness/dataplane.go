@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/big"
 	"time"
 
 	"hybriddkg/internal/commit"
@@ -139,14 +140,32 @@ func (c *DataPlaneCluster) deal() (*poly.Poly, *commit.Vector, error) {
 // nonce/beacon DKGs through the engine.
 func (c *DataPlaneCluster) provision(sids []msg.SessionID) {
 	for _, sid := range sids {
-		p, v, err := c.deal()
-		if err != nil {
+		if err := c.installSession(sid); err != nil {
 			panic(err)
 		}
-		for id, svc := range c.Services {
-			svc.InstallAux(sid, p.EvalInt(int64(id)), v)
+	}
+}
+
+// installSession deals one sharing per coordinate of the session's
+// width and installs every node's shares of them.
+func (c *DataPlaneCluster) installSession(sid msg.SessionID) error {
+	w := dataplane.AuxWidth(sid)
+	ps := make([]*poly.Poly, w)
+	vs := make([]*commit.Vector, w)
+	for i := range ps {
+		var err error
+		if ps[i], vs[i], err = c.deal(); err != nil {
+			return err
 		}
 	}
+	for id, svc := range c.Services {
+		shares := make([]*big.Int, w)
+		for i, p := range ps {
+			shares[i] = p.EvalInt(int64(id))
+		}
+		svc.InstallAux(sid, shares, vs)
+	}
+	return nil
 }
 
 // PrefillNonces deals count nonce sessions owned by aggregator agg
@@ -163,12 +182,8 @@ func (c *DataPlaneCluster) PrefillNonces(agg msg.NodeID, count int) error {
 	for i := 0; i < count; i++ {
 		sid := dataplane.NonceSID(c.KeyID, agg, c.prefillCtr)
 		c.prefillCtr++
-		p, v, err := c.deal()
-		if err != nil {
+		if err := c.installSession(sid); err != nil {
 			return err
-		}
-		for id, svc := range c.Services {
-			svc.InstallAux(sid, p.EvalInt(int64(id)), v)
 		}
 	}
 	return nil

@@ -46,6 +46,12 @@ type DKGOptions struct {
 	// (still deterministic) simulation loop advances. Protocol
 	// behaviour is bit-identical to VerifyWorkers == 0.
 	VerifyWorkers int
+	// Width is the number of secrets every dealer shares, and so the
+	// number of key pairs the session outputs (0 means 1).
+	Width int
+	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of
+	// that name in every honest node.
+	InjectVerifyFirstCoordinateOnly bool
 	// InitialLeader defaults to 1.
 	InitialLeader msg.NodeID
 	// TimeoutBase defaults to the dkg package default.
@@ -201,9 +207,7 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 		if pool != nil {
 			params.Parallel = pool
 		}
-		node, err := dkg.NewNode(params, 1, id, env, dkg.Options{
-			OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[id] = ev },
-		})
+		node, err := dkg.NewNode(params, 1, id, env, res.nodeOptions(id))
 		if err != nil {
 			return nil, err
 		}
@@ -216,6 +220,16 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 	scheduleFaults(net, opts.CrashAt, net.Crash)
 	scheduleFaults(net, opts.RecoverAt, net.Recover)
 	return res, nil
+}
+
+// nodeOptions returns the per-session options of honest node id, for
+// its first incarnation and for any rebuilt from durable state.
+func (r *DKGResult) nodeOptions(id msg.NodeID) dkg.Options {
+	return dkg.Options{
+		OnCompleted:                     func(ev dkg.CompletedEvent) { r.Completed[id] = ev },
+		Width:                           r.Opts.Width,
+		InjectVerifyFirstCoordinateOnly: r.Opts.InjectVerifyFirstCoordinateOnly,
+	}
 }
 
 // RunDKG builds the cluster, starts every live honest dealer and runs
@@ -300,55 +314,64 @@ func (r *DKGResult) MaxLeaderChanges() int {
 }
 
 // CheckConsistency verifies Definition 4.1's consistency across all
-// completed honest nodes: identical Q, commitment and public key;
-// every share valid against the joint commitment; any t+1 shares
-// interpolating to a secret matching the public key.
+// completed honest nodes: identical Q, and on every coordinate of the
+// session identical commitment and public key; every share valid
+// against the joint commitment; any t+1 shares interpolating to a
+// secret matching the public key.
 func (r *DKGResult) CheckConsistency() error {
-	var ref *dkg.CompletedEvent
-	pts := make([]poly.Point, 0, r.Opts.T+1)
-	for id, node := range r.Nodes {
-		if !node.Done() {
-			continue
-		}
-		ev := r.Completed[id]
-		if ref == nil {
-			ev2 := ev
-			ref = &ev2
-		} else {
-			if ref.C.Hash() != ev.C.Hash() {
-				return fmt.Errorf("%w: different joint commitments", ErrInconsistency)
+	width := max(r.Opts.Width, 1)
+	var refQ []msg.NodeID
+	for k := 0; k < width; k++ {
+		var ref *dkg.CombineResult
+		pts := make([]poly.Point, 0, r.Opts.T+1)
+		for id, node := range r.Nodes {
+			if !node.Done() {
+				continue
 			}
-			if len(ref.Q) != len(ev.Q) {
-				return fmt.Errorf("%w: different Q sizes", ErrInconsistency)
+			outs := r.Completed[id].Outputs()
+			if len(outs) != width {
+				return fmt.Errorf("%w: node %d output %d key pairs, want %d", ErrInconsistency, id, len(outs), width)
 			}
-			for i := range ref.Q {
-				if ref.Q[i] != ev.Q[i] {
-					return fmt.Errorf("%w: different Q sets", ErrInconsistency)
+			out := outs[k]
+			if ref == nil {
+				ref, refQ = &out, r.Completed[id].Q
+			} else {
+				if ref.C.Hash() != out.C.Hash() {
+					return fmt.Errorf("%w: different joint commitments", ErrInconsistency)
+				}
+				q := r.Completed[id].Q
+				if len(refQ) != len(q) {
+					return fmt.Errorf("%w: different Q sizes", ErrInconsistency)
+				}
+				for i := range refQ {
+					if refQ[i] != q[i] {
+						return fmt.Errorf("%w: different Q sets", ErrInconsistency)
+					}
+				}
+				if !ref.V.PublicKey().Equal(out.V.PublicKey()) {
+					return fmt.Errorf("%w: different public keys", ErrInconsistency)
 				}
 			}
-			if !ref.PublicKey.Equal(ev.PublicKey) {
-				return fmt.Errorf("%w: different public keys", ErrInconsistency)
+			if !out.C.VerifyShare(int64(id), out.Share) {
+				return fmt.Errorf("%w: node %d share invalid", ErrInconsistency, id)
+			}
+			if len(pts) < r.Opts.T+1 {
+				pts = append(pts, poly.Point{X: int64(id), Y: out.Share})
 			}
 		}
-		if !ev.C.VerifyShare(int64(id), ev.Share) {
-			return fmt.Errorf("%w: node %d share invalid", ErrInconsistency, id)
+		if ref == nil {
+			return fmt.Errorf("%w: no node completed%s", ErrIncomplete, r.timelineSuffix())
 		}
 		if len(pts) < r.Opts.T+1 {
-			pts = append(pts, poly.Point{X: int64(id), Y: ev.Share})
+			return fmt.Errorf("%w: only %d shares%s", ErrIncomplete, len(pts), r.timelineSuffix())
 		}
-	}
-	if ref == nil {
-		return fmt.Errorf("%w: no node completed%s", ErrIncomplete, r.timelineSuffix())
-	}
-	if len(pts) < r.Opts.T+1 {
-		return fmt.Errorf("%w: only %d shares%s", ErrIncomplete, len(pts), r.timelineSuffix())
-	}
-	secret, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
-	if err != nil {
-		return err
-	}
-	if !r.Opts.Group.GExp(secret).Equal(ref.PublicKey) {
-		return fmt.Errorf("%w: interpolated secret does not match public key", ErrInconsistency)
+		secret, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
+		if err != nil {
+			return err
+		}
+		if !r.Opts.Group.GExp(secret).Equal(ref.V.PublicKey()) {
+			return fmt.Errorf("%w: interpolated secret does not match public key", ErrInconsistency)
+		}
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"hybriddkg/internal/dkg"
 	"hybriddkg/internal/msg"
 	"hybriddkg/internal/store"
 )
@@ -72,8 +71,7 @@ func (j *Journal) Restore() error {
 	params := dkgParamsOf(res.Opts, res.Directory, res.Privs[j.victim])
 	params.Trace = res.Tracer
 	victim := j.victim
-	ropts := dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }}
-	nd, rep, err := restoreFromStore(j.st, j.codec, j.sid, params, j.tau, victim, res.Net.Env(victim), ropts)
+	nd, rep, err := restoreFromStore(j.st, j.codec, j.sid, params, j.tau, victim, res.Net.Env(victim), res.nodeOptions(victim))
 	if err != nil {
 		return err
 	}

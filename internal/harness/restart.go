@@ -246,8 +246,7 @@ func RunRestartDKG(opts RestartOptions) (*RestartResult, error) {
 	var restoreErr error
 	res.Net.Schedule(opts.RestartAt, func() {
 		params := dkgParamsOf(d, res.Directory, res.Privs[victim])
-		ropts := dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }}
-		nd, rep, err := restoreFromStore(st, codec, sid, params, tau, victim, res.Net.Env(victim), ropts)
+		nd, rep, err := restoreFromStore(st, codec, sid, params, tau, victim, res.Net.Env(victim), res.nodeOptions(victim))
 		if err != nil {
 			restoreErr = err
 			return

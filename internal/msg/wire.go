@@ -198,3 +198,8 @@ func (r *Reader) Blob() []byte {
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
+
+// More reports whether unread bytes remain (and no error has stuck):
+// decoders of messages with an optional trailing section use it to
+// tell the short form from the long one.
+func (r *Reader) More() bool { return r.err == nil && r.off < len(r.buf) }

@@ -32,7 +32,9 @@ import (
 // progress, relay collections, parked certificates) and the node-level
 // fallback latch. Older snapshots fail the magic check and the engine
 // falls back to full-WAL replay, which reconstructs the same state.
-const vssStateMagic = "hybriddkg/vss-state/v3"
+// v4 made the share, the matrices, the points and the row polynomials
+// vectors with one entry per coordinate of the session's width.
+const vssStateMagic = "hybriddkg/vss-state/v4"
 
 // stateListMax bounds decoded list lengths, mirroring the wire
 // decoders' guards so a corrupt snapshot cannot force huge allocations.
@@ -46,8 +48,8 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	w.Bool(nd.dealt)
 	w.Bool(nd.sendHandled)
 	w.Bool(nd.done)
-	w.BigPtr(nd.share)
-	if err := EncodeMatrixPtr(w, nd.outC); err != nil {
+	encodeScalars(w, nd.shares)
+	if err := encodeMatrices(w, nd.outC); err != nil {
 		return nil, err
 	}
 	EncodeSignedReadies(w, nd.certProof)
@@ -60,7 +62,7 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	for _, h := range hashes {
 		cs := nd.cstates[h]
 		w.Blob(h[:])
-		if err := EncodeMatrixPtr(w, cs.c); err != nil {
+		if err := encodeMatrices(w, cs.c); err != nil {
 			return nil, err
 		}
 		ids := make([]msg.NodeID, 0, len(cs.points))
@@ -71,19 +73,19 @@ func (nd *Node) MarshalState() ([]byte, error) {
 		w.U32(uint32(len(ids)))
 		for _, id := range ids {
 			w.Node(id)
-			w.Big(cs.points[id])
+			encodeScalars(w, cs.points[id])
 		}
 		w.U32(uint32(cs.echoCount))
 		w.U32(uint32(cs.readyCount))
 		EncodeSignedReadies(w, cs.readySigs)
 		w.Bool(cs.sentReady)
 		w.Bool(cs.echoFlooded)
-		EncodePolyPtr(w, cs.aBar)
-		EncodePolyPtr(w, cs.aRow)
+		encodePolys(w, cs.aBar)
+		encodePolys(w, cs.aRow)
 		w.U32(uint32(len(cs.unverified)))
 		for _, pp := range cs.unverified {
 			w.Node(pp.from)
-			w.BigPtr(pp.alpha)
+			encodeScalars(w, pp.alpha)
 			w.Bool(pp.ready)
 			w.Blob(pp.sig)
 			w.Bool(pp.buffered)
@@ -105,7 +107,7 @@ func (nd *Node) MarshalState() ([]byte, error) {
 		w.U32(uint32(len(pps)))
 		for _, pp := range pps {
 			w.Node(pp.from)
-			w.BigPtr(pp.alpha)
+			encodeScalars(w, pp.alpha)
 			w.Bool(pp.ready)
 			w.Blob(pp.sig)
 		}
@@ -210,17 +212,17 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 	if string(r.Blob()) != vssStateMagic {
 		return fmt.Errorf("vss: bad state magic")
 	}
-	gr := nd.params.Group
 
 	nd.dealt = r.Bool()
 	nd.sendHandled = r.Bool()
 	nd.done = r.Bool()
-	nd.share = r.BigPtr()
-	outC, err := DecodeMatrixPtr(r, gr)
-	if err != nil {
+	var err error
+	if nd.shares, err = nd.decodeVector(r, true); err != nil {
 		return err
 	}
-	nd.outC = outC
+	if nd.outC, err = nd.decodeMatrices(r); err != nil {
+		return err
+	}
 	nd.certProof = DecodeSignedReadies(r)
 	nd.echoSeen = r.NodeSet()
 	nd.readySeen = r.NodeSet()
@@ -237,12 +239,9 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 			return fmt.Errorf("vss: bad cstate digest length %d", len(hb))
 		}
 		copy(h[:], hb)
-		cs := &cstate{points: make(map[msg.NodeID]*big.Int)}
-		if cs.c, err = DecodeMatrixPtr(r, gr); err != nil {
+		cs := &cstate{h: h, points: make(map[msg.NodeID][]*big.Int)}
+		if cs.c, err = nd.decodeMatrices(r); err != nil {
 			return err
-		}
-		if cs.c != nil && cs.c.T() != nd.params.T {
-			return fmt.Errorf("vss: snapshot matrix degree %d, want %d", cs.c.T(), nd.params.T)
 		}
 		nPts, err := r.ListLen(stateListMax)
 		if err != nil {
@@ -250,17 +249,19 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 		for j := 0; j < nPts; j++ {
 			id := r.Node()
-			cs.points[id] = r.Big()
+			if cs.points[id], err = nd.decodeVector(r, false); err != nil {
+				return err
+			}
 		}
 		cs.echoCount = int(r.U32())
 		cs.readyCount = int(r.U32())
 		cs.readySigs = DecodeSignedReadies(r)
 		cs.sentReady = r.Bool()
 		cs.echoFlooded = r.Bool()
-		if cs.aBar, err = DecodePolyPtr(r, gr.Q()); err != nil {
+		if cs.aBar, err = nd.decodePolys(r); err != nil {
 			return err
 		}
-		if cs.aRow, err = DecodePolyPtr(r, gr.Q()); err != nil {
+		if cs.aRow, err = nd.decodePolys(r); err != nil {
 			return err
 		}
 		nUnv, err := r.ListLen(stateListMax)
@@ -268,13 +269,13 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 			return err
 		}
 		for j := 0; j < nUnv; j++ {
-			cs.unverified = append(cs.unverified, pendingPoint{
-				from:     r.Node(),
-				alpha:    r.BigPtr(),
-				ready:    r.Bool(),
-				sig:      r.Blob(),
-				buffered: r.Bool(),
-			})
+			pp := pendingPoint{from: r.Node()}
+			// Queued points passed the range check on every coordinate.
+			if pp.alpha, err = nd.decodeVector(r, false); err != nil {
+				return err
+			}
+			pp.ready, pp.sig, pp.buffered = r.Bool(), r.Blob(), r.Bool()
+			cs.unverified = append(cs.unverified, pp)
 		}
 		nd.cstates[h] = cs
 	}
@@ -297,12 +298,13 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 		pps := make([]pendingPoint, 0, nPts)
 		for j := 0; j < nPts; j++ {
-			pps = append(pps, pendingPoint{
-				from:  r.Node(),
-				alpha: r.BigPtr(),
-				ready: r.Bool(),
-				sig:   r.Blob(),
-			})
+			// Buffered before any check ran: any length may be here.
+			pp := pendingPoint{from: r.Node()}
+			if pp.alpha, err = decodeScalars(r, stateListMax); err != nil {
+				return err
+			}
+			pp.ready, pp.sig = r.Bool(), r.Blob()
+			pps = append(pps, pp)
 		}
 		nd.pending[h] = pps
 	}
@@ -376,6 +378,86 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 	}
 	return r.Done()
+}
+
+// --- per-coordinate vectors ------------------------------------------
+
+// decodeVector reads a vector that the state machine indexes by
+// coordinate, so its length must be the session's width (or, where
+// nullable, zero).
+func (nd *Node) decodeVector(r *msg.Reader, nullable bool) ([]*big.Int, error) {
+	v, err := decodeScalars(r, stateListMax)
+	if err != nil {
+		return nil, err
+	}
+	if len(v) != nd.width && !(nullable && len(v) == 0) {
+		return nil, fmt.Errorf("vss: snapshot vector of %d scalars in a width-%d session", len(v), nd.width)
+	}
+	return v, nil
+}
+
+// encodeMatrices appends a dealing's matrices; nil (digest known,
+// matrices not) encodes as the empty list.
+func encodeMatrices(w *msg.Writer, cs []*commit.Matrix) error {
+	w.U32(uint32(len(cs)))
+	for _, c := range cs {
+		enc, err := c.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		w.Blob(enc)
+	}
+	return nil
+}
+
+func (nd *Node) decodeMatrices(r *msg.Reader) ([]*commit.Matrix, error) {
+	n, err := r.ListLen(MaxWidth)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	cs := make([]*commit.Matrix, n)
+	for k := range cs {
+		enc := r.Blob()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if cs[k], err = commit.UnmarshalMatrix(nd.params.Group, enc); err != nil {
+			return nil, err
+		}
+	}
+	if !nd.wellFormed(cs) {
+		return nil, fmt.Errorf("vss: snapshot dealing is not %d degree-%d matrices", nd.width, nd.params.T)
+	}
+	return cs, nil
+}
+
+// encodePolys appends the row polynomials; nil encodes as the empty
+// list.
+func encodePolys(w *msg.Writer, ps []*poly.Poly) {
+	w.U32(uint32(len(ps)))
+	for _, p := range ps {
+		EncodePolyPtr(w, p)
+	}
+}
+
+func (nd *Node) decodePolys(r *msg.Reader) ([]*poly.Poly, error) {
+	n, err := r.ListLen(MaxWidth)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n != nd.width {
+		return nil, fmt.Errorf("vss: snapshot holds %d row polynomials in a width-%d session", n, nd.width)
+	}
+	ps := make([]*poly.Poly, n)
+	for k := range ps {
+		if ps[k], err = DecodePolyPtr(r, nd.params.Group.Q()); err != nil {
+			return nil, err
+		}
+		if ps[k] == nil {
+			return nil, fmt.Errorf("vss: snapshot row polynomial missing")
+		}
+	}
+	return ps, nil
 }
 
 // --- nullable crypto-object helpers (shared with internal/dkg) -------

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 
 	"hybriddkg/internal/commit"
 	"hybriddkg/internal/group"
@@ -151,11 +152,42 @@ type Sender interface {
 
 // SharedEvent reports Sh completion: (P_d, τ, out, shared, C, s_i).
 // The R_d proof set of extended mode is assembled when it is used
-// (Node.ReadyProof).
+// (Node.ReadyProof). C and Share are coordinate 0 of the sharing; a
+// batched sharing's further coordinates follow in More.
 type SharedEvent struct {
 	Session SessionID
 	C       *commit.Matrix
 	Share   *big.Int
+	More    []Coordinate
+}
+
+// Coordinate is one further (commitment, share) pair of a batched
+// sharing.
+type Coordinate struct {
+	C     *commit.Matrix
+	Share *big.Int
+}
+
+// Width returns the number of secrets the sharing carried.
+func (ev SharedEvent) Width() int { return 1 + len(ev.More) }
+
+// Coordinate returns the j-th coordinate as a sharing of its own, the
+// shape combiners and validators written for one secret consume.
+func (ev SharedEvent) Coordinate(j int) SharedEvent {
+	if j == 0 {
+		return SharedEvent{Session: ev.Session, C: ev.C, Share: ev.Share}
+	}
+	return SharedEvent{Session: ev.Session, C: ev.More[j-1].C, Share: ev.More[j-1].Share}
+}
+
+// Digest returns the digest the sharing's echo, ready and certificate
+// votes named (DealingHash).
+func (ev SharedEvent) Digest() [32]byte {
+	cs := []*commit.Matrix{ev.C}
+	for _, co := range ev.More {
+		cs = append(cs, co.C)
+	}
+	return DealingHash(cs)
 }
 
 // ReconstructedEvent reports Rec completion:
@@ -166,10 +198,14 @@ type ReconstructedEvent struct {
 }
 
 // cstate is the per-commitment state: the point set A_C and the echo
-// and ready counters e_C, r_C of Fig. 1.
+// and ready counters e_C, r_C of Fig. 1. A sharing of width w keeps w
+// matrices, w points per sender and w row polynomials under the one
+// digest h, and one pair of counters: a sender counts once, for all
+// coordinates or for none.
 type cstate struct {
-	c          *commit.Matrix // nil until the matrix is known (hashed mode)
-	points     map[msg.NodeID]*big.Int
+	h          [32]byte
+	c          []*commit.Matrix // nil until the matrices are known (hashed mode)
+	points     map[msg.NodeID][]*big.Int
 	echoCount  int
 	readyCount int
 	// readySigs holds the signature of every counted ready (extended
@@ -180,12 +216,12 @@ type cstate struct {
 	proof        []SignedReady
 	proofChecked int
 	sentReady    bool
-	aBar         *poly.Poly // interpolated row polynomial, once available
-	// aRow is the row polynomial f(i,·) from the dealer's send, pinned
-	// to this commitment by verify-poly. Once either aRow or aBar is
-	// known, incoming points verify by scalar evaluation (see
+	aBar         []*poly.Poly // interpolated row polynomials, once available
+	// aRow holds the row polynomials f(i,·) from the dealer's send,
+	// pinned to this commitment by verify-poly. Once either aRow or aBar
+	// is known, incoming points verify by scalar evaluation (see
 	// pointValid) instead of exponentiations.
-	aRow *poly.Poly
+	aRow []*poly.Poly
 	// echoFlooded marks that the classic all-to-all echo broadcast for
 	// this commitment has run (immediately in flood mode, lazily on
 	// certificate fallback), so the fallback never double-sends.
@@ -201,7 +237,7 @@ type cstate struct {
 
 // rowPoly returns a trusted representation of f(i,·) for this
 // commitment, if one is known.
-func (cs *cstate) rowPoly() *poly.Poly {
+func (cs *cstate) rowPoly() []*poly.Poly {
 	if cs.aRow != nil {
 		return cs.aRow
 	}
@@ -213,7 +249,7 @@ func (cs *cstate) rowPoly() *poly.Poly {
 // batch-verification queue entry.
 type pendingPoint struct {
 	from  msg.NodeID
-	alpha *big.Int
+	alpha []*big.Int // one point per coordinate
 	ready bool
 	sig   []byte
 	// buffered marks a point that came through the hashed-mode
@@ -232,6 +268,11 @@ type Node struct {
 	self    msg.NodeID
 	session SessionID
 	sender  Sender
+	// width is the number of secrets the session shares; checked is how
+	// many leading coordinates of a point vector are verified — all of
+	// them, except under the chaos lab's injected bug.
+	width   int
+	checked int
 
 	onShared        func(SharedEvent)
 	onReconstructed func(ReconstructedEvent)
@@ -246,9 +287,9 @@ type Node struct {
 	cstates     map[[32]byte]*cstate
 	pending     map[[32]byte][]pendingPoint
 
-	done  bool
-	share *big.Int
-	outC  *commit.Matrix
+	done   bool
+	shares []*big.Int
+	outC   []*commit.Matrix
 	// certProof is the R_d set taken from a verified ready certificate
 	// (certificate mode); flood completions derive theirs on use.
 	certProof []SignedReady
@@ -286,6 +327,15 @@ type Options struct {
 	OnShared func(SharedEvent)
 	// OnReconstructed fires exactly once when protocol Rec completes.
 	OnReconstructed func(ReconstructedEvent)
+	// Width is the number of secrets the session shares under one
+	// broadcast: 1 (also the zero value), 2, 4, 8 or 16. Every node of a
+	// session must use the same width, so callers derive it from the
+	// session identifier.
+	Width int
+	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of that
+	// name: points are verified on coordinate 0 alone. Never set outside
+	// the lab.
+	InjectVerifyFirstCoordinateOnly bool
 }
 
 // NewNode creates the session endpoint for node self in session.
@@ -302,14 +352,26 @@ func NewNode(params Params, session SessionID, self msg.NodeID, sender Sender, o
 	if sender == nil {
 		return nil, fmt.Errorf("%w: nil sender", ErrBadParams)
 	}
+	if opts.Width == 0 {
+		opts.Width = 1
+	}
+	if !validWidth(opts.Width) {
+		return nil, fmt.Errorf("%w: width %d not a power of two in [1,%d]", ErrBadParams, opts.Width, MaxWidth)
+	}
 	if params.Metrics == nil {
 		params.Metrics = &telemetry.ProtocolMetrics{}
+	}
+	checked := opts.Width
+	if opts.InjectVerifyFirstCoordinateOnly {
+		checked = 1
 	}
 	return &Node{
 		params:          params,
 		self:            self,
 		session:         session,
 		sender:          sender,
+		width:           opts.Width,
+		checked:         checked,
 		onShared:        opts.OnShared,
 		onReconstructed: opts.OnReconstructed,
 		echoSeen:        make(map[msg.NodeID]bool, params.N),
@@ -331,16 +393,23 @@ func (nd *Node) Session() SessionID { return nd.session }
 // Done reports whether protocol Sh has completed locally.
 func (nd *Node) Done() bool { return nd.done }
 
-// Share returns this node's share s_i (nil until Done).
+// Share returns this node's share s_i of coordinate 0 (nil until
+// Done); SharedEvent carries every coordinate.
 func (nd *Node) Share() *big.Int {
-	if nd.share == nil {
+	if nd.shares == nil {
 		return nil
 	}
-	return new(big.Int).Set(nd.share)
+	return new(big.Int).Set(nd.shares[0])
 }
 
-// Commitment returns the decided commitment matrix (nil until Done).
-func (nd *Node) Commitment() *commit.Matrix { return nd.outC }
+// Commitment returns the decided commitment matrix of coordinate 0
+// (nil until Done).
+func (nd *Node) Commitment() *commit.Matrix {
+	if nd.outC == nil {
+		return nil
+	}
+	return nd.outC[0]
+}
 
 // ReadyProof returns the R_d set (extended mode, after Done): the first
 // n−t−f valid signatures among the counted readies, in arrival order.
@@ -353,7 +422,7 @@ func (nd *Node) ReadyProof() []SignedReady {
 		return nd.certProof
 	}
 	rt := nd.params.ReadyThreshold()
-	h := nd.outC.Hash()
+	h := DealingHash(nd.outC)
 	cs := nd.cstates[h]
 	transcript := ReadyTranscript(nd.session, h)
 	for ; cs.proofChecked < len(cs.readySigs) && len(cs.proof) < rt; cs.proofChecked++ {
@@ -377,8 +446,10 @@ func (nd *Node) Reconstructed() *big.Int {
 }
 
 // ShareSecret is the dealer's (P_d, τ, in, share, s) operator message:
-// it samples the symmetric bivariate polynomial, commits, and sends
-// each node its row.
+// it samples one symmetric bivariate polynomial per coordinate,
+// commits, and sends each node its rows. Coordinate 0 shares s; the
+// further coordinates of a batched sharing share fresh uniform secrets
+// drawn from rand.
 func (nd *Node) ShareSecret(s *big.Int, rand io.Reader) error {
 	if nd.self != nd.session.Dealer {
 		return ErrNotDealer
@@ -386,20 +457,35 @@ func (nd *Node) ShareSecret(s *big.Int, rand io.Reader) error {
 	if nd.dealt {
 		return ErrAlreadyDealt
 	}
-	f, err := poly.NewRandomSymmetric(nd.params.Group.Q(), s, nd.params.T, rand)
-	if err != nil {
-		return fmt.Errorf("vss: sample bivariate polynomial: %w", err)
+	fs := make([]*poly.BiPoly, nd.width)
+	cs := make([]*commit.Matrix, nd.width)
+	for k := range fs {
+		if k > 0 {
+			var err error
+			if s, err = nd.params.Group.RandScalar(rand); err != nil {
+				return fmt.Errorf("vss: sample secret: %w", err)
+			}
+		}
+		f, err := poly.NewRandomSymmetric(nd.params.Group.Q(), s, nd.params.T, rand)
+		if err != nil {
+			return fmt.Errorf("vss: sample bivariate polynomial: %w", err)
+		}
+		fs[k], cs[k] = f, commit.NewMatrix(nd.params.Group, f)
 	}
 	nd.dealt = true
-	c := commit.NewMatrix(nd.params.Group, f)
+	c, moreC := splitMatrices(cs)
 	for j := 1; j <= nd.params.N; j++ {
-		row := f.Row(int64(j))
-		nd.sendLogged(msg.NodeID(j), &SendMsg{
+		out := &SendMsg{
 			Session:    nd.session,
 			C:          c,
-			A:          row.Coeffs(),
+			A:          fs[0].Row(int64(j)).Coeffs(),
+			MoreC:      moreC,
 			Compressed: nd.params.CompressedWire,
-		})
+		}
+		for _, f := range fs[1:] {
+			out.MoreA = append(out.MoreA, f.Row(int64(j)).Coeffs())
+		}
+		nd.sendLogged(msg.NodeID(j), out)
 	}
 	return nil
 }
@@ -439,36 +525,81 @@ func (nd *Node) handleSend(from msg.NodeID, m *SendMsg) {
 	if m.Session != nd.session || from != nd.session.Dealer || nd.sendHandled {
 		return
 	}
-	if m.C == nil || m.C.T() != nd.params.T {
+	c := joinMatrices(m.C, m.MoreC)
+	if !nd.wellFormed(c) {
 		return
 	}
 	if m.OmitPoly {
 		// Redacted retransmission (renewal recovery): learn C so
 		// buffered hashed echoes can be processed, but send no echo.
 		nd.sendHandled = true
-		nd.learnCommitment(m.C)
+		nd.learnCommitment(c)
 		return
 	}
-	if len(m.A) != nd.params.T+1 {
+	if len(m.MoreA) != len(m.MoreC) {
 		return
 	}
-	a, err := poly.FromCoeffs(nd.params.Group.Q(), m.A)
-	if err != nil {
-		return
-	}
-	if !m.C.VerifyPoly(int64(nd.self), a) {
-		return
+	// verify-poly, coordinate by coordinate: the dealing is accepted
+	// only if every row matches its matrix.
+	rows := make([]*poly.Poly, nd.width)
+	for k, coeffs := range append([][]*big.Int{m.A}, m.MoreA...) {
+		if len(coeffs) != nd.params.T+1 {
+			return
+		}
+		a, err := poly.FromCoeffs(nd.params.Group.Q(), coeffs)
+		if err != nil {
+			return
+		}
+		if !c[k].VerifyPoly(int64(nd.self), a) {
+			return
+		}
+		rows[k] = a
 	}
 	nd.sendHandled = true
 	nd.params.Metrics.Dealings.Inc()
 	nd.trace(telemetry.EvPhase, "vss-dealing-accepted")
-	nd.learnCommitmentRow(m.C, a)
-	cs := nd.cstates[m.C.Hash()]
+	cs := nd.learnCommitmentRow(c, rows)
 	if nd.params.Certificates && !nd.certFloodActive {
-		nd.certSendEcho(m.C.Hash())
+		nd.certSendEcho(cs.h)
 	} else {
 		nd.floodEchoes(cs)
 	}
+}
+
+// wellFormed reports whether c can be this session's dealing: one
+// degree-t matrix per coordinate of the session's width.
+func (nd *Node) wellFormed(c []*commit.Matrix) bool {
+	if len(c) != nd.width {
+		return false
+	}
+	for _, m := range c {
+		if m == nil || m.T() != nd.params.T {
+			return false
+		}
+	}
+	return true
+}
+
+// evalAll evaluates every coordinate's row polynomial at x.
+func evalAll(rows []*poly.Poly, x int64) []*big.Int {
+	out := make([]*big.Int, len(rows))
+	for k, a := range rows {
+		out[k] = a.EvalInt(x)
+	}
+	return out
+}
+
+// equalScalars reports whether two point vectors agree.
+func equalScalars(a, b []*big.Int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Cmp(b[k]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // floodEchoes runs the classic Fig. 1 echo broadcast from the dealer's
@@ -482,7 +613,7 @@ func (nd *Node) floodEchoes(cs *cstate) {
 	cs.echoFlooded = true
 	for j := 1; j <= nd.params.N; j++ {
 		nd.params.Metrics.EchoSent.Inc()
-		nd.sendLogged(msg.NodeID(j), nd.makeEcho(cs.c, cs.aRow.EvalInt(int64(j))))
+		nd.sendLogged(msg.NodeID(j), nd.makeEcho(cs, evalAll(cs.aRow, int64(j))))
 	}
 }
 
@@ -491,34 +622,51 @@ func (nd *Node) handleEcho(from msg.NodeID, m *EchoMsg) {
 	if m.Session != nd.session || nd.echoSeen[from] {
 		return
 	}
-	if m.C != nil && m.C.T() != nd.params.T {
+	c := joinMatrices(m.C, m.MoreC)
+	if c != nil && !nd.wellFormed(c) {
 		return
 	}
-	cs, known := nd.resolveCommitment(m.C, m.CHash)
+	alpha := append([]*big.Int{m.Alpha}, m.MoreAlpha...)
+	cs, known := nd.resolveCommitment(c, m.CHash)
 	if !known {
 		// Hashed/dedup mode, matrix not yet known: buffer, but still
 		// burn the sender's first-echo slot so equivocation cannot
 		// inflate counters later.
 		nd.echoSeen[from] = true
-		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: m.Alpha})
+		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: alpha})
 		nd.maybeFetch(m.CHash, from)
 		return
 	}
-	if nd.deferPoint(cs, pendingPoint{from: from, alpha: m.Alpha}) {
+	if nd.deferPoint(cs, pendingPoint{from: from, alpha: alpha}) {
 		nd.maybeFlushBatch(cs)
 		return
 	}
-	if !nd.pointValid(cs, from, m.Alpha) {
+	if !nd.pointValid(cs, from, alpha) {
 		return
 	}
 	nd.echoSeen[from] = true
-	nd.addEcho(cs, from, m.Alpha)
+	nd.addEcho(cs, from, alpha)
 	// A direct apply can move the counters to the brink; the queued
 	// points (if any) must get their crossing chance too.
 	nd.maybeFlushBatch(cs)
 }
 
-// pointValid checks α = f(from, self) against the commitment. The
+// scalarsInRange reports whether alpha holds one scalar of Z_q per
+// coordinate of the session.
+func (nd *Node) scalarsInRange(alpha []*big.Int) bool {
+	if len(alpha) != nd.width {
+		return false
+	}
+	for _, a := range alpha {
+		if a == nil || a.Sign() < 0 || a.Cmp(nd.params.Group.Q()) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// pointValid checks α = f(from, self) against the commitment, on every
+// coordinate: a point vector counts only if all of it holds. The
 // expensive verify-point exponentiations only run while the node has
 // no trusted row polynomial:
 //
@@ -531,17 +679,24 @@ func (nd *Node) handleEcho(from msg.NodeID, m *EchoMsg) {
 //   - likewise after ā was interpolated from t+1 verified points
 //     (Fig. 1), since a degree-t polynomial through t+1 evaluations of
 //     f(i,·) is f(i,·).
-func (nd *Node) pointValid(cs *cstate, from msg.NodeID, alpha *big.Int) bool {
-	if alpha == nil || alpha.Sign() < 0 || alpha.Cmp(nd.params.Group.Q()) >= 0 {
+func (nd *Node) pointValid(cs *cstate, from msg.NodeID, alpha []*big.Int) bool {
+	if !nd.scalarsInRange(alpha) {
 		return false
 	}
-	if prev, ok := cs.points[from]; ok && prev.Cmp(alpha) == 0 {
+	if prev, ok := cs.points[from]; ok && equalScalars(prev, alpha) {
 		return true
 	}
-	if row := cs.rowPoly(); row != nil {
-		return row.EvalInt(int64(from)).Cmp(alpha) == 0
+	rows := cs.rowPoly()
+	for k, a := range alpha[:nd.checked] {
+		if rows != nil {
+			if rows[k].EvalInt(int64(from)).Cmp(a) != 0 {
+				return false
+			}
+		} else if !cs.c[k].VerifyPoint(int64(nd.self), int64(from), a) {
+			return false
+		}
 	}
-	return cs.c.VerifyPoint(int64(nd.self), int64(from), alpha)
+	return true
 }
 
 // deferPoint reports whether pp should join the deferred-verification
@@ -566,10 +721,10 @@ func (nd *Node) deferPoint(cs *cstate, pp pendingPoint) bool {
 	if nd.params.DisableBatch || cs.c == nil || cs.rowPoly() != nil {
 		return false
 	}
-	if prev, ok := cs.points[pp.from]; ok && prev.Cmp(pp.alpha) == 0 {
+	if prev, ok := cs.points[pp.from]; ok && equalScalars(prev, pp.alpha) {
 		return false // cheap comparison path; no need to defer
 	}
-	if pp.alpha == nil || pp.alpha.Sign() < 0 || pp.alpha.Cmp(nd.params.Group.Q()) >= 0 {
+	if !nd.scalarsInRange(pp.alpha) {
 		return false // invalid scalar: let pointValid reject it for free
 	}
 	cs.unverified = append(cs.unverified, pp)
@@ -605,7 +760,11 @@ func (nd *Node) maybeFlushBatch(cs *cstate) {
 	bv := commit.NewBatchVerifier(nd.params.Group)
 	bv.SetParallel(nd.params.Parallel)
 	for idx, pp := range pend {
-		bv.AddPoint(idx, cs.c, int64(nd.self), int64(pp.from), pp.alpha)
+		// One check per coordinate under the sender's tag: the vector is
+		// bad if any of them fails.
+		for k, a := range pp.alpha[:nd.checked] {
+			bv.AddPoint(idx, cs.c[k], int64(nd.self), int64(pp.from), a)
+		}
 	}
 	bad := make(map[int]bool, len(pend))
 	for _, tag := range bv.Flush() {
@@ -664,7 +823,7 @@ func (nd *Node) drainUnverified(cs *cstate) {
 }
 
 // addEcho applies a verified echo point to commitment state.
-func (nd *Node) addEcho(cs *cstate, from msg.NodeID, alpha *big.Int) {
+func (nd *Node) addEcho(cs *cstate, from msg.NodeID, alpha []*big.Int) {
 	cs.points[from] = alpha
 	cs.echoCount++
 	if cs.echoCount == nd.params.EchoThreshold() {
@@ -683,32 +842,34 @@ func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 	if m.Session != nd.session || nd.readySeen[from] {
 		return
 	}
-	if m.C != nil && m.C.T() != nd.params.T {
+	c := joinMatrices(m.C, m.MoreC)
+	if c != nil && !nd.wellFormed(c) {
 		return
 	}
-	cs, known := nd.resolveCommitment(m.C, m.CHash)
+	alpha := append([]*big.Int{m.Alpha}, m.MoreAlpha...)
+	cs, known := nd.resolveCommitment(c, m.CHash)
 	if !known {
 		nd.readySeen[from] = true
-		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: m.Alpha, ready: true, sig: m.Sig})
+		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: alpha, ready: true, sig: m.Sig})
 		nd.maybeFetch(m.CHash, from)
 		return
 	}
-	if nd.deferPoint(cs, pendingPoint{from: from, alpha: m.Alpha, ready: true, sig: m.Sig}) {
+	if nd.deferPoint(cs, pendingPoint{from: from, alpha: alpha, ready: true, sig: m.Sig}) {
 		nd.maybeFlushBatch(cs)
 		return
 	}
-	if !nd.pointValid(cs, from, m.Alpha) {
+	if !nd.pointValid(cs, from, alpha) {
 		return
 	}
 	nd.readySeen[from] = true
-	nd.addReady(cs, from, m.Alpha, m.Sig)
+	nd.addReady(cs, from, alpha, m.Sig)
 	// A direct apply can move the counters to the brink; the queued
 	// points (if any) must get their crossing chance too.
 	nd.maybeFlushBatch(cs)
 }
 
 // addReady applies a verified ready point to commitment state.
-func (nd *Node) addReady(cs *cstate, from msg.NodeID, alpha *big.Int, sigBytes []byte) {
+func (nd *Node) addReady(cs *cstate, from msg.NodeID, alpha []*big.Int, sigBytes []byte) {
 	cs.points[from] = alpha
 	cs.readyCount++
 	if nd.params.Extended {
@@ -732,19 +893,29 @@ func (nd *Node) interpolateRow(cs *cstate) bool {
 	if cs.aBar != nil {
 		return true
 	}
-	pts := make([]poly.Point, 0, nd.params.T+1)
-	for from, alpha := range cs.points {
-		pts = append(pts, poly.Point{X: int64(from), Y: alpha})
-		if len(pts) == nd.params.T+1 {
-			break
+	if len(cs.points) < nd.params.T+1 {
+		return false
+	}
+	// Any t+1 verified points give the same polynomials; taking the
+	// lowest senders makes the choice a function of protocol state, so
+	// a seeded run replays even when a planted bug lets a bad point in.
+	froms := make([]msg.NodeID, 0, len(cs.points))
+	for from := range cs.points {
+		froms = append(froms, from)
+	}
+	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
+	froms = froms[:nd.params.T+1]
+	aBar := make([]*poly.Poly, nd.width)
+	pts := make([]poly.Point, len(froms))
+	for k := range aBar {
+		for i, from := range froms {
+			pts[i] = poly.Point{X: int64(from), Y: cs.points[from][k]}
 		}
-	}
-	if len(pts) < nd.params.T+1 {
-		return false
-	}
-	aBar, err := poly.InterpolatePoly(nd.params.Group.Q(), pts)
-	if err != nil {
-		return false
+		a, err := poly.InterpolatePoly(nd.params.Group.Q(), pts)
+		if err != nil {
+			return false
+		}
+		aBar[k] = a
 	}
 	cs.aBar = aBar
 	// A trusted row retires the deferred queue (nothing new defers
@@ -761,7 +932,7 @@ func (nd *Node) broadcastReady(cs *cstate) {
 		return
 	}
 	cs.sentReady = true
-	h := cs.c.Hash()
+	h := cs.h
 	var sigBytes []byte
 	if nd.params.Extended {
 		sb, err := nd.params.Directory.Scheme().Sign(nd.params.SignKey, ReadyTranscript(nd.session, h))
@@ -772,9 +943,10 @@ func (nd *Node) broadcastReady(cs *cstate) {
 	}
 	for j := 1; j <= nd.params.N; j++ {
 		nd.params.Metrics.ReadySent.Inc()
-		out := &ReadyMsg{Session: nd.session, Alpha: cs.aBar.EvalInt(int64(j)), CHash: h, Sig: sigBytes}
+		alpha := evalAll(cs.aBar, int64(j))
+		out := &ReadyMsg{Session: nd.session, Alpha: alpha[0], MoreAlpha: alpha[1:], CHash: h, Sig: sigBytes}
 		if !nd.hashOnly() {
-			out.C = cs.c
+			out.C, out.MoreC = splitMatrices(cs.c)
 			out.Compressed = nd.params.CompressedWire
 		}
 		nd.sendLogged(msg.NodeID(j), out)
@@ -792,31 +964,38 @@ func (nd *Node) complete(cs *cstate) {
 	nd.done = true
 	nd.params.Metrics.VSSCompleted.Inc()
 	nd.trace(telemetry.EvPhase, "vss-completed")
-	nd.share = cs.aBar.EvalInt(0)
+	nd.shares = evalAll(cs.aBar, 0)
 	nd.outC = cs.c
 	if nd.onShared != nil {
-		nd.onShared(SharedEvent{Session: nd.session, C: cs.c, Share: new(big.Int).Set(nd.share)})
+		ev := SharedEvent{Session: nd.session, C: cs.c[0], Share: new(big.Int).Set(nd.shares[0])}
+		for k := 1; k < nd.width; k++ {
+			ev.More = append(ev.More, Coordinate{C: cs.c[k], Share: new(big.Int).Set(nd.shares[k])})
+		}
+		nd.onShared(ev)
 	}
 	nd.drainRecPending()
 }
 
-// resolveCommitment returns the cstate for a message carrying either a
-// full matrix or only its hash. known is false when the hash is not
-// yet associated with a matrix.
-func (nd *Node) resolveCommitment(c *commit.Matrix, cHash [32]byte) (*cstate, bool) {
+// cstateFor returns (allocating if needed) the state of the well-formed
+// dealing c.
+func (nd *Node) cstateFor(c []*commit.Matrix) *cstate {
+	h := DealingHash(c)
+	cs, ok := nd.cstates[h]
+	if !ok {
+		cs = &cstate{h: h, c: c, points: make(map[msg.NodeID][]*big.Int)}
+		nd.cstates[h] = cs
+	} else if cs.c == nil {
+		cs.c = c
+	}
+	return cs
+}
+
+// resolveCommitment returns the cstate for a message carrying either
+// the full (well-formed) matrices or only their digest. known is false
+// when the digest is not yet associated with matrices.
+func (nd *Node) resolveCommitment(c []*commit.Matrix, cHash [32]byte) (*cstate, bool) {
 	if c != nil {
-		if c.T() != nd.params.T {
-			return nil, false
-		}
-		h := c.Hash()
-		cs, ok := nd.cstates[h]
-		if !ok {
-			cs = &cstate{c: c, points: make(map[msg.NodeID]*big.Int)}
-			nd.cstates[h] = cs
-		} else if cs.c == nil {
-			cs.c = c
-		}
-		return cs, true
+		return nd.cstateFor(c), true
 	}
 	cs, ok := nd.cstates[cHash]
 	if ok && cs.c != nil {
@@ -825,22 +1004,16 @@ func (nd *Node) resolveCommitment(c *commit.Matrix, cHash [32]byte) (*cstate, bo
 	return nil, false
 }
 
-// learnCommitment records the matrix from a send message and replays
-// buffered hashed echoes/readies against it.
-func (nd *Node) learnCommitment(c *commit.Matrix) { nd.learnCommitmentRow(c, nil) }
+// learnCommitment records the matrices from a send message and replays
+// buffered hashed echoes/readies against them.
+func (nd *Node) learnCommitment(c []*commit.Matrix) { nd.learnCommitmentRow(c, nil) }
 
 // learnCommitmentRow additionally installs the verify-poly-pinned row
-// polynomial, so the buffered points (and all later ones) verify by
+// polynomials, so the buffered points (and all later ones) verify by
 // scalar evaluation.
-func (nd *Node) learnCommitmentRow(c *commit.Matrix, a *poly.Poly) {
-	h := c.Hash()
-	cs, ok := nd.cstates[h]
-	if !ok {
-		cs = &cstate{c: c, points: make(map[msg.NodeID]*big.Int)}
-		nd.cstates[h] = cs
-	} else if cs.c == nil {
-		cs.c = c
-	}
+func (nd *Node) learnCommitmentRow(c []*commit.Matrix, a []*poly.Poly) *cstate {
+	cs := nd.cstateFor(c)
+	h := cs.h
 	if a != nil && cs.aRow == nil {
 		cs.aRow = a
 	}
@@ -871,6 +1044,7 @@ func (nd *Node) learnCommitmentRow(c *commit.Matrix, a *poly.Poly) {
 	if nd.params.Certificates {
 		nd.certResume(h)
 	}
+	return cs
 }
 
 // applyPoint routes a verified point to the echo or ready accumulator.
@@ -883,10 +1057,10 @@ func (nd *Node) applyPoint(cs *cstate, pp pendingPoint) {
 }
 
 // makeEcho builds an echo message in the configured mode.
-func (nd *Node) makeEcho(c *commit.Matrix, alpha *big.Int) *EchoMsg {
-	out := &EchoMsg{Session: nd.session, Alpha: alpha, CHash: c.Hash()}
+func (nd *Node) makeEcho(cs *cstate, alpha []*big.Int) *EchoMsg {
+	out := &EchoMsg{Session: nd.session, Alpha: alpha[0], MoreAlpha: alpha[1:], CHash: cs.h}
 	if !nd.hashOnly() {
-		out.C = c
+		out.C, out.MoreC = splitMatrices(cs.c)
 		out.Compressed = nd.params.CompressedWire
 	}
 	return out
@@ -952,7 +1126,8 @@ func (nd *Node) handleFetch(from msg.NodeID, m *FetchMsg) {
 		return
 	}
 	served[from] = true
-	nd.sender.Send(from, &MatrixMsg{Session: nd.session, C: cs.c, Compressed: nd.params.CompressedWire})
+	c, moreC := splitMatrices(cs.c)
+	nd.sender.Send(from, &MatrixMsg{Session: nd.session, C: c, MoreC: moreC, Compressed: nd.params.CompressedWire})
 }
 
 // handleMatrix installs a fetched matrix. The reply authenticates
@@ -961,13 +1136,14 @@ func (nd *Node) handleFetch(from msg.NodeID, m *FetchMsg) {
 // under that digest: an unsolicited matrix for a digest nobody
 // referenced cannot allocate state.
 func (nd *Node) handleMatrix(from msg.NodeID, m *MatrixMsg) {
-	if m.Session != nd.session || m.C == nil || m.C.T() != nd.params.T {
+	c := joinMatrices(m.C, m.MoreC)
+	if m.Session != nd.session || !nd.wellFormed(c) {
 		return
 	}
-	if len(nd.pending[m.C.Hash()]) == 0 {
+	if len(nd.pending[DealingHash(c)]) == 0 {
 		return
 	}
-	nd.learnCommitment(m.C)
+	nd.learnCommitment(c)
 }
 
 // --- crash recovery (Fig. 1 recover/help) ---------------------------
@@ -1042,7 +1218,7 @@ func (nd *Node) EraseDealingSecrets() {
 	for to, bodies := range nd.outLog {
 		for i, b := range bodies {
 			if sm, ok := b.(*SendMsg); ok {
-				nd.outLog[to][i] = &SendMsg{Session: sm.Session, C: sm.C, OmitPoly: true, Compressed: sm.Compressed}
+				nd.outLog[to][i] = &SendMsg{Session: sm.Session, C: sm.C, MoreC: sm.MoreC, OmitPoly: true, Compressed: sm.Compressed}
 			}
 		}
 	}
@@ -1051,6 +1227,8 @@ func (nd *Node) EraseDealingSecrets() {
 // --- Rec protocol ----------------------------------------------------
 
 // StartReconstruct is the (P_d, τ, in, reconstruct) operator message.
+// Rec opens coordinate 0; nothing opens a batched sharing's further
+// coordinates through this protocol.
 func (nd *Node) StartReconstruct() error {
 	if !nd.done {
 		return ErrNotDone
@@ -1060,7 +1238,7 @@ func (nd *Node) StartReconstruct() error {
 	}
 	nd.recStarted = true
 	for j := 1; j <= nd.params.N; j++ {
-		nd.sender.Send(msg.NodeID(j), &RecShareMsg{Session: nd.session, Share: new(big.Int).Set(nd.share)})
+		nd.sender.Send(msg.NodeID(j), &RecShareMsg{Session: nd.session, Share: new(big.Int).Set(nd.shares[0])})
 	}
 	return nil
 }
@@ -1084,7 +1262,7 @@ func (nd *Node) acceptRecShare(from msg.NodeID, share *big.Int) {
 	if nd.recSeen[from] || nd.reconstructed != nil {
 		return
 	}
-	if share == nil || !nd.outC.VerifyShare(int64(from), share) {
+	if share == nil || !nd.outC[0].VerifyShare(int64(from), share) {
 		return
 	}
 	nd.recSeen[from] = true

@@ -255,22 +255,22 @@ func (h handlerAdapter) HandleRecover() {
 	}
 }
 
-// dkgResult is one completed DKG: the commitment vector and every
-// live node's share.
+// dkgResult is one completed DKG: per coordinate of the session's
+// width, the commitment vector and every live node's share.
 type dkgResult struct {
-	pk     group.Element
-	v      *commit.Vector
-	shares map[msg.NodeID]*big.Int
+	vs     []*commit.Vector
+	shares map[msg.NodeID][]*big.Int
 }
 
-// runDKG runs one full DKG session with the given τ and collects the
-// result. Crashed nodes neither deal nor complete; the DKG tolerates
-// up to f of them.
+// runDKG runs one full DKG session with the given τ, at the width the
+// identifier names, and collects the result. Crashed nodes neither deal
+// nor complete; the DKG tolerates up to f of them.
 func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	nodes := make(map[msg.NodeID]*dkg.Node, nw.roster.N)
+	opts := dkg.Options{Width: dataplane.AuxWidth(msg.SessionID(tau))}
 	for i := 1; i <= nw.roster.N; i++ {
 		id := msg.NodeID(i)
-		node, err := dkg.NewNode(nw.dkgParams(id), tau, id, nw.sim.Env(id), dkg.Options{})
+		node, err := dkg.NewNode(nw.dkgParams(id), tau, id, nw.sim.Env(id), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -306,19 +306,22 @@ func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	if !done() {
 		return nil, ErrIncomplete
 	}
-	res := &dkgResult{shares: make(map[msg.NodeID]*big.Int, nw.roster.N)}
+	res := &dkgResult{shares: make(map[msg.NodeID][]*big.Int, nw.roster.N)}
 	for id, node := range nodes {
 		if !node.Done() {
 			continue // crashed mid-run; recovers via help, has no share yet
 		}
-		r := node.Result()
-		if res.pk == nil {
-			res.pk = r.PublicKey
-			res.v = r.V
+		outs := node.Result().Outputs()
+		if res.vs == nil {
+			for _, out := range outs {
+				res.vs = append(res.vs, out.V)
+			}
 		}
-		res.shares[id] = r.Share
+		for _, out := range outs {
+			res.shares[id] = append(res.shares[id], out.Share)
+		}
 	}
-	if res.pk == nil {
+	if res.vs == nil {
 		return nil, ErrIncomplete
 	}
 	return res, nil
@@ -352,8 +355,8 @@ func (nw *Network) drainAux() {
 			continue
 		}
 		for id, svc := range nw.services {
-			if sh := out.shares[id]; sh != nil {
-				svc.InstallAux(sid, sh, out.v)
+			if shares := out.shares[id]; shares != nil {
+				svc.InstallAux(sid, shares, out.vs)
 			}
 		}
 	}
@@ -418,16 +421,18 @@ func (nw *Network) GenerateKey(ctx context.Context, opts ...KeyOption) (*Key, er
 		return nil, err
 	}
 	sid := msg.SessionID(tau)
+	v := out.vs[0] // a key session has width 1
+	shares := make(map[msg.NodeID]*big.Int, len(out.shares))
 	for id, svc := range nw.services {
-		sh := out.shares[id]
-		if sh == nil {
+		if out.shares[id] == nil {
 			continue // crashed for the whole run: no share to serve
 		}
-		if _, err := svc.InstallKey(sid, sh, out.v); err != nil {
+		shares[id] = out.shares[id][0]
+		if _, err := svc.InstallKey(sid, shares[id], v); err != nil {
 			return nil, err
 		}
 	}
-	k := &Key{nw: nw, id: sid, agg: kc.aggregator, pk: out.pk, v: out.v, shares: out.shares}
+	k := &Key{nw: nw, id: sid, agg: kc.aggregator, pk: v.PublicKey(), v: v, shares: shares}
 	if kc.eager {
 		nw.services[k.aggregator()].Activate(sid)
 		if err := nw.pump(ctx, sid, func() bool {

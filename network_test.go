@@ -202,3 +202,46 @@ func TestNetworkContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled GenerateKey: %v", err)
 	}
 }
+
+// TestNetworkSignBatchWidensNonceSessions: forty signatures asked for at
+// once starve the default reservoir, so the key's auxiliary DKGs — real
+// sessions on the simulated network — grow from one nonce each to
+// sixteen. Every signature verifies and no two share a nonce.
+func TestNetworkSignBatchWidensNonceSessions(t *testing.T) {
+	net, err := hybriddkg.New(hybriddkg.Roster{N: 4, T: 1},
+		hybriddkg.WithSeed(23), hybriddkg.WithDedupDealings(), hybriddkg.WithCompressedWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	ctx := context.Background()
+	key, err := net.GenerateKey(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make([][]byte, 40)
+	for i := range msgs {
+		msgs[i] = []byte{'m', byte(i)}
+	}
+	before := net.Stats().TotalMsgs
+	sigs, err := key.SignBatch(ctx, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonces := map[string]bool{}
+	for i, sg := range sigs {
+		if !key.Verify(msgs[i], sg) {
+			t.Fatalf("signature %d rejected", i)
+		}
+		nonces[sg.R.String()] = true
+	}
+	if len(nonces) != len(msgs) {
+		t.Fatalf("%d distinct nonces under %d signatures", len(nonces), len(msgs))
+	}
+	// One DKG per nonce would cost ≈ 300 messages a signature at n=4.
+	perSig := (net.Stats().TotalMsgs - before) / len(msgs)
+	t.Logf("%d messages per signature", perSig)
+	if perSig > 150 {
+		t.Fatalf("%d messages per signature: nonce sessions did not batch", perSig)
+	}
+}

@@ -235,8 +235,11 @@ echo "== e2e restart OK: node 1 SIGKILLed mid-DKG, restarted from --state-dir, c
 # requests a signature, an encrypt/decrypt round-trip and 3 beacon
 # rounds, and verifies every result it can check publicly. The client
 # binary fails non-zero on any verification miss, so the gate here is
-# its exit status plus the per-operation JSON lines. Nodes then get
-# SIGTERM and must shut down cleanly (exit 0).
+# its exit status plus the per-operation JSON lines. Forty more clients
+# then sign forty distinct messages, eight at a time: requests outrun
+# the nonce reservoir, so the key's nonce sessions grow wider than one
+# nonce per DKG, and every signature made from a batched session is
+# checked. Nodes then get SIGTERM and must shut down cleanly (exit 0).
 DP_PORT=$((BASE_PORT + 20))
 dpeers=""
 for i in $(seq 1 "$N"); do
@@ -306,6 +309,38 @@ if ! grep -q "$(grep -o '"publicKey":"[^"]*"' "$workdir/dp-node1.out" | head -1)
   exit 1
 fi
 
+SIGN_WAVES=5
+SIGN_WIDTH=8
+echo "== external clients: $((SIGN_WAVES * SIGN_WIDTH)) distinct messages, $SIGN_WIDTH at a time"
+for wave in $(seq 1 "$SIGN_WAVES"); do
+  declare -a wpids=()
+  for j in $(seq 1 "$SIGN_WIDTH"); do
+    k=$(((wave - 1) * SIGN_WIDTH + j))
+    "$workdir/dkgnode" client \
+      -addr "127.0.0.1:$((DP_PORT + 10 + 1))" -key 1 \
+      -sign "e2e batched nonce message $k" \
+      >"$workdir/dp-sign-$k.out" 2>"$workdir/dp-sign-$k.err" &
+    wpids+=($!)
+  done
+  for p in "${wpids[@]}"; do
+    if ! wait "$p"; then
+      echo "!! data-plane sign client failed in wave $wave" >&2
+      cat "$workdir"/dp-sign-*.err >&2
+      tail -n +1 "$workdir"/dp-node*.err >&2 || true
+      exit 1
+    fi
+  done
+done
+got=$(cat "$workdir"/dp-sign-*.out | grep -Ec '"op":"sign".*"verified":true' || true)
+if [ "$got" -ne $((SIGN_WAVES * SIGN_WIDTH)) ]; then
+  echo "!! expected $((SIGN_WAVES * SIGN_WIDTH)) verified signatures, got $got" >&2
+  exit 1
+fi
+if [ "$(cat "$workdir"/dp-sign-*.out | grep -o '"sigma":"[^"]*"' | sort -u | wc -l)" -ne $((SIGN_WAVES * SIGN_WIDTH)) ]; then
+  echo "!! signatures on distinct messages are not distinct" >&2
+  exit 1
+fi
+
 echo "== scraping node 1 introspection endpoint mid-run"
 curl -fsS "http://$METRICS_ADDR/metrics" >"$workdir/dp-metrics.txt"
 # Core series from every subsystem must exist and be nonzero after one
@@ -331,6 +366,9 @@ curl -fsS "http://$METRICS_ADDR/keys" | python3 -c '
 import json, sys
 ks = json.load(sys.stdin)
 assert any(k["state"] == "serving" and k["requests_total"] > 0 for k in ks), ks
+# Requests arriving eight at a time starved the reservoir: the key now
+# draws several nonces from each auxiliary DKG.
+assert any(k["nonce_width"] > 1 for k in ks), ks
 '
 "$workdir/dkgnode" top -addr "$METRICS_ADDR" >"$workdir/dp-top.out"
 grep -q "completed" "$workdir/dp-top.out" || {
@@ -369,4 +407,4 @@ grep -Eq "node 1: wire: [0-9]+ frames, [0-9]+ bytes sent" "$workdir/dp-node1.err
   exit 1
 }
 
-echo "== e2e data plane OK: external client verified sign/decrypt/beacon against the serving cluster"
+echo "== e2e data plane OK: external clients verified sign/decrypt/beacon and $((SIGN_WAVES * SIGN_WIDTH)) signatures from batched nonce sessions"

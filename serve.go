@@ -10,6 +10,7 @@ import (
 	"os"
 	"time"
 
+	"hybriddkg/internal/commit"
 	"hybriddkg/internal/dataplane"
 	"hybriddkg/internal/dkg"
 	"hybriddkg/internal/engine"
@@ -188,6 +189,10 @@ type Server struct {
 	events chan SessionEvent
 	fails  chan SessionFailure
 	closed chan struct{}
+	// staleNonces names the nonce sessions Restore found in the journal.
+	// Restore writes it on the event loop before it resumes any session,
+	// and durable mode runs every session on that loop.
+	staleNonces map[msg.SessionID]bool
 }
 
 // buildCodec registers every protocol decoder.
@@ -402,8 +407,11 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 
 	ecfg := engine.Config{
 		Fabric: engine.NewTransportFabric(tnode),
+		// A session's width is a function of its identifier, so every
+		// node — and a node rebuilding it after a restart — runs it at the
+		// same one.
 		Factory: func(sid msg.SessionID, rt engine.Runtime) (engine.Runner, error) {
-			return dkg.NewNode(params, uint64(sid), cfg.Self, rt, dkg.Options{})
+			return dkg.NewNode(params, uint64(sid), cfg.Self, rt, dkg.Options{Width: dataplane.AuxWidth(sid)})
 		},
 		Start: func(sid msg.SessionID, r engine.Runner) error {
 			return r.(*dkg.Node).Start(rand.Reader)
@@ -426,7 +434,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		ecfg.Self = cfg.Self
 		ecfg.SnapshotEvery = snapEvery
 		ecfg.RestoreRunner = func(sid msg.SessionID, rt engine.Runtime, snap []byte) (engine.Runner, error) {
-			return dkg.RestoreNode(params, uint64(sid), cfg.Self, rt, dkg.Options{}, codec, snap)
+			return dkg.RestoreNode(params, uint64(sid), cfg.Self, rt, dkg.Options{Width: dataplane.AuxWidth(sid)}, codec, snap)
 		}
 		// Completed sessions keep serving protocol-level help
 		// requests (§5.3) for crashed peers that restart later, which
@@ -516,7 +524,20 @@ func (h *dataServiceHandler) HandleRecover()     {}
 func (s *Server) onCompleted(sid msg.SessionID, r engine.Runner) {
 	ev := r.(*dkg.Node).Result()
 	if dataplane.IsAux(sid) {
-		s.svc.InstallAux(sid, ev.Share, ev.V)
+		// The service's books of which nonce signed what are in memory
+		// only. A nonce session begun before a restart may have been spent
+		// before it, here or (if it finishes only now) on a peer that has
+		// since dropped it, so its shares are dropped, not re-armed.
+		if s.staleNonces[sid] {
+			return
+		}
+		outs := ev.Outputs()
+		shares := make([]*big.Int, len(outs))
+		vs := make([]*commit.Vector, len(outs))
+		for i, out := range outs {
+			shares[i], vs[i] = out.Share, out.V
+		}
+		s.svc.InstallAux(sid, shares, vs)
 		return
 	}
 	if uint64(sid) < 1<<24 {
@@ -584,6 +605,21 @@ func (s *Server) Restore() ([]uint64, error) {
 	}
 	ch := make(chan outcome, 1)
 	s.tnode.Do(func() {
+		journaled, err := s.st.Sessions()
+		if err != nil {
+			ch <- outcome{nil, err}
+			return
+		}
+		// No journaled nonce session is installed again, and the nonce
+		// ids this node derived before the restart may have been handed
+		// out: its counters resume above all of them.
+		s.staleNonces = make(map[msg.SessionID]bool)
+		for _, sid := range journaled {
+			if dataplane.IsAux(sid) && !dataplane.IsBeacon(sid) {
+				s.staleNonces[sid] = true
+				s.svc.ResumeNonces(sid)
+			}
+		}
 		sids, err := s.eng.Restore()
 		ch <- outcome{sids, err}
 	})

@@ -1,11 +1,17 @@
 package hybriddkg
 
 import (
+	"crypto/rand"
+	"errors"
+	"fmt"
+	"math/big"
 	"net"
 	"testing"
 	"time"
 
+	"hybriddkg/internal/dataplane"
 	"hybriddkg/internal/engine"
+	"hybriddkg/internal/thresh"
 )
 
 // serveCluster starts n in-memory Serve nodes on loopback, retrying the
@@ -97,5 +103,218 @@ func TestServeReleasesCompletedRunners(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// awaitSession waits for every node to report session sid complete.
+func awaitSession(t *testing.T, nodes []*Server, sid uint64) SessionEvent {
+	t.Helper()
+	var last SessionEvent
+	for i, srv := range nodes {
+		select {
+		case ev := <-srv.Events():
+			if ev.Session != sid {
+				t.Fatalf("node %d: event for session %d, want %d", i+1, ev.Session, sid)
+			}
+			last = ev
+		case fl := <-srv.Failures():
+			t.Fatalf("node %d: session %d failed: %v", i+1, fl.Session, fl.Err)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("node %d: session %d did not complete", i+1, sid)
+		}
+	}
+	return last
+}
+
+// signAll signs every message under key 1 through srv's own service
+// and checks the signatures.
+func signAll(t *testing.T, srv *Server, pk Element, messages [][]byte) {
+	t.Helper()
+	type outcome struct {
+		i   int
+		res dataplane.Result
+		err error
+	}
+	done := make(chan outcome, len(messages))
+	for i, m := range messages {
+		i := i
+		if err := srv.svc.Sign(1, m, func(res dataplane.Result, err error) { done <- outcome{i, res, err} }); err != nil {
+			t.Fatalf("sign %q: %v", m, err)
+		}
+	}
+	srv.svc.Flush(1)
+	for range messages {
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("sign %q: %v", messages[o.i], o.err)
+			}
+			if !thresh.Verify(srv.gr, pk, messages[o.i], o.res.Sig) {
+				t.Fatalf("signature on %q does not verify", messages[o.i])
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("signatures did not complete")
+		}
+	}
+}
+
+// TestServeDecryptStartsNoSession: auxiliary DKGs are provisioned for
+// the operation that needs them. A key that has only ever decrypted has
+// run one session on every node: its own.
+func TestServeDecryptStartsNoSession(t *testing.T) {
+	nodes := serveCluster(t, 4, 1, 1)
+	for _, srv := range nodes {
+		srv.Start(1)
+	}
+	pk := awaitSession(t, nodes, 1).PublicKey
+	gr := nodes[0].gr
+	done := make(chan error, 100)
+	for i := 0; i < 100; i++ {
+		plain := gr.GExp(big.NewInt(int64(1000 + i)))
+		ct, err := thresh.Encrypt(gr, pk, plain, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nodes[0].svc.Decrypt(1, ct, func(res dataplane.Result, err error) {
+			if err == nil && !res.Plain.Equal(plain) {
+				err = errors.New("wrong plaintext")
+			}
+			done <- err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[0].svc.Flush(1)
+	}
+	for i := 0; i < 100; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("decryptions did not complete")
+		}
+	}
+	for i, srv := range nodes {
+		if st := srv.EngineStats(); st.Submitted != 1 || st.Completed != 1 {
+			t.Fatalf("node %d after 100 decrypts: engine %+v, want the key session alone", i+1, st)
+		}
+	}
+}
+
+// TestServeRestartDoesNotRearmNonces: the books of which nonce signed
+// which digest live in memory, so across a restart nonce material must
+// not survive. Sign, stop every node, bring them back from their state
+// directories, sign other messages: no nonce id may have signed two
+// digests on any node, counting both incarnations — a nonce session
+// that had completed before the restart is not re-installed, and the
+// aggregator's counter resumes above every session it had derived.
+func TestServeRestartDoesNotRearmNonces(t *testing.T) {
+	const n, thr = 4, 1
+	rings, err := NewKeyRings(n, "ed25519")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := make([]PeerAddr, n)
+	dirs := make([]string, n)
+	for i := range peers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = PeerAddr{ID: NodeID(i + 1), Addr: ln.Addr().String()}
+		ln.Close()
+		dirs[i] = t.TempDir()
+	}
+	boot := func() []*Server {
+		nodes := make([]*Server, n)
+		for i := range nodes {
+			srv, err := Serve(ServerConfig{
+				Self: NodeID(i + 1), Roster: Roster{N: n, T: thr}, Listen: peers[i].Addr, Peers: peers,
+				Keys: rings[i], VerifyWorkers: 2, StateDir: dirs[i], Logf: func(string, ...any) {},
+			}, WithGroup("p256"), WithDedupDealings(), WithCompressedWire())
+			if err != nil {
+				t.Fatalf("serve node %d: %v", i+1, err)
+			}
+			nodes[i] = srv
+		}
+		return nodes
+	}
+	// ledger folds every node's spent nonces into one id → digest book
+	// per node, failing on an id with two digests.
+	books := make([]map[uint64][32]byte, n)
+	for i := range books {
+		books[i] = make(map[uint64][32]byte)
+	}
+	ledger := func(nodes []*Server) {
+		for i, srv := range nodes {
+			for id, digest := range srv.svc.NonceLedger() {
+				if prev, ok := books[i][id]; ok && prev != digest {
+					t.Fatalf("node %d: nonce %x signed two digests", i+1, id)
+				}
+				books[i][id] = digest
+			}
+		}
+	}
+	messages := func(tag string, k int) [][]byte {
+		out := make([][]byte, k)
+		for i := range out {
+			out[i] = []byte(fmt.Sprintf("%s-%d", tag, i))
+		}
+		return out
+	}
+
+	nodes := boot()
+	for _, srv := range nodes {
+		srv.Start(1)
+	}
+	pk := awaitSession(t, nodes, 1).PublicKey
+	signAll(t, nodes[0], pk, messages("before", 12))
+	ledger(nodes)
+	spent := len(books[0])
+	if spent == 0 {
+		t.Fatal("no nonce on the aggregator's books after 12 signatures")
+	}
+	for _, srv := range nodes {
+		srv.Close()
+	}
+
+	nodes = boot()
+	defer func() {
+		for _, srv := range nodes {
+			srv.Close()
+		}
+	}()
+	restored := make(chan error, n)
+	for _, srv := range nodes {
+		srv := srv
+		go func() {
+			_, err := srv.Restore()
+			restored <- err
+		}()
+	}
+	if again := awaitSession(t, nodes, 1).PublicKey; !again.Equal(pk) {
+		t.Fatal("restored key session reports another public key")
+	}
+	for range nodes {
+		if err := <-restored; err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+	}
+	for i, srv := range nodes {
+		if got := len(srv.svc.NonceLedger()); got != 0 {
+			t.Fatalf("node %d restarted with %d spent nonces on its books", i+1, got)
+		}
+		for _, k := range srv.svc.KeysSnapshot() {
+			if k.Reservoir != 0 {
+				t.Fatalf("node %d restarted with %d nonces in its reservoir", i+1, k.Reservoir)
+			}
+		}
+	}
+	signAll(t, nodes[0], pk, messages("after", 12))
+	ledger(nodes)
+	if len(books[0]) < spent+12 {
+		t.Fatalf("aggregator spent %d nonces over both incarnations, want at least %d distinct ones", len(books[0]), spent+12)
 	}
 }
