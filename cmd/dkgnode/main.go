@@ -739,6 +739,7 @@ func top(args []string) error {
 		Inflight   int    `json:"inflight"`
 		Reservoir  int    `json:"nonce_reservoir"`
 		NonceWidth int    `json:"nonce_width"`
+		NonceYield int    `json:"nonce_yield"`
 		Requests   uint64 `json:"requests_total"`
 	}
 	if err := json.Unmarshal(raw, &keys); err != nil {
@@ -746,13 +747,13 @@ func top(args []string) error {
 	}
 	fmt.Println()
 	w = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(w, "KEY\tSTATE\tQUEUE\tINFLIGHT\tNONCES\tNONCES/DKG\tREQUESTS\n")
+	fmt.Fprintf(w, "KEY\tSTATE\tQUEUE\tINFLIGHT\tNONCES\tWIDTH\tNONCES/DKG\tREQUESTS\n")
 	for _, k := range keys {
-		fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%d\n",
-			k.ID, k.State, k.QueueDepth, k.Inflight, k.Reservoir, k.NonceWidth, k.Requests)
+		fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			k.ID, k.State, k.QueueDepth, k.Inflight, k.Reservoir, k.NonceWidth, k.NonceYield, k.Requests)
 	}
 	if len(keys) == 0 {
-		fmt.Fprintf(w, "(none)\t\t\t\t\t\t\n")
+		fmt.Fprintf(w, "(none)\t\t\t\t\t\t\t\n")
 	}
 	w.Flush()
 

@@ -33,6 +33,14 @@ const (
 	// the joint commitment, on every coordinate) flags the run. It takes
 	// a cell of width > 1 and a coordinate splicer to show.
 	InjectVerifyFirstCoordinateOnly = "verify-first-coordinate-only"
+	// InjectExtractShareRowZero makes every honest node combine its
+	// shares with row 0 of the extraction map whatever row it is
+	// computing, while commitments use the right row — the slip of
+	// reusing the sum that was there before. Rows past the first then
+	// hold shares their commitments reject; the agreement invariant,
+	// which checks every one of a session's w·e outputs, flags the run.
+	// It takes an extraction cell to show.
+	InjectExtractShareRowZero = "extract-share-row-zero"
 )
 
 // installInject wires a named injected bug into the build. Lost-traffic
@@ -63,6 +71,8 @@ func installInject(b *build, name string) error {
 		})
 	case InjectVerifyFirstCoordinateOnly:
 		b.opts.InjectVerifyFirstCoordinateOnly = true
+	case InjectExtractShareRowZero:
+		b.opts.InjectExtractShareRowZero = true
 	default:
 		return fmt.Errorf("chaos: unknown injected bug %q", name)
 	}

@@ -266,3 +266,68 @@ func TestLabCatchesFirstCoordinateOnly(t *testing.T) {
 		t.Fatalf("the catching seed fails without the bug:\n%s", clean.Report())
 	}
 }
+
+// extractCell is the wide cell with extraction on: the agreed set holds
+// n−t−f = 8 dealers and each of the four coordinates yields
+// n−2t−f = 6 outputs.
+var extractCell = Cell{N: 13, T: 2, F: 3, Backend: "modp", Width: 4, Extract: true}
+
+// TestSweepExtractionCell: scenarios that must collect n−t−f dealers
+// under the lab's faults hold liveness and agreement on all 24 outputs,
+// over the flood and over certificates, and replay hash-identically. The
+// cell is named apart from the wide cell it extends, so neither's seeds
+// disturb the other's.
+func TestSweepExtractionCell(t *testing.T) {
+	if extractCell.String() == wideCell.String() || extractCell.fingerprint() == wideCell.fingerprint() {
+		t.Fatal("the extraction cell is not a cell of its own")
+	}
+	cert := extractCell
+	cert.Certificates = true
+	for _, cell := range []Cell{extractCell, cert} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			r := Replay(seed, cell, "", 0)
+			if r.Failed() {
+				t.Fatalf("%s", r.Report())
+			}
+			if again := Replay(seed, cell, "", 0); again.TraceHash != r.TraceHash {
+				t.Fatalf("seed %d cell %s: replay hash moved", seed, cell)
+			}
+		}
+	}
+}
+
+// TestLabCatchesExtractShareRowZero: with every honest node combining
+// shares by row 0 and commitments by the row at hand, a bounded sweep of
+// the extraction cell must flag an agreement violation — an output past
+// the first row whose share its commitment rejects — reproducibly, and
+// the same seed must pass without the bug.
+func TestLabCatchesExtractShareRowZero(t *testing.T) {
+	var caught *Result
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := Replay(seed, extractCell, InjectExtractShareRowZero, 0)
+		if r.Err != nil {
+			t.Fatalf("seed %d: %v", seed, r.Err)
+		}
+		if r.Failed() {
+			caught = r
+			break
+		}
+	}
+	if caught == nil {
+		t.Fatal("injected extract-share-row-zero bug not caught within 20 seeds")
+	}
+	if caught.Violation != InvAgreement {
+		t.Fatalf("caught with violation %q, want %q:\n%s", caught.Violation, InvAgreement, caught.Report())
+	}
+	again := Replay(caught.Spec.Seed, extractCell, InjectExtractShareRowZero, 0)
+	if again.Violation != caught.Violation || again.TraceHash != caught.TraceHash {
+		t.Fatalf("replay drifted: %q %s, want %q %s", again.Violation, again.TraceHash, caught.Violation, caught.TraceHash)
+	}
+	if clean := Replay(caught.Spec.Seed, extractCell, "", 0); clean.Failed() {
+		t.Fatalf("the catching seed fails without the bug:\n%s", clean.Report())
+	}
+	// A cell that sums t+1 dealers has no later rows for the bug to touch.
+	if r := Replay(caught.Spec.Seed, wideCell, InjectExtractShareRowZero, 0); r.Failed() {
+		t.Fatalf("the bug shows in a cell without extraction:\n%s", r.Report())
+	}
+}

@@ -72,6 +72,9 @@ func cellMode(c Cell) string {
 	if c.Width > 1 {
 		mode += fmt.Sprintf("-w%d", c.Width)
 	}
+	if c.Extract {
+		mode += "-x"
+	}
 	return mode
 }
 
@@ -157,6 +160,7 @@ func Run(spec Spec) *Result {
 		VerifyWorkers:  spec.VerifyWorkers,
 		MaxEvents:      spec.MaxEvents,
 	}
+	opts.QSize, opts.Rows = cell.shape()
 	if spec.Dealers > 0 {
 		for i := spec.Dealers + 1; i <= cell.N; i++ {
 			opts.NoDeal = append(opts.NoDeal, msg.NodeID(i))

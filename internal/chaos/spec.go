@@ -35,6 +35,19 @@ type Cell struct {
 	// fingerprint and scenario draws extend a width-1 cell's, so those
 	// seeds replay unchanged.
 	Width int
+	// Extract runs the session the way nonce sessions run: the agreed set
+	// holds n−t−f dealers and n−2t−f outputs are extracted from each
+	// coordinate. A cell of its own, like a wide one.
+	Extract bool
+}
+
+// shape returns the agreed-set size and rows per coordinate the cell's
+// sessions run with (zero values: the dkg package's defaults, t+1 and 1).
+func (c Cell) shape() (qsize, rows int) {
+	if !c.Extract {
+		return 0, 0
+	}
+	return c.N - c.T - c.F, c.N - 2*c.T - c.F
 }
 
 func (c Cell) String() string {
@@ -53,6 +66,9 @@ func (c Cell) fingerprint() uint64 {
 	}
 	if c.Width > 1 {
 		fp ^= uint64(c.Width) << 48
+	}
+	if c.Extract {
+		fp ^= 0xe7 << 56
 	}
 	return fp
 }
@@ -227,9 +243,10 @@ func RandomSpec(seed uint64, cell Cell) Spec {
 	spec.DedupDealings = spec.HashedEcho && rng.IntN(3) == 0
 	spec.CompressedWire = rng.IntN(2) == 0
 	spec.Coalesce = rng.IntN(2) == 0
-	if cell.N >= 64 {
+	if cell.N >= 64 && !cell.Extract {
 		// Any-Trust regime: restrict the dealer set so large cells stay
-		// tractable (quorums still span all n nodes).
+		// tractable (quorums still span all n nodes). An extraction cell
+		// needs n−t−f dealers to finish, so there everybody deals.
 		spec.Dealers = cell.T + 2 + rng.IntN(2)
 	}
 

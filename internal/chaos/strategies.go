@@ -104,7 +104,9 @@ func chainFilters(fns []simnet.SessionFilterFunc) simnet.SessionFilterFunc {
 // incarnations speak exactly the cluster's dialect (wire format,
 // dedup, certificates).
 func byzParams(spec Spec, gr *group.Group, dir *sig.Directory, priv []byte) dkg.Params {
+	qsize, _ := spec.Cell.shape()
 	return dkg.Params{
+		QSize:          qsize,
 		Group:          gr,
 		N:              spec.Cell.N,
 		T:              spec.Cell.T,
@@ -117,6 +119,13 @@ func byzParams(spec Spec, gr *group.Group, dir *sig.Directory, priv []byte) dkg.
 		Directory:      dir,
 		SignKey:        priv,
 	}
+}
+
+// byzOptions is the session shape a Byzantine incarnation shares with
+// the honest nodes of its cell.
+func byzOptions(cell Cell) dkg.Options {
+	_, rows := cell.shape()
+	return dkg.Options{Width: cell.Width, Rows: rows}
 }
 
 // installStrategy wires one strategy into the build.
@@ -238,12 +247,12 @@ func installEquivDealer(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, dkg.Options{Width: spec.Cell.Width})
+		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, byzOptions(spec.Cell))
 		if err != nil {
 			buildErr = err
 			return th
 		}
-		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, dkg.Options{Width: spec.Cell.Width})
+		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, byzOptions(spec.Cell))
 		if err != nil {
 			buildErr = err
 			return th
@@ -348,7 +357,7 @@ func installWrappedNode(b *build, v msg.NodeID, mkRT func(env *simnet.Env) dkg.R
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, mkRT(env), dkg.Options{Width: spec.Cell.Width})
+		nd, err := dkg.NewNode(params, 1, v, mkRT(env), byzOptions(spec.Cell))
 		if err != nil {
 			buildErr = err
 			return silentHandler{}
@@ -532,7 +541,7 @@ func installFlood(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, env, dkg.Options{Width: spec.Cell.Width})
+		nd, err := dkg.NewNode(params, 1, v, env, byzOptions(spec.Cell))
 		if err != nil {
 			buildErr = err
 			return silentHandler{}

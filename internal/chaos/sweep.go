@@ -65,8 +65,9 @@ func Replay(seed uint64, cell Cell, inject string, verifyWorkers int) *Result {
 }
 
 // DefaultCells builds the lab's standard sweep grid: each cluster size
-// × each backend × the named modes — "flood", "cert", and their width-4
-// variants "flood-w4" and "cert-w4". Shapes satisfy n ≥ 3t+2f+1 with
+// × each backend × the named modes — "flood", "cert", their width-4
+// variants "flood-w4" and "cert-w4", and those with extraction on,
+// "flood-w4-x" and "cert-w4-x". Shapes satisfy n ≥ 3t+2f+1 with
 // small thresholds so large cells stay tractable (the Any-Trust dealer
 // restriction in RandomSpec does the rest).
 func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error) {
@@ -82,16 +83,18 @@ func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error
 			}
 			for _, mode := range modes {
 				cell := Cell{N: n, T: t, F: f, Backend: be}
-				base, wide := strings.CutSuffix(mode, "-w4")
+				base, extract := strings.CutSuffix(mode, "-x")
+				base, wide := strings.CutSuffix(base, "-w4")
 				if wide {
 					cell.Width = 4
 				}
+				cell.Extract = extract
 				switch base {
 				case "flood":
 				case "cert":
 					cell.Certificates = true
 				default:
-					return nil, fmt.Errorf("chaos: unknown mode %q (want flood, cert, flood-w4 or cert-w4)", mode)
+					return nil, fmt.Errorf("chaos: unknown mode %q (want flood or cert, with -w4 or -w4-x appended for a wide cell)", mode)
 				}
 				cells = append(cells, cell)
 			}

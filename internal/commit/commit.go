@@ -448,13 +448,16 @@ func CombineColumn0(mats []*Matrix, lambdas []*big.Int) (*Vector, error) {
 			return nil, ErrDimensionMismatch
 		}
 	}
+	// One multi-exponentiation per entry: commitments and coefficients are
+	// public, and the per-dealer Exp-then-Mul it replaces normalised a
+	// curve point (one field inversion) twice per dealer.
 	v := make([]group.Element, t+1)
+	bases := make([]group.Element, len(mats))
 	for l := 0; l <= t; l++ {
-		acc := gr.Identity()
 		for d, m := range mats {
-			acc = gr.Mul(acc, gr.Exp(m.c[l][0], lambdas[d]))
+			bases[d] = m.c[l][0]
 		}
-		v[l] = acc
+		v[l] = gr.VarTimeMultiExp(bases, lambdas)
 	}
 	return &Vector{gr: gr, v: v}, nil
 }

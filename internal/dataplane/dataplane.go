@@ -74,10 +74,12 @@ const PeerSession msg.SessionID = 1 << 63
 //	nonce:  bit62 | log₂w[2:0]<<56 | key[23:0]<<32 | owner[7:0]<<24 | counter[23:0]
 //	beacon: bit62 | bit61 | key[23:0]<<32 | round[23:0]
 //
-// A nonce DKG session of width w produces the w nonces numbered
-// counter..counter+w−1. A nonce is named, in requests and in every
+// A nonce DKG session of width w yields w·e nonces, numbered
+// counter..counter+w·e−1: e of them are extracted from each coordinate's
+// sharings (SessionShape; the i-th output of the session, coordinate-
+// major, is nonce counter+i). A nonce is named, in requests and in every
 // node's books, by the id with the width bits clear (NonceSID), so a
-// width-1 session and the nonce it produces share one id.
+// session and the first nonce it produces share all but those bits.
 //
 // The packing bounds primary key session IDs to 24 bits, aggregator
 // node IDs to 8 bits and nonce counters / beacon rounds to 24 bits —
@@ -107,8 +109,8 @@ func NonceSID(key msg.SessionID, owner msg.NodeID, counter uint64) msg.SessionID
 		counter&0xFFFFFF)
 }
 
-// NonceSessionSID derives the session ID of the DKG that produces the
-// width nonces counter..counter+width−1 (width a power of two).
+// NonceSessionSID derives the session ID of the width-w DKG (w a power
+// of two) whose first nonce is counter.
 func NonceSessionSID(key msg.SessionID, owner msg.NodeID, counter uint64, width int) msg.SessionID {
 	return NonceSID(key, owner, counter) | msg.SessionID(bits.TrailingZeros(uint(width)))<<widthShift
 }
@@ -121,6 +123,24 @@ func AuxWidth(sid msg.SessionID) int {
 		return 1
 	}
 	return 1 << (uint64(sid) >> widthShift & 7)
+}
+
+// SessionShape derives, from a session's identifier and the roster
+// alone, the shape of the DKG that runs it — so that every node, and a
+// node rebuilding the session after a restart, runs the same one: the
+// number of secrets each dealer shares, the number of dealers the agreed
+// set holds, and the number of outputs extracted per secret. A nonce
+// session waits for n−t−f dealers and takes n−2t−f nonces from each
+// coordinate, the most that stay independent with t dealers corrupt
+// (dkg.Options.Rows). Every other session is Fig. 2's: t+1 dealers
+// summed into one output, which keeps key, beacon, renewal and group
+// modification sessions — whose outputs are public keys or are opened —
+// byte for byte what they were and no slower to collect their dealers.
+func SessionShape(sid msg.SessionID, n, t, f int) (width, qsize, rows int) {
+	if !IsAux(sid) || IsBeacon(sid) {
+		return 1, t + 1, 1
+	}
+	return AuxWidth(sid), n - t - f, n - 2*t - f
 }
 
 // firstNonce returns the id of the first nonce session sid produces:
@@ -144,9 +164,10 @@ func IsAux(sid msg.SessionID) bool { return uint64(sid)&auxFlag != 0 && uint64(s
 
 // validAux reports whether sid is an auxiliary session ID a derivation
 // above can have produced: no stray bits, a width up to MaxNonceWidth on
-// nonce sessions only, and every nonce counter inside its 24 bits. The
-// service runs and installs no other.
-func validAux(sid msg.SessionID) bool {
+// nonce sessions only, and every nonce counter inside its 24 bits when
+// each coordinate yields rows nonces. The service runs and installs no
+// other.
+func validAux(sid msg.SessionID, rows int) bool {
 	const spare = 3 << 59
 	if !IsAux(sid) || uint64(sid)&spare != 0 {
 		return false
@@ -155,7 +176,7 @@ func validAux(sid msg.SessionID) bool {
 		return sid == BeaconSID(msg.SessionID(AuxKey(sid)), BeaconRound(sid))
 	}
 	w := AuxWidth(sid)
-	return w <= MaxNonceWidth && NonceCounter(sid)+uint64(w) <= nonceCounterEnd
+	return w <= MaxNonceWidth && NonceCounter(sid)+uint64(w*rows) <= nonceCounterEnd
 }
 
 // IsBeacon reports whether sid is a beacon-round session.

@@ -134,8 +134,9 @@ type serveKey struct {
 	reservoir    []msg.SessionID // installed, unassigned nonces owned by self
 	nonceCtr     uint64          // next nonce counter to derive
 	provisioning int             // nonces requested but not yet installed
-	// width is the number of nonces the key's next nonce session shares:
-	// 1 until Sign requests starve, then doubling up to MaxNonceWidth.
+	// width is the number of secrets each dealer shares in the key's next
+	// nonce session, which then yields Service.yield(width) nonces: 1 until
+	// Sign requests starve, then doubling up to MaxNonceWidth.
 	width    int
 	beaconHi uint64
 	// Consumed-nonce bookkeeping: tombstones replay the recorded

@@ -25,8 +25,10 @@ import (
 type Config struct {
 	Group *group.Group
 	Self  msg.NodeID
-	N, T  int
-	Peers []msg.NodeID // every participant, including Self
+	// N, T, F are the roster's shape. With n and t, f fixes how many
+	// nonces one coordinate of a nonce session yields (SessionShape).
+	N, T, F int
+	Peers   []msg.NodeID // every participant, including Self
 
 	// Send delivers a peer message on the data-plane session. Both
 	// runtimes enqueue asynchronously, so it may be called while the
@@ -58,8 +60,9 @@ type Config struct {
 	// kept per key (default 2): what a key that signs now and then
 	// holds, counting nonce sessions still running. A key whose Sign
 	// requests find the reservoir empty doubles its nonce sessions'
-	// width, up to 16 nonces per DKG, and from then on keeps
-	// max(NonceTarget, 2·width) in stock. BeaconAhead is the beacon
+	// width, up to 16 secrets per dealer, and from then on keeps
+	// max(NonceTarget, 2·yield) in stock, yield being the nonces one
+	// session of that width produces. BeaconAhead is the beacon
 	// look-ahead window provisioned past the highest requested round
 	// (default 2).
 	NonceTarget int
@@ -148,6 +151,9 @@ type auxShare struct {
 type Service struct {
 	cfg Config
 	gr  *group.Group
+	// rows is the number of nonces each coordinate of a nonce session
+	// yields on this roster.
+	rows int
 
 	mu      sync.Mutex
 	keys    map[uint64]*serveKey // by low-24-bit key session ID
@@ -167,9 +173,11 @@ type Service struct {
 // their DKG sessions complete.
 func NewService(cfg Config) *Service {
 	cfg.applyDefaults()
+	_, _, rows := SessionShape(NonceSID(0, 0, 0), cfg.N, cfg.T, cfg.F)
 	return &Service{
 		cfg:         cfg,
 		gr:          cfg.Group,
+		rows:        rows,
 		keys:        make(map[uint64]*serveKey),
 		aux:         make(map[msg.SessionID]*auxShare),
 		auxWait:     make(map[msg.SessionID]bool),
@@ -405,7 +413,7 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 				return nil
 			}
 		}
-		if req.op == OpSign && k.nonceCtr+uint64(k.width) > nonceCounterEnd {
+		if req.op == OpSign && k.nonceCtr+uint64(s.yield(k.width)) > nonceCounterEnd {
 			// A new signature needs a nonce this node can no longer derive.
 			s.stats.ShedState++
 			return ErrNoncesExhausted
@@ -535,10 +543,13 @@ func (s *Service) Activate(id msg.SessionID) {
 	}
 }
 
+// yield is the number of nonces a session of the given width produces.
+func (s *Service) yield(width int) int { return width * s.rows }
+
 // nonceStockLocked is the number of nonces, in the reservoir or being
 // generated, the service keeps for k.
 func (s *Service) nonceStockLocked(k *serveKey) int {
-	return max(s.cfg.NonceTarget, 2*k.width)
+	return max(s.cfg.NonceTarget, 2*s.yield(k.width))
 }
 
 // ensureNoncesLocked tops the stock up to its level plus the immediate
@@ -547,11 +558,12 @@ func (s *Service) nonceStockLocked(k *serveKey) int {
 // then refuses further requests (ErrNoncesExhausted).
 func (s *Service) ensureNoncesLocked(k *serveKey, need int, acts *[]func()) {
 	want := need + s.nonceStockLocked(k) - len(k.reservoir) - k.provisioning
+	y := s.yield(k.width)
 	var sids []msg.SessionID
-	for ; want > 0 && k.nonceCtr+uint64(k.width) <= nonceCounterEnd; want -= k.width {
+	for ; want > 0 && k.nonceCtr+uint64(y) <= nonceCounterEnd; want -= y {
 		sids = append(sids, NonceSessionSID(k.id, s.cfg.Self, k.nonceCtr, k.width))
-		k.nonceCtr += uint64(k.width)
-		k.provisioning += k.width
+		k.nonceCtr += uint64(y)
+		k.provisioning += y
 	}
 	s.provisionLocked(k.id, sids, acts)
 }
@@ -565,7 +577,7 @@ func (s *Service) ResumeNonces(sid msg.SessionID) {
 	if !IsAux(sid) || IsBeacon(sid) || NonceOwner(sid) != s.cfg.Self {
 		return
 	}
-	next := NonceCounter(sid) + uint64(AuxWidth(sid))
+	next := NonceCounter(sid) + uint64(s.yield(AuxWidth(sid)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if next > s.nonceResume[AuxKey(sid)] {
@@ -625,12 +637,12 @@ func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts 
 }
 
 // InstallAux registers this node's shares of a completed auxiliary DKG
-// (nonce or beacon session): one (share, commitment) pair per
-// coordinate of the session's width, the i-th installed as the nonce
-// NonceSID(key, owner, counter+i). Duplicate installs are ignored; a
-// nonce ID that was already consumed can never be re-installed, so
-// re-running a nonce session cannot break the one-digest-per-nonce
-// invariant.
+// (nonce or beacon session): one (share, commitment) pair per output of
+// the session, in dkg.CompletedEvent.Outputs order, the i-th installed
+// as the nonce NonceSID(key, owner, counter+i). Duplicate installs are
+// ignored; a nonce ID that was already consumed can never be
+// re-installed, so re-running a nonce session cannot break the
+// one-digest-per-nonce invariant.
 //
 // The share is not re-verified against the commitment here: the DKG
 // that produced it already checked it (HybridVSS verifies every
@@ -641,7 +653,11 @@ func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts 
 // Skipping the t-step commitment evaluation per node per nonce
 // roughly halves the cost of keeping the reservoir full (E20).
 func (s *Service) InstallAux(sid msg.SessionID, shares []*big.Int, vs []*commit.Vector) {
-	if w := AuxWidth(sid); !validAux(sid) || len(shares) != w || len(vs) != w {
+	want := 1 // a beacon round
+	if !IsBeacon(sid) {
+		want = s.yield(AuxWidth(sid))
+	}
+	if !validAux(sid, s.rows) || len(shares) != want || len(vs) != want {
 		return
 	}
 	for i := range shares {
@@ -999,7 +1015,7 @@ func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 	var todo []msg.SessionID
 	s.mu.Lock()
 	for _, sid := range m.Sids {
-		if !validAux(sid) || s.auxWait[sid] {
+		if !validAux(sid, s.rows) || s.auxWait[sid] {
 			continue
 		}
 		if _, have := s.aux[firstNonce(sid)]; have {

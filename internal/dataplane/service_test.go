@@ -69,12 +69,20 @@ func newTestRig(t *testing.T, n, th int, tweak func(*Config)) *testRig {
 	return rig
 }
 
-// dealAux fabricates one aux session — a sharing per coordinate of its
-// width — and installs node 1's shares on the rig's service.
+// yieldShapes are the rosters the nonce-accounting tests run on: one
+// where a coordinate yields a single nonce (n−2t−f = 1) and one where it
+// yields three.
+var yieldShapes = [][2]int{{3, 1}, {7, 2}}
+
+// dealAux fabricates one aux session — a sharing per output — and
+// installs node 1's shares on the rig's service.
 func (r *testRig) dealAux(t *testing.T, sid msg.SessionID) ([]*poly.Poly, []*commit.Vector) {
 	t.Helper()
 	rng := randutil.NewReader(uint64(sid))
-	w := AuxWidth(sid)
+	w := 1
+	if !IsBeacon(sid) {
+		w = r.svc.yield(AuxWidth(sid))
+	}
 	ps, vs, shares := make([]*poly.Poly, w), make([]*commit.Vector, w), make([]*big.Int, w)
 	for i := range ps {
 		p, err := poly.NewRandom(r.gr.Q(), r.svc.cfg.T, rng)
@@ -428,131 +436,139 @@ func (r *testRig) nonceBooks(t *testing.T) KeySnapshot {
 	return KeySnapshot{}
 }
 
-// TestNonceWidthSlowStart walks a fresh key through its first Sign. Two
-// width-1 sessions are provisioned on the request, a third when the
-// flush finds it starved, and only then does the width double; the
-// refill that follows is one width-2 session. Five nonces for one
-// signature: the key that has served it has four left, counting those
-// still being generated — whether or not retry timers flushed the
-// waiting request in between, because width follows arrivals, not
-// timers.
+// TestNonceWidthSlowStart walks a fresh key through its first Sign,
+// counting in e, the nonces a width-1 session yields. Two width-1
+// sessions are provisioned on the request, a third when the flush finds
+// it starved, and only then does the width double; the refill that
+// follows is one width-2 session. The key that has served one signature
+// has 5e−1 nonces left, counting those still being generated — whether
+// or not retry timers flushed the waiting request in between, because
+// width follows arrivals, not timers.
 func TestNonceWidthSlowStart(t *testing.T) {
-	for _, reflush := range []bool{false, true} {
-		rig := newTestRig(t, 3, 1, nil)
-		if err := rig.svc.Sign(1, []byte("first"), func(Result, error) {}); err != nil {
-			t.Fatal(err)
-		}
-		rig.svc.Flush(1)
-		want := []msg.SessionID{NonceSID(1, 1, 0), NonceSID(1, 1, 1), NonceSID(1, 1, 2), NonceSessionSID(1, 1, 3, 2)}
-		if b := rig.nonceBooks(t); len(rig.submitted) != 3 || b.NonceWidth != 2 || b.Provisioning != 3 {
-			t.Fatalf("first flush: %d sessions, books %+v", len(rig.submitted), b)
-		}
-		if reflush {
-			for i := 0; i < 3; i++ {
-				rig.svc.Flush(1)
-				rig.svc.Kick(1)
+	for _, shape := range yieldShapes {
+		for _, reflush := range []bool{false, true} {
+			rig := newTestRig(t, shape[0], shape[1], nil)
+			e := uint64(rig.svc.rows)
+			if err := rig.svc.Sign(1, []byte("first"), func(Result, error) {}); err != nil {
+				t.Fatal(err)
 			}
-			if b := rig.nonceBooks(t); b.NonceWidth != 2 {
-				t.Fatalf("re-flushing one waiting request moved the width: %+v", b)
+			rig.svc.Flush(1)
+			want := []msg.SessionID{NonceSID(1, 1, 0), NonceSID(1, 1, e), NonceSID(1, 1, 2*e), NonceSessionSID(1, 1, 3*e, 2)}
+			if b := rig.nonceBooks(t); len(rig.submitted) != 3 || b.NonceWidth != 2 || b.NonceYield != 2*int(e) || b.Provisioning != 3*int(e) {
+				t.Fatalf("e=%d first flush: %d sessions, books %+v", e, len(rig.submitted), b)
 			}
-		}
-		// The first session lands and the request takes its nonce.
-		rig.dealAux(t, want[0])
-		if len(rig.submitted) != len(want) {
-			t.Fatalf("reflush=%v: submitted %x, want %x", reflush, rig.submitted, want)
-		}
-		for i, sid := range rig.submitted {
-			if sid != want[i] {
-				t.Fatalf("reflush=%v: submitted %x, want %x", reflush, rig.submitted, want)
+			if reflush {
+				for i := 0; i < 3; i++ {
+					rig.svc.Flush(1)
+					rig.svc.Kick(1)
+				}
+				if b := rig.nonceBooks(t); b.NonceWidth != 2 {
+					t.Fatalf("re-flushing one waiting request moved the width: %+v", b)
+				}
 			}
-		}
-		if b := rig.nonceBooks(t); b.Reservoir+b.Provisioning != 4 || b.Inflight != 1 {
-			t.Fatalf("reflush=%v: a key that served one Sign holds %d nonces (books %+v), want 4", reflush, b.Reservoir+b.Provisioning, b)
+			// The first session lands and the request takes one of its nonces.
+			rig.dealAux(t, want[0])
+			if len(rig.submitted) != len(want) {
+				t.Fatalf("e=%d reflush=%v: submitted %x, want %x", e, reflush, rig.submitted, want)
+			}
+			for i, sid := range rig.submitted {
+				if sid != want[i] {
+					t.Fatalf("e=%d reflush=%v: submitted %x, want %x", e, reflush, rig.submitted, want)
+				}
+			}
+			if b := rig.nonceBooks(t); b.Reservoir+b.Provisioning != 5*int(e)-1 || b.Inflight != 1 {
+				t.Fatalf("e=%d reflush=%v: a key that served one Sign holds %d nonces (books %+v), want %d", e, reflush, b.Reservoir+b.Provisioning, b, 5*e-1)
+			}
 		}
 	}
 }
 
 // TestNonceWidthFollowsDemand: while arriving requests keep finding the
 // reservoir empty the width doubles, up to 16, and the stock kept is two
-// sessions' worth.
+// sessions' yield.
 func TestNonceWidthFollowsDemand(t *testing.T) {
-	rig := newTestRig(t, 3, 1, func(cfg *Config) { cfg.MaxBatch = 1 })
-	for i, wantWidth := range []int{2, 4, 8, 16, 16, 16} {
-		if err := rig.svc.Sign(1, []byte{byte(i)}, func(Result, error) {}); err != nil {
-			t.Fatal(err)
+	for _, shape := range yieldShapes {
+		rig := newTestRig(t, shape[0], shape[1], func(cfg *Config) { cfg.MaxBatch = 1 })
+		for i, wantWidth := range []int{2, 4, 8, 16, 16, 16} {
+			if err := rig.svc.Sign(1, []byte{byte(i)}, func(Result, error) {}); err != nil {
+				t.Fatal(err)
+			}
+			if b := rig.nonceBooks(t); b.NonceWidth != wantWidth {
+				t.Fatalf("after %d starved arrivals: width %d, want %d", i+1, b.NonceWidth, wantWidth)
+			}
 		}
-		if b := rig.nonceBooks(t); b.NonceWidth != wantWidth {
-			t.Fatalf("after %d starved arrivals: width %d, want %d", i+1, b.NonceWidth, wantWidth)
+		b := rig.nonceBooks(t)
+		if b.NonceYield != 16*rig.svc.rows || b.Provisioning < b.QueueDepth+2*b.NonceYield {
+			t.Fatalf("stock %d for %d waiting requests at width 16, yield %d", b.Provisioning, b.QueueDepth, b.NonceYield)
 		}
-	}
-	b := rig.nonceBooks(t)
-	if b.Provisioning < b.QueueDepth+2*16 {
-		t.Fatalf("stock %d for %d waiting requests at width 16", b.Provisioning, b.QueueDepth)
-	}
-	last := rig.submitted[len(rig.submitted)-1]
-	if AuxWidth(last) != 16 {
-		t.Fatalf("last session %x has width %d", uint64(last), AuxWidth(last))
-	}
-	// Sessions tile the counter space without overlap.
-	next := uint64(0)
-	for _, sid := range rig.submitted {
-		if NonceCounter(sid) != next {
-			t.Fatalf("session %x starts at counter %d, want %d", uint64(sid), NonceCounter(sid), next)
+		last := rig.submitted[len(rig.submitted)-1]
+		if AuxWidth(last) != 16 {
+			t.Fatalf("last session %x has width %d", uint64(last), AuxWidth(last))
 		}
-		next += uint64(AuxWidth(sid))
+		// Sessions tile the counter space without overlap.
+		next := uint64(0)
+		for _, sid := range rig.submitted {
+			if NonceCounter(sid) != next {
+				t.Fatalf("session %x starts at counter %d, want %d", uint64(sid), NonceCounter(sid), next)
+			}
+			next += uint64(rig.svc.yield(AuxWidth(sid)))
+		}
 	}
 }
 
-// TestBatchConsumeOncePerNonce: one width-16 session installs sixteen
-// nonces, each of which serves exactly one digest — a second digest
-// against any of the sixteen ids is refused, and a re-ask for the
-// digest it served replays the recorded partial.
+// TestBatchConsumeOncePerNonce: one width-16 session installs its whole
+// yield of nonces (16, or 48 at three rows), each of which serves exactly
+// one digest — a second digest against any of the ids is refused, and a
+// re-ask for the digest it served replays the recorded partial.
 func TestBatchConsumeOncePerNonce(t *testing.T) {
-	rig := newTestRig(t, 3, 1, nil)
-	session := NonceSessionSID(1, 2, 32, 16)
-	_, vs := rig.dealAux(t, session)
-	ask := func(id msg.SessionID, message []byte) RespItem {
-		rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-			{Digest: SignDigest(1, message), Op: OpSign, Sid: id, Payload: message},
-		}})
-		return rig.lastRespTo(2).Items[0]
-	}
-	// The session's own id names its first nonce only as a nonce, and
-	// ids outside the block were never installed.
-	if it := ask(session, []byte("by session id")); it.Status != StNotReady {
-		t.Fatalf("session id answered as a nonce: status %d", it.Status)
-	}
-	for _, ctr := range []uint64{31, 48} {
-		if it := ask(NonceSID(1, 2, ctr), []byte("outside")); it.Status != StNotReady {
-			t.Fatalf("nonce %d outside the block answered: status %d", ctr, it.Status)
+	for _, shape := range yieldShapes {
+		rig := newTestRig(t, shape[0], shape[1], nil)
+		yield := uint64(rig.svc.yield(16))
+		session := NonceSessionSID(1, 2, 32, 16)
+		_, vs := rig.dealAux(t, session)
+		ask := func(id msg.SessionID, message []byte) RespItem {
+			rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
+				{Digest: SignDigest(1, message), Op: OpSign, Sid: id, Payload: message},
+			}})
+			return rig.lastRespTo(2).Items[0]
 		}
-	}
-	sigmas := map[string]bool{}
-	for i := uint64(0); i < 16; i++ {
-		id, message := NonceSID(1, 2, 32+i), []byte{'m', byte(i)}
-		first := ask(id, message)
-		if first.Status != StOK || first.Sigma == nil {
-			t.Fatalf("nonce %d not served: %+v", i, first)
+		// The session's own id names its first nonce only as a nonce, and
+		// ids outside the block were never installed.
+		if it := ask(session, []byte("by session id")); it.Status != StNotReady {
+			t.Fatalf("session id answered as a nonce: status %d", it.Status)
 		}
-		// The partial is this node's share of nonce i, not of another.
-		if !thresh.VerifyPartial(rig.gr, rig.keyV, vs[i], message, thresh.PartialSig{Signer: 1, Sigma: first.Sigma}) {
-			t.Fatalf("nonce %d: partial does not verify against its commitment", i)
+		for _, ctr := range []uint64{31, 32 + yield} {
+			if it := ask(NonceSID(1, 2, ctr), []byte("outside")); it.Status != StNotReady {
+				t.Fatalf("nonce %d outside the block answered: status %d", ctr, it.Status)
+			}
 		}
-		sigmas[first.Sigma.String()] = true
-		if again := ask(id, message); again.Status != StOK || again.Sigma.Cmp(first.Sigma) != 0 {
-			t.Fatalf("nonce %d: re-ask did not replay the partial: %+v", i, again)
+		sigmas := map[string]bool{}
+		for i := uint64(0); i < yield; i++ {
+			id, message := NonceSID(1, 2, 32+i), []byte{'m', byte(i)}
+			first := ask(id, message)
+			if first.Status != StOK || first.Sigma == nil {
+				t.Fatalf("nonce %d not served: %+v", i, first)
+			}
+			// The partial is this node's share of nonce i, not of another.
+			if !thresh.VerifyPartial(rig.gr, rig.keyV, vs[i], message, thresh.PartialSig{Signer: 1, Sigma: first.Sigma}) {
+				t.Fatalf("nonce %d: partial does not verify against its commitment", i)
+			}
+			sigmas[first.Sigma.String()] = true
+			if again := ask(id, message); again.Status != StOK || again.Sigma.Cmp(first.Sigma) != 0 {
+				t.Fatalf("nonce %d: re-ask did not replay the partial: %+v", i, again)
+			}
+			if other := ask(id, []byte{'x', byte(i)}); other.Status != StRefused || other.Sigma != nil {
+				t.Fatalf("nonce %d served a second digest: %+v", i, other)
+			}
 		}
-		if other := ask(id, []byte{'x', byte(i)}); other.Status != StRefused || other.Sigma != nil {
-			t.Fatalf("nonce %d served a second digest: %+v", i, other)
+		if uint64(len(sigmas)) != yield {
+			t.Fatalf("%d distinct partials from %d nonces", len(sigmas), yield)
 		}
-	}
-	if len(sigmas) != 16 {
-		t.Fatalf("%d distinct partials from 16 nonces", len(sigmas))
-	}
-	// Installing the session again re-arms nothing.
-	rig.dealAux(t, session)
-	if it := ask(NonceSID(1, 2, 32), []byte("again")); it.Status != StRefused {
-		t.Fatalf("re-installed session re-armed a spent nonce: status %d", it.Status)
+		// Installing the session again re-arms nothing.
+		rig.dealAux(t, session)
+		if it := ask(NonceSID(1, 2, 32), []byte("again")); it.Status != StRefused {
+			t.Fatalf("re-installed session re-armed a spent nonce: status %d", it.Status)
+		}
 	}
 }
 
@@ -577,43 +593,49 @@ func TestInstallAuxRejectsWrongShape(t *testing.T) {
 }
 
 // TestNonceCounterExhausted: the 24-bit nonce counter does not wrap.
-// Once the next session's block would run past it, Sign says so instead
-// of re-deriving ids every node has already buried.
+// Once the next session's block — its yield, not its width — would run
+// past it, Sign says so instead of re-deriving ids every node has
+// already buried.
 func TestNonceCounterExhausted(t *testing.T) {
-	rig := newTestRig(t, 3, 1, nil)
-	// An earlier incarnation got as far as the last four counters.
-	rig.svc.ResumeNonces(NonceSessionSID(1, 1, 1<<24-8, 4))
-	rig.svc.ResumeNonces(NonceSID(1, 2, 1<<24-1)) // another node's: ignored
-	rig.svc.ResumeNonces(BeaconSID(1, 1<<24-1))   // not a nonce session: ignored
-	cb := func(Result, error) {}
-	if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
-		t.Fatalf("four counters left: %v", err)
-	}
-	// Two sessions for the stock, one for the starved request, and the
-	// width doubles to 2 with one counter left: not enough for a block.
-	rig.svc.Flush(1)
-	for i, sid := range rig.submitted {
-		if want := NonceSID(1, 1, 1<<24-4+uint64(i)); sid != want {
-			t.Fatalf("session %d: %x, want %x", i, uint64(sid), uint64(want))
+	for _, shape := range yieldShapes {
+		rig := newTestRig(t, shape[0], shape[1], nil)
+		e := uint64(rig.svc.rows)
+		// An earlier incarnation's last session, of width 4, ended four
+		// width-1 sessions short of the counter's end.
+		rig.svc.ResumeNonces(NonceSessionSID(1, 1, 1<<24-8*e, 4))
+		rig.svc.ResumeNonces(NonceSID(1, 2, 1<<24-e)) // another node's: ignored
+		rig.svc.ResumeNonces(BeaconSID(1, 1<<24-1))   // not a nonce session: ignored
+		cb := func(Result, error) {}
+		if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
+			t.Fatalf("four sessions' counters left: %v", err)
 		}
-	}
-	if len(rig.submitted) != 3 {
-		t.Fatalf("%d sessions submitted, want 3", len(rig.submitted))
-	}
-	if err := rig.svc.Sign(1, []byte("b"), cb); !errors.Is(err, ErrNoncesExhausted) {
-		t.Fatalf("Sign past the counter's end: %v", err)
-	}
-	// What is already signed or queued is unaffected, and so are the
-	// operations that use no nonce.
-	if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
-		t.Fatalf("duplicate of a queued request: %v", err)
-	}
-	if err := rig.svc.Beacon(1, 1, cb); err != nil {
-		t.Fatalf("beacon on an exhausted key: %v", err)
-	}
-	for _, sid := range rig.submitted {
-		if !IsBeacon(sid) && NonceCounter(sid) < 1<<24-4 {
-			t.Fatalf("counter wrapped: session %x", uint64(sid))
+		// Two sessions for the stock, one for the starved request, and the
+		// width doubles to 2 with one width-1 session's counters left: not
+		// enough for a block.
+		rig.svc.Flush(1)
+		for i, sid := range rig.submitted {
+			if want := NonceSID(1, 1, 1<<24-4*e+uint64(i)*e); sid != want {
+				t.Fatalf("e=%d session %d: %x, want %x", e, i, uint64(sid), uint64(want))
+			}
+		}
+		if len(rig.submitted) != 3 {
+			t.Fatalf("e=%d: %d sessions submitted, want 3", e, len(rig.submitted))
+		}
+		if err := rig.svc.Sign(1, []byte("b"), cb); !errors.Is(err, ErrNoncesExhausted) {
+			t.Fatalf("e=%d: Sign past the counter's end: %v", e, err)
+		}
+		// What is already signed or queued is unaffected, and so are the
+		// operations that use no nonce.
+		if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
+			t.Fatalf("duplicate of a queued request: %v", err)
+		}
+		if err := rig.svc.Beacon(1, 1, cb); err != nil {
+			t.Fatalf("beacon on an exhausted key: %v", err)
+		}
+		for _, sid := range rig.submitted {
+			if !IsBeacon(sid) && NonceCounter(sid) < 1<<24-4*e {
+				t.Fatalf("counter wrapped: session %x", uint64(sid))
+			}
 		}
 	}
 }

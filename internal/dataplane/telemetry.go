@@ -17,6 +17,7 @@ type KeySnapshot struct {
 	Reservoir    int    `json:"nonce_reservoir"`
 	Provisioning int    `json:"provisioning"`
 	NonceWidth   int    `json:"nonce_width"`
+	NonceYield   int    `json:"nonce_yield"`
 	BeaconHigh   uint64 `json:"beacon_high,omitempty"`
 	Requests     uint64 `json:"requests_total"`
 	Suspects     int    `json:"suspects,omitempty"`
@@ -37,6 +38,7 @@ func (s *Service) KeysSnapshot() []KeySnapshot {
 			Reservoir:    len(k.reservoir),
 			Provisioning: k.provisioning,
 			NonceWidth:   k.width,
+			NonceYield:   s.yield(k.width),
 			BeaconHigh:   k.beaconHi,
 			Requests:     k.served,
 			Suspects:     len(k.suspects),
@@ -85,7 +87,9 @@ func (s *Service) RegisterMetrics(reg *telemetry.Registry) {
 			emit(gau(fmt.Sprintf("dataplane_key_nonce_reservoir{key=%q}", id),
 				"Pre-generated signing nonces per key", k.Reservoir))
 			emit(gau(fmt.Sprintf("dataplane_key_nonce_width{key=%q}", id),
-				"Nonces shared by each of the key's next auxiliary DKGs", k.NonceWidth))
+				"Secrets each dealer shares in the key's next nonce DKGs", k.NonceWidth))
+			emit(gau(fmt.Sprintf("dataplane_key_nonce_yield{key=%q}", id),
+				"Nonces each of the key's next nonce DKGs produces", k.NonceYield))
 		}
 	})
 }

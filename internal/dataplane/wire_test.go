@@ -54,7 +54,7 @@ func TestSessionIDDerivation(t *testing.T) {
 	for _, w := range []int{2, 4, 8, 16} {
 		wide := NonceSessionSID(key, 5, 0x123450, w)
 		if AuxWidth(wide) != w || !IsAux(wide) || IsBeacon(wide) || AuxKey(wide) != uint64(key) ||
-			NonceOwner(wide) != 5 || NonceCounter(wide) != 0x123450 || !validAux(wide) {
+			NonceOwner(wide) != 5 || NonceCounter(wide) != 0x123450 || !validAux(wide, 1) || !validAux(wide, 3) {
 			t.Fatalf("width-%d nonce session %x decodes wrongly", w, uint64(wide))
 		}
 	}
@@ -67,9 +67,14 @@ func TestSessionIDDerivation(t *testing.T) {
 		nonce | 1<<59,
 		key,
 	} {
-		if validAux(sid) {
+		if validAux(sid, 1) {
 			t.Fatalf("sid %x accepted as an auxiliary session", uint64(sid))
 		}
+	}
+	// The counter's end is measured in nonces produced: at three rows a
+	// width-16 session needs 48 counters, not 16.
+	if sid := NonceSessionSID(key, 5, 1<<24-16, 16); !validAux(sid, 1) || validAux(sid, 3) {
+		t.Fatalf("sid %x: the counter bound ignores the session's yield", uint64(sid))
 	}
 }
 

@@ -24,6 +24,9 @@
 //     w+1 with a doubled timeout if no leader is installed (the
 //     delay(t) growth of §2.1 applied per view, as in PBFT). Without
 //     this the figures rely on other nodes' lead-ch messages alone.
+//   - A session may agree on more than t+1 sharings (Params.QSize) and
+//     then take several independent outputs from each coordinate instead
+//     of the one sum (Options.Rows, extract): nonce sessions do.
 //
 // Liveness matches the paper's own claim: it holds under the weak
 // synchrony assumption once an honest, finally-up leader is reached;
@@ -171,10 +174,11 @@ func (p *Params) applyDefaults() {
 // CompletedEvent is the (L̄, τ, DKG-completed, C, s_i) output. V is
 // the Feldman vector commitment to the joint sharing polynomial and is
 // always set; C is the full matrix product and is set only by the
-// standard summation combiner (renewal-style combinations produce
-// vector commitments directly, §5.2). A session of width w > 1 agreed
-// on one Q and combined each coordinate over it: C, V, Share and
-// PublicKey are coordinate 0, More the others.
+// standard summation combiner (renewal-style combinations and
+// extraction produce vector commitments directly, §5.2). A session of
+// width w and e rows agreed on one Q and produced w·e outputs from it,
+// coordinate-major (output k·e+p is row p of coordinate k): C, V, Share
+// and PublicKey are the first, More the others.
 type CompletedEvent struct {
 	Tau       uint64
 	FinalView uint64
@@ -186,8 +190,8 @@ type CompletedEvent struct {
 	More      []CombineResult
 }
 
-// Outputs returns the session's w (share, commitment) results in
-// coordinate order.
+// Outputs returns the session's w·e (share, commitment) results,
+// coordinate-major.
 func (ev CompletedEvent) Outputs() []CombineResult {
 	return append([]CombineResult{{Share: ev.Share, C: ev.C, V: ev.V}}, ev.More...)
 }
@@ -223,8 +227,20 @@ type Options struct {
 	Combine Combiner
 	// Width is the number of secrets every dealer shares under one
 	// broadcast (vss.Options.Width): 1 (also the zero value), 2, 4, 8 or
-	// 16. The session agrees on one Q and outputs Width key pairs.
+	// 16. The session agrees on one Q and outputs Width·Rows key pairs.
 	Width int
+	// Rows is e, the number of outputs extracted from each coordinate's
+	// |Q| sharings (see extract): 1 (also the zero value) is Fig. 2's sum.
+	// More needs QSize > t+1 dealers and the default combiner, and never
+	// exceeds QSize − t: with t dealers corrupt only QSize − t of the
+	// inputs are unknown to the adversary, and one output more would be a
+	// known linear combination of the others — for signing nonces, a key
+	// leak.
+	Rows int
+	// InjectExtractShareRowZero plants the chaos lab's bug of that name:
+	// every row's share is combined with row 0's coefficients. Never set
+	// outside the lab.
+	InjectExtractShareRowZero bool
 	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of that
 	// name in the embedded sharings. Never set outside the lab.
 	InjectVerifyFirstCoordinateOnly bool
@@ -322,6 +338,16 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 	}
 	if opts.Width == 0 {
 		opts.Width = 1
+	}
+	if opts.Rows == 0 {
+		opts.Rows = 1
+	}
+	if opts.Rows < 1 || opts.Rows > params.QSize-params.T {
+		return nil, fmt.Errorf("%w: %d rows from %d dealers with t=%d: at most QSize−t are independent",
+			ErrBadParams, opts.Rows, params.QSize, params.T)
+	}
+	if opts.Rows > 1 && opts.Combine != nil {
+		return nil, fmt.Errorf("%w: extraction (%d rows) with a custom combiner", ErrBadParams, opts.Rows)
 	}
 	nd := &Node{
 		params:       params,
@@ -822,22 +848,18 @@ func (nd *Node) tryFinish() {
 			return
 		}
 	}
-	combiner := nd.opts.Combine
-	if combiner == nil {
-		combiner = SumCombiner(nd.params.Group)
-	}
-	// One Q for the whole session, one combination per coordinate.
-	outs := make([]CombineResult, nd.opts.Width)
-	for k := range outs {
+	// One Q for the whole session, Rows outputs per coordinate.
+	outs := make([]CombineResult, 0, nd.opts.Width*nd.opts.Rows)
+	for k := 0; k < nd.opts.Width; k++ {
 		events := make(map[msg.NodeID]vss.SharedEvent, len(nd.decided.Q))
 		for _, d := range nd.decided.Q {
 			events[d] = nd.vssDone[d].Coordinate(k)
 		}
-		res, err := combiner(nd.self, nd.decided.Q, events)
-		if err != nil || res.V == nil || res.Share == nil {
+		rows, err := nd.combine(events)
+		if err != nil {
 			return
 		}
-		outs[k] = res
+		outs = append(outs, rows...)
 	}
 	res := outs[0]
 	nd.done = true
@@ -861,6 +883,68 @@ func (nd *Node) tryFinish() {
 	if nd.opts.OnCompleted != nil {
 		nd.opts.OnCompleted(*nd.result)
 	}
+}
+
+// combine turns one coordinate's decided sharings into its Rows outputs.
+// One row is the configured combiner (Fig. 2's sum unless renewal or
+// node addition installed another); more are extracted.
+func (nd *Node) combine(events map[msg.NodeID]vss.SharedEvent) ([]CombineResult, error) {
+	if nd.opts.Rows > 1 {
+		return extract(nd.params.Group, nd.decided.Q, events, nd.opts.Rows, nd.opts.InjectExtractShareRowZero)
+	}
+	combiner := nd.opts.Combine
+	if combiner == nil {
+		combiner = SumCombiner(nd.params.Group)
+	}
+	res, err := combiner(nd.self, nd.decided.Q, events)
+	if err == nil && (res.V == nil || res.Share == nil) {
+		err = fmt.Errorf("dkg: combiner returned an incomplete result")
+	}
+	return []CombineResult{res}, err
+}
+
+// extract applies the Vandermonde map with the dealer ids as bases to
+// the |Q| sharings of one coordinate: row p is share_p = Σ_{d∈Q} d^p·s_d
+// with commitment V_p = Π_{d∈Q} V_d^{d^p}, V_d being column 0 of C_d. Any
+// rows ≤ |Q|−t of them are jointly uniform given the t corrupt dealers'
+// inputs (every rows×rows minor of the map over distinct bases is
+// invertible), which is what NewNode holds Rows to. Row 0 is
+// SumCombiner's share and V; the matrix product is not formed.
+func extract(gr *group.Group, q []msg.NodeID, events map[msg.NodeID]vss.SharedEvent, rows int, shareRowZero bool) ([]CombineResult, error) {
+	mod := gr.Q()
+	mats := make([]*commit.Matrix, len(q))
+	shares := make([]*big.Int, len(q))
+	pows := make([]*big.Int, len(q)) // d^p for the current row p
+	for i, d := range q {
+		ev, ok := events[d]
+		if !ok {
+			return nil, fmt.Errorf("dkg: missing sharing for dealer %d", d)
+		}
+		mats[i], shares[i], pows[i] = ev.C, ev.Share, big.NewInt(1)
+	}
+	outs := make([]CombineResult, rows)
+	term := new(big.Int)
+	for p := range outs {
+		v, err := commit.CombineColumn0(mats, pows)
+		if err != nil {
+			return nil, err
+		}
+		share := new(big.Int)
+		if shareRowZero && p > 0 {
+			share.Set(outs[0].Share)
+		} else {
+			for i := range q {
+				share.Add(share, term.Mul(pows[i], shares[i]))
+			}
+			share.Mod(share, mod)
+		}
+		outs[p] = CombineResult{Share: share, V: v}
+		for i, d := range q {
+			next := new(big.Int).Mul(pows[i], big.NewInt(int64(d)))
+			pows[i] = next.Mod(next, mod)
+		}
+	}
+	return outs, nil
 }
 
 // SumCombiner is the standard Fig. 2 combination: s_i = Σ s_{i,d} and
@@ -992,22 +1076,7 @@ func (nd *Node) installView(view uint64, proof []SignedQ) {
 // verifyLeaderProof checks n−t−f distinct signed lead-ch messages for
 // the view.
 func (nd *Node) verifyLeaderProof(view uint64, proof []SignedQ) bool {
-	if len(proof) < nd.params.ReadyThreshold() {
-		return false
-	}
-	transcriptBytes := LeadChTranscript(nd.tau, view)
-	seen := make(map[msg.NodeID]bool, len(proof))
-	valid := 0
-	for _, p := range proof {
-		if seen[p.Signer] || p.Signer < 1 || int(p.Signer) > nd.params.N {
-			continue
-		}
-		seen[p.Signer] = true
-		if nd.params.Directory.Verify(int64(p.Signer), transcriptBytes, p.Sig) {
-			valid++
-		}
-	}
-	return valid >= nd.params.ReadyThreshold()
+	return nd.hasValidQSigs(LeadChTranscript(nd.tau, view), proof, nd.params.ReadyThreshold())
 }
 
 // verifyProposalProof implements verify-signature(Q, R̂/M): R̂ sets
@@ -1025,14 +1094,14 @@ func (nd *Node) verifyProposalProof(p *Proposal) bool {
 	case KindEcho:
 		digest := p.Digest(nd.tau)
 		transcriptBytes := EchoTranscript(nd.tau, digest)
-		if nd.countValidQSigs(transcriptBytes, p.QSigs) >= nd.params.EchoThreshold() {
+		if nd.hasValidQSigs(transcriptBytes, p.QSigs, nd.params.EchoThreshold()) {
 			return true
 		}
 		return nd.certQuorumValid(digest, transcriptBytes, p.QSigs, vss.CertEcho)
 	case KindReady:
 		digest := p.Digest(nd.tau)
 		transcriptBytes := ReadyTranscript(nd.tau, digest)
-		if nd.countValidQSigs(transcriptBytes, p.QSigs) >= nd.params.T+1 {
+		if nd.hasValidQSigs(transcriptBytes, p.QSigs, nd.params.T+1) {
 			return true
 		}
 		return nd.certQuorumValid(digest, transcriptBytes, p.QSigs, vss.CertReady)
@@ -1058,6 +1127,9 @@ func (nd *Node) certQuorumValid(digest [32]byte, transcriptBytes []byte, sigs []
 	seen := make(map[msg.NodeID]bool, len(sigs))
 	valid := 0
 	for _, s := range sigs {
+		if valid >= need {
+			break
+		}
 		if seen[s.Signer] || !comm.IsSigner(int64(s.Signer)) {
 			continue
 		}
@@ -1080,6 +1152,7 @@ func (nd *Node) verifyVSSProof(dealer msg.NodeID, cHash [32]byte, proof []vss.Si
 		c := vss.CertCommittee(nd.params.N, nd.params.T, session, cHash)
 		comm = &c
 	}
+	// The first quorum reached decides; later signatures are not checked.
 	seen := make(map[msg.NodeID]bool, len(proof))
 	valid, inComm := 0, 0
 	for _, sr := range proof {
@@ -1087,23 +1160,30 @@ func (nd *Node) verifyVSSProof(dealer msg.NodeID, cHash [32]byte, proof []vss.Si
 			continue
 		}
 		seen[sr.Signer] = true
-		if nd.params.Directory.Verify(int64(sr.Signer), transcriptBytes, sr.Sig) {
-			valid++
-			if comm != nil && comm.IsSigner(int64(sr.Signer)) {
-				inComm++
-			}
+		if !nd.params.Directory.Verify(int64(sr.Signer), transcriptBytes, sr.Sig) {
+			continue
+		}
+		valid++
+		if comm != nil && comm.IsSigner(int64(sr.Signer)) {
+			inComm++
+		}
+		if valid >= nd.params.ReadyThreshold() || (comm != nil && inComm >= comm.ReadyQuorum()) {
+			return true
 		}
 	}
-	if valid >= nd.params.ReadyThreshold() {
-		return true
-	}
-	return comm != nil && inComm >= comm.ReadyQuorum()
+	return false
 }
 
-func (nd *Node) countValidQSigs(transcriptBytes []byte, sigs []SignedQ) int {
+// hasValidQSigs reports whether sigs holds need valid signatures on the
+// transcript from distinct roster members, checking no more than it
+// takes to know.
+func (nd *Node) hasValidQSigs(transcriptBytes []byte, sigs []SignedQ, need int) bool {
 	seen := make(map[msg.NodeID]bool, len(sigs))
 	valid := 0
 	for _, s := range sigs {
+		if valid >= need {
+			break
+		}
 		if seen[s.Signer] || s.Signer < 1 || int(s.Signer) > nd.params.N {
 			continue
 		}
@@ -1112,7 +1192,7 @@ func (nd *Node) countValidQSigs(transcriptBytes []byte, sigs []SignedQ) int {
 			valid++
 		}
 	}
-	return valid
+	return valid >= need
 }
 
 // qstate fetches or creates quorum state for a proposal.

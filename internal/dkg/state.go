@@ -31,8 +31,9 @@ import (
 // classic messages and per-digest certificate state). v3 dropped the
 // per-sharing copy of R_d, which the embedded VSS state already holds.
 // v4 added the further coordinates of batched sessions to the completed
-// sharings and the result. Restores of older snapshots fail the magic
-// check and fall back to WAL replay.
+// sharings and the result; a session of e > 1 rows lists its w·e outputs
+// the same way, so a one-row session's encoding is what it was. Restores
+// of older snapshots fail the magic check and fall back to WAL replay.
 const dkgStateMagic = "hybriddkg/dkg-state/v4"
 
 const stateListMax = 1 << 20
@@ -508,7 +509,7 @@ func decodeResult(r *msg.Reader, nd *Node) (*CompletedEvent, error) {
 	ev := &CompletedEvent{Tau: nd.tau}
 	ev.FinalView = r.U64()
 	ev.Q = r.Nodes()
-	for k := 0; k < nd.opts.Width; k++ {
+	for k := 0; k < nd.opts.Width*nd.opts.Rows; k++ {
 		c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
 		if err != nil {
 			return nil, err

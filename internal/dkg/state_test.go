@@ -41,21 +41,23 @@ func dkgParamsFor(res *harness.DKGResult, id msg.NodeID) dkg.Params {
 		SignKey:       res.Privs[id],
 		InitialLeader: res.Opts.InitialLeader,
 		TimeoutBase:   res.Opts.TimeoutBase,
+		QSize:         res.Opts.QSize,
 	}
 }
 
 // TestStateRoundTripCompleted: every completed node's full session
 // state (embedded VSS instances included) survives marshal → restore
-// with identical results on every coordinate, and the codec is
-// deterministic.
+// with identical results on every output — each coordinate, and each
+// row extracted from it — and the codec is deterministic.
 func TestStateRoundTripCompleted(t *testing.T) {
 	for _, width := range []int{1, 4} {
-		testStateRoundTripCompleted(t, width)
+		testStateRoundTripCompleted(t, width, 0, 1)
+		testStateRoundTripCompleted(t, width, 3, 2)
 	}
 }
 
-func testStateRoundTripCompleted(t *testing.T, width int) {
-	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, Width: width})
+func testStateRoundTripCompleted(t *testing.T, width, qsize, rows int) {
+	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, Width: width, QSize: qsize, Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func testStateRoundTripCompleted(t *testing.T, width int) {
 		if err != nil {
 			t.Fatalf("node %d marshal: %v", id, err)
 		}
-		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{Width: width}, codec, st1)
+		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{Width: width, Rows: rows}, codec, st1)
 		if err != nil {
 			t.Fatalf("node %d restore: %v", id, err)
 		}
@@ -76,13 +78,13 @@ func testStateRoundTripCompleted(t *testing.T, width int) {
 			t.Fatalf("node %d not done after restore", id)
 		}
 		orig, got := node.Result(), restored.Result()
-		if len(got.Outputs()) != width {
-			t.Fatalf("node %d restored %d outputs, want %d", id, len(got.Outputs()), width)
+		if len(got.Outputs()) != width*rows {
+			t.Fatalf("node %d restored %d outputs, want %d", id, len(got.Outputs()), width*rows)
 		}
 		for k, out := range got.Outputs() {
 			want := orig.Outputs()[k]
 			if out.Share.Cmp(want.Share) != 0 || !out.V.Equal(want.V) {
-				t.Fatalf("node %d coordinate %d changed across restore", id, k)
+				t.Fatalf("node %d output %d changed across restore", id, k)
 			}
 		}
 		if !got.PublicKey.Equal(orig.PublicKey) {
@@ -114,12 +116,13 @@ func testStateRoundTripCompleted(t *testing.T, width int) {
 // finish consistently.
 func TestStateRestoreMidProtocol(t *testing.T) {
 	for _, width := range []int{1, 4} {
-		testStateRestoreMidProtocol(t, width)
+		testStateRestoreMidProtocol(t, width, 0, 1)
 	}
+	testStateRestoreMidProtocol(t, 4, 3, 2)
 }
 
-func testStateRestoreMidProtocol(t *testing.T, width int) {
-	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true, Width: width}
+func testStateRestoreMidProtocol(t *testing.T, width, qsize, rows int) {
+	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true, Width: width, QSize: qsize, Rows: rows}
 	res, err := harness.SetupDKG(&opts)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +145,7 @@ func testStateRestoreMidProtocol(t *testing.T, width int) {
 		t.Fatal(err)
 	}
 	clone, err := dkg.RestoreNode(dkgParamsFor(res, victim), 1, victim, res.Net.Env(victim),
-		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }, Width: width},
+		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }, Width: width, Rows: rows},
 		codec, st)
 	if err != nil {
 		t.Fatal(err)

@@ -146,10 +146,11 @@ func (c *DataPlaneCluster) provision(sids []msg.SessionID) {
 	}
 }
 
-// installSession deals one sharing per coordinate of the session's
-// width and installs every node's shares of them.
+// installSession deals one sharing per output of the session (the
+// fixture runs with f = 0) and installs every node's shares of them.
 func (c *DataPlaneCluster) installSession(sid msg.SessionID) error {
-	w := dataplane.AuxWidth(sid)
+	width, _, rows := dataplane.SessionShape(sid, c.Opts.N, c.Opts.T, 0)
+	w := width * rows
 	ps := make([]*poly.Poly, w)
 	vs := make([]*commit.Vector, w)
 	for i := range ps {
@@ -168,20 +169,23 @@ func (c *DataPlaneCluster) installSession(sid msg.SessionID) error {
 	return nil
 }
 
-// PrefillNonces deals count nonce sessions owned by aggregator agg
-// and installs them on every node, bypassing the Provision path. The
-// counters start far above anything the services allocate themselves,
-// so prefilled and service-provisioned reservoirs never collide. The
-// E20 benchmark uses this to keep the control-plane stand-in (the
-// fixture's polynomial dealer; in production, aux DKGs measured by
-// E15/E18) out of the timed serving path.
+// PrefillNonces deals width-1 nonce sessions owned by aggregator agg
+// until they have produced at least count nonces, and installs them on
+// every node, bypassing the Provision path. The counters start far above
+// anything the services allocate themselves, so prefilled and
+// service-provisioned reservoirs never collide. The E20 benchmark uses
+// this to keep the control-plane stand-in (the fixture's polynomial
+// dealer; in production, aux DKGs measured by E15/E18) out of the timed
+// serving path.
 func (c *DataPlaneCluster) PrefillNonces(agg msg.NodeID, count int) error {
 	if c.prefillCtr == 0 {
 		c.prefillCtr = 1 << 20
 	}
-	for i := 0; i < count; i++ {
+	for count > 0 {
 		sid := dataplane.NonceSID(c.KeyID, agg, c.prefillCtr)
-		c.prefillCtr++
+		_, _, rows := dataplane.SessionShape(sid, c.Opts.N, c.Opts.T, 0)
+		c.prefillCtr += uint64(rows)
+		count -= rows
 		if err := c.installSession(sid); err != nil {
 			return err
 		}

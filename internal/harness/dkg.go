@@ -49,9 +49,14 @@ type DKGOptions struct {
 	// Width is the number of secrets every dealer shares, and so the
 	// number of key pairs the session outputs (0 means 1).
 	Width int
-	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of
-	// that name in every honest node.
+	// QSize is the number of sharings the agreed set holds (0 means
+	// t+1) and Rows the number of outputs extracted per coordinate (0
+	// means 1): dkg.Params.QSize and dkg.Options.Rows.
+	QSize, Rows int
+	// InjectVerifyFirstCoordinateOnly and InjectExtractShareRowZero plant
+	// the chaos lab's bugs of those names in every honest node.
 	InjectVerifyFirstCoordinateOnly bool
+	InjectExtractShareRowZero       bool
 	// InitialLeader defaults to 1.
 	InitialLeader msg.NodeID
 	// TimeoutBase defaults to the dkg package default.
@@ -187,23 +192,8 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 			net.Register(id, mk(env))
 			continue
 		}
-		params := dkg.Params{
-			Group:          opts.Group,
-			N:              opts.N,
-			T:              opts.T,
-			F:              opts.F,
-			HashedEcho:     opts.HashedEcho,
-			DedupDealings:  opts.DedupDealings,
-			CompressedWire: opts.CompressedWire,
-			DisableBatch:   opts.DisableBatch,
-			Certificates:   opts.Certificates,
-			Directory:      dir,
-			SignKey:        privs[id],
-			InitialLeader:  opts.InitialLeader,
-			TimeoutBase:    opts.TimeoutBase,
-			Metrics:        opts.Metrics,
-			Trace:          tracer,
-		}
+		params := dkgParamsOf(*opts, dir, privs[id])
+		params.Metrics, params.Trace = opts.Metrics, tracer
 		if pool != nil {
 			params.Parallel = pool
 		}
@@ -228,7 +218,9 @@ func (r *DKGResult) nodeOptions(id msg.NodeID) dkg.Options {
 	return dkg.Options{
 		OnCompleted:                     func(ev dkg.CompletedEvent) { r.Completed[id] = ev },
 		Width:                           r.Opts.Width,
+		Rows:                            r.Opts.Rows,
 		InjectVerifyFirstCoordinateOnly: r.Opts.InjectVerifyFirstCoordinateOnly,
+		InjectExtractShareRowZero:       r.Opts.InjectExtractShareRowZero,
 	}
 }
 
@@ -314,12 +306,12 @@ func (r *DKGResult) MaxLeaderChanges() int {
 }
 
 // CheckConsistency verifies Definition 4.1's consistency across all
-// completed honest nodes: identical Q, and on every coordinate of the
-// session identical commitment and public key; every share valid
-// against the joint commitment; any t+1 shares interpolating to a
-// secret matching the public key.
+// completed honest nodes: identical Q, and on every output of the
+// session (each row of each coordinate) identical commitment and public
+// key; every share valid against the joint commitment; any t+1 shares
+// interpolating to a secret matching the public key.
 func (r *DKGResult) CheckConsistency() error {
-	width := max(r.Opts.Width, 1)
+	width := max(r.Opts.Width, 1) * max(r.Opts.Rows, 1)
 	var refQ []msg.NodeID
 	for k := 0; k < width; k++ {
 		var ref *dkg.CombineResult
@@ -336,7 +328,8 @@ func (r *DKGResult) CheckConsistency() error {
 			if ref == nil {
 				ref, refQ = &out, r.Completed[id].Q
 			} else {
-				if ref.C.Hash() != out.C.Hash() {
+				// Extracted outputs carry the vector commitment alone.
+				if !ref.V.Equal(out.V) || (ref.C != nil && out.C != nil && ref.C.Hash() != out.C.Hash()) {
 					return fmt.Errorf("%w: different joint commitments", ErrInconsistency)
 				}
 				q := r.Completed[id].Q
@@ -348,11 +341,8 @@ func (r *DKGResult) CheckConsistency() error {
 						return fmt.Errorf("%w: different Q sets", ErrInconsistency)
 					}
 				}
-				if !ref.V.PublicKey().Equal(out.V.PublicKey()) {
-					return fmt.Errorf("%w: different public keys", ErrInconsistency)
-				}
 			}
-			if !out.C.VerifyShare(int64(id), out.Share) {
+			if !out.V.VerifyShare(int64(id), out.Share) {
 				return fmt.Errorf("%w: node %d share invalid", ErrInconsistency, id)
 			}
 			if len(pts) < r.Opts.T+1 {

@@ -191,6 +191,7 @@ func dkgParamsOf(opts DKGOptions, dir *sig.Directory, priv []byte) dkg.Params {
 		SignKey:        priv,
 		InitialLeader:  opts.InitialLeader,
 		TimeoutBase:    opts.TimeoutBase,
+		QSize:          opts.QSize,
 	}
 }
 

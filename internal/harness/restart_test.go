@@ -166,28 +166,33 @@ func TestRestartMidRenewal(t *testing.T) {
 	}
 }
 
-// TestRestartWideSession: the kill-and-restore scenarios at width 4.
-// The victim comes back from its WAL alone, and from a snapshot plus
-// the WAL tail, and the cluster agrees on all four key pairs.
+// TestRestartWideSession: the kill-and-restore scenarios at width 4,
+// summing t+1 dealers and extracting two rows from n−t−f. The victim
+// comes back from its WAL alone, and from a snapshot plus the WAL tail,
+// and the cluster agrees on all four, or eight, key pairs.
 func TestRestartWideSession(t *testing.T) {
-	for _, snapshotEvery := range []int{0, 4} {
-		res, err := RunRestartDKG(RestartOptions{
-			DKG:           DKGOptions{N: 4, T: 1, Seed: 101, Width: 4, DedupDealings: true, CompressedWire: true},
-			Victim:        2,
-			CrashAt:       120,
-			RestartAt:     700,
-			SnapshotEvery: snapshotEvery,
-			StateDir:      t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRestart(t, res)
-		if res.UsedSnapshot != (snapshotEvery > 0) {
-			t.Fatalf("snapshot every %d: restore used a snapshot: %v", snapshotEvery, res.UsedSnapshot)
-		}
-		if got := len(res.RestoredNode.Result().Outputs()); got != 4 {
-			t.Fatalf("restored victim output %d key pairs, want 4", got)
+	for _, shape := range [][2]int{{0, 1}, {3, 2}} {
+		qsize, rows := shape[0], shape[1]
+		for _, snapshotEvery := range []int{0, 4} {
+			res, err := RunRestartDKG(RestartOptions{
+				DKG: DKGOptions{N: 4, T: 1, Seed: 101, Width: 4, QSize: qsize, Rows: rows,
+					DedupDealings: true, CompressedWire: true},
+				Victim:        2,
+				CrashAt:       120,
+				RestartAt:     700,
+				SnapshotEvery: snapshotEvery,
+				StateDir:      t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRestart(t, res)
+			if res.UsedSnapshot != (snapshotEvery > 0) {
+				t.Fatalf("snapshot every %d: restore used a snapshot: %v", snapshotEvery, res.UsedSnapshot)
+			}
+			if got := len(res.RestoredNode.Result().Outputs()); got != 4*rows {
+				t.Fatalf("restored victim output %d key pairs, want %d", got, 4*rows)
+			}
 		}
 	}
 }

@@ -45,9 +45,10 @@ func waitDemux(t *testing.T, node *transport.Node, ok func(transport.DemuxStats)
 }
 
 // TestSessionDemux: frames reach the handler of their own session
-// only; unknown sessions and retired sessions are rejected and
-// counted — without the observer getting a look at them — and retired
-// sessions cannot be re-registered.
+// only; a frame for a session nobody registers is rejected and counted
+// once it has waited out the early-frame expiry, one for a retired
+// session at once — neither with the observer getting a look at it —
+// and retired sessions cannot be re-registered.
 func TestSessionDemux(t *testing.T) {
 	gr := group.Test256()
 	codec := buildCodec(t, gr)
@@ -62,6 +63,7 @@ func TestSessionDemux(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recv.Close()
+	recv.SetEarlyExpiry(300 * time.Millisecond)
 	sinkA, sinkB := newSessionSink(), newSessionSink()
 	if _, err := recv.RegisterSession(1, sinkA); err != nil {
 		t.Fatal(err)
@@ -106,16 +108,21 @@ func TestSessionDemux(t *testing.T) {
 	default:
 	}
 
-	// Unknown session: receiver never hosted session 9.
+	// Unknown session: receiver never hosts session 9. The frame is held
+	// in case it does, and written off when the expiry passes.
 	portGhost.Send(2, help)
-	waitDemux(t, recv, func(st transport.DemuxStats) bool { return st.UnknownSession == 1 })
+	if st := waitDemux(t, recv, func(st transport.DemuxStats) bool { return st.EarlyHeld == 1 }); st.UnknownSession != 0 {
+		t.Fatalf("held frame already counted as dropped: %+v", st)
+	}
+	waitDemux(t, recv, func(st transport.DemuxStats) bool { return st.UnknownSession == 1 && st.EarlyExpired == 1 })
 
-	// Completed-session replay: retire session 1, then resend.
+	// Completed-session replay: retire session 1, then resend. A retired
+	// session's frame is never held.
 	recv.RetireSession(1)
 	portA.Send(2, help)
 	st := waitDemux(t, recv, func(st transport.DemuxStats) bool { return st.StaleSession == 1 })
-	if st.UnknownSession != 1 {
-		t.Fatalf("unknown-session count drifted: %+v", st)
+	if st.UnknownSession != 1 || st.EarlyHeld != 1 {
+		t.Fatalf("unknown-session or early-frame count drifted: %+v", st)
 	}
 	select {
 	case <-sinkA.ch:

@@ -28,8 +28,8 @@ func (n *Node) RetryBacklog() (frames int, bytes int) {
 // RegisterMetrics exposes the node's send-side wire books and retry
 // backlog as scrape-time telemetry samples, subsuming the WireStats
 // text dump: frames and bytes on the wire, messages by count and
-// bytes, coalesce flushes, retry-backlog depth, and per-session byte
-// totals.
+// bytes, coalesce flushes, retry-backlog depth, the early-frame
+// buffer's books and per-session byte totals.
 func (n *Node) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCollector(func(emit func(telemetry.Sample)) {
 		ws := n.WireStats()
@@ -48,6 +48,18 @@ func (n *Node) RegisterMetrics(reg *telemetry.Registry) {
 		frames, bytes := n.RetryBacklog()
 		emit(telemetry.Sample{Name: "transport_retry_backlog_frames", Help: "Sealed frames awaiting retransmission", Kind: telemetry.KindGauge, Value: float64(frames)})
 		emit(telemetry.Sample{Name: "transport_retry_backlog_bytes", Help: "Bytes awaiting retransmission", Kind: telemetry.KindGauge, Value: float64(bytes)})
+		ds := n.DemuxStats()
+		for _, c := range []struct {
+			name, help string
+			v          int
+		}{
+			{"held", "Frames held for a session not registered yet", ds.EarlyHeld},
+			{"released", "Held frames handed to their session when it registered", ds.EarlyReleased},
+			{"expired", "Held frames dropped because their session never registered in time", ds.EarlyExpired},
+			{"overflow", "Early frames dropped because a per-session, per-sender or total budget was full", ds.EarlyOverflow},
+		} {
+			emit(telemetry.Sample{Name: "transport_early_" + c.name + "_total", Help: c.help, Kind: telemetry.KindCounter, Value: float64(c.v)})
+		}
 		for sid, b := range ws.SessionBytes {
 			emit(telemetry.Sample{
 				Name:  fmt.Sprintf("transport_session_bytes_total{session=%q}", fmt.Sprintf("%d", uint64(sid))),

@@ -16,9 +16,11 @@
 // A node is session-multiplexed: every frame carries a MAC-covered
 // session identifier, and a demultiplexing router dispatches inbound
 // traffic to per-session handlers registered with RegisterSession.
-// Frames for sessions the node never hosted or has already retired are
-// rejected at the router — before any decode of protocol semantics —
-// and counted in DemuxStats. Because the MAC covers the session
+// Frames for sessions the node has already retired are rejected at the
+// router — before any decode of protocol semantics — and counted in
+// DemuxStats; messages for sessions it has not registered yet wait for
+// the registration in a bounded buffer (early.go) and are rejected the
+// same way when none comes. Because the MAC covers the session
 // identifier, an attacker without the link secret cannot splice a
 // frame captured in one session into another; a Byzantine *member*
 // (which holds the shared secret) can re-seal, so protocol messages
@@ -98,7 +100,9 @@ type Config struct {
 	// while the event loop (or session lane) is still working through
 	// earlier traffic, so expensive checks run on idle cores ahead of
 	// consumption. It must be safe for concurrent use, must not block,
-	// and must not touch protocol state.
+	// and must not touch protocol state or call back into the Node
+	// (RegisterSession shows it the messages held for the session while
+	// holding the node's lock).
 	Observer func(sid msg.SessionID, from msg.NodeID, body msg.Body)
 	// Coalesce enables wire-format-v2 batch frames on the send side:
 	// envelopes to one destination accumulate in a per-peer flush queue
@@ -148,6 +152,7 @@ type Node struct {
 	sessions map[msg.SessionID]Handler
 	retired  map[msg.SessionID]bool
 	lanes    map[msg.SessionID]*lane // ShardSessions dispatch lanes
+	early    *earlyBuffer            // messages of sessions not yet registered
 	outQ     map[msg.NodeID]*destQueue
 	demux    DemuxStats
 	closed   bool
@@ -216,7 +221,7 @@ func (n *Node) runLane(l *lane) {
 		ev := l.queue[0]
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		n.dispatchEvent(ev)
+		n.dispatchEvent(ev, l)
 	}
 }
 
@@ -237,6 +242,15 @@ type DemuxStats struct {
 	UnknownSession int
 	StaleSession   int
 	BadFrame       int
+	// The early-frame buffer's books, in messages like the counters
+	// above: EarlyHeld were taken in ahead of their session's
+	// registration, EarlyReleased reached the session when it registered,
+	// EarlyExpired waited out the expiry and EarlyOverflow did not fit a
+	// budget. The last two are each counted in UnknownSession as well.
+	EarlyHeld     int
+	EarlyReleased int
+	EarlyExpired  int
+	EarlyOverflow int
 }
 
 type event struct {
@@ -246,6 +260,9 @@ type event struct {
 	body    msg.Body
 	timerID uint64
 	op      func()
+	// wire is a received message's share of its frame's bytes on the
+	// wire, what the early-frame buffer charges for holding it.
+	wire int
 }
 
 // Listen starts the endpoint: binds the listener, starts the accept
@@ -280,6 +297,7 @@ func Listen(cfg Config) (*Node, error) {
 		sessions: make(map[msg.SessionID]Handler),
 		retired:  make(map[msg.SessionID]bool),
 		lanes:    make(map[msg.SessionID]*lane),
+		early:    newEarlyBuffer(),
 		outQ:     make(map[msg.NodeID]*destQueue),
 		wire:     newWireBooks(),
 	}
@@ -321,7 +339,7 @@ func (n *Node) laneFor(sid msg.SessionID) *lane {
 // observe shows one inbound message of a live session to the
 // configured observer.
 func (n *Node) observe(sid msg.SessionID, from msg.NodeID, body msg.Body) {
-	if n.cfg.Observer != nil && n.handlerFor(sid, false) != nil {
+	if n.cfg.Observer != nil && n.handlerFor(sid) != nil {
 		n.cfg.Observer(sid, from, body)
 	}
 }
@@ -358,6 +376,9 @@ func (n *Node) Close() error {
 	n.closed = true
 	for _, tm := range n.timers {
 		tm.Stop()
+	}
+	if n.early.timer != nil {
+		n.early.timer.Stop()
 	}
 	for _, c := range n.conns {
 		c.Close()
@@ -495,11 +516,29 @@ func (n *Node) RegisterSession(sid msg.SessionID, h Handler) (*SessionPort, erro
 		return nil, fmt.Errorf("%w: %v", ErrSessionExists, sid)
 	}
 	n.sessions[sid] = h
+	// The messages held for the session (early.go) are queued while n.mu
+	// still hides it from the router, after the observer has had its look
+	// ahead at them: at the head of the session's lane, which nothing else
+	// can have reached yet, or of the event queue. Only a message the
+	// event loop had already taken off that queue when another goroutine
+	// registered the session can run before them.
+	early := n.releaseEarlyLocked(sid)
+	if n.cfg.Observer != nil {
+		for _, ev := range early {
+			n.cfg.Observer(sid, ev.from, ev.body)
+		}
+	}
 	if n.cfg.ShardSessions && sid != 0 {
 		l := newLane()
+		l.queue = early
 		n.lanes[sid] = l
 		n.wg.Add(1)
 		go n.runLane(l)
+	} else if len(early) > 0 {
+		n.qmu.Lock()
+		n.queue = append(early, n.queue...)
+		n.qmu.Unlock()
+		n.qcond.Signal()
 	}
 	return &SessionPort{node: n, sid: sid}, nil
 }
@@ -537,25 +576,53 @@ func (n *Node) DemuxStats() DemuxStats {
 	return n.demux
 }
 
-// handlerFor resolves the handler for a session (nil = drop). Message
-// rejections are counted; timer fires racing a retirement are not.
-func (n *Node) handlerFor(sid msg.SessionID, countDrop bool) Handler {
+// handlerFor resolves the handler for a session (nil = none).
+func (n *Node) handlerFor(sid msg.SessionID) Handler {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.handlerLocked(sid)
+}
+
+func (n *Node) handlerLocked(sid msg.SessionID) Handler {
 	if h, ok := n.sessions[sid]; ok {
 		return h
 	}
 	if sid == 0 && n.cfg.Handler != nil {
 		return n.cfg.Handler
 	}
-	if countDrop {
-		if n.retired[sid] {
+	return nil
+}
+
+// route decides, in one critical section, what becomes of a session's
+// message or timer event on the goroutine asking: on is the lane that
+// goroutine drains, nil for the event loop. An event of a session that
+// has a lane reaches the handler on that lane and nowhere else — a
+// message that entered the main queue just before its session registered
+// is passed on to the lane here, behind what the registration released —
+// or two goroutines could run one session's state machine at once. A
+// message without a handler is accounted for: counted as stale if its
+// session was retired, as unknown if it is session 0, and otherwise held
+// for a registration that may be on its way (early.go). Timer fires
+// racing a retirement are not counted.
+func (n *Node) route(ev event, on *lane) Handler {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if l := n.lanes[ev.session]; l != nil && l != on {
+		l.enqueue(ev)
+		return nil
+	}
+	h := n.handlerLocked(ev.session)
+	if h == nil && ev.kind == 1 {
+		switch {
+		case n.retired[ev.session]:
 			n.demux.StaleSession++
-		} else {
+		case ev.session == 0:
 			n.demux.UnknownSession++
+		default:
+			n.holdEarlyLocked(ev)
 		}
 	}
-	return nil
+	return h
 }
 
 // --- internals -------------------------------------------------------
@@ -583,15 +650,7 @@ func (n *Node) eventLoop() {
 		}
 		switch ev.kind {
 		case 1, 2:
-			// A frame that entered the main queue just before its
-			// session's lane existed must still reach the handler on
-			// the lane — never on this goroutine — or two goroutines
-			// could run one session's state machine concurrently.
-			if l := n.laneFor(ev.session); l != nil {
-				l.enqueue(ev)
-				continue
-			}
-			n.dispatchEvent(ev)
+			n.dispatchEvent(ev, nil)
 		case 3:
 			// The whole process recovered: signal the default handler
 			// and every live session, in ascending session order.
@@ -633,20 +692,18 @@ func (n *Node) eventLoop() {
 // event to its handler. It runs on the main event loop for unsharded
 // sessions and on the session's lane goroutine otherwise — exactly one
 // goroutine per session either way.
-func (n *Node) dispatchEvent(ev event) {
+func (n *Node) dispatchEvent(ev event, on *lane) {
+	h := n.route(ev, on)
+	if h == nil {
+		return
+	}
 	switch ev.kind {
 	case 1:
-		if h := n.handlerFor(ev.session, true); h != nil {
-			h.HandleMessage(ev.from, ev.body)
-		}
+		h.HandleMessage(ev.from, ev.body)
 	case 2:
-		if h := n.handlerFor(ev.session, false); h != nil {
-			h.HandleTimer(ev.timerID)
-		}
+		h.HandleTimer(ev.timerID)
 	case 3:
-		if h := n.handlerFor(ev.session, false); h != nil {
-			h.HandleRecover()
-		}
+		h.HandleRecover()
 	}
 }
 
@@ -689,7 +746,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		default:
 		}
-		sid, from, bodies, err := n.readFrame(conn)
+		sid, from, bodies, size, err := n.readFrame(conn)
 		if err != nil {
 			if errors.Is(err, ErrBadFrame) {
 				n.mu.Lock()
@@ -703,7 +760,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		// event loop's dispatch of earlier traffic.
 		for _, body := range bodies {
 			n.observe(sid, from, body)
-			n.enqueue(event{kind: 1, session: sid, from: from, body: body})
+			n.enqueue(event{kind: 1, session: sid, from: from, body: body, wire: size / len(bodies)})
 		}
 	}
 }
@@ -857,14 +914,16 @@ func DecodeFrame(codec *msg.Codec, secret []byte, self msg.NodeID, inner []byte)
 	return sid, from, decoded, nil
 }
 
-func (n *Node) readFrame(conn net.Conn) (msg.SessionID, msg.NodeID, []msg.Body, error) {
+// readFrame reads, authenticates and decodes one frame; size is its
+// length on the wire.
+func (n *Node) readFrame(conn net.Conn) (sid msg.SessionID, from msg.NodeID, bodies []msg.Body, size int, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, 0, err
 	}
 	length := binary.BigEndian.Uint32(lenBuf[:])
 	if length < frameOverhead || length > 64<<20 {
-		return 0, 0, nil, ErrBadFrame
+		return 0, 0, nil, 0, ErrBadFrame
 	}
 	// Pooled read buffer: the codec's decoders copy everything they
 	// retain, so the buffer is reusable the moment decoding returns.
@@ -877,9 +936,9 @@ func (n *Node) readFrame(conn net.Conn) (msg.SessionID, msg.NodeID, []msg.Body, 
 	}
 	if _, err := io.ReadFull(conn, inner); err != nil {
 		putFrameBuf(bufp, inner)
-		return 0, 0, nil, err
+		return 0, 0, nil, 0, err
 	}
-	sid, from, bodies, err := DecodeFrameMulti(n.cfg.Codec, n.cfg.Secret, n.cfg.Self, inner)
+	sid, from, bodies, err = DecodeFrameMulti(n.cfg.Codec, n.cfg.Secret, n.cfg.Self, inner)
 	putFrameBuf(bufp, inner)
-	return sid, from, bodies, err
+	return sid, from, bodies, 4 + int(length), err
 }

@@ -137,6 +137,7 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 			Self:        id,
 			N:           roster.N,
 			T:           roster.T,
+			F:           roster.F,
 			Peers:       peers,
 			Send:        func(to msg.NodeID, body msg.Body) { env.Send(to, body) },
 			Provision:   nw.requestAux,
@@ -255,22 +256,22 @@ func (h handlerAdapter) HandleRecover() {
 	}
 }
 
-// dkgResult is one completed DKG: per coordinate of the session's
-// width, the commitment vector and every live node's share.
+// dkgResult is one completed DKG: per output of the session, the
+// commitment vector and every live node's share.
 type dkgResult struct {
 	vs     []*commit.Vector
 	shares map[msg.NodeID][]*big.Int
 }
 
-// runDKG runs one full DKG session with the given τ, at the width the
+// runDKG runs one full DKG session with the given τ, in the shape the
 // identifier names, and collects the result. Crashed nodes neither deal
 // nor complete; the DKG tolerates up to f of them.
 func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	nodes := make(map[msg.NodeID]*dkg.Node, nw.roster.N)
-	opts := dkg.Options{Width: dataplane.AuxWidth(msg.SessionID(tau))}
 	for i := 1; i <= nw.roster.N; i++ {
 		id := msg.NodeID(i)
-		node, err := dkg.NewNode(nw.dkgParams(id), tau, id, nw.sim.Env(id), opts)
+		params, opts := sessionShape(nw.dkgParams(id), msg.SessionID(tau))
+		node, err := dkg.NewNode(params, tau, id, nw.sim.Env(id), opts)
 		if err != nil {
 			return nil, err
 		}

@@ -362,14 +362,24 @@ import json, sys
 ss = json.load(sys.stdin)
 assert any(s["state"] == "completed" for s in ss), ss
 '
+# No frame that reached this node ahead of its session's registration
+# may have waited out the early-frame expiry: that is a stranded dealing.
+if ! awk '$1 == "transport_early_expired_total" { found = 1; bad = ($2 + 0 != 0) } END { exit !found || bad }' "$workdir/dp-metrics.txt"; then
+  echo "!! /metrics: transport_early_expired_total missing or non-zero" >&2
+  grep '^transport_early_' "$workdir/dp-metrics.txt" >&2 || true
+  exit 1
+fi
 curl -fsS "http://$METRICS_ADDR/keys" | python3 -c '
 import json, sys
+n, t = int(sys.argv[1]), int(sys.argv[2])
 ks = json.load(sys.stdin)
 assert any(k["state"] == "serving" and k["requests_total"] > 0 for k in ks), ks
 # Requests arriving eight at a time starved the reservoir: the key now
-# draws several nonces from each auxiliary DKG.
+# has every dealer share several secrets in each auxiliary DKG, and each
+# secret yields n-2t-f nonces (f = 0 here).
 assert any(k["nonce_width"] > 1 for k in ks), ks
-'
+assert all(k["nonce_yield"] == k["nonce_width"] * (n - 2 * t) for k in ks), ks
+' "$N" "$T"
 "$workdir/dkgnode" top -addr "$METRICS_ADDR" >"$workdir/dp-top.out"
 grep -q "completed" "$workdir/dp-top.out" || {
   echo "!! dkgnode top did not show a completed session" >&2

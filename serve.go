@@ -381,6 +381,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Self:  cfg.Self,
 		N:     cfg.Roster.N,
 		T:     cfg.Roster.T,
+		F:     cfg.Roster.F,
 		Peers: peerIDs,
 		Send:  func(to msg.NodeID, body msg.Body) { port.Send(to, body) },
 		Submit: func(sid msg.SessionID) {
@@ -407,11 +408,9 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 
 	ecfg := engine.Config{
 		Fabric: engine.NewTransportFabric(tnode),
-		// A session's width is a function of its identifier, so every
-		// node — and a node rebuilding it after a restart — runs it at the
-		// same one.
 		Factory: func(sid msg.SessionID, rt engine.Runtime) (engine.Runner, error) {
-			return dkg.NewNode(params, uint64(sid), cfg.Self, rt, dkg.Options{Width: dataplane.AuxWidth(sid)})
+			p, o := sessionShape(params, sid)
+			return dkg.NewNode(p, uint64(sid), cfg.Self, rt, o)
 		},
 		Start: func(sid msg.SessionID, r engine.Runner) error {
 			return r.(*dkg.Node).Start(rand.Reader)
@@ -434,7 +433,8 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		ecfg.Self = cfg.Self
 		ecfg.SnapshotEvery = snapEvery
 		ecfg.RestoreRunner = func(sid msg.SessionID, rt engine.Runtime, snap []byte) (engine.Runner, error) {
-			return dkg.RestoreNode(params, uint64(sid), cfg.Self, rt, dkg.Options{Width: dataplane.AuxWidth(sid)}, codec, snap)
+			p, o := sessionShape(params, sid)
+			return dkg.RestoreNode(p, uint64(sid), cfg.Self, rt, o, codec, snap)
 		}
 		// Completed sessions keep serving protocol-level help
 		// requests (§5.3) for crashed peers that restart later, which
@@ -482,6 +482,17 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		s.msrv = msrv
 	}
 	return s, nil
+}
+
+// sessionShape fits a node's DKG parameters to one session: its width,
+// the size of its agreed set and the outputs taken per coordinate are
+// functions of the identifier and the roster (dataplane.SessionShape),
+// so every node — and a node rebuilding the session after a restart —
+// runs it in the same shape.
+func sessionShape(params dkg.Params, sid msg.SessionID) (dkg.Params, dkg.Options) {
+	var o dkg.Options
+	o.Width, params.QSize, o.Rows = dataplane.SessionShape(sid, params.N, params.T, params.F)
+	return params, o
 }
 
 func closePool(p *verify.Pool) {

@@ -318,3 +318,58 @@ func TestServeRestartDoesNotRearmNonces(t *testing.T) {
 		t.Fatalf("aggregator spent %d nonces over both incarnations, want at least %d distinct ones", len(books[0]), spent+12)
 	}
 }
+
+// TestServeStaggeredStartStrandsNothing: seven nodes learn of a session
+// 30 ms apart — an operator's Start loop that stalls, a Prepare that is
+// handled late — while the nodes that are ahead deal at once. Frames
+// that reach a node before it has registered the session wait for it
+// (transport early-frame admission), so every node completes: a key
+// session, which needs t+1 dealers, and a nonce session, which needs
+// n−t−f of them and is begun on every node the way a Prepare begins it.
+// Nothing may expire or overflow on the way, and no frame may be
+// dropped as belonging to an unknown session.
+func TestServeStaggeredStartStrandsNothing(t *testing.T) {
+	const n, thr = 7, 2
+	nodes := serveCluster(t, n, thr, 1)
+	stagger := func(sid uint64) {
+		for _, srv := range nodes {
+			srv.Start(sid)
+			time.Sleep(30 * time.Millisecond)
+		}
+	}
+	stagger(1)
+	awaitSession(t, nodes, 1)
+
+	const width = 4
+	nonce := dataplane.NonceSessionSID(1, 1, 1<<20, width)
+	_, _, rows := dataplane.SessionShape(nonce, n, thr, 0)
+	stagger(uint64(nonce))
+	deadline := time.Now().Add(30 * time.Second)
+	for i, srv := range nodes {
+		for srv.eng.State(nonce) != engine.StateCompleted {
+			select {
+			case fl := <-srv.Failures():
+				t.Fatalf("node %d: session %x failed: %v", i+1, fl.Session, fl.Err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d: nonce session stranded in state %v; demux %+v", i+1, srv.eng.State(nonce), srv.tnode.DemuxStats())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if ks := nodes[0].svc.KeysSnapshot(); len(ks) != 1 || ks[0].Reservoir != width*rows {
+		t.Fatalf("the session's owner holds %+v, want %d nonces", ks, width*rows)
+	}
+	held := 0
+	for i, srv := range nodes {
+		st := srv.tnode.DemuxStats()
+		if st.EarlyExpired != 0 || st.EarlyOverflow != 0 || st.UnknownSession != 0 || st.EarlyReleased != st.EarlyHeld {
+			t.Fatalf("node %d lost early frames: %+v", i+1, st)
+		}
+		held += st.EarlyHeld
+	}
+	if held == 0 {
+		t.Fatal("no frame arrived ahead of its session's registration: the stagger tested nothing")
+	}
+}
