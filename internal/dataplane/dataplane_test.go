@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybriddkg/internal/dataplane"
+	"hybriddkg/internal/group"
 	"hybriddkg/internal/harness"
 	"hybriddkg/internal/msg"
 	"hybriddkg/internal/randutil"
@@ -229,6 +230,75 @@ func TestDataPlaneEvictsBadSigner(t *testing.T) {
 	}
 	if !thresh.Verify(c.Group, c.KeyV.PublicKey(), []byte("business as usual"), sig2) {
 		t.Fatal("post-eviction signature does not verify")
+	}
+}
+
+// TestDecryptByzantineResponders puts t = 3 Byzantine nodes in
+// aggregator 1's first fan-out at n = 10: node 2 returns a bad Z, node
+// 3 a bad D and node 4 withholds its answers. Every decryption must
+// complete with the right plaintext, and exactly nodes 2 and 3 are
+// evicted: after the first request, node 1 asks neither again, while
+// the silent node 4, which proved nothing wrong, is still asked.
+func TestDecryptByzantineResponders(t *testing.T) {
+	for _, gr := range []*group.Group{group.P256(), group.Test256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			var asked map[msg.NodeID]bool
+			c, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: 10, T: 3, Seed: 42, Group: gr,
+				Tweak: func(cfg *dataplane.Config) {
+					self, orig := cfg.Self, cfg.Send
+					cfg.Send = func(to msg.NodeID, body msg.Body) {
+						switch m := body.(type) {
+						case *dataplane.PartialReq:
+							if self == 1 && asked != nil {
+								asked[to] = true
+							}
+						case *dataplane.PartialResp:
+							if self == 4 {
+								return
+							}
+							if self == 2 || self == 3 {
+								bad := &dataplane.PartialResp{Key: m.Key, Items: append([]dataplane.RespItem(nil), m.Items...)}
+								for i := range bad.Items {
+									if self == 2 {
+										bad.Items[i].Z = new(big.Int).Add(bad.Items[i].Z, big.NewInt(1))
+									} else {
+										bad.Items[i].D = gr.Mul(bad.Items[i].D, gr.Generator())
+									}
+								}
+								body = bad
+							}
+						}
+						orig(to, body)
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := randutil.NewReader(5)
+			for i := 0; i < 6; i++ {
+				if i == 1 {
+					asked = map[msg.NodeID]bool{}
+				}
+				plain := gr.GExp(big.NewInt(int64(1000 + i)))
+				ct, err := thresh.Encrypt(gr, c.KeyV.PublicKey(), plain, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Decrypt(1, ct)
+				if err != nil {
+					t.Fatalf("decrypt %d: %v", i, err)
+				}
+				if !got.Equal(plain) {
+					t.Fatalf("decrypt %d: wrong plaintext", i)
+				}
+			}
+			if st := c.Services[1].Stats(); st.Evicted != 2 {
+				t.Fatalf("evicted %d, want 2: %+v", st.Evicted, st)
+			}
+			if asked[2] || asked[3] || !asked[4] {
+				t.Fatalf("asked after eviction: %v, want 4 but neither 2 nor 3", asked)
+			}
+		})
 	}
 }
 

@@ -129,6 +129,9 @@ type serveKey struct {
 	v     *commit.Vector
 	pk    group.Element
 	state KeyState
+	// pubs memoises the public shares V(i) of this key epoch, filled on
+	// first use (decryption only); InstallKey empties it on renewal.
+	pubs map[msg.NodeID]group.Element
 
 	// Aggregator side.
 	reservoir    []msg.SessionID // installed, unassigned nonces owned by self
@@ -160,6 +163,16 @@ type serveKey struct {
 
 	// Peer side: partial-result cache keyed by request digest.
 	partials *ring[RespItem]
+}
+
+// pub returns the public share V(id) of the installed key epoch.
+func (k *serveKey) pub(id msg.NodeID) group.Element {
+	y, ok := k.pubs[id]
+	if !ok {
+		y = k.v.Eval(int64(id))
+		k.pubs[id] = y
+	}
+	return y
 }
 
 // Shed reasons: both unwrap to ErrOverloaded for callers, but the

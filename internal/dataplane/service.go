@@ -223,9 +223,18 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	} else {
 		// Renewal epoch: cached partials mix epochs; drop them.
 		k.partials = newRing[RespItem](s.cfg.CacheSize)
+		// An in-flight decrypt's own share is trusted without a proof,
+		// so it is recomputed under the new share; peers' old-epoch
+		// partials fail verification against the new V(j) instead.
+		for _, req := range k.inflight {
+			if _, ok := req.decParts[s.cfg.Self]; ok && !req.done {
+				req.decParts[s.cfg.Self] = thresh.PartialDecryption{Decryptor: s.cfg.Self, D: s.gr.Exp(req.ct.C1, share)}
+			}
+		}
 	}
 	k.share = share
 	k.v = v
+	k.pubs = make(map[msg.NodeID]group.Element) // V(i) of the old epoch are stale
 	k.pk = v.PublicKey()
 	// A serving key's pk is the one fixed full-width base every batch
 	// verification collapses onto; precomputed tables turn that term
@@ -774,9 +783,16 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
 	}
 	// Self partials go through the same answer path as peer requests,
-	// sharing the consume-once nonce accounting and the partial cache.
+	// sharing the consume-once nonce accounting and the partial cache,
+	// except the own decryption share D = C1^{s_self}: InstallKey checked
+	// the share, so it needs no proof, and it is never sent or cached.
 	self := make([]RespItem, 0, len(items))
-	for _, it := range items {
+	for i, it := range items {
+		if it.Op == OpDecrypt {
+			s.stats.PeerItems++ // counted like every other self item
+			self = append(self, RespItem{Digest: it.Digest, Status: StOK, D: s.gr.Exp(ready[i].ct.C1, k.share)})
+			continue
+		}
 		self = append(self, s.answerItemLocked(k, it))
 	}
 	s.recordItemsLocked(k, s.cfg.Self, self, fire, acts)
@@ -960,7 +976,7 @@ func (s *Service) answerItemLocked(k *serveKey, it ReqItem) RespItem {
 			out.Status = StBadOp
 			return out
 		}
-		pd, err := thresh.PartialDecrypt(s.gr, thresh.KeyShare{Self: s.cfg.Self, Share: k.share, V: k.v}, ct, s.cfg.Rand)
+		pd, err := thresh.ProveDecryption(s.gr, s.cfg.Self, k.share, k.pub(s.cfg.Self), ct, s.cfg.Rand)
 		if err != nil {
 			out.Status = StBadOp
 			return out
@@ -1035,7 +1051,8 @@ func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 // request that reaches the t+1 threshold. Sign completions across
 // the same delivery are verified together: optimistic unchecked
 // combines, then one batched RLC signature verification, with
-// per-item fallback and bad-partial eviction only on failure.
+// per-item fallback and bad-partial eviction only on failure. A
+// malformed OK sign or decrypt item evicts its sender like a bad partial.
 func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespItem, fire *[]func(), acts *[]func()) {
 	t := s.cfg.T
 	var signReady []*request
@@ -1062,6 +1079,7 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 		switch req.op {
 		case OpSign:
 			if it.Sigma == nil || !s.gr.IsScalar(it.Sigma) {
+				s.evictBadLocked(k, req, []msg.NodeID{from})
 				continue
 			}
 			if _, dup := req.partials[from]; dup {
@@ -1072,8 +1090,10 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 				signReady = append(signReady, req)
 			}
 		case OpDecrypt:
-			if it.D == nil || it.E == nil || it.Z == nil ||
-				!s.gr.IsElement(it.D) || !s.gr.IsScalar(it.E) || !s.gr.IsScalar(it.Z) {
+			// Only the aggregator's own share comes without a proof.
+			proved := it.E != nil && it.Z != nil && s.gr.IsScalar(it.E) && s.gr.IsScalar(it.Z)
+			if it.D == nil || !s.gr.IsElement(it.D) || (!proved && from != s.cfg.Self) {
+				s.evictBadLocked(k, req, []msg.NodeID{from})
 				continue
 			}
 			if _, dup := req.decParts[from]; dup {
@@ -1225,14 +1245,20 @@ func (s *Service) evictLocked(k *serveKey, req *request, err error, fire, acts *
 	s.kickLocked(k, fire, acts)
 }
 
-// finishDecryptLocked combines decryption partials (verification
-// happens inside CombineDecrypt).
+// finishDecryptLocked combines the aggregator's own share, trusted,
+// with peer partials, each DLEQ-verified against the memoised V(j)
+// until t of them pass (inside CombineDecryptWith).
 func (s *Service) finishDecryptLocked(k *serveKey, req *request, fire, acts *[]func()) {
+	var own *thresh.PartialDecryption
 	parts := make([]thresh.PartialDecryption, 0, len(req.decParts))
-	for _, pd := range req.decParts {
+	for id, pd := range req.decParts {
+		if id == s.cfg.Self {
+			own = &pd
+			continue
+		}
 		parts = append(parts, pd)
 	}
-	plain, err := thresh.CombineDecrypt(s.gr, k.v, s.cfg.T, req.ct, parts)
+	plain, err := thresh.CombineDecryptWith(s.gr, s.cfg.T, req.ct, own, parts, k.pub, s.lag)
 	if err != nil {
 		s.evictLocked(k, req, err, fire, acts)
 		return

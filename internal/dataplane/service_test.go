@@ -34,7 +34,11 @@ type testRig struct {
 
 func newTestRig(t *testing.T, n, th int, tweak func(*Config)) *testRig {
 	t.Helper()
-	gr := group.Test256()
+	return newTestRigOn(t, group.Test256(), n, th, tweak)
+}
+
+func newTestRigOn(t *testing.T, gr *group.Group, n, th int, tweak func(*Config)) *testRig {
+	t.Helper()
 	rng := randutil.NewReader(0xD1CE)
 	rig := &testRig{gr: gr}
 	peers := make([]msg.NodeID, 0, n)

@@ -1,0 +1,222 @@
+package thresh_test
+
+import (
+	"errors"
+	"io"
+	"math/big"
+	"testing"
+
+	"hybriddkg/internal/commit"
+	"hybriddkg/internal/group"
+	"hybriddkg/internal/msg"
+	"hybriddkg/internal/poly"
+	"hybriddkg/internal/randutil"
+	"hybriddkg/internal/thresh"
+)
+
+var backends = []*group.Group{group.P256(), group.Test256()}
+
+// ladderProve and ladderVerify are the earlier formulations of the DLEQ
+// proof, which evaluate V(i) per call and invert (a1 = g^z·(Y^e)^{−1}).
+// They are the reference the cores must agree with verdict for verdict,
+// and a source of partials the cores must accept.
+func ladderProve(gr *group.Group, key thresh.KeyShare, ct thresh.Ciphertext, rand io.Reader) thresh.PartialDecryption {
+	d := gr.Exp(ct.C1, key.Share)
+	w, err := gr.RandNonZeroScalar(rand)
+	if err != nil {
+		panic(err)
+	}
+	a1, a2 := gr.GExp(w), gr.Exp(ct.C1, w)
+	y := key.V.Eval(int64(key.Self))
+	e := gr.HashToScalar("hybriddkg/thresh-dleq/v1", y.Bytes(), ct.C1.Bytes(), d.Bytes(), a1.Bytes(), a2.Bytes())
+	return thresh.PartialDecryption{Decryptor: key.Self, D: d,
+		Proof: thresh.DLEQProof{E: e, Z: gr.AddQ(w, gr.MulQ(e, key.Share))}}
+}
+
+func ladderVerify(gr *group.Group, v *commit.Vector, ct thresh.Ciphertext, pd thresh.PartialDecryption) bool {
+	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil ||
+		!gr.IsElement(pd.D) || !gr.IsScalar(pd.Proof.E) || !gr.IsScalar(pd.Proof.Z) {
+		return false
+	}
+	y := v.Eval(int64(pd.Decryptor))
+	yInvE, err := gr.Inv(gr.Exp(y, pd.Proof.E))
+	if err != nil {
+		return false
+	}
+	dInvE, err := gr.Inv(gr.Exp(pd.D, pd.Proof.E))
+	if err != nil {
+		return false
+	}
+	a1 := gr.Mul(gr.GExp(pd.Proof.Z), yInvE)
+	a2 := gr.Mul(gr.Exp(ct.C1, pd.Proof.Z), dInvE)
+	e := gr.HashToScalar("hybriddkg/thresh-dleq/v1", y.Bytes(), ct.C1.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
+	return e.Cmp(pd.Proof.E) == 0
+}
+
+// TestDecryptionCoreMatchesLadder: the proving and verifying cores
+// accept and reject exactly as the ladder formulation does, for honest
+// and forged partials, and partials proved the ladder way still verify.
+func TestDecryptionCoreMatchesLadder(t *testing.T) {
+	for _, gr := range backends {
+		t.Run(gr.Name(), func(t *testing.T) {
+			keys, keyV := dealKey(t, gr, 2, 40)
+			rng := randutil.NewReader(41)
+			m := gr.GExp(big.NewInt(31337))
+			ct, err := thresh.Encrypt(gr, keyV.PublicKey(), m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct2, err := thresh.Encrypt(gr, keyV.PublicKey(), m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			core, err := thresh.ProveDecryption(gr, 3, keys[3].Share, keyV.Eval(3), ct, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped, err := thresh.PartialDecrypt(gr, keys[3], ct, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ladder := ladderProve(gr, keys[3], ct, rng)
+			forge := func(pd thresh.PartialDecryption, f func(*thresh.PartialDecryption)) thresh.PartialDecryption {
+				f(&pd)
+				return pd
+			}
+			one := big.NewInt(1)
+			cases := []struct {
+				name string
+				ct   thresh.Ciphertext
+				pd   thresh.PartialDecryption
+				want bool
+			}{
+				{"honest core", ct, core, true},
+				{"honest wrapper", ct, wrapped, true},
+				{"honest ladder", ct, ladder, true},
+				{"forged D", ct, forge(core, func(p *thresh.PartialDecryption) { p.D = gr.Mul(p.D, gr.Generator()) }), false},
+				{"forged E", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.E = gr.AddQ(p.Proof.E, one) }), false},
+				{"forged Z", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.Z = gr.AddQ(p.Proof.Z, one) }), false},
+				{"nil Z", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.Z = nil }), false},
+				{"out-of-range E", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.E = gr.Q() }), false},
+				{"wrong decryptor", ct, forge(core, func(p *thresh.PartialDecryption) { p.Decryptor = 4 }), false},
+				{"wrong ciphertext", ct2, core, false},
+			}
+			for _, c := range cases {
+				ref := ladderVerify(gr, keyV, c.ct, c.pd)
+				got := thresh.VerifyPartialDecryption(gr, keyV, c.ct, c.pd)
+				core := thresh.VerifyDecryption(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct, c.pd)
+				if ref != c.want || got != c.want || core != c.want {
+					t.Errorf("%s: ladder %v, wrapper %v, core %v, want %v", c.name, ref, got, core, c.want)
+				}
+			}
+			if ladderVerify(gr, keyV, ct, core) != true {
+				t.Error("ladder verifier rejects a core-proved partial")
+			}
+		})
+	}
+}
+
+// TestCombineDecryptWithTrustsOwnShare: the caller's own share enters
+// without a proof or a lookup of its public share, peers are checked
+// against pub until t have passed, and the plaintext is right.
+func TestCombineDecryptWithTrustsOwnShare(t *testing.T) {
+	for _, gr := range backends {
+		t.Run(gr.Name(), func(t *testing.T) {
+			const tt = 2
+			keys, keyV := dealKey(t, gr, tt, 42)
+			rng := randutil.NewReader(43)
+			m := gr.GExp(big.NewInt(99))
+			ct, err := thresh.Encrypt(gr, keyV.PublicKey(), m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := thresh.PartialDecryption{Decryptor: 1, D: gr.Exp(ct.C1, keys[1].Share)}
+			var parts []thresh.PartialDecryption
+			for i := msg.NodeID(2); i <= 5; i++ {
+				pd, err := thresh.PartialDecrypt(gr, keys[i], ct, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = append(parts, pd)
+			}
+			looked := map[msg.NodeID]int{}
+			pub := func(id msg.NodeID) group.Element { looked[id]++; return keyV.Eval(int64(id)) }
+			lag := poly.NewLagrangeCache(gr.Q(), 0)
+			got, err := thresh.CombineDecryptWith(gr, tt, ct, &own, parts, pub, lag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(m) {
+				t.Fatal("decryption mismatch")
+			}
+			if len(looked) != tt || looked[2] != 1 || looked[3] != 1 {
+				t.Fatalf("verified %v, want exactly peers 2 and 3 once each", looked)
+			}
+			// A wrong own share is not caught (it is trusted) and yields a
+			// wrong plaintext; the aggregator's share is checked at install.
+			wrong := thresh.PartialDecryption{Decryptor: 1, D: gr.Mul(own.D, gr.Generator())}
+			if got, err := thresh.CombineDecryptWith(gr, tt, ct, &wrong, parts, pub, lag); err != nil || got.Equal(m) {
+				t.Fatalf("trusted own share was re-verified: %v", err)
+			}
+		})
+	}
+}
+
+// TestCombineDecryptVerifiesEachDecryptorOnce: verification stops at
+// t+1 valid partials, a repeated decryptor is checked once, and every
+// checked bad decryptor is named.
+func TestCombineDecryptVerifiesEachDecryptorOnce(t *testing.T) {
+	for _, gr := range backends {
+		t.Run(gr.Name(), func(t *testing.T) {
+			const tt = 2
+			keys, keyV := dealKey(t, gr, tt, 44)
+			rng := randutil.NewReader(45)
+			m := gr.GExp(big.NewInt(1234))
+			ct, err := thresh.Encrypt(gr, keyV.PublicKey(), m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pds := map[msg.NodeID]thresh.PartialDecryption{}
+			for i := msg.NodeID(1); i <= 7; i++ {
+				if pds[i], err = thresh.PartialDecrypt(gr, keys[i], ct, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := func(i msg.NodeID) thresh.PartialDecryption {
+				pd := pds[i]
+				pd.Proof.Z = gr.AddQ(pd.Proof.Z, big.NewInt(1))
+				return pd
+			}
+			looked := map[msg.NodeID]int{}
+			pub := func(id msg.NodeID) group.Element { looked[id]++; return keyV.Eval(int64(id)) }
+
+			// Bad 5 twice, then its honest partial, then 1, 2, 3 and a bad 6
+			// past the threshold: 5 is checked once, 6 never.
+			parts := []thresh.PartialDecryption{bad(5), bad(5), pds[5], pds[1], pds[2], pds[3], bad(6)}
+			got, err := thresh.CombineDecryptWith(gr, tt, ct, nil, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
+			if err != nil || !got.Equal(m) {
+				t.Fatalf("combine: %v", err)
+			}
+			want := map[msg.NodeID]int{5: 1, 1: 1, 2: 1, 3: 1}
+			if len(looked) != len(want) {
+				t.Fatalf("verified %v, want %v", looked, want)
+			}
+			for id, n := range want {
+				if looked[id] != n {
+					t.Fatalf("verified %v, want %v", looked, want)
+				}
+			}
+
+			// Not enough: every checked bad decryptor is named, once.
+			parts = []thresh.PartialDecryption{bad(4), pds[1], bad(6), bad(4), pds[2]}
+			_, err = thresh.CombineDecrypt(gr, keyV, tt, ct, parts)
+			var pe *thresh.PartialsError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *thresh.PartialsError", err)
+			}
+			if len(pe.Bad) != 2 || pe.Bad[0] != 4 || pe.Bad[1] != 6 || pe.Valid != 2 {
+				t.Fatalf("PartialsError = %+v, want Bad [4 6], Valid 2", pe)
+			}
+		})
+	}
+}

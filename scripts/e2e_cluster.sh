@@ -235,7 +235,9 @@ echo "== e2e restart OK: node 1 SIGKILLed mid-DKG, restarted from --state-dir, c
 # requests a signature, an encrypt/decrypt round-trip and 3 beacon
 # rounds, and verifies every result it can check publicly. The client
 # binary fails non-zero on any verification miss, so the gate here is
-# its exit status plus the per-operation JSON lines. Forty more clients
+# its exit status plus the per-operation JSON lines. Six more clients
+# then round-trip six fresh ciphertexts at once, so node 1 combines
+# decryptions from several peers' partials in one batch. Forty more clients
 # then sign forty distinct messages, eight at a time: requests outrun
 # the nonce reservoir, so the key's nonce sessions grow wider than one
 # nonce per DKG, and every signature made from a batched session is
@@ -309,6 +311,29 @@ if ! grep -q "$(grep -o '"publicKey":"[^"]*"' "$workdir/dp-node1.out" | head -1)
   exit 1
 fi
 
+DECRYPT_CLIENTS=6
+echo "== external clients: $DECRYPT_CLIENTS encrypt/decrypt round-trips at once"
+declare -a dcpids=()
+for j in $(seq 1 "$DECRYPT_CLIENTS"); do
+  "$workdir/dkgnode" client \
+    -addr "127.0.0.1:$((DP_PORT + 10 + 1))" -key 1 -decrypt \
+    >"$workdir/dp-decrypt-$j.out" 2>"$workdir/dp-decrypt-$j.err" &
+  dcpids+=($!)
+done
+for p in "${dcpids[@]}"; do
+  if ! wait "$p"; then
+    echo "!! data-plane decrypt client failed" >&2
+    cat "$workdir"/dp-decrypt-*.err >&2
+    tail -n +1 "$workdir"/dp-node*.err >&2 || true
+    exit 1
+  fi
+done
+got=$(cat "$workdir"/dp-decrypt-*.out | grep -Ec '"op":"decrypt".*"roundTrip":true' || true)
+if [ "$got" -ne "$DECRYPT_CLIENTS" ]; then
+  echo "!! expected $DECRYPT_CLIENTS decrypt round-trips, got $got" >&2
+  exit 1
+fi
+
 SIGN_WAVES=5
 SIGN_WIDTH=8
 echo "== external clients: $((SIGN_WAVES * SIGN_WIDTH)) distinct messages, $SIGN_WIDTH at a time"
@@ -357,6 +382,12 @@ for series in \
     exit 1
   fi
 done
+# Every node is honest: no partial may have been judged bad.
+if ! awk '$1 == "dataplane_evicted_total" { found = 1; bad = ($2 + 0 != 0) } END { exit !found || bad }' "$workdir/dp-metrics.txt"; then
+  echo "!! /metrics: dataplane_evicted_total missing or non-zero on an honest cluster" >&2
+  grep '^dataplane_' "$workdir/dp-metrics.txt" >&2 || true
+  exit 1
+fi
 curl -fsS "http://$METRICS_ADDR/sessions" | python3 -c '
 import json, sys
 ss = json.load(sys.stdin)
@@ -417,4 +448,4 @@ grep -Eq "node 1: wire: [0-9]+ frames, [0-9]+ bytes sent" "$workdir/dp-node1.err
   exit 1
 }
 
-echo "== e2e data plane OK: external clients verified sign/decrypt/beacon and $((SIGN_WAVES * SIGN_WIDTH)) signatures from batched nonce sessions"
+echo "== e2e data plane OK: external clients verified sign/beacon, $((DECRYPT_CLIENTS + 1)) decryptions and $((SIGN_WAVES * SIGN_WIDTH)) signatures from batched nonce sessions"
