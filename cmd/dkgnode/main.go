@@ -82,7 +82,8 @@ func main() {
 // keyFile is the operator-distributed key directory. In a real
 // deployment each node receives only its own private key plus all
 // public keys (the paper's certificate model, §2.3); the single file
-// keeps the demo simple.
+// keeps the demo simple. Scheme is always "ed25519"; a file that names
+// any other is refused, and one that names none means ed25519.
 type keyFile struct {
 	Scheme string     `json:"scheme"`
 	Secret string     `json:"transportSecret"`
@@ -98,17 +99,16 @@ type keyEntry struct {
 func keygen(args []string) error {
 	fs := flag.NewFlagSet("keygen", flag.ExitOnError)
 	n := fs.Int("n", 4, "number of nodes")
-	schemeName := fs.String("scheme", "ed25519", "signature scheme")
 	out := fs.String("out", "keys.json", "output file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rings, err := hybriddkg.NewKeyRings(*n, *schemeName)
+	rings, err := hybriddkg.NewKeyRings(*n, keyScheme)
 	if err != nil {
 		return err
 	}
 	kf := keyFile{
-		Scheme: *schemeName,
+		Scheme: keyScheme,
 		Secret: hex.EncodeToString(rings[0].TransportSecret),
 	}
 	for i, ring := range rings {
@@ -126,9 +126,12 @@ func keygen(args []string) error {
 	if err := os.WriteFile(*out, data, 0o600); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d nodes, scheme %s)\n", *out, *n, *schemeName)
+	fmt.Printf("wrote %s (%d nodes, scheme %s)\n", *out, *n, keyScheme)
 	return nil
 }
+
+// keyScheme is the one signature scheme nodes authenticate with.
+const keyScheme = "ed25519"
 
 // loadKeyRing reads the key directory file and assembles this node's
 // authentication material.
@@ -142,7 +145,9 @@ func loadKeyRing(path string, self int64) (hybriddkg.KeyRing, error) {
 	if err := json.Unmarshal(data, &kf); err != nil {
 		return ring, fmt.Errorf("parse %s: %w", path, err)
 	}
-	ring.Scheme = kf.Scheme
+	if kf.Scheme != "" && kf.Scheme != keyScheme {
+		return ring, fmt.Errorf("%s: signature scheme %q (only %s is accepted)", path, kf.Scheme, keyScheme)
+	}
 	ring.Public = make(map[hybriddkg.NodeID][]byte, len(kf.Nodes))
 	for _, e := range kf.Nodes {
 		pub, err := hex.DecodeString(e.Pub)
@@ -167,17 +172,15 @@ func loadKeyRing(path string, self int64) (hybriddkg.KeyRing, error) {
 
 // clusterFlags bundles the flags shared by the run and serve
 // subcommands: node identity, cluster shape, key material, peer
-// directory and wire-format selection.
+// directory and certificate mode.
 type clusterFlags struct {
 	id        *int64
 	listen    *string
 	peersSpec *string
 	keysPath  *string
 	n, t, f   *int
-	groupName *string
 	timeout   *time.Duration
 	leader    *int64
-	wireV1    *bool
 	certs     *bool
 }
 
@@ -190,11 +193,8 @@ func newClusterFlags(fs *flag.FlagSet) *clusterFlags {
 		n:         fs.Int("n", 0, "group size"),
 		t:         fs.Int("t", 0, "Byzantine threshold"),
 		f:         fs.Int("f", 0, "crash limit"),
-		groupName: fs.String("group", "test256", "discrete-log parameter set"),
 		timeout:   fs.Duration("timeout", 5*time.Minute, "overall deadline"),
 		leader:    fs.Int64("leader", 1, "initial leader index"),
-		wireV1: fs.Bool("wire-v1", false,
-			"send legacy wire format v1 (no coalescing, no compressed or dedup'd commitments); v2 frames are still decoded"),
 		certs: fs.Bool("certificates", false,
 			"replace echo/ready floods with relay-assembled quorum certificates (subquadratic messaging at large n; falls back to flooding on certificate timeout)"),
 	}
@@ -223,12 +223,7 @@ func (c *clusterFlags) serverConfig() (hybriddkg.ServerConfig, []hybriddkg.Optio
 		Keys:          ring,
 		InitialLeader: hybriddkg.NodeID(*c.leader),
 	}
-	opts := []hybriddkg.Option{hybriddkg.WithGroup(*c.groupName)}
-	if *c.wireV1 {
-		opts = append(opts, hybriddkg.WithLegacyWireV1())
-	} else {
-		opts = append(opts, hybriddkg.WithDedupDealings(), hybriddkg.WithCompressedWire())
-	}
+	var opts []hybriddkg.Option
 	if *c.certs {
 		opts = append(opts, hybriddkg.WithCertificates())
 	}

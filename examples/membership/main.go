@@ -30,10 +30,10 @@ func main() {
 
 func run() error {
 	const n, t = 7, 2
-	gr := group.Test256()
+	gr := group.P256() // the group New and Serve run
 
 	fmt.Println("== initial DKG: 7 nodes, t=2 ==")
-	dres, err := harness.RunDKG(harness.DKGOptions{N: n, T: t, Seed: 3, Group: gr})
+	dres, err := harness.RunDKG(harness.DKGOptions{N: n, T: t, Seed: 3, Group: gr, DedupDealings: true, CompressedWire: true})
 	if err != nil {
 		return err
 	}

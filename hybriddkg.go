@@ -22,21 +22,19 @@
 //	ok := key.Verify([]byte("hello"), sig)
 //
 // The protocol state machines live in internal packages and are
-// transport-agnostic; cmd/dkgnode runs the same state machines (and
-// the same data-plane service) over real TCP connections.
+// transport-agnostic; Serve (and cmd/dkgnode on top of it) runs the
+// same state machines and data-plane service over real TCP
+// connections. Both run one profile: the P-256 group, Ed25519 message
+// authentication and wire format v2 (deduplicated, compressed
+// commitments; coalesced frames over TCP).
 package hybriddkg
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"math/big"
 
-	"hybriddkg/internal/commit"
 	"hybriddkg/internal/group"
 	"hybriddkg/internal/msg"
-	"hybriddkg/internal/simnet"
-	"hybriddkg/internal/thresh"
 )
 
 // Errors returned by the façade.
@@ -50,9 +48,7 @@ var (
 type NodeID = msg.NodeID
 
 // Element is an opaque group element (a public key, commitment entry
-// or ElGamal ciphertext half). Its concrete representation depends on
-// the configured group backend: a Z_p* residue for the modp parameter
-// sets, a curve point for "p256".
+// or ElGamal ciphertext half): a NIST P-256 curve point.
 type Element = group.Element
 
 // Signature is a standard Schnorr signature produced by a threshold
@@ -65,194 +61,4 @@ type Signature struct {
 // Ciphertext is an ElGamal ciphertext under a distributed key.
 type Ciphertext struct {
 	C1, C2 Element
-}
-
-// Options configures an in-memory cluster.
-//
-// Deprecated: use a Roster plus Option values with New. Each field
-// maps to an option: GroupName → WithGroup, SignatureScheme →
-// WithSignatureScheme, Seed → WithSeed, HashedEcho → WithHashedEcho.
-type Options struct {
-	// N, T, F are the group size, Byzantine threshold and crash
-	// limit; n ≥ 3t + 2f + 1 must hold.
-	N, T, F int
-	// GroupName selects the group backend and parameter set.
-	GroupName string
-	// Seed makes the whole cluster deterministic.
-	Seed uint64
-	// HashedEcho enables the O(κn³) commitment-hash optimisation.
-	HashedEcho bool
-	// SignatureScheme selects message authentication.
-	SignatureScheme string
-}
-
-// Cluster is an in-memory deployment of n protocol nodes.
-//
-// Deprecated: use Network (via New), which serves long-lived Key
-// objects through the data plane instead of re-wiring protocol
-// sessions per operation. Cluster remains as a thin shim over
-// Network.
-type Cluster struct {
-	nw   *Network
-	keys map[*SharedKey]*Key
-}
-
-// SharedKey is a distributed key: the public key plus every node's
-// share and the Feldman vector commitment binding them.
-//
-// Deprecated: use Key, which additionally carries the serving
-// lifecycle and the aggregated threshold operations.
-type SharedKey struct {
-	PublicKey  Element
-	Commitment *commit.Vector
-	Shares     map[msg.NodeID]*big.Int
-
-	gr *group.Group
-	t  int
-}
-
-// NewCluster creates the in-memory deployment.
-//
-// Deprecated: use New.
-func NewCluster(opts Options) (*Cluster, error) {
-	if opts.N < 1 || opts.N < 3*opts.T+2*opts.F+1 {
-		return nil, fmt.Errorf("%w: n=%d t=%d f=%d violates n ≥ 3t+2f+1",
-			ErrBadOptions, opts.N, opts.T, opts.F)
-	}
-	var o []Option
-	if opts.GroupName != "" {
-		o = append(o, WithGroup(opts.GroupName))
-	}
-	if opts.SignatureScheme != "" {
-		o = append(o, WithSignatureScheme(opts.SignatureScheme))
-	}
-	if opts.Seed != 0 {
-		o = append(o, WithSeed(opts.Seed))
-	}
-	if opts.HashedEcho {
-		o = append(o, WithHashedEcho())
-	}
-	nw, err := New(Roster{N: opts.N, T: opts.T, F: opts.F}, o...)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{nw: nw, keys: make(map[*SharedKey]*Key)}, nil
-}
-
-// Network returns the underlying Network, easing migration.
-func (c *Cluster) Network() *Network { return c.nw }
-
-// Group exposes the discrete-log parameters in use.
-func (c *Cluster) Group() *group.Group { return c.nw.Group() }
-
-// Stats returns the simulator's message/byte accounting so far.
-func (c *Cluster) Stats() simnet.Stats { return c.nw.Stats() }
-
-// N returns the cluster size.
-func (c *Cluster) N() int { return c.nw.N() }
-
-// T returns the Byzantine threshold.
-func (c *Cluster) T() int { return c.nw.T() }
-
-// Crash marks a node crashed (messages to it are lost until Recover).
-func (c *Cluster) Crash(id int) { c.nw.Crash(id) }
-
-// Recover brings a crashed node back; its protocol layer requests
-// retransmission via the help protocol.
-func (c *Cluster) Recover(id int) { c.nw.Recover(id) }
-
-// GenerateKey runs one full DKG and returns the resulting shared key.
-//
-// Deprecated: use Network.GenerateKey, which returns a serving Key.
-func (c *Cluster) GenerateKey() (*SharedKey, error) {
-	k, err := c.nw.GenerateKey(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	sk := &SharedKey{
-		PublicKey:  k.PublicKey(),
-		Commitment: k.Commitment(),
-		Shares:     k.Shares(),
-		gr:         c.nw.Group(),
-		t:          c.nw.T(),
-	}
-	c.keys[sk] = k
-	return sk, nil
-}
-
-// key resolves the serving Key behind a SharedKey handle.
-func (c *Cluster) key(sk *SharedKey) (*Key, error) {
-	k := c.keys[sk]
-	if k == nil {
-		return nil, fmt.Errorf("%w: unknown key", ErrBadOptions)
-	}
-	return k, nil
-}
-
-// Sign produces a threshold Schnorr signature on message.
-//
-// Deprecated: use Key.Sign.
-func (c *Cluster) Sign(sk *SharedKey, message []byte) (Signature, error) {
-	k, err := c.key(sk)
-	if err != nil {
-		return Signature{}, err
-	}
-	return k.Sign(context.Background(), message)
-}
-
-// Verify checks a threshold signature against the shared public key.
-func (k *SharedKey) Verify(message []byte, s Signature) bool {
-	return thresh.Verify(k.gr, k.PublicKey, message, thresh.Signature{R: s.R, Sigma: s.Sigma})
-}
-
-// Encrypt encrypts a group element under the shared public key.
-//
-// Deprecated: use Key.Encrypt.
-func (c *Cluster) Encrypt(sk *SharedKey, m Element) (Ciphertext, error) {
-	k, err := c.key(sk)
-	if err != nil {
-		return Ciphertext{}, err
-	}
-	return k.Encrypt(m)
-}
-
-// Decrypt runs verified threshold decryption with t+1 share holders.
-//
-// Deprecated: use Key.Decrypt.
-func (c *Cluster) Decrypt(sk *SharedKey, ct Ciphertext) (Element, error) {
-	k, err := c.key(sk)
-	if err != nil {
-		return nil, err
-	}
-	return k.Decrypt(context.Background(), ct)
-}
-
-// RenewShares runs one proactive renewal phase (§5): every share is
-// replaced, the public key is preserved, and old shares become
-// useless. The SharedKey is updated in place.
-//
-// Deprecated: use Key.Renew.
-func (c *Cluster) RenewShares(sk *SharedKey) error {
-	k, err := c.key(sk)
-	if err != nil {
-		return err
-	}
-	if err := k.Renew(context.Background()); err != nil {
-		return err
-	}
-	sk.PublicKey = k.PublicKey()
-	sk.Commitment = k.Commitment()
-	sk.Shares = k.Shares()
-	return nil
-}
-
-// Reconstruct opens the shared secret by combining t+1 shares.
-//
-// Deprecated: use Key.Reconstruct.
-func (c *Cluster) Reconstruct(sk *SharedKey) (*big.Int, error) {
-	k, err := c.key(sk)
-	if err != nil {
-		return nil, err
-	}
-	return k.Reconstruct()
 }

@@ -109,9 +109,8 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 
 // Server serves the client protocol from one node's Service.
 type Server struct {
-	svc       *Service
-	groupName string
-	ln        net.Listener
+	svc *Service
+	ln  net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
@@ -119,9 +118,10 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts serving the client protocol on ln.
-func NewServer(ln net.Listener, svc *Service, groupName string) *Server {
-	s := &Server{svc: svc, groupName: groupName, ln: ln, conns: make(map[net.Conn]bool)}
+// NewServer starts serving the client protocol on ln. Its hello names
+// the service's group.
+func NewServer(ln net.Listener, svc *Service) *Server {
+	s := &Server{svc: svc, ln: ln, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -210,7 +210,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	w := msg.NewWriter(32)
 	w.U8(0) // reserved
-	w.Blob([]byte(s.groupName))
+	w.Blob([]byte(s.svc.gr.Name()))
 	w.U32(uint32(s.svc.cfg.N))
 	w.U32(uint32(s.svc.cfg.T))
 	hello := append([]byte{byte(ClientVersion >> 8), byte(ClientVersion)}, w.Bytes()...)
@@ -356,9 +356,7 @@ func errorPayload(reqID uint64, code uint8, detail string) []byte {
 type Client struct {
 	conn net.Conn
 	gr   *group.Group
-
-	groupName string
-	n, t      int
+	n, t int
 
 	mu      sync.Mutex
 	nextReq uint64
@@ -372,8 +370,16 @@ type clientReply struct {
 	payload []byte
 }
 
+// ServedGroup is the only group a client accepts from a server hello.
+const ServedGroup = "p256"
+
+// ErrUnsupportedGroup is returned by Dial when the server's hello names
+// a group other than ServedGroup.
+var ErrUnsupportedGroup = errors.New("dataplane: server group is not " + ServedGroup)
+
 // Dial connects, performs the hello exchange and starts the response
-// dispatcher.
+// dispatcher. It refuses a server whose hello names any group other
+// than ServedGroup.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
@@ -408,25 +414,27 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	gr, err := group.ByName(groupName)
-	if err != nil {
+	if groupName != ServedGroup {
+		// A client that adopted the server's choice would check the
+		// server's signatures and plaintexts in whatever group it names.
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("%w: %q", ErrUnsupportedGroup, groupName)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	c := &Client{
-		conn: conn, gr: gr, groupName: groupName, n: n, t: t,
+		conn: conn, gr: group.P256(), n: n, t: t,
 		pending: make(map[uint64]chan clientReply),
 	}
 	go c.readLoop(br)
 	return c, nil
 }
 
-// Group returns the cluster's group parameters (from the handshake).
+// Group returns the cluster's group parameters (P-256: Dial refuses
+// any other).
 func (c *Client) Group() *group.Group { return c.gr }
 
 // GroupName returns the cluster's group parameter set name.
-func (c *Client) GroupName() string { return c.groupName }
+func (c *Client) GroupName() string { return c.gr.Name() }
 
 // Roster returns the cluster's (n, t).
 func (c *Client) Roster() (n, t int) { return c.n, c.t }

@@ -29,7 +29,7 @@ type soloRig struct {
 
 func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 	t.Helper()
-	gr := group.Test256()
+	gr := group.P256()
 	rng := randutil.NewReader(0x50F0)
 	rig := &soloRig{gr: gr}
 	cfg := Config{
@@ -73,7 +73,7 @@ func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig.srv = NewServer(ln, rig.svc, "test256")
+	rig.srv = NewServer(ln, rig.svc)
 	t.Cleanup(rig.srv.Close)
 	return rig
 }
@@ -93,7 +93,7 @@ func TestClientEndToEnd(t *testing.T) {
 	defer cli.Close()
 	ctx := testCtx(t)
 
-	if cli.GroupName() != "test256" {
+	if cli.GroupName() != "p256" {
 		t.Fatalf("group name %q", cli.GroupName())
 	}
 	if n, th := cli.Roster(); n != 1 || th != 0 {
@@ -390,4 +390,52 @@ func TestClientOversizedFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectClosed(t, br)
+}
+
+// TestDialRefusesOtherGroups: a client never adopts the group a server
+// hello names. A server announcing a Z_p* parameter set — toy64 would
+// let it pass off 64-bit signatures and plaintexts as verified — is
+// refused with ErrUnsupportedGroup; one announcing p256 is accepted.
+func TestDialRefusesOtherGroups(t *testing.T) {
+	for _, name := range []string{"test256", "toy64", "p256"} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, _, err := readFrame(bufio.NewReader(conn)); err != nil {
+					return
+				}
+				w := msg.NewWriter(32)
+				w.U8(0)
+				w.Blob([]byte(name))
+				w.U32(4)
+				w.U32(1)
+				hello := append([]byte{byte(ClientVersion >> 8), byte(ClientVersion)}, w.Bytes()...)
+				_ = writeFrame(conn, FServerHello, hello)
+				_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client is done
+			}()
+			cli, err := Dial(ln.Addr().String())
+			if name == ServedGroup {
+				if err != nil {
+					t.Fatalf("p256 hello refused: %v", err)
+				}
+				defer cli.Close()
+				if cli.GroupName() != ServedGroup {
+					t.Fatalf("group %q", cli.GroupName())
+				}
+				return
+			}
+			if !errors.Is(err, ErrUnsupportedGroup) {
+				t.Fatalf("hello naming %q: err = %v, want ErrUnsupportedGroup", name, err)
+			}
+		})
+	}
 }

@@ -64,8 +64,8 @@ func Prod2048() *Group {
 func P256() *Group { return FromBackend(NewP256()) }
 
 // ByName resolves a pinned parameter set by name ("toy64", "test256",
-// "test512", "prod2048", "p256"). It is used by command-line tools and
-// the façade's Options.GroupName.
+// "test512", "prod2048", "p256"). It is used by command-line tools, the
+// harness and the benchmark rig; the façade serves P256 alone.
 func ByName(name string) (*Group, error) {
 	switch name {
 	case "toy64":

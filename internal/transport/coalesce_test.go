@@ -310,8 +310,8 @@ func TestCoalescedDKGOverTCP(t *testing.T) {
 
 // TestMixedFormatCluster: one node on the legacy per-message wire
 // format interoperates with three coalescing v2 nodes — the DKG
-// completes and all four agree. This is the rolling-upgrade story the
-// -wire-v1 flag of dkgnode supports.
+// completes and all four agree. Every node still decodes v1 frames,
+// though the façade and dkgnode only send v2.
 func TestMixedFormatCluster(t *testing.T) {
 	const n, tt = 4, 1
 	gr := group.Test256()

@@ -81,18 +81,12 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 	if err := roster.validate(); err != nil {
 		return nil, err
 	}
-	cfg := defaultNetConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	gr, err := group.ByName(cfg.groupName)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := sig.ByName(cfg.sigScheme)
-	if err != nil {
-		return nil, err
-	}
+	gr := group.P256()
+	scheme := sig.Ed25519{}
 	rng := randutil.NewReader(cfg.seed)
 	dir := sig.NewDirectory(scheme)
 	privs := make(map[msg.NodeID][]byte, roster.N)
@@ -224,10 +218,8 @@ func (nw *Network) dkgParams(id msg.NodeID) dkg.Params {
 		N:              nw.roster.N,
 		T:              nw.roster.T,
 		F:              nw.roster.F,
-		HashedEcho:     nw.cfg.hashedEcho,
-		DedupDealings:  nw.cfg.dedupDealings,
-		CompressedWire: nw.cfg.compressedWire,
-		DisableBatch:   nw.cfg.disableBatch,
+		DedupDealings:  true,
+		CompressedWire: true,
 		Certificates:   nw.cfg.certificates,
 		Directory:      nw.dir,
 		SignKey:        nw.privs[id],

@@ -3,6 +3,7 @@ package hybriddkg
 import (
 	"fmt"
 
+	"hybriddkg/internal/dataplane"
 	"hybriddkg/internal/msg"
 )
 
@@ -14,29 +15,21 @@ type Roster struct {
 }
 
 func (r Roster) validate() error {
-	if r.N < 1 || r.N < 3*r.T+2*r.F+1 {
-		return fmt.Errorf("%w: n=%d t=%d f=%d violates n ≥ 3t+2f+1", ErrBadOptions, r.N, r.T, r.F)
+	if r.T < 0 || r.F < 0 || r.N < 1 || r.N < 3*r.T+2*r.F+1 {
+		return fmt.Errorf("%w: n=%d t=%d f=%d violates t, f ≥ 0 and n ≥ 3t+2f+1", ErrBadOptions, r.N, r.T, r.F)
 	}
 	return nil
 }
 
-// netConfig is the resolved network configuration. Every knob that
-// used to be a protocol-layer struct field (dkg.Params toggles, engine
-// config, data-plane admission settings) is set through an Option so
-// callers compose behaviour instead of wiring internals.
+// netConfig is the resolved network configuration. The protocol
+// profile is fixed — P-256, Ed25519, wire format v2 — so what is left
+// to choose is the seed, certificate mode and the serving knobs.
 type netConfig struct {
 	groupName string
-	sigScheme string
 	seed      uint64
 
-	// Control-plane (DKG) toggles.
-	hashedEcho     bool
-	dedupDealings  bool
-	compressedWire bool
-	certificates   bool
-	disableBatch   bool
-	legacyWire     bool
-	verifyWorkers  int
+	certificates  bool
+	verifyWorkers int
 
 	// Data-plane (serving) knobs.
 	rate        float64
@@ -47,30 +40,29 @@ type netConfig struct {
 	beaconAhead int
 }
 
-func defaultNetConfig() netConfig {
-	return netConfig{
-		groupName: "test256",
-		sigScheme: "ed25519",
-		seed:      1,
+// resolve applies opts and checks the profile they select.
+func resolve(opts []Option) (netConfig, error) {
+	cfg := netConfig{groupName: dataplane.ServedGroup, seed: 1}
+	for _, o := range opts {
+		o(&cfg)
 	}
+	if cfg.groupName != dataplane.ServedGroup {
+		return cfg, fmt.Errorf("%w: group %q (only %q is served)", ErrBadOptions, cfg.groupName, dataplane.ServedGroup)
+	}
+	return cfg, nil
 }
 
 // Option configures a Network.
 type Option func(*netConfig)
 
-// WithGroup selects the group backend and parameter set: "toy64",
-// "test256" (default), "test512", "prod2048" (all Z_p*) or "p256"
-// (NIST P-256; ~128-bit security with commitment operations an order
-// of magnitude cheaper than prod2048).
-func WithGroup(name string) Option {
-	return func(c *netConfig) { c.groupName = name }
-}
+// Deprecated: New and Serve always run "p256"; any other name is an error.
+func WithGroup(name string) Option { return func(c *netConfig) { c.groupName = name } }
 
-// WithSignatureScheme selects message authentication: "ed25519"
-// (default), "schnorr-test256", "schnorr-prod2048" or "null".
-func WithSignatureScheme(name string) Option {
-	return func(c *netConfig) { c.sigScheme = name }
-}
+// Deprecated: commitment matrices are always deduplicated.
+func WithDedupDealings() Option { return func(*netConfig) {} }
+
+// Deprecated: the wire always carries compressed group elements.
+func WithCompressedWire() Option { return func(*netConfig) {} }
 
 // WithSeed makes the whole deployment deterministic (scheduling and
 // key material). The default 1 is fine for demos; real deployments
@@ -80,36 +72,6 @@ func WithSeed(seed uint64) Option {
 		if seed != 0 {
 			c.seed = seed
 		}
-	}
-}
-
-// WithHashedEcho enables the O(κn³) commitment-hash optimisation on
-// every embedded VSS instance (§4.4).
-func WithHashedEcho() Option {
-	return func(c *netConfig) { c.hashedEcho = true }
-}
-
-// WithDedupDealings makes VSS instances reference commitment matrices
-// by digest after the dealer's send, with pull-based fetch for nodes
-// that missed the full copy.
-func WithDedupDealings() Option {
-	return func(c *netConfig) { c.dedupDealings = true }
-}
-
-// WithCompressedWire selects the wire-format-v2 commitment encoding
-// (compressed group elements) on every matrix the protocol emits.
-func WithCompressedWire() Option {
-	return func(c *netConfig) { c.compressedWire = true }
-}
-
-// WithLegacyWireV1 sends the legacy wire format v1: no frame
-// coalescing, no compressed or dedup'd commitments. v2 frames are
-// still decoded. Only meaningful for TCP deployments (Serve).
-func WithLegacyWireV1() Option {
-	return func(c *netConfig) {
-		c.legacyWire = true
-		c.dedupDealings = false
-		c.compressedWire = false
 	}
 }
 
@@ -126,13 +88,6 @@ func WithLegacyWireV1() Option {
 // certificate path only changes message shape.
 func WithCertificates() Option {
 	return func(c *netConfig) { c.certificates = true }
-}
-
-// WithoutBatchVerify turns off batched point verification in the
-// commitment hot path (batching is on by default; disabling it is
-// mainly useful for differential testing).
-func WithoutBatchVerify() Option {
-	return func(c *netConfig) { c.disableBatch = true }
 }
 
 // WithParallelVerify fans batched commitment verification out over a

@@ -2,11 +2,10 @@
 # End-to-end deployment check: build cmd/dkgnode, launch a real 4-node
 # TCP cluster on localhost in `serve` mode with 2 concurrent DKG
 # sessions each, and gate on every node printing the same public key
-# per session (and different keys across sessions). Node 2 runs with
-# -wire-v1 (legacy per-message framing, full dealings), so phase 1 is
-# also the rolling-upgrade check: a mixed-version cluster must still
-# complete. On clean shutdown every node must report its cumulative
-# bytes-on-wire books, including per-session byte counters.
+# per session (and different keys across sessions). Every node runs the
+# one shipped profile (P-256, Ed25519, wire format v2). On clean
+# shutdown every node must report its cumulative bytes-on-wire books,
+# including per-session byte counters.
 #
 # Phase 2 exercises durable restart recovery: a 4-node cluster with
 # --state-dir in which node 1 (the initial leader) is SIGKILLed while
@@ -45,17 +44,12 @@ for i in $(seq 1 "$N"); do
   peers+="${peers:+,}$i=127.0.0.1:$((BASE_PORT + i))"
 done
 
-echo "== launching $N nodes ($SESSIONS sessions each, node 2 on -wire-v1, peers $peers)"
+echo "== launching $N nodes ($SESSIONS sessions each, peers $peers)"
 for i in $(seq 1 "$N"); do
-  extra=()
-  if [ "$i" -eq 2 ]; then
-    extra+=(-wire-v1) # mixed-version cluster: one legacy-format node
-  fi
   "$workdir/dkgnode" serve \
     -id "$i" -listen "127.0.0.1:$((BASE_PORT + i))" \
     -peers "$peers" -keys "$workdir/keys.json" \
     -n "$N" -t "$T" -sessions "$SESSIONS" -timeout "$TIMEOUT" \
-    "${extra[@]}" \
     >"$workdir/node$i.out" 2>"$workdir/node$i.err" </dev/null &
   pids+=($!)
 done
@@ -131,7 +125,7 @@ for i in $(seq 1 "$N"); do
   done
 done
 
-echo "== e2e cluster OK: $SESSIONS concurrent sessions, one key per session, mixed v1/v2 wire formats"
+echo "== e2e cluster OK: $SESSIONS concurrent sessions, one key per session"
 
 # ---------------------------------------------------------------------
 # Phase 2: kill one node mid-DKG and restart it from --state-dir.
@@ -308,6 +302,13 @@ for op in sign decrypt beacon; do
 done
 if ! grep -q "$(grep -o '"publicKey":"[^"]*"' "$workdir/dp-node1.out" | head -1)" "$workdir/dp-client.out"; then
   echo "!! data-plane client reported a different public key than the cluster" >&2
+  exit 1
+fi
+# The client's handshake names the cluster's group: the one the rig
+# measures.
+if ! grep '"op":"keyinfo"' "$workdir/dp-client.out" | grep -q '"group":"p256"'; then
+  echo "!! data-plane client: keyinfo does not report group p256" >&2
+  cat "$workdir/dp-client.out" >&2
   exit 1
 fi
 

@@ -34,13 +34,12 @@ type PeerAddr struct {
 	Addr string
 }
 
-// KeyRing is one node's authentication material: the signature scheme
-// name, every node's public key, this node's private key and the
-// cluster's shared transport secret. In a real deployment each node
-// receives only its own private key plus all public keys (the paper's
-// certificate model, §2.3).
+// KeyRing is one node's authentication material: every node's Ed25519
+// public key, this node's private key and the cluster's shared
+// transport secret. In a real deployment each node receives only its
+// own private key plus all public keys (the paper's certificate model,
+// §2.3).
 type KeyRing struct {
-	Scheme          string
 	Public          map[NodeID][]byte
 	Private         []byte
 	TransportSecret []byte
@@ -48,11 +47,11 @@ type KeyRing struct {
 
 // NewKeyRings generates fresh authentication material for an n-node
 // cluster: one ring per node, sharing the public directory and the
-// transport secret. The operator distributes ring i to node i.
+// transport secret. The operator distributes ring i to node i. The
+// scheme must be "ed25519", the only one a node accepts.
 func NewKeyRings(n int, schemeName string) ([]KeyRing, error) {
-	scheme, err := sig.ByName(schemeName)
-	if err != nil {
-		return nil, err
+	if schemeName != "ed25519" {
+		return nil, fmt.Errorf("%w: signature scheme %q (only ed25519 is served)", ErrBadOptions, schemeName)
 	}
 	var secret [32]byte
 	if _, err := rand.Read(secret[:]); err != nil {
@@ -61,7 +60,7 @@ func NewKeyRings(n int, schemeName string) ([]KeyRing, error) {
 	public := make(map[NodeID][]byte, n)
 	privs := make([][]byte, n)
 	for i := 1; i <= n; i++ {
-		priv, pub, err := scheme.GenerateKey(rand.Reader)
+		priv, pub, err := sig.Ed25519{}.GenerateKey(rand.Reader)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +70,6 @@ func NewKeyRings(n int, schemeName string) ([]KeyRing, error) {
 	rings := make([]KeyRing, n)
 	for i := range rings {
 		rings[i] = KeyRing{
-			Scheme:          schemeName,
 			Public:          public,
 			Private:         privs[i],
 			TransportSecret: secret[:],
@@ -81,11 +79,7 @@ func NewKeyRings(n int, schemeName string) ([]KeyRing, error) {
 }
 
 func (k KeyRing) directory() (*sig.Directory, error) {
-	scheme, err := sig.ByName(k.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	dir := sig.NewDirectory(scheme)
+	dir := sig.NewDirectory(sig.Ed25519{})
 	for id, pub := range k.Public {
 		if err := dir.Add(int64(id), pub); err != nil {
 			return nil, err
@@ -213,10 +207,10 @@ func buildCodec(gr *group.Group) (*msg.Codec, error) {
 	return codec, nil
 }
 
-// Serve starts one deployment node. The options carry the same
-// protocol toggles as New (WithGroup, WithCompressedWire,
-// WithDedupDealings, WithAdmission, …); seed-related options are
-// ignored — a real node draws from crypto/rand.
+// Serve starts one deployment node. It runs the same profile as New;
+// the options carry the same certificate and serving settings
+// (WithCertificates, WithAdmission, …), and WithSeed is ignored — a
+// real node draws from crypto/rand.
 func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	if cfg.Self < 1 || cfg.Listen == "" || len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing self/listen/peers", ErrBadOptions)
@@ -224,18 +218,15 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	if err := cfg.Roster.validate(); err != nil {
 		return nil, err
 	}
-	nc := defaultNetConfig()
-	for _, o := range opts {
-		o(&nc)
+	nc, err := resolve(opts)
+	if err != nil {
+		return nil, err
 	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	}
-	gr, err := group.ByName(nc.groupName)
-	if err != nil {
-		return nil, err
-	}
+	gr := group.P256()
 	dir, err := cfg.Keys.directory()
 	if err != nil {
 		return nil, err
@@ -277,7 +268,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Codec:     codec,
 		Secret:    cfg.Keys.TransportSecret,
 		TimerUnit: time.Millisecond,
-		Coalesce:  !nc.legacyWire,
+		Coalesce:  true,
 	}
 
 	// One verifier for all sessions: the directory memoizes signature
@@ -344,10 +335,8 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		N:              cfg.Roster.N,
 		T:              cfg.Roster.T,
 		F:              cfg.Roster.F,
-		HashedEcho:     nc.hashedEcho,
-		DedupDealings:  nc.dedupDealings,
-		CompressedWire: nc.compressedWire,
-		DisableBatch:   nc.disableBatch,
+		DedupDealings:  true,
+		CompressedWire: true,
 		Certificates:   nc.certificates,
 		Directory:      dir,
 		SignKey:        cfg.Keys.Private,
@@ -460,7 +449,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 			s.Close()
 			return nil, err
 		}
-		s.dps = dataplane.NewServer(ln, svc, nc.groupName)
+		s.dps = dataplane.NewServer(ln, svc)
 	}
 
 	if s.reg != nil {

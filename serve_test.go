@@ -233,7 +233,7 @@ func TestServeRestartDoesNotRearmNonces(t *testing.T) {
 			srv, err := Serve(ServerConfig{
 				Self: NodeID(i + 1), Roster: Roster{N: n, T: thr}, Listen: peers[i].Addr, Peers: peers,
 				Keys: rings[i], VerifyWorkers: 2, StateDir: dirs[i], Logf: func(string, ...any) {},
-			}, WithGroup("p256"), WithDedupDealings(), WithCompressedWire())
+			})
 			if err != nil {
 				t.Fatalf("serve node %d: %v", i+1, err)
 			}
@@ -371,5 +371,23 @@ func TestServeStaggeredStartStrandsNothing(t *testing.T) {
 	}
 	if held == 0 {
 		t.Fatal("no frame arrived ahead of its session's registration: the stagger tested nothing")
+	}
+}
+
+// TestNewKeyRingsRefusesOtherSchemes: a node authenticates its peers
+// with Ed25519 only, so key material for any other scheme — above all
+// "null", which verifies every signature — is never generated.
+func TestNewKeyRingsRefusesOtherSchemes(t *testing.T) {
+	for _, name := range []string{"null", "schnorr-test256", "nope"} {
+		if _, err := NewKeyRings(4, name); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("NewKeyRings(4, %q): err = %v, want ErrBadOptions", name, err)
+		}
+	}
+	rings, err := NewKeyRings(4, "ed25519")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rings) != 4 || len(rings[0].Public) != 4 {
+		t.Fatalf("rings: %d, directory %d", len(rings), len(rings[0].Public))
 	}
 }
