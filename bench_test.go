@@ -953,17 +953,15 @@ func TestE19WireReduction(t *testing.T) {
 // watermark set to the depth). Each iteration signs `depth` distinct
 // messages — digests never repeat, so the aggregator result cache
 // cannot short-circuit the path under test (enqueue → flush →
-// fan-out → partial generation → optimistic combine → batched final
-// verification).
+// fan-out → FROST answers → sum → batched final verification).
 //
-// Nonce provisioning is pre-dealt untimed, in chunks between timed
-// windows: the fixture's polynomial dealer stands in for the aux
-// DKGs that provision reservoirs in production, and that control
-// plane has its own experiments (E15 session throughput, E18 core
-// scaling). What remains timed is exactly the serving layer this
-// experiment is about. The headline metric is req/s;
-// scripts/bench_gate.sh gates the recorded throughput and the
-// batched/unbatched ratio.
+// Signing commitments are fetched untimed, in chunks between timed
+// windows (PrefillNonces), as a serving aggregator holds them ahead of
+// demand. Every signer's nonce work is inside the signing round, so it
+// is timed: on the simulator all nodes share one goroutine, and a
+// window bills the whole cluster's CPU per signature. The headline
+// metric is req/s; scripts/bench_gate.sh gates the recorded throughput
+// and the batched/unbatched ratio.
 func BenchmarkE20DataPlane(b *testing.B) {
 	for _, name := range []string{"test256", "p256"} {
 		gr, err := group.ByName(name)

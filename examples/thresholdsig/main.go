@@ -28,7 +28,6 @@ func run() error {
 	// n ≥ 3t + 2f + 1 → 10 ≥ 3·2 + 2·1 + 1 = 9 ✓
 	net, err := hybriddkg.New(hybriddkg.Roster{N: 10, T: 2, F: 1},
 		hybriddkg.WithSeed(11),
-		hybriddkg.WithNonceReservoir(8), // absorb certificate bursts
 		hybriddkg.WithBatchWindow(16))
 	if err != nil {
 		return err
@@ -36,7 +35,7 @@ func run() error {
 	defer net.Close()
 	ctx := context.Background()
 
-	// Eager serving: provision the signing-nonce reservoir before the
+	// Eager serving: fetch the peers' signing commitments before the
 	// first certificate request arrives.
 	caKey, err := net.GenerateKey(ctx, hybriddkg.WithEagerServing())
 	if err != nil {

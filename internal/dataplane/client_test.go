@@ -44,17 +44,11 @@ func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 	cfg.Provision = func(_ msg.SessionID, sids []msg.SessionID) {
 		// Runs on connection goroutines; panic rather than t.Fatal.
 		for _, sid := range sids {
-			rng := randutil.NewReader(uint64(sid))
-			var shares []*big.Int
-			var vs []*commit.Vector
-			for i := 0; i < AuxWidth(sid); i++ {
-				p, err := poly.NewRandom(gr.Q(), 0, rng)
-				if err != nil {
-					panic(err)
-				}
-				shares, vs = append(shares, p.EvalInt(1)), append(vs, commit.NewVector(gr, p))
+			p, err := poly.NewRandom(gr.Q(), 0, randutil.NewReader(uint64(sid)))
+			if err != nil {
+				panic(err)
 			}
-			rig.svc.InstallAux(sid, shares, vs)
+			rig.svc.InstallAux(sid, []*big.Int{p.EvalInt(1)}, []*commit.Vector{commit.NewVector(gr, p)})
 		}
 	}
 	if tweak != nil {

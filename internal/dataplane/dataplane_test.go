@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -97,8 +98,7 @@ func TestDataPlaneSignDuplicateCoalesces(t *testing.T) {
 
 func TestDataPlaneSignBatch(t *testing.T) {
 	c := newCluster(t, 7, 2, func(cfg *dataplane.Config) {
-		cfg.NonceTarget = 16 // pre-stock the reservoir for one big batch
-		cfg.MaxBatch = 64    // no watermark flush mid-test
+		cfg.MaxBatch = 64 // no watermark flush mid-test
 	})
 	c.Services[1].Activate(c.KeyID)
 
@@ -185,10 +185,10 @@ func TestDataPlaneBeacon(t *testing.T) {
 	}
 }
 
-// TestDataPlaneEvictsBadSigner wires nodes 2, 3 and 4 — aggregator
-// 1's entire initial fan-out — to corrupt every partial signature
-// they return. The aggregator must identify the forgers from the
-// failed combine, evict them and finish against the honest remainder.
+// TestDataPlaneEvictsBadSigner wires nodes 2, 3 and 4 — the peers
+// aggregator 1's rotation asks first — to corrupt every answer they
+// return. The aggregator must identify the forgers from the failed
+// signature, evict them and finish against the honest remainder.
 func TestDataPlaneEvictsBadSigner(t *testing.T) {
 	c := newCluster(t, 7, 2, func(cfg *dataplane.Config) {
 		if cfg.Self != 2 && cfg.Self != 3 && cfg.Self != 4 {
@@ -197,7 +197,7 @@ func TestDataPlaneEvictsBadSigner(t *testing.T) {
 		orig := cfg.Send
 		cfg.Send = func(to msg.NodeID, body msg.Body) {
 			if resp, ok := body.(*dataplane.PartialResp); ok {
-				forged := &dataplane.PartialResp{Key: resp.Key, Items: make([]dataplane.RespItem, len(resp.Items))}
+				forged := &dataplane.PartialResp{Key: resp.Key, Commits: resp.Commits, Items: make([]dataplane.RespItem, len(resp.Items))}
 				copy(forged.Items, resp.Items)
 				for i := range forged.Items {
 					if forged.Items[i].Sigma != nil {
@@ -210,6 +210,8 @@ func TestDataPlaneEvictsBadSigner(t *testing.T) {
 		}
 	})
 
+	c.Services[1].Activate(c.KeyID)
+	c.Net.Run(0) // every peer's commitments are booked
 	message := []byte("three of the seven are lying")
 	sig, err := c.Sign(1, message)
 	if err != nil {
@@ -305,8 +307,7 @@ func TestDecryptByzantineResponders(t *testing.T) {
 func TestDataPlaneAdmissionShed(t *testing.T) {
 	c := newCluster(t, 5, 1, func(cfg *dataplane.Config) {
 		cfg.MaxPending = 1
-		cfg.MaxBatch = 64
-		cfg.Provision = func(msg.SessionID, []msg.SessionID) {} // starve: requests stay queued
+		cfg.MaxBatch = 64 // nothing flushes: requests stay queued
 	})
 	svc := c.Services[1]
 	if err := svc.Sign(c.KeyID, []byte("first"), func(dataplane.Result, error) {}); err != nil {
@@ -318,5 +319,159 @@ func TestDataPlaneAdmissionShed(t *testing.T) {
 	}
 	if svc.Stats().Shed != 1 {
 		t.Fatalf("stats: %+v", svc.Stats())
+	}
+}
+
+// TestSignByzantineSigners puts four misbehaving signers at n = 10,
+// t = 3 among the peers aggregator 1 asks first: node 2 returns a bad z,
+// node 3 withholds its answers, node 4 answers under a nonce ID it has
+// already used and node 5 under one it never issued. Every request
+// completes within n−t attempts, and nodes 2, 4 and 5 are named suspects;
+// the silent node 3, which proved nothing wrong, is not.
+func TestSignByzantineSigners(t *testing.T) {
+	const n, th = 10, 3
+	for _, gr := range []*group.Group{group.P256(), group.Test256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			attempts := map[[32]byte]map[string]bool{} // digest → distinct lists B
+			var firstID uint64                         // the first nonce ID node 4 issued
+			c, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: n, T: th, Seed: 42, Group: gr,
+				Tweak: func(cfg *dataplane.Config) {
+					self, orig := cfg.Self, cfg.Send
+					cfg.Send = func(to msg.NodeID, body msg.Body) {
+						switch m := body.(type) {
+						case *dataplane.PartialReq:
+							for _, it := range m.Items {
+								if self == 1 && it.Op == dataplane.OpSign {
+									if attempts[it.Digest] == nil {
+										attempts[it.Digest] = map[string]bool{}
+									}
+									attempts[it.Digest][string(it.B)] = true
+								}
+							}
+						case *dataplane.PartialResp:
+							if self == 4 && firstID == 0 && len(m.Commits) > 0 {
+								raws, err := thresh.ParseCommitments(m.Commits)
+								if err == nil && len(raws) > 0 {
+									firstID = raws[0].ID
+								}
+							}
+							if len(m.Items) == 0 || self < 2 || self > 5 {
+								break // fetch answers and honest nodes pass
+							}
+							if self == 3 {
+								return
+							}
+							bad := &dataplane.PartialResp{Key: m.Key, Commits: m.Commits, Items: append([]dataplane.RespItem(nil), m.Items...)}
+							for i := range bad.Items {
+								switch it := &bad.Items[i]; self {
+								case 2:
+									it.Sigma = new(big.Int).Add(it.Sigma, big.NewInt(1))
+								case 4:
+									it.Nonce = firstID
+								case 5:
+									it.Nonce ^= 1 << 31
+								}
+							}
+							body = bad
+						}
+						orig(to, body)
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Services[1].Activate(c.KeyID)
+			c.Net.Run(0)
+			rs := map[string]bool{}
+			for i := 0; i < 12; i++ {
+				message := []byte{'b', 'y', 'z', byte(i)}
+				sig, err := c.Sign(1, message)
+				if err != nil {
+					t.Fatalf("sign %d: %v", i, err)
+				}
+				if !thresh.Verify(gr, c.KeyV.PublicKey(), message, sig) {
+					t.Fatalf("sign %d does not verify", i)
+				}
+				rs[sig.R.String()] = true
+			}
+			if len(rs) != 12 {
+				t.Fatalf("%d distinct nonces under 12 signatures", len(rs))
+			}
+			retried := 0
+			for d, bs := range attempts {
+				if len(bs) > n-th {
+					t.Fatalf("request %x took %d attempts, more than n−t = %d", d[:4], len(bs), n-th)
+				}
+				retried += len(bs) - 1
+			}
+			st := c.Services[1].Stats()
+			if uint64(retried) != st.SignAttempts || retried == 0 {
+				t.Fatalf("%d retries on the wire, %d counted", retried, st.SignAttempts)
+			}
+			ks := c.Services[1].KeysSnapshot()
+			if got := fmt.Sprint(ks[0].Suspects); got != "[2 4 5]" || st.Evicted != 3 {
+				t.Fatalf("suspects %s, evicted %d; want [2 4 5] and 3", got, st.Evicted)
+			}
+		})
+	}
+}
+
+// TestSignRenewalMidFlight is the signing twin of
+// TestDecryptRenewalMidFlight: renewed shares land on every node while
+// signatures are in flight — some peers have answered under the old
+// shares, the answers of others are on the wire. Every signature
+// verifies, and no honest signer is evicted.
+func TestSignRenewalMidFlight(t *testing.T) {
+	for _, gr := range []*group.Group{group.P256(), group.Test256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			c, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: 7, T: 2, Seed: 43, Group: gr,
+				Tweak: func(cfg *dataplane.Config) { cfg.MaxBatch = 64 }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Services[1].Activate(c.KeyID)
+			c.Net.Run(0)
+			msgs := make([][]byte, 16)
+			sigs := make([]thresh.Signature, len(msgs))
+			left := len(msgs)
+			for i := range msgs {
+				i := i
+				msgs[i] = []byte{'r', 'e', 'n', byte(i)}
+				if err := c.Services[1].Sign(c.KeyID, msgs[i], func(r dataplane.Result, err error) {
+					if err != nil {
+						t.Errorf("sign %d: %v", i, err)
+					}
+					sigs[i] = r.Sig
+					left--
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Services[1].Flush(c.KeyID)
+			c.Net.Run(8) // a few peers answer under the old shares
+			oldV := c.KeyV
+			if err := c.Renew(); err != nil {
+				t.Fatal(err)
+			}
+			if c.KeyV.Eval(2).Equal(oldV.Eval(2)) {
+				t.Fatal("renewal left the shares unchanged")
+			}
+			if !c.Pump(func() bool { return left == 0 }) {
+				t.Fatalf("%d signatures stalled", left)
+			}
+			for i, sig := range sigs {
+				if !thresh.Verify(gr, c.KeyV.PublicKey(), msgs[i], sig) {
+					t.Fatalf("signature %d does not verify", i)
+				}
+			}
+			for id, svc := range c.Services {
+				if st := svc.Stats(); st.Evicted != 0 {
+					t.Fatalf("node %d evicted an honest signer: %+v", id, st)
+				}
+			}
+			if st := c.Services[1].Stats(); st.SignAttempts == 0 {
+				t.Fatalf("no attempt restarted across the renewal: %+v", st)
+			}
+		})
 	}
 }

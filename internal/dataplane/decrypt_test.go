@@ -141,11 +141,16 @@ func TestDecryptMalformedPartialEvicts(t *testing.T) {
 }
 
 // TestSignMalformedPartialEvicts is the signing counterpart: a nil or
-// non-scalar σ evicts its sender.
+// non-scalar z, or one under a nonce ID the attempt never gave its
+// sender, evicts the sender, and a new attempt completes without it.
 func TestSignMalformedPartialEvicts(t *testing.T) {
 	for _, gr := range backends {
 		t.Run(gr.Name(), func(t *testing.T) {
-			for i, sigma := range []*big.Int{nil, gr.Q()} {
+			for i, tamper := range []func(*RespItem){
+				func(it *RespItem) { it.Sigma = nil },
+				func(it *RespItem) { it.Sigma = gr.Q() },
+				func(it *RespItem) { it.Nonce++ },
+			} {
 				rig := newTestRigOn(t, gr, 3, 1, nil)
 				message := []byte("malformed partials")
 				var res Result
@@ -154,18 +159,19 @@ func TestSignMalformedPartialEvicts(t *testing.T) {
 				if err := rig.svc.Sign(1, message, func(r Result, err error) { res, rerr, done = r, err, true }); err != nil {
 					t.Fatal(err)
 				}
-				sid := NonceSID(1, 1, 0)
-				auxPs, auxVs := rig.dealAux(t, sid)
-				digest := SignDigest(1, message)
-				rig.svc.HandleMessage(2, &PartialResp{Key: 1, Items: []RespItem{{Digest: digest, Status: StOK, Sigma: sigma}}})
+				pairs2 := rig.issue(t, 2, 2)
+				rig.svc.Flush(1)
+				rig.answerSigns(t, 2, pairs2, tamper)
 				if st := rig.svc.Stats(); st.Evicted != 1 || !rig.svc.keys[1].suspects[2] {
 					t.Fatalf("case %d: malformed partial not evicted: %+v", i, st)
 				}
-				c := thresh.Challenge(rig.gr, auxVs[0].PublicKey(), rig.keyV.PublicKey(), message)
-				p3 := thresh.PartialSignPre(rig.gr, 3, rig.keyP.EvalInt(3), auxPs[0].EvalInt(3), c)
-				rig.svc.HandleMessage(3, &PartialResp{Key: 1, Items: []RespItem{{Digest: digest, Status: StOK, Sigma: p3.Sigma}}})
+				pairs3 := rig.issue(t, 3, 2)
+				rig.answerSigns(t, 3, pairs3, nil)
 				if !done || rerr != nil || !thresh.Verify(rig.gr, rig.keyV.PublicKey(), message, res.Sig) {
 					t.Fatalf("case %d: sign did not complete: done=%v err=%v", i, done, rerr)
+				}
+				if st := rig.svc.Stats(); st.SignAttempts != 1 {
+					t.Fatalf("case %d: %d retries, want 1", i, st.SignAttempts)
 				}
 			}
 		})

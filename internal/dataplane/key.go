@@ -15,7 +15,8 @@ import (
 type KeyState int
 
 // Lifecycle states. Install yields Ready; the first request (or
-// Activate) provisions aux sessions and moves to Serving; Retire
+// Activate) moves to Serving, asking peers for signing commitments or
+// provisioning beacon sessions as the request needs; Retire
 // sheds new requests while in-flight ones drain and peer partials
 // keep being served.
 const (
@@ -77,11 +78,15 @@ type request struct {
 	ct      thresh.Ciphertext // decrypt operands
 	round   uint64            // open round
 
-	sid       msg.SessionID  // assigned nonce session (sign) / beacon session (open)
-	nonceV    *commit.Vector // aggregator's view of the nonce commitment
-	challenge *big.Int       // sign: c = H(R ‖ pk ‖ m), computed once
+	sid    msg.SessionID  // open: the round's beacon session
+	roundV *commit.Vector // open: the round session's commitment
 
-	partials map[msg.NodeID]thresh.PartialSig
+	// Sign: every FROST attempt made so far, the retry tick the newest
+	// started in, and the peers asked in one and not yet heard from.
+	attempts []*attempt
+	gen      uint64
+	pending  map[msg.NodeID]bool
+
 	decParts map[msg.NodeID]thresh.PartialDecryption
 	openPts  map[msg.NodeID]*big.Int
 	asked    map[msg.NodeID]bool
@@ -89,37 +94,46 @@ type request struct {
 
 	cbs  []Callback
 	done bool
-	// starved marks a sign request that a flush has found waiting on an
-	// empty reservoir (it feeds the key's width once).
-	starved bool
+}
+
+// attempt is one FROST signing attempt: the binding of its commitment
+// list B, the aggregator's own nonce pair — used, trusted and erased only
+// once every peer has answered; nil when the attempt can no longer
+// finish — and the peers' answers so far.
+type attempt struct {
+	req  *request
+	bind *thresh.Binding
+	own  *thresh.NoncePair
+	z    map[msg.NodeID]*big.Int
+}
+
+// live reports whether one of r's attempts can still finish.
+func (r *request) live() bool {
+	for _, a := range r.attempts {
+		if a.own != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // recorded counts the contributions collected so far for the
 // request's op.
 func (r *request) recorded() int {
-	switch r.op {
-	case OpDecrypt:
+	if r.op == OpDecrypt {
 		return len(r.decParts)
-	case OpOpen:
-		return len(r.openPts)
-	default:
-		return len(r.partials)
 	}
+	return len(r.openPts)
 }
 
 // contributed reports whether p's contribution is already recorded.
 func (r *request) contributed(p msg.NodeID) bool {
-	switch r.op {
-	case OpDecrypt:
+	if r.op == OpDecrypt {
 		_, ok := r.decParts[p]
 		return ok
-	case OpOpen:
-		_, ok := r.openPts[p]
-		return ok
-	default:
-		_, ok := r.partials[p]
-		return ok
 	}
+	_, ok := r.openPts[p]
+	return ok
 }
 
 // serveKey is the per-key serving state (aggregator and peer sides).
@@ -130,39 +144,58 @@ type serveKey struct {
 	pk    group.Element
 	state KeyState
 	// pubs memoises the public shares V(i) of this key epoch, filled on
-	// first use (decryption only); InstallKey empties it on renewal.
+	// first use; InstallKey empties it on renewal.
 	pubs map[msg.NodeID]group.Element
 
 	// Aggregator side.
-	reservoir    []msg.SessionID // installed, unassigned nonces owned by self
-	nonceCtr     uint64          // next nonce counter to derive
-	provisioning int             // nonces requested but not yet installed
-	// width is the number of secrets each dealer shares in the key's next
-	// nonce session, which then yields Service.yield(width) nonces: 1 until
-	// Sign requests starve, then doubling up to MaxNonceWidth.
-	width    int
 	beaconHi uint64
-	// Consumed-nonce bookkeeping: tombstones replay the recorded
-	// partial for retries, but a sustained-load key would accrete one
-	// forever per signature. consumedRing bounds them FIFO; when a
-	// tombstone ages out, its counter folds into nonceFloor[owner] so
-	// the session ID can still never be re-installed or re-answered
-	// (the consume-once invariant outlives the tombstone).
-	consumedRing []msg.SessionID
-	nonceFloor   map[msg.NodeID]uint64 // per owner: counters below are dead
-	queue        []*request
-	inflight     map[[32]byte]*request
-	results      *ring[Result]
-	suspects     map[msg.NodeID]bool
-	rotor        int
+	queue    []*request
+	inflight map[[32]byte]*request
+	results  *ring[Result]
+	suspects map[msg.NodeID]bool
+	rotor    int
+	// Signing: each peer's unused commitments, oldest first, whether
+	// the starting batches have been asked for, and the retry ticks so
+	// far.
+	book    map[msg.NodeID][]thresh.Commitment
+	fetched bool
+	gen     uint64
 
 	// Admission.
 	tokens     float64
 	lastRefill time.Time
 	served     uint64 // requests admitted on this key (telemetry)
 
-	// Peer side: partial-result cache keyed by request digest.
+	// Peer side: partial-result cache keyed by request digest (decrypt,
+	// open), and the nonce pairs issued to each aggregator.
 	partials *ring[RespItem]
+	pools    map[msg.NodeID]*noncePool
+}
+
+// noncePool holds the nonce pairs this node issued to one aggregator:
+// unused ones with their secrets, and spent ones as tombstones that
+// replay their answer to a re-ask of the same (m, B).
+type noncePool struct {
+	unused map[uint64]*thresh.NoncePair
+	spent  map[uint64]spentPair
+	tombs  []uint64 // spend order, oldest first
+}
+
+type spentPair struct {
+	digest [32]byte // H(m, B) the pair answered
+	z      *big.Int
+}
+
+// spend moves a pair to the tombstones, keeping at most keep of them.
+// A forgotten tombstone is safe: its id is then unknown and refused.
+func (p *noncePool) spend(id uint64, digest [32]byte, z *big.Int, keep int) {
+	delete(p.unused, id)
+	p.spent[id] = spentPair{digest: digest, z: z}
+	p.tombs = append(p.tombs, id)
+	if len(p.tombs) > keep {
+		delete(p.spent, p.tombs[0])
+		p.tombs = p.tombs[1:]
+	}
 }
 
 // pub returns the public share V(id) of the installed key epoch.

@@ -1,12 +1,14 @@
 package dataplane
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,23 +21,21 @@ import (
 
 // Config wires one node's data-plane service into its surroundings.
 // The service is transport-agnostic: peer traffic goes through Send,
-// auxiliary DKGs are requested through Provision/Submit, and retries
-// are scheduled through Defer — all supplied by the runtime (the
+// beacon DKGs are requested through Provision/Submit, and retries are
+// scheduled through Defer — all supplied by the runtime (the
 // simulator-backed facade or the TCP serve path).
 type Config struct {
 	Group *group.Group
 	Self  msg.NodeID
-	// N, T, F are the roster's shape. With n and t, f fixes how many
-	// nonces one coordinate of a nonce session yields (SessionShape).
-	N, T, F int
-	Peers   []msg.NodeID // every participant, including Self
+	N, T  int
+	Peers []msg.NodeID // every participant, including Self
 
 	// Send delivers a peer message on the data-plane session. Both
 	// runtimes enqueue asynchronously, so it may be called while the
 	// service lock is held.
 	Send func(to msg.NodeID, body msg.Body)
 
-	// Provision arranges for the listed auxiliary DKG sessions to run
+	// Provision arranges for the listed beacon DKG sessions to run
 	// on every node, eventually reaching each node's InstallAux. When
 	// nil the default applies: Submit each session locally and
 	// broadcast a Prepare to all peers.
@@ -50,22 +50,15 @@ type Config struct {
 	// requests via Kick.
 	Defer func(delay time.Duration, fn func())
 
-	// Rand supplies DLEQ nonces for partial decryptions.
+	// Rand supplies signing nonce pairs and DLEQ nonces for partial
+	// decryptions.
 	Rand io.Reader
 
 	// Now is the admission-control clock (defaults to time.Now).
 	Now func() time.Time
 
-	// NonceTarget is the low-water mark of pre-generated signing nonces
-	// kept per key (default 2): what a key that signs now and then
-	// holds, counting nonce sessions still running. A key whose Sign
-	// requests find the reservoir empty doubles its nonce sessions'
-	// width, up to 16 secrets per dealer, and from then on keeps
-	// max(NonceTarget, 2·yield) in stock, yield being the nonces one
-	// session of that width produces. BeaconAhead is the beacon
-	// look-ahead window provisioned past the highest requested round
-	// (default 2).
-	NonceTarget int
+	// BeaconAhead is the beacon look-ahead window provisioned past the
+	// highest requested round (default 2).
 	BeaconAhead int
 
 	// MaxBatch is the size watermark: enqueueing the MaxBatch-th
@@ -81,20 +74,29 @@ type Config struct {
 	Rate  float64
 	Burst int
 
-	// RetryDelay is the stall-retry interval (default 50ms).
+	// RetryDelay is the stall-retry interval (default 50ms). A signing
+	// attempt still unanswered one full interval after it started is
+	// superseded by a new one.
 	RetryDelay time.Duration
 
-	// CacheSize bounds the aggregator result cache and the peer
-	// partial cache, in entries per key (default 1024).
+	// CacheSize bounds the aggregator result cache, the peer partial
+	// cache and each aggregator's spent-nonce tombstones, in entries per
+	// key (default 1024).
 	CacheSize int
 }
+
+// Signing preprocessing sizes. startBatch is the number of commitments
+// an aggregator asks each peer for on first contact, and again whenever
+// it has none of that peer's left; maxIssued bounds the unused nonce
+// pairs a signer holds for one aggregator.
+const (
+	startBatch = 16
+	maxIssued  = thresh.MaxCommitments
+)
 
 func (c *Config) applyDefaults() {
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.NonceTarget <= 0 {
-		c.NonceTarget = 2
 	}
 	if c.BeaconAhead <= 0 {
 		c.BeaconAhead = 2
@@ -127,22 +129,13 @@ type Stats struct {
 	PeerItems     uint64 // peer-side items answered
 	PeerCacheHits uint64 // of those, served from the partial cache
 	Evicted       uint64 // bad partials evicted after verification
+	SignAttempts  uint64 // signing attempts after a request's first (ROAST retries)
 }
 
-// auxShare is this node's share of a completed auxiliary DKG. Nonce
-// shares are consumed (nilled) after serving one digest; the entry
-// itself stays as a tombstone so a session ID can never be re-run and
-// re-used (see the package comment's nonce-reuse invariant). The
-// partial produced at consumption is kept for replay — re-asks for the
-// same digest must answer from here, keyed by (session, digest),
-// because different aggregators use different nonce sessions for the
-// same request digest.
+// auxShare is this node's share of a completed beacon DKG.
 type auxShare struct {
-	share    *big.Int
-	v        *commit.Vector
-	consumed bool
-	digest   [32]byte // digest the nonce was consumed for
-	sigma    *big.Int // the partial served for that digest
+	share *big.Int
+	v     *commit.Vector
 }
 
 // Service is one node's data plane: it serves partial operations to
@@ -151,39 +144,33 @@ type auxShare struct {
 type Service struct {
 	cfg Config
 	gr  *group.Group
-	// rows is the number of nonces each coordinate of a nonce session
-	// yields on this roster.
-	rows int
 
 	mu      sync.Mutex
 	keys    map[uint64]*serveKey // by low-24-bit key session ID
 	aux     map[msg.SessionID]*auxShare
 	auxWait map[msg.SessionID]bool // submitted, not yet installed
-	// nonceResume holds, per key id, where this node's nonce counter
-	// restarts: past every nonce session an earlier incarnation of the
-	// process derived (ResumeNonces).
-	nonceResume map[uint64]uint64
-	timers      map[uint64]bool     // keys with an armed retry timer
-	lag         *poly.LagrangeCache // combine coefficients at 0, by responder set
-	stats       Stats
-	closed      bool
+	// nonceID is the last nonce pair ID issued. Its high 32 bits are drawn
+	// at random per process, so pairs of an earlier incarnation do not
+	// share an ID with this one's.
+	nonceID uint64
+	timers  map[uint64]bool     // keys with an armed retry timer
+	lag     *poly.LagrangeCache // combine coefficients at 0, by responder set
+	stats   Stats
+	closed  bool
 }
 
 // NewService builds a service. Keys are added with InstallKey as
 // their DKG sessions complete.
 func NewService(cfg Config) *Service {
 	cfg.applyDefaults()
-	_, _, rows := SessionShape(NonceSID(0, 0, 0), cfg.N, cfg.T, cfg.F)
 	return &Service{
-		cfg:         cfg,
-		gr:          cfg.Group,
-		rows:        rows,
-		keys:        make(map[uint64]*serveKey),
-		aux:         make(map[msg.SessionID]*auxShare),
-		auxWait:     make(map[msg.SessionID]bool),
-		nonceResume: make(map[uint64]uint64),
-		timers:      make(map[uint64]bool),
-		lag:         poly.NewLagrangeCache(cfg.Group.Q(), 0),
+		cfg:     cfg,
+		gr:      cfg.Group,
+		keys:    make(map[uint64]*serveKey),
+		aux:     make(map[msg.SessionID]*auxShare),
+		auxWait: make(map[msg.SessionID]bool),
+		timers:  make(map[uint64]bool),
+		lag:     poly.NewLagrangeCache(cfg.Group.Q(), 0),
 	}
 }
 
@@ -196,8 +183,9 @@ func (s *Service) Stats() Stats {
 
 // InstallKey registers a completed DKG session as a serving key in
 // state Ready. Re-installing (proactive share renewal) replaces the
-// share and commitment and invalidates the peer partial cache — old
-// partials would no longer interpolate with new-epoch ones.
+// share and commitment and invalidates the peer partial cache and the
+// spent-nonce replays — old answers would not combine with new-epoch
+// ones — and restarts every signing attempt in flight.
 func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector) (KeyInfo, error) {
 	if uint64(id) >= 1<<24 {
 		return KeyInfo{}, fmt.Errorf("dataplane: key session %d exceeds 24-bit aux derivation range", id)
@@ -205,30 +193,42 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	if share == nil || v == nil || !v.VerifyShare(int64(s.cfg.Self), share) {
 		return KeyInfo{}, fmt.Errorf("dataplane: key %d share fails commitment check", id)
 	}
+	var fire, acts []func()
+	var restart []*request
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	k := s.keys[uint64(id)]
 	if k == nil {
 		k = &serveKey{
-			id:         id,
-			width:      1,
-			nonceCtr:   s.nonceResume[uint64(id)],
-			inflight:   make(map[[32]byte]*request),
-			results:    newRing[Result](s.cfg.CacheSize),
-			suspects:   make(map[msg.NodeID]bool),
-			partials:   newRing[RespItem](s.cfg.CacheSize),
-			nonceFloor: make(map[msg.NodeID]uint64),
+			id:       id,
+			inflight: make(map[[32]byte]*request),
+			results:  newRing[Result](s.cfg.CacheSize),
+			suspects: make(map[msg.NodeID]bool),
+			partials: newRing[RespItem](s.cfg.CacheSize),
+			book:     make(map[msg.NodeID][]thresh.Commitment),
+			pools:    make(map[msg.NodeID]*noncePool),
 		}
 		s.keys[uint64(id)] = k
 	} else {
-		// Renewal epoch: cached partials mix epochs; drop them.
+		// Renewal epoch: cached partials and spent-pair replays mix epochs;
+		// drop them.
 		k.partials = newRing[RespItem](s.cfg.CacheSize)
-		// An in-flight decrypt's own share is trusted without a proof,
-		// so it is recomputed under the new share; peers' old-epoch
-		// partials fail verification against the new V(j) instead.
+		for _, p := range k.pools {
+			p.spent, p.tombs = make(map[uint64]spentPair), nil
+		}
+		// An in-flight decrypt's own share is trusted without a proof, so
+		// it is recomputed under the new share; peers' old-epoch partials
+		// fail verification against the new V(j) instead. A sign attempt's
+		// peers may have answered under their old shares, which would sum
+		// to no signature and name honest peers: each attempt gives way.
 		for _, req := range k.inflight {
 			if _, ok := req.decParts[s.cfg.Self]; ok && !req.done {
 				req.decParts[s.cfg.Self] = thresh.PartialDecryption{Decryptor: s.cfg.Self, D: s.gr.Exp(req.ct.C1, share)}
+			}
+			if req.op == OpSign && !req.done && req.live() {
+				for _, a := range req.attempts {
+					a.own = nil
+				}
+				restart = append(restart, req)
 			}
 		}
 	}
@@ -240,7 +240,21 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	// verification collapses onto; precomputed tables turn that term
 	// into short table lookups on the shared multi-exp chain.
 	s.cfg.Group.Precompute(k.pk)
-	return s.infoLocked(k), nil
+	s.dispatchSignsLocked(k, restart, &fire, &acts)
+	info := s.infoLocked(k)
+	s.mu.Unlock()
+	run(fire, acts)
+	return info, nil
+}
+
+// run fires callbacks, then runs deferred actions, outside the lock.
+func run(fire, acts []func()) {
+	for _, f := range fire {
+		f()
+	}
+	for _, a := range acts {
+		a()
+	}
 }
 
 func (s *Service) infoLocked(k *serveKey) KeyInfo {
@@ -387,8 +401,7 @@ func (s *Service) Beacon(key msg.SessionID, round uint64, cb Callback) error {
 
 // enqueue runs admission, dedup and queuing for one request.
 func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
-	var fire []func()
-	var acts []func()
+	var fire, acts []func()
 	err := func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -422,11 +435,6 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 				return nil
 			}
 		}
-		if req.op == OpSign && k.nonceCtr+uint64(s.yield(k.width)) > nonceCounterEnd {
-			// A new signature needs a nonce this node can no longer derive.
-			s.stats.ShedState++
-			return ErrNoncesExhausted
-		}
 		if err := k.admit(s.cfg.Now(), s.cfg.Rate, s.cfg.Burst, s.cfg.MaxPending); err != nil {
 			s.stats.Shed++
 			if errors.Is(err, errShedBacklog) {
@@ -440,11 +448,11 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 		k.served++
 		req.cbs = append(req.cbs, cb)
 		k.queue = append(k.queue, req)
-		// Auxiliary sessions are provisioned for the kind of operation
-		// that uses them: a key that only decrypts starts no DKG.
+		// Each operation prepares what it uses: a sign the peers'
+		// commitments, a beacon round its sessions; a decrypt needs nothing.
 		switch req.op {
 		case OpSign:
-			s.ensureNoncesLocked(k, 0, &acts)
+			s.contactLocked(k)
 		case OpOpen:
 			s.ensureBeaconLocked(k, req.round, &acts)
 		}
@@ -453,12 +461,7 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 		}
 		return nil
 	}()
-	for _, f := range fire {
-		f()
-	}
-	for _, a := range acts {
-		a()
-	}
+	run(fire, acts)
 	return err
 }
 
@@ -466,41 +469,31 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 // explicitly — SignBatch, the client server when a connection's read
 // buffer drains — use it instead of waiting for the watermark).
 func (s *Service) Flush(key msg.SessionID) {
-	var fire []func()
-	var acts []func()
+	var fire, acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(key)]; k != nil {
 		s.flushLocked(k, &fire, &acts)
 	}
 	s.mu.Unlock()
-	for _, f := range fire {
-		f()
-	}
-	for _, a := range acts {
-		a()
-	}
+	run(fire, acts)
 }
 
-// Kick retries stalled work for key: re-fans out unanswered in-flight
-// items to every eligible peer and re-provisions starved nonce
-// reservoirs. Runtimes without timers (the deterministic simulator)
+// Kick is one retry tick for key: it re-fans out unanswered decrypt and
+// beacon items to every eligible peer, supersedes signing attempts left
+// unanswered for a full tick, and asks again for commitments that
+// never came. Runtimes without timers (the deterministic simulator)
 // call it when the event queue drains with requests still pending.
 func (s *Service) Kick(key msg.SessionID) {
-	var fire []func()
-	var acts []func()
+	var fire, acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(key)]; k != nil {
 		s.timers[uint64(key)] = false
 		s.flushLocked(k, &fire, &acts) // dispatch anything still queued
 		s.kickLocked(k, &fire, &acts)
+		s.kickSignsLocked(k, &fire, &acts)
 	}
 	s.mu.Unlock()
-	for _, f := range fire {
-		f()
-	}
-	for _, a := range acts {
-		a()
-	}
+	run(fire, acts)
 }
 
 // Close fails all pending work and stops accepting requests.
@@ -530,71 +523,22 @@ func (s *Service) Close() {
 		}
 	}
 	s.mu.Unlock()
-	for _, f := range fire {
-		f()
-	}
+	run(fire, nil)
 }
 
-// Activate eagerly moves a key to Serving and provisions both kinds of
-// auxiliary session, the nonce reservoir and the beacon window, instead
-// of waiting for the first request that needs them.
+// Activate eagerly moves a key to Serving, asks every peer for its
+// starting batch of signing commitments and provisions the beacon
+// window, instead of waiting for the first request that needs them.
 func (s *Service) Activate(id msg.SessionID) {
 	var acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(id)]; k != nil && k.state == StateReady {
 		k.state = StateServing
-		s.ensureNoncesLocked(k, 0, &acts)
+		s.contactLocked(k)
 		s.ensureBeaconLocked(k, 0, &acts)
 	}
 	s.mu.Unlock()
-	for _, a := range acts {
-		a()
-	}
-}
-
-// yield is the number of nonces a session of the given width produces.
-func (s *Service) yield(width int) int { return width * s.rows }
-
-// nonceStockLocked is the number of nonces, in the reservoir or being
-// generated, the service keeps for k.
-func (s *Service) nonceStockLocked(k *serveKey) int {
-	return max(s.cfg.NonceTarget, 2*s.yield(k.width))
-}
-
-// ensureNoncesLocked tops the stock up to its level plus the immediate
-// need, in sessions of the key's current width. It stops short where
-// the next session's nonces would run past the 24-bit counter; Sign
-// then refuses further requests (ErrNoncesExhausted).
-func (s *Service) ensureNoncesLocked(k *serveKey, need int, acts *[]func()) {
-	want := need + s.nonceStockLocked(k) - len(k.reservoir) - k.provisioning
-	y := s.yield(k.width)
-	var sids []msg.SessionID
-	for ; want > 0 && k.nonceCtr+uint64(y) <= nonceCounterEnd; want -= y {
-		sids = append(sids, NonceSessionSID(k.id, s.cfg.Self, k.nonceCtr, k.width))
-		k.nonceCtr += uint64(y)
-		k.provisioning += y
-	}
-	s.provisionLocked(k.id, sids, acts)
-}
-
-// ResumeNonces tells the service that sid was submitted by an earlier
-// incarnation of this process. If it is one of this node's own nonce
-// sessions, the key's nonce counter moves past it: the ids it covers
-// may have been handed to requests before the restart and must not be
-// derived again.
-func (s *Service) ResumeNonces(sid msg.SessionID) {
-	if !IsAux(sid) || IsBeacon(sid) || NonceOwner(sid) != s.cfg.Self {
-		return
-	}
-	next := NonceCounter(sid) + uint64(s.yield(AuxWidth(sid)))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if next > s.nonceResume[AuxKey(sid)] {
-		s.nonceResume[AuxKey(sid)] = next
-	}
-	if k := s.keys[AuxKey(sid)]; k != nil && next > k.nonceCtr {
-		k.nonceCtr = next
-	}
+	run(nil, acts)
 }
 
 // ensureBeaconLocked provisions beacon sessions up to
@@ -645,137 +589,66 @@ func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts 
 	})
 }
 
-// InstallAux registers this node's shares of a completed auxiliary DKG
-// (nonce or beacon session): one (share, commitment) pair per output of
-// the session, in dkg.CompletedEvent.Outputs order, the i-th installed
-// as the nonce NonceSID(key, owner, counter+i). Duplicate installs are
-// ignored; a nonce ID that was already consumed can never be
-// re-installed, so re-running a nonce session cannot break the
-// one-digest-per-nonce invariant.
+// InstallAux registers this node's share of a completed beacon DKG:
+// one (share, commitment) pair, as dkg.CompletedEvent.Outputs gives it.
+// Duplicate installs are ignored.
 //
 // The share is not re-verified against the commitment here: the DKG
 // that produced it already checked it (HybridVSS verifies every
-// subshare), and the serving path is robust to a bad one anyway — a
-// partial built from a wrong share fails BatchVerifyPartials at the
-// aggregator (sign), the DLEQ check (decrypt) or the per-share
-// commitment check (beacon open), which names and evicts the sender.
-// Skipping the t-step commitment evaluation per node per nonce
-// roughly halves the cost of keeping the reservoir full (E20).
+// subshare), and the opening path checks each share it combines, which
+// names and evicts the sender of a bad one.
 func (s *Service) InstallAux(sid msg.SessionID, shares []*big.Int, vs []*commit.Vector) {
-	want := 1 // a beacon round
-	if !IsBeacon(sid) {
-		want = s.yield(AuxWidth(sid))
-	}
-	if !validAux(sid, s.rows) || len(shares) != want || len(vs) != want {
+	if !validAux(sid) || len(shares) != 1 || len(vs) != 1 || vs[0] == nil || !s.gr.IsScalar(shares[0]) {
 		return
 	}
-	for i := range shares {
-		if shares[i] == nil || vs[i] == nil || !s.gr.IsScalar(shares[i]) {
-			return
-		}
-	}
-	var fire []func()
-	var acts []func()
+	var fire, acts []func()
 	s.mu.Lock()
 	delete(s.auxWait, sid)
-	k := s.keys[AuxKey(sid)]
-	for i := range shares {
-		id := firstNonce(sid) + msg.SessionID(i)
-		if _, dup := s.aux[id]; dup {
-			continue
-		}
-		if k != nil && !IsBeacon(id) && NonceCounter(id) < k.nonceFloor[NonceOwner(id)] {
-			// The nonce was consumed and its tombstone aged out; letting
-			// it back in would re-arm a spent nonce.
-			continue
-		}
-		s.aux[id] = &auxShare{share: shares[i], v: vs[i]}
-		if k != nil && !IsBeacon(id) && NonceOwner(id) == s.cfg.Self {
-			k.reservoir = append(k.reservoir, id)
-			if k.provisioning > 0 {
-				k.provisioning--
-			}
-		}
+	if _, dup := s.aux[sid]; !dup {
+		s.aux[sid] = &auxShare{share: shares[0], v: vs[0]}
 	}
-	if k != nil {
-		// Queued requests may have been waiting for exactly this
-		// session (sign: nonce starvation; open: beacon round).
+	if k := s.keys[AuxKey(sid)]; k != nil {
+		// Queued beacon requests may have been waiting for this round.
 		s.flushLocked(k, &fire, &acts)
 	}
 	s.mu.Unlock()
-	for _, f := range fire {
-		f()
-	}
-	for _, a := range acts {
-		a()
-	}
+	run(fire, acts)
 }
 
-// flushLocked dispatches every ready queued request as one batch:
-// self partials are computed locally, then a single PartialReq per
-// fan-out target carries all items.
+// flushLocked dispatches every ready queued request. Decrypt and beacon
+// requests go as one batch: self partials are computed locally, then a
+// single PartialReq per fan-out target carries all items. Each sign
+// request starts its first FROST attempt, one PartialReq per signer.
 func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	if len(k.queue) == 0 {
 		return
 	}
-	var ready []*request
-	var waiting []*request
-	took, starved, newlyStarved := 0, 0, false
+	var ready, waiting, signs []*request
 	for _, req := range k.queue {
 		switch req.op {
 		case OpSign:
-			if req.sid == 0 {
-				if len(k.reservoir) == 0 {
-					starved++
-					newlyStarved = newlyStarved || !req.starved
-					req.starved = true
-					waiting = append(waiting, req)
-					continue
-				}
-				req.sid = k.reservoir[0]
-				k.reservoir = k.reservoir[1:]
-				took++
-			}
-			aux := s.aux[req.sid]
-			if aux == nil { // reservoir invariant: installed before listed
-				waiting = append(waiting, req)
-				continue
-			}
-			req.nonceV = aux.v
-			req.challenge = thresh.Challenge(s.gr, aux.v.PublicKey(), k.pk, req.payload)
-			ready = append(ready, req)
+			req.pending = make(map[msg.NodeID]bool, s.cfg.T)
+			k.inflight[req.digest] = req
+			signs = append(signs, req)
 		case OpOpen:
 			aux := s.aux[req.sid]
 			if aux == nil {
 				waiting = append(waiting, req)
 				continue
 			}
-			req.nonceV = aux.v
+			req.roundV = aux.v
 			ready = append(ready, req)
 		default:
 			ready = append(ready, req)
 		}
 	}
 	k.queue = waiting
-	if took > 0 || starved > 0 {
-		// Refill proactively: consuming a nonce dips the reservoir, and
-		// a starved request is waiting for the refill to land.
-		s.ensureNoncesLocked(k, starved, acts)
-	}
-	if newlyStarved && k.width < MaxNonceWidth {
-		// Demand outran supply: the requests found starved now have been
-		// provided for at the current width, and the sessions after them
-		// carry twice the nonces. A request counts once, however often a
-		// flush finds it still waiting, so width follows arrivals and not
-		// retry timers.
-		k.width *= 2
-	}
+	s.dispatchSignsLocked(k, signs, fire, acts)
 	if len(ready) == 0 {
 		return
 	}
 	items := make([]ReqItem, 0, len(ready))
 	for _, req := range ready {
-		req.partials = make(map[msg.NodeID]thresh.PartialSig, s.cfg.T+2)
 		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+2)
 		req.openPts = make(map[msg.NodeID]*big.Int, s.cfg.T+2)
 		req.asked = make(map[msg.NodeID]bool, s.cfg.N)
@@ -783,9 +656,9 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
 	}
 	// Self partials go through the same answer path as peer requests,
-	// sharing the consume-once nonce accounting and the partial cache,
-	// except the own decryption share D = C1^{s_self}: InstallKey checked
-	// the share, so it needs no proof, and it is never sent or cached.
+	// sharing the partial cache, except the own decryption share
+	// D = C1^{s_self}: InstallKey checked the share, so it needs no
+	// proof, and it is never sent or cached.
 	self := make([]RespItem, 0, len(items))
 	for i, it := range items {
 		if it.Op == OpDecrypt {
@@ -845,15 +718,17 @@ func (s *Service) armTimerLocked(k *serveKey, acts *[]func()) {
 	})
 }
 
-// kickLocked re-fans out every unanswered in-flight item to all
-// eligible peers (idempotent: peers replay cached partials).
+// kickLocked re-fans out every unanswered in-flight decrypt or beacon
+// item to all eligible peers (idempotent: peers replay cached partials).
 func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 	var items []ReqItem
+	var reqs []*request
 	for _, req := range k.inflight {
-		if req.done {
+		if req.done || req.op == OpSign {
 			continue
 		}
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
+		reqs = append(reqs, req)
 	}
 	if len(items) == 0 {
 		return
@@ -864,7 +739,7 @@ func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 		if p == s.cfg.Self || k.suspects[p] {
 			continue
 		}
-		for _, req := range k.inflight {
+		for _, req := range reqs {
 			req.asked[p] = true
 		}
 		s.cfg.Send(p, preq)
@@ -888,7 +763,9 @@ func (s *Service) HandleMessage(from msg.NodeID, body msg.Body) {
 	}
 }
 
-// handlePartialReq answers a peer aggregator's batch.
+// handlePartialReq answers a peer aggregator's batch. The response also
+// carries fresh commitments for that aggregator: one for each nonce pair
+// the batch spent, plus the Want it asked for.
 func (s *Service) handlePartialReq(from msg.NodeID, m *PartialReq) {
 	s.mu.Lock()
 	if s.closed {
@@ -897,75 +774,136 @@ func (s *Service) handlePartialReq(from msg.NodeID, m *PartialReq) {
 	}
 	k := s.keys[uint64(m.Key)]
 	resp := &PartialResp{Key: m.Key, Items: make([]RespItem, 0, len(m.Items))}
+	issue := int(min(m.Want, maxIssued))
 	for _, it := range m.Items {
-		if k == nil {
+		switch {
+		case k == nil:
 			resp.Items = append(resp.Items, RespItem{Digest: it.Digest, Status: StUnknownKey})
-			continue
+		case it.Op == OpSign:
+			out, spent := s.answerSignLocked(k, from, it)
+			if spent {
+				issue++
+			}
+			resp.Items = append(resp.Items, out)
+		default:
+			resp.Items = append(resp.Items, s.answerItemLocked(k, it))
 		}
-		resp.Items = append(resp.Items, s.answerItemLocked(k, it))
+	}
+	if k != nil && issue > 0 {
+		resp.Commits = s.issueLocked(k, from, issue)
 	}
 	send := s.cfg.Send
 	s.mu.Unlock()
 	send(from, resp)
 }
 
-// answerItemLocked computes (or replays) one partial operation. Sign
-// replays come from the consumed nonce entry itself — cache keyed by
-// digest alone would be wrong, since two aggregators use different
-// nonce sessions for the same request digest. Decrypt and beacon
-// digests fully determine their answers, so they share a plain
+// nextNonceIDLocked returns a fresh nonce pair ID, drawing the
+// process's epoch on first use.
+func (s *Service) nextNonceIDLocked() uint64 {
+	if s.nonceID == 0 {
+		var epoch [4]byte
+		io.ReadFull(s.cfg.Rand, epoch[:]) //nolint:errcheck // a zero epoch only weakens the restart ledger
+		s.nonceID = uint64(binary.BigEndian.Uint32(epoch[:])) << 32
+	}
+	s.nonceID++
+	return s.nonceID
+}
+
+// issueLocked draws n fresh nonce pairs for aggregator to and returns
+// their encoded commitments.
+func (s *Service) issueLocked(k *serveKey, to msg.NodeID, n int) []byte {
+	pool := k.pools[to]
+	if pool == nil {
+		pool = &noncePool{unused: make(map[uint64]*thresh.NoncePair), spent: make(map[uint64]spentPair)}
+		k.pools[to] = pool
+	}
+	if len(pool.unused)+n > maxIssued {
+		// An aggregator that never spends cannot grow the pool; one that
+		// still holds some of these commitments is refused and asks again.
+		clear(pool.unused)
+	}
+	list := make([]thresh.Commitment, 0, n)
+	for i := 0; i < n; i++ {
+		pair, err := thresh.NewNoncePair(s.gr, s.cfg.Self, s.nextNonceIDLocked(), k.share, s.cfg.Rand)
+		if err != nil {
+			break
+		}
+		pool.unused[pair.ID] = pair
+		list = append(list, pair.Commitment)
+	}
+	return thresh.EncodeCommitments(s.gr, list)
+}
+
+// answerSignLocked answers one FROST sign item from aggregator from: z
+// under this node's pair in the item's commitment list B, which must be
+// a pair issued to from, unspent, and named byte for byte as issued.
+// The pair is spent — its secrets erased — before the answer exists. A
+// re-ask of the same (m, B) replays the answer; any other use of a
+// spent pair is refused. spent reports a pair spent by this item.
+func (s *Service) answerSignLocked(k *serveKey, from msg.NodeID, it ReqItem) (out RespItem, spent bool) {
+	s.stats.PeerItems++
+	out = RespItem{Digest: it.Digest, Status: StBadOp}
+	list, err := thresh.ParseCommitments(it.B)
+	if err != nil || len(list) != s.cfg.T+1 {
+		return out, false
+	}
+	own := -1
+	for i, c := range list {
+		if c.Signer == s.cfg.Self {
+			own = i
+		}
+	}
+	if own < 0 {
+		return out, false
+	}
+	id := list[own].ID
+	out.Nonce = id
+	out.Status = StRefused
+	pool := k.pools[from]
+	if pool == nil {
+		return out, false
+	}
+	d := SignDigest(k.id, it.Payload)
+	digest := sha256.Sum256(append(d[:], it.B...)) // names the (m, B)
+	if sp, ok := pool.spent[id]; ok {
+		if sp.digest == digest {
+			s.stats.PeerCacheHits++
+			out.Status, out.Sigma = StOK, sp.z
+		}
+		return out, false
+	}
+	pair := pool.unused[id]
+	if pair == nil || !pair.Matches(list[own]) {
+		return out, false
+	}
+	out.Status = StBadOp
+	for i := range list {
+		if i == own {
+			list[i] = pair.Commitment
+		} else if list[i].Decode(s.gr) != nil {
+			return out, false
+		}
+	}
+	bind, err := thresh.Bind(s.gr, k.pk, it.Payload, it.B, list, s.lag)
+	if err != nil {
+		return out, false
+	}
+	z, err := bind.Sign(s.gr, own, pair, k.share) // erases (d, e)
+	if err != nil {
+		return out, false
+	}
+	pool.spend(id, digest, z, s.cfg.CacheSize)
+	out.Status, out.Sigma = StOK, z
+	return out, true
+}
+
+// answerItemLocked computes (or replays) one decrypt or beacon partial.
+// Their digests fully determine the answers, so they share a plain
 // digest-keyed cache.
 func (s *Service) answerItemLocked(k *serveKey, it ReqItem) RespItem {
 	s.stats.PeerItems++
 	out := RespItem{Digest: it.Digest}
 	switch it.Op {
-	case OpSign:
-		aux := s.aux[it.Sid]
-		if aux == nil || !IsAux(it.Sid) || IsBeacon(it.Sid) {
-			if aux == nil && IsAux(it.Sid) && !IsBeacon(it.Sid) &&
-				NonceCounter(it.Sid) < k.nonceFloor[NonceOwner(it.Sid)] {
-				// Consumed and aged out of the tombstone ring: the
-				// recorded partial is gone, and the nonce can never
-				// serve again. Permanent, unlike NotReady.
-				out.Status = StRefused
-				return out
-			}
-			out.Status = StNotReady
-			return out // not cached: the session may complete later
-		}
-		if aux.consumed {
-			if aux.digest == it.Digest {
-				// Re-ask (retry, kick): replay the recorded partial.
-				s.stats.PeerCacheHits++
-				out.Status = StOK
-				out.Sigma = aux.sigma
-				return out
-			}
-			// One nonce, one digest: this nonce already signed a
-			// different request.
-			out.Status = StRefused
-			return out
-		}
-		c := thresh.Challenge(s.gr, aux.v.PublicKey(), k.pk, it.Payload)
-		p := thresh.PartialSignPre(s.gr, s.cfg.Self, k.share, aux.share, c)
-		aux.consumed = true
-		aux.digest = it.Digest
-		aux.sigma = p.Sigma
-		aux.share = nil // drop the secret; the partial is all that remains
-		aux.v = nil     // replay needs only sigma; aggregators hold their own copy
-		k.consumedRing = append(k.consumedRing, it.Sid)
-		if len(k.consumedRing) > s.cfg.CacheSize {
-			old := k.consumedRing[0]
-			k.consumedRing = k.consumedRing[1:]
-			delete(s.aux, old)
-			owner := NonceOwner(old)
-			if f := NonceCounter(old) + 1; f > k.nonceFloor[owner] {
-				k.nonceFloor[owner] = f
-			}
-		}
-		out.Status = StOK
-		out.Sigma = p.Sigma
-		return out
 	case OpDecrypt:
 		if cached, ok := k.partials.get(it.Digest); ok {
 			s.stats.PeerCacheHits++
@@ -1006,24 +944,25 @@ func (s *Service) answerItemLocked(k *serveKey, it ReqItem) RespItem {
 	return out
 }
 
-// handlePartialResp folds a peer's partials into the aggregator state.
+// handlePartialResp folds a peer's commitments and partials into the
+// aggregator state; new commitments may let waiting sign requests start.
 func (s *Service) handlePartialResp(from msg.NodeID, m *PartialResp) {
-	var fire []func()
-	var acts []func()
+	var fire, acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(m.Key)]; k != nil && !s.closed {
+		if len(m.Commits) > 0 {
+			s.bookLocked(k, from, m.Commits)
+		}
 		s.recordItemsLocked(k, from, m.Items, &fire, &acts)
+		if len(m.Commits) > 0 {
+			s.dispatchSignsLocked(k, s.waitingSignsLocked(k), &fire, &acts)
+		}
 	}
 	s.mu.Unlock()
-	for _, f := range fire {
-		f()
-	}
-	for _, a := range acts {
-		a()
-	}
+	run(fire, acts)
 }
 
-// handlePrepare submits requested aux sessions, at most once each.
+// handlePrepare submits requested beacon sessions, at most once each.
 func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 	if s.cfg.Submit == nil {
 		return
@@ -1031,10 +970,10 @@ func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 	var todo []msg.SessionID
 	s.mu.Lock()
 	for _, sid := range m.Sids {
-		if !validAux(sid, s.rows) || s.auxWait[sid] {
+		if !validAux(sid) || s.auxWait[sid] {
 			continue
 		}
-		if _, have := s.aux[firstNonce(sid)]; have {
+		if _, have := s.aux[sid]; have {
 			continue
 		}
 		s.auxWait[sid] = true
@@ -1048,17 +987,24 @@ func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
 }
 
 // recordItemsLocked records a sender's items and completes every
-// request that reaches the t+1 threshold. Sign completions across
-// the same delivery are verified together: optimistic unchecked
-// combines, then one batched RLC signature verification, with
-// per-item fallback and bad-partial eviction only on failure. A
-// malformed OK sign or decrypt item evicts its sender like a bad partial.
+// request that reaches the t+1 threshold. Sign attempts completed by
+// the same delivery are verified together. A malformed OK item evicts
+// its sender like a bad partial.
 func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespItem, fire *[]func(), acts *[]func()) {
 	t := s.cfg.T
-	var signReady []*request
+	var finished []*attempt
+	var restart []*request
 	for _, it := range items {
 		req := k.inflight[it.Digest]
 		if req == nil || req.done {
+			continue
+		}
+		if req.op == OpSign {
+			if a := s.recordSignLocked(k, req, from, it); a != nil {
+				finished = append(finished, a)
+			} else if !req.done && !req.live() {
+				restart = append(restart, req)
+			}
 			continue
 		}
 		switch it.Status {
@@ -1077,18 +1023,6 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 			continue
 		}
 		switch req.op {
-		case OpSign:
-			if it.Sigma == nil || !s.gr.IsScalar(it.Sigma) {
-				s.evictBadLocked(k, req, []msg.NodeID{from})
-				continue
-			}
-			if _, dup := req.partials[from]; dup {
-				continue
-			}
-			req.partials[from] = thresh.PartialSig{Signer: from, Sigma: it.Sigma}
-			if len(req.partials) >= t+1 {
-				signReady = append(signReady, req)
-			}
 		case OpDecrypt:
 			// Only the aggregator's own share comes without a proof.
 			proved := it.E != nil && it.Z != nil && s.gr.IsScalar(it.E) && s.gr.IsScalar(it.Z)
@@ -1114,7 +1048,7 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 			}
 			// Beacon shares self-verify against the round commitment;
 			// reject forgeries at the door so t+1 recorded ⇒ combinable.
-			if !req.nonceV.VerifyShare(int64(from), it.Share) {
+			if !req.roundV.VerifyShare(int64(from), it.Share) {
 				s.evictBadLocked(k, req, []msg.NodeID{from})
 				continue
 			}
@@ -1124,98 +1058,293 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 			}
 		}
 	}
-	if len(signReady) > 0 {
-		s.finishSignsLocked(k, signReady, fire, acts)
+	restart = append(restart, s.finishSignsLocked(k, finished, fire)...)
+	s.dispatchSignsLocked(k, restart, fire, acts)
+}
+
+// --- signing (FROST with ROAST-style retries) -------------------------
+
+// contactLocked asks every peer, once per key, for its starting batch
+// of signing commitments.
+func (s *Service) contactLocked(k *serveKey) {
+	for _, p := range s.cfg.Peers {
+		if p != s.cfg.Self && !k.fetched {
+			s.fetchLocked(k, p)
+		}
+	}
+	k.fetched = true
+}
+
+// fetchLocked asks peer p for a batch of fresh commitments.
+func (s *Service) fetchLocked(k *serveKey, p msg.NodeID) {
+	s.cfg.Send(p, &PartialReq{Key: k.id, Want: startBatch})
+}
+
+// bookLocked adds the commitments peer from issued to this node. A
+// malformed list, or one naming another signer, is evicted like a bad
+// partial.
+func (s *Service) bookLocked(k *serveKey, from msg.NodeID, enc []byte) {
+	fresh, err := thresh.ParseCommitments(enc)
+	for i := range fresh {
+		if err == nil && (fresh[i].Signer != from || fresh[i].Decode(s.gr) != nil) {
+			err = thresh.ErrBadArguments
+		}
+	}
+	list := append(k.book[from], fresh...)
+	if err != nil {
+		s.evictBadLocked(k, nil, []msg.NodeID{from})
+	} else if !k.suspects[from] {
+		k.book[from] = list[max(0, len(list)-maxIssued):] // a peer holds no more
 	}
 }
 
-// finishSignsLocked completes signing requests that reached t+1
-// partials: optimistic combine, batched final verification, fallback
-// to identified verification on failure.
-func (s *Service) finishSignsLocked(k *serveKey, reqs []*request, fire, acts *[]func()) {
-	t := s.cfg.T
-	type cand struct {
-		req *request
-		sig thresh.Signature
+// pickSignersLocked chooses the t peers that sign with this aggregator
+// in req's next attempt: in rotation, non-suspect peers with an unused
+// commitment that have answered everything req asked them and never
+// refused it. Nil if there are not t.
+func (s *Service) pickSignersLocked(k *serveKey, req *request) []msg.NodeID {
+	t, n := s.cfg.T, len(s.cfg.Peers)
+	out := make([]msg.NodeID, 0, t)
+	for i := 0; i < n && len(out) < t; i++ {
+		p := s.cfg.Peers[(k.rotor+i)%n]
+		if p != s.cfg.Self && !k.suspects[p] && !req.pending[p] && !req.refused[p] && len(k.book[p]) > 0 {
+			out = append(out, p)
+			if len(out) == t {
+				k.rotor = (k.rotor + i + 1) % n
+			}
+		}
 	}
-	cands := make([]cand, 0, len(reqs))
+	if len(out) < t {
+		return nil
+	}
+	return out
+}
+
+// startAttemptLocked starts req's next attempt: the aggregator's own
+// fresh pair and the picked peers' oldest commitments make B, and each
+// peer's item is added to out. It returns nil when too few peers have
+// commitments now.
+func (s *Service) startAttemptLocked(k *serveKey, req *request, out map[msg.NodeID][]ReqItem) *attempt {
+	peers := s.pickSignersLocked(k, req)
+	if peers == nil {
+		return nil
+	}
+	own, err := thresh.NewNoncePair(s.gr, s.cfg.Self, s.nextNonceIDLocked(), k.share, s.cfg.Rand)
+	if err != nil {
+		return nil
+	}
+	list := []thresh.Commitment{own.Commitment}
+	for _, p := range peers {
+		list = append(list, k.book[p][0])
+		k.book[p] = k.book[p][1:]
+	}
+	slices.SortFunc(list, func(x, y thresh.Commitment) int { return cmp.Compare(x.Signer, y.Signer) })
+	enc := thresh.EncodeCommitments(s.gr, list)
+	bind, err := thresh.Bind(s.gr, k.pk, req.payload, enc, list, s.lag)
+	if err != nil {
+		return nil
+	}
+	a := &attempt{req: req, bind: bind, own: own, z: make(map[msg.NodeID]*big.Int, len(peers))}
+	req.attempts, req.gen = append(req.attempts, a), k.gen
+	for _, p := range peers {
+		req.pending[p] = true
+		out[p] = append(out[p], ReqItem{Digest: req.digest, Op: OpSign, Payload: req.payload, B: enc})
+	}
+	return a
+}
+
+// dispatchSignsLocked starts an attempt for each request and sends the
+// items, one PartialReq per signer. A request that finds too few
+// signers with commitments waits for the next ones to arrive, or fails
+// once fewer than t peers are left unsuspected.
+func (s *Service) dispatchSignsLocked(k *serveKey, reqs []*request, fire, acts *[]func()) {
+	out := make(map[msg.NodeID][]ReqItem)
+	var solo []*attempt
+	first := 0
 	for _, req := range reqs {
-		list := make([]thresh.PartialSig, 0, len(req.partials))
-		for _, p := range req.partials {
-			list = append(list, p)
+		a := s.startAttemptLocked(k, req, out)
+		switch {
+		case a == nil && len(s.cfg.Peers)-1-len(k.suspects) < s.cfg.T:
+			s.completeLocked(k, req, Result{}, fmt.Errorf("%w: fewer than %d unsuspected peers", ErrUnavailable, s.cfg.T), fire)
+		case a == nil:
+		case len(req.attempts) == 1:
+			first++
+		default:
+			s.stats.SignAttempts++
 		}
-		sig, err := thresh.CombineUncheckedWith(s.gr, req.nonceV, t, list, s.lag)
-		if err != nil {
-			continue // lost partials since threshold check; retry later
+		if a != nil && s.cfg.T == 0 { // the aggregator signs alone
+			solo = append(solo, a)
 		}
-		cands = append(cands, cand{req: req, sig: sig})
 	}
-	if len(cands) == 0 {
-		return
-	}
-	msgs := make([][]byte, len(cands))
-	sigs := make([]thresh.Signature, len(cands))
-	cs := make([]*big.Int, len(cands))
-	for i, c := range cands {
-		msgs[i] = c.req.payload
-		sigs[i] = c.sig
-		// Computed at flush time for this aggregator's own partial;
-		// reusing it keeps the challenge hash off the verify path.
-		cs[i] = c.req.challenge
-	}
-	if thresh.BatchVerifySignaturesPre(s.gr, k.pk, msgs, cs, sigs) {
-		for _, c := range cands {
-			s.completeLocked(k, c.req, Result{Sig: c.sig}, nil, fire)
+	for _, p := range s.cfg.Peers {
+		if items := out[p]; len(items) > 0 {
+			s.cfg.Send(p, &PartialReq{Key: k.id, Items: items})
 		}
-		return
 	}
-	// At least one bad partial slipped into an optimistic combine:
-	// verify per item; failures get the identifying path — batch
-	// partial verification names the bad signers, who are evicted and
-	// excluded from future fan-outs, then the good partials combine.
-	for _, c := range cands {
-		if thresh.Verify(s.gr, k.pk, c.req.payload, c.sig) {
-			s.completeLocked(k, c.req, Result{Sig: c.sig}, nil, fire)
+	if first > 0 {
+		s.stats.Batches++
+		s.stats.Items += uint64(first)
+	}
+	if len(out) > 0 {
+		s.armTimerLocked(k, acts)
+	}
+	s.finishSignsLocked(k, solo, fire)
+}
+
+// waitingSignsLocked lists the in-flight sign requests with no attempt
+// that can finish.
+func (s *Service) waitingSignsLocked(k *serveKey) []*request {
+	var out []*request
+	for _, req := range k.inflight {
+		if req.op == OpSign && !req.done && !req.live() {
+			out = append(out, req)
+		}
+	}
+	return out
+}
+
+// recordSignLocked records peer from's answer to one of req's attempts
+// and returns the attempt if that answer completed it. Any other answer
+// ends every attempt still waiting on from. A refusal also drops the
+// refuser's commitments — it no longer holds their pairs, say after a
+// restart — and asks it for new ones; an answer under a nonce ID that no
+// attempt of req gave from, or a malformed one, names from as faulty.
+func (s *Service) recordSignLocked(k *serveKey, req *request, from msg.NodeID, it RespItem) *attempt {
+	delete(req.pending, from)
+	var a *attempt
+	for _, at := range req.attempts {
+		if i := at.bind.Index(from); i >= 0 && at.bind.List[i].ID == it.Nonce {
+			a = at
+		}
+	}
+	switch {
+	case it.Status == StOK && a != nil && s.gr.IsScalar(it.Sigma):
+		if a.own == nil {
+			return nil
+		}
+		a.z[from] = it.Sigma
+		if len(a.z) == s.cfg.T {
+			return a
+		}
+		return nil
+	case it.Status == StOK:
+		s.evictBadLocked(k, req, []msg.NodeID{from})
+	case it.Status == StRefused || it.Status == StUnknownKey:
+		if req.refused == nil {
+			req.refused = make(map[msg.NodeID]bool)
+		}
+		req.refused[from] = true
+		delete(k.book, from)
+		if it.Status == StRefused && !k.suspects[from] {
+			s.fetchLocked(k, from)
+		}
+	}
+	for _, at := range req.attempts {
+		if at.bind.Index(from) >= 0 && at.z[from] == nil {
+			at.own = nil
+		}
+	}
+	return nil
+}
+
+// finishSignsLocked completes attempts that every peer member answered:
+// the aggregator adds its own z, trusted, sums, and verifies the whole
+// delivery's signatures in one batch. Only on failure does it check each
+// peer's z_i against V(i), evicting every signer whose answer fails. It
+// returns the requests that need a new attempt.
+func (s *Service) finishSignsLocked(k *serveKey, done []*attempt, fire *[]func()) []*request {
+	var ok []*attempt
+	var msgs [][]byte
+	var sigs []thresh.Signature
+	var cs []*big.Int
+	for _, a := range done {
+		b := a.bind
+		zs := make([]*big.Int, len(b.List))
+		for i, cm := range b.List {
+			zs[i] = a.z[cm.Signer]
+		}
+		self := b.Index(s.cfg.Self)
+		var err error
+		if a.own == nil {
+			continue
+		} else if zs[self], err = b.Sign(s.gr, self, a.own, k.share); err != nil {
+			a.own = nil
 			continue
 		}
-		req := c.req
-		list := make([]thresh.PartialSig, 0, len(req.partials))
-		for _, p := range req.partials {
-			list = append(list, p)
+		ok, msgs, cs = append(ok, a), append(msgs, a.req.payload), append(cs, b.C)
+		sigs = append(sigs, b.Aggregate(s.gr, zs))
+	}
+	batchOK := thresh.BatchVerifySignaturesPre(s.gr, k.pk, msgs, cs, sigs)
+	var restart []*request
+	for i, a := range ok {
+		if batchOK || thresh.Verify(s.gr, k.pk, a.req.payload, sigs[i]) {
+			s.completeLocked(k, a.req, Result{Sig: sigs[i]}, nil, fire)
+			continue
 		}
-		valid := thresh.BatchVerifyPartials(s.gr, k.v, req.nonceV, req.payload, list)
-		good := make([]thresh.PartialSig, 0, len(list))
+		a.own = nil
 		var bad []msg.NodeID
-		for i, p := range list {
-			if valid[i] {
-				good = append(good, p)
-			} else {
-				bad = append(bad, p.Signer)
+		for j, cm := range a.bind.List {
+			if cm.Signer != s.cfg.Self && !a.bind.VerifyShare(s.gr, j, a.z[cm.Signer], k.pub(cm.Signer)) {
+				bad = append(bad, cm.Signer)
 			}
 		}
-		s.evictBadLocked(k, req, bad)
-		if len(good) >= t+1 {
-			sig, err := thresh.CombineUnchecked(s.gr, req.nonceV, t, good)
-			if err == nil && thresh.Verify(s.gr, k.pk, req.payload, sig) {
-				s.completeLocked(k, req, Result{Sig: sig}, nil, fire)
-				continue
-			}
+		if len(bad) == 0 { // every peer's answer checks out: the fault is this node's
+			s.completeLocked(k, a.req, Result{}, fmt.Errorf("%w: own signature share invalid", ErrUnavailable), fire)
+			continue
 		}
-		s.evictLocked(k, req, &thresh.PartialsError{Bad: bad, Valid: len(good), Needed: t + 1}, fire, acts)
+		s.evictBadLocked(k, a.req, bad)
+		if !a.req.live() {
+			restart = append(restart, a.req)
+		}
+	}
+	return restart
+}
+
+// kickSignsLocked is the signing half of a retry tick. A request whose
+// newest attempt has stayed unanswered for a full tick (any tick
+// without timers: the runtime then kicks only once nothing else can
+// move) gets a new attempt among the peers that have answered it — as
+// ROAST does, but not while the current attempt can still finish in
+// time. Peers this node has no commitments from are asked again.
+func (s *Service) kickSignsLocked(k *serveKey, fire, acts *[]func()) {
+	if !k.fetched {
+		return
+	}
+	k.gen++
+	age := uint64(1)
+	if s.cfg.Defer != nil {
+		age = 2
+	}
+	var retry []*request
+	for _, req := range k.inflight {
+		if req.op == OpSign && !req.done && (!req.live() || req.gen+age <= k.gen) {
+			retry = append(retry, req)
+		}
+	}
+	for _, p := range s.cfg.Peers {
+		if p != s.cfg.Self && !k.suspects[p] && len(k.book[p]) == 0 {
+			s.fetchLocked(k, p)
+		}
+	}
+	s.dispatchSignsLocked(k, retry, fire, acts)
+	if len(k.inflight) > 0 {
+		s.armTimerLocked(k, acts)
 	}
 }
 
-// evictBadLocked marks nodes as suspects (counted once each) and
-// drops their contributions to the request.
+// evictBadLocked marks nodes as suspects (counted once each), drops
+// their contributions to req (if any) and forgets their commitments.
 func (s *Service) evictBadLocked(k *serveKey, req *request, bad []msg.NodeID) {
 	for _, b := range bad {
 		if !k.suspects[b] {
 			k.suspects[b] = true
 			s.stats.Evicted++
 		}
-		delete(req.partials, b)
-		delete(req.decParts, b)
-		delete(req.openPts, b)
+		delete(k.book, b)
+		if req != nil {
+			delete(req.decParts, b)
+			delete(req.openPts, b)
+		}
 	}
 }
 
@@ -1281,7 +1410,7 @@ func (s *Service) finishOpenLocked(k *serveKey, req *request, fire *[]func()) {
 		s.completeLocked(k, req, Result{}, err, fire)
 		return
 	}
-	if !s.gr.GExp(opened).Equal(req.nonceV.PublicKey()) {
+	if !s.gr.GExp(opened).Equal(req.roundV.PublicKey()) {
 		// Cannot happen with per-share verification; defensive.
 		s.completeLocked(k, req, Result{}, fmt.Errorf("%w: beacon opening mismatch", ErrUnavailable), fire)
 		return
@@ -1290,7 +1419,7 @@ func (s *Service) finishOpenLocked(k *serveKey, req *request, fire *[]func()) {
 		Round:       req.round,
 		Output:      thresh.BeaconOutput(s.gr, req.round, opened),
 		Opened:      opened,
-		EphemeralPK: req.nonceV.PublicKey(),
+		EphemeralPK: req.roundV.PublicKey(),
 	}}
 	s.completeLocked(k, req, res, nil, fire)
 }

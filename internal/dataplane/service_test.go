@@ -30,6 +30,7 @@ type testRig struct {
 	keyV      *commit.Vector
 	sends     []sent
 	submitted []msg.SessionID
+	issued    uint64 // nonce pairs the test has drawn for hand-played peers
 }
 
 func newTestRig(t *testing.T, n, th int, tweak func(*Config)) *testRig {
@@ -73,30 +74,139 @@ func newTestRigOn(t *testing.T, gr *group.Group, n, th int, tweak func(*Config))
 	return rig
 }
 
-// yieldShapes are the rosters the nonce-accounting tests run on: one
-// where a coordinate yields a single nonce (n−2t−f = 1) and one where it
-// yields three.
-var yieldShapes = [][2]int{{3, 1}, {7, 2}}
+// peerPairs are the nonce pairs a hand-played peer issued to the rig's
+// node, by ID.
+type peerPairs map[uint64]*thresh.NoncePair
 
-// dealAux fabricates one aux session — a sharing per output — and
-// installs node 1's shares on the rig's service.
-func (r *testRig) dealAux(t *testing.T, sid msg.SessionID) ([]*poly.Poly, []*commit.Vector) {
+// issue plays peer j handing the rig's node count fresh commitments,
+// and returns the pairs behind them.
+func (r *testRig) issue(t *testing.T, j msg.NodeID, count int) peerPairs {
 	t.Helper()
-	rng := randutil.NewReader(uint64(sid))
-	w := 1
-	if !IsBeacon(sid) {
-		w = r.svc.yield(AuxWidth(sid))
-	}
-	ps, vs, shares := make([]*poly.Poly, w), make([]*commit.Vector, w), make([]*big.Int, w)
-	for i := range ps {
-		p, err := poly.NewRandom(r.gr.Q(), r.svc.cfg.T, rng)
+	pairs := make(peerPairs, count)
+	var list []thresh.Commitment
+	for i := 0; i < count; i++ {
+		r.issued++
+		pair, err := thresh.NewNoncePair(r.gr, j, uint64(j)<<32|r.issued, r.keyP.EvalInt(int64(j)), randutil.NewReader(r.issued))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps[i], vs[i], shares[i] = p, commit.NewVector(r.gr, p), p.EvalInt(1)
+		pairs[pair.ID] = pair
+		list = append(list, pair.Commitment)
 	}
-	r.svc.InstallAux(sid, shares, vs)
-	return ps, vs
+	r.svc.HandleMessage(j, &PartialResp{Key: 1, Commits: thresh.EncodeCommitments(r.gr, list)})
+	return pairs
+}
+
+// lastReqTo returns the most recent PartialReq sent to the node.
+func (r *testRig) lastReqTo(to msg.NodeID) *PartialReq {
+	for i := len(r.sends) - 1; i >= 0; i-- {
+		if r.sends[i].to == to {
+			if req, ok := r.sends[i].body.(*PartialReq); ok {
+				return req
+			}
+		}
+	}
+	return nil
+}
+
+// signAnswer is peer j's honest answer to one sign item, made with the
+// pairs it issued: z under its entry of the item's commitment list.
+func (r *testRig) signAnswer(t *testing.T, j msg.NodeID, pairs peerPairs, it ReqItem) RespItem {
+	t.Helper()
+	list, err := thresh.ParseCommitments(it.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := -1
+	for i := range list {
+		if err := list[i].Decode(r.gr); err != nil {
+			t.Fatal(err)
+		}
+		if list[i].Signer == j {
+			own = i
+		}
+	}
+	if own < 0 || pairs[list[own].ID] == nil {
+		t.Fatalf("peer %d asked under a pair it never issued", j)
+	}
+	bind, err := thresh.Bind(r.gr, r.keyV.PublicKey(), it.Payload, it.B, list, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := bind.Sign(r.gr, own, pairs[list[own].ID], r.keyP.EvalInt(int64(j)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RespItem{Digest: it.Digest, Status: StOK, Sigma: z, Nonce: list[own].ID}
+}
+
+// answerSigns plays peer j answering every sign item of the latest
+// PartialReq the rig sent it; tamper, if set, edits each answer.
+func (r *testRig) answerSigns(t *testing.T, j msg.NodeID, pairs peerPairs, tamper func(*RespItem)) {
+	t.Helper()
+	req := r.lastReqTo(j)
+	if req == nil {
+		t.Fatalf("no PartialReq sent to %d", j)
+	}
+	resp := &PartialResp{Key: 1}
+	for _, it := range req.Items {
+		out := r.signAnswer(t, j, pairs, it)
+		if tamper != nil {
+			tamper(&out)
+		}
+		resp.Items = append(resp.Items, out)
+	}
+	r.svc.HandleMessage(j, resp)
+}
+
+// askRig plays aggregator agg: it fetches want commitments from the
+// rig's node (want 0: none) and returns those the rig issued.
+func (r *testRig) askRig(t *testing.T, agg msg.NodeID, want uint32) []thresh.Commitment {
+	t.Helper()
+	r.svc.HandleMessage(agg, &PartialReq{Key: 1, Want: want})
+	out, err := thresh.ParseCommitments(r.lastRespTo(agg).Commits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if err := out[i].Decode(r.gr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// signItem builds aggregator agg's sign item for message over the rig's
+// commitment c and a fresh pair of agg's own (t = 1).
+func (r *testRig) signItem(t *testing.T, agg msg.NodeID, c thresh.Commitment, message []byte) ReqItem {
+	t.Helper()
+	r.issued++
+	own, err := thresh.NewNoncePair(r.gr, agg, r.issued, r.keyP.EvalInt(int64(agg)), randutil.NewReader(r.issued))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := []thresh.Commitment{c, own.Commitment}
+	if agg < c.Signer {
+		list[0], list[1] = list[1], list[0]
+	}
+	return ReqItem{Digest: SignDigest(1, message), Op: OpSign, Payload: message, B: thresh.EncodeCommitments(r.gr, list)}
+}
+
+// ask sends the rig one item from aggregator agg and returns its answer.
+func (r *testRig) ask(agg msg.NodeID, it ReqItem) RespItem {
+	r.svc.HandleMessage(agg, &PartialReq{Key: 1, Items: []ReqItem{it}})
+	return r.lastRespTo(agg).Items[0]
+}
+
+// dealBeacon fabricates one beacon round session and installs node 1's
+// share on the rig's service.
+func (r *testRig) dealBeacon(t *testing.T, sid msg.SessionID) {
+	t.Helper()
+	p, err := poly.NewRandom(r.gr.Q(), r.svc.cfg.T, randutil.NewReader(uint64(sid)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.svc.InstallAux(sid, []*big.Int{p.EvalInt(1)}, []*commit.Vector{commit.NewVector(r.gr, p)})
 }
 
 // lastRespTo returns the most recent PartialResp sent to the node.
@@ -147,9 +257,9 @@ func TestIdleKeyHoldsNoPresizedRing(t *testing.T) {
 }
 
 // TestSignProvisionAndServe walks the full aggregator path by hand:
-// activation provisions the reservoir via Submit+Prepare, InstallAux
-// unblocks the queued request, self + one peer partial reach t+1=2,
-// and the combined signature verifies.
+// the first Sign asks every peer for commitments and starts no session,
+// the request dispatches once a peer's commitments arrive, self plus
+// that peer reach t+1=2, and the sum verifies.
 func TestSignProvisionAndServe(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
 	message := []byte("threshold me")
@@ -162,52 +272,32 @@ func TestSignProvisionAndServe(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Activation must have submitted nonce sessions locally and
-	// broadcast a Prepare to both peers.
-	if len(rig.submitted) == 0 {
-		t.Fatal("no aux sessions submitted on activation")
+	if len(rig.submitted) != 0 {
+		t.Fatalf("signing submitted sessions %x", rig.submitted)
 	}
-	prepTo := map[msg.NodeID]bool{}
-	for _, s := range rig.sends {
-		if _, ok := s.body.(*Prepare); ok {
-			prepTo[s.to] = true
+	for _, p := range []msg.NodeID{2, 3} {
+		if req := rig.lastReqTo(p); req == nil || req.Want != startBatch || len(req.Items) != 0 {
+			t.Fatalf("peer %d was not asked for a starting batch: %+v", p, req)
 		}
 	}
-	if !prepTo[2] || !prepTo[3] {
-		t.Fatalf("Prepare not broadcast to peers: %v", prepTo)
-	}
-	if called {
-		t.Fatal("request completed with no nonce installed")
+	rig.svc.Flush(1)
+	if called || rig.svc.Stats().Batches != 0 {
+		t.Fatal("request dispatched with no commitment booked")
 	}
 
-	// Complete the first owned nonce session; the queued request
-	// dispatches: self partial plus a PartialReq to t+1 peers.
-	sid := NonceSID(1, 1, 0)
-	auxPs, auxVs := rig.dealAux(t, sid)
-	auxP, auxV := auxPs[0], auxVs[0]
-	var preq *PartialReq
-	for _, s := range rig.sends {
-		if pr, ok := s.body.(*PartialReq); ok {
-			preq = pr
-		}
+	// Peer 2's commitments land; the waiting request goes to peer 2.
+	pairs := rig.issue(t, 2, 4)
+	req := rig.lastReqTo(2)
+	if len(req.Items) != 1 || req.Items[0].Op != OpSign || string(req.Items[0].Payload) != string(message) {
+		t.Fatalf("unexpected PartialReq: %+v", req)
 	}
-	if preq == nil {
-		t.Fatal("no PartialReq fanned out after InstallAux")
+	raws, err := thresh.ParseCommitments(req.Items[0].B)
+	if err != nil || len(raws) != 2 || raws[0].Signer != 1 || raws[1].Signer != 2 {
+		t.Fatalf("commitment list %+v (%v), want nodes 1 and 2", raws, err)
 	}
-	if len(preq.Items) != 1 || preq.Items[0].Sid != sid || preq.Items[0].Op != OpSign {
-		t.Fatalf("unexpected PartialReq: %+v", preq.Items)
-	}
-
-	// Play peer 2: compute its partial from the dealt shares.
-	c := thresh.Challenge(rig.gr, auxV.PublicKey(), rig.keyV.PublicKey(), message)
-	p2 := thresh.PartialSignPre(rig.gr, 2, rig.keyP.EvalInt(2), auxP.EvalInt(2), c)
-	rig.svc.HandleMessage(2, &PartialResp{Key: 1, Items: []RespItem{
-		{Digest: preq.Items[0].Digest, Status: StOK, Sigma: p2.Sigma},
-	}})
-
+	rig.answerSigns(t, 2, pairs, nil)
 	if !called {
-		t.Fatal("request did not complete at t+1 partials")
+		t.Fatal("request did not complete at t+1 answers")
 	}
 	if gotErr != nil {
 		t.Fatal(gotErr)
@@ -215,72 +305,86 @@ func TestSignProvisionAndServe(t *testing.T) {
 	if !thresh.Verify(rig.gr, rig.keyV.PublicKey(), message, got.Sig) {
 		t.Fatal("combined signature does not verify")
 	}
-
-	// The nonce share must be consumed on the serving side too.
-	st := rig.svc.Stats()
-	if st.Batches != 1 || st.Items != 1 {
+	if st := rig.svc.Stats(); st.Batches != 1 || st.Items != 1 || st.SignAttempts != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if ks := rig.svc.KeysSnapshot(); ks[0].Commitments != 3 {
+		t.Fatalf("books hold %d commitments, want the 3 unused", ks[0].Commitments)
 	}
 }
 
-// TestNonceConsumeOnce pins the core safety invariant: once a nonce
-// session served one digest, the same digest replays from the partial
-// cache and any other digest is refused.
+// TestNonceConsumeOnce pins the core safety invariant on the signer's
+// side: a pair answers one (m, B). A re-ask of the same (m, B) replays
+// the answer bit for bit; another message, or another list, under the
+// spent pair is refused.
 func TestNonceConsumeOnce(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
+	cs := rig.askRig(t, 2, 2)
+	if len(cs) != 2 || cs[0].Signer != 1 || cs[0].ID == cs[1].ID {
+		t.Fatalf("rig issued %+v", cs)
+	}
 	message := []byte("first")
-	if err := rig.svc.Sign(1, message, func(Result, error) {}); err != nil {
-		t.Fatal(err)
+	item := rig.signItem(t, 2, cs[0], message)
+	first := rig.ask(2, item)
+	if first.Status != StOK || first.Sigma == nil || first.Nonce != cs[0].ID {
+		t.Fatalf("fresh pair not answered: %+v", first)
 	}
-	sid := NonceSID(1, 1, 0)
-	rig.dealAux(t, sid)
-	digest := SignDigest(1, message)
-
-	// Peer 3 asks for the digest the service already self-signed: the
-	// cached partial is replayed bit-for-bit.
-	rig.svc.HandleMessage(3, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: digest, Op: OpSign, Sid: sid, Payload: message},
-	}})
-	resp := rig.lastRespTo(3)
-	if resp == nil || resp.Items[0].Status != StOK || resp.Items[0].Sigma == nil {
-		t.Fatalf("cached partial not replayed: %+v", resp)
+	// Answering spent the pair and issued its replacement.
+	if raws, _ := thresh.ParseCommitments(rig.lastRespTo(2).Commits); len(raws) != 1 {
+		t.Fatalf("answer carried %d fresh commitments, want 1", len(raws))
 	}
-	if rig.svc.Stats().PeerCacheHits == 0 {
+	again := rig.ask(2, item)
+	if again.Status != StOK || again.Sigma.Cmp(first.Sigma) != 0 {
+		t.Fatalf("re-ask not replayed: %+v", again)
+	}
+	if rig.svc.Stats().PeerCacheHits != 1 {
 		t.Fatal("replay did not count as a cache hit")
 	}
-
-	// A different digest under the consumed nonce is refused — this is
-	// the nonce-reuse attack surface.
-	other := []byte("second")
-	rig.svc.HandleMessage(3, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: SignDigest(1, other), Op: OpSign, Sid: sid, Payload: other},
-	}})
-	resp = rig.lastRespTo(3)
-	if resp.Items[0].Status != StRefused {
-		t.Fatalf("consumed nonce re-served: status %d", resp.Items[0].Status)
+	// The nonce-reuse attack surface: the same pair under another message
+	// or another commitment list.
+	for _, other := range []ReqItem{
+		rig.signItem(t, 2, cs[0], []byte("second")),
+		rig.signItem(t, 2, cs[0], message),
+	} {
+		if resp := rig.ask(2, other); resp.Status != StRefused || resp.Sigma != nil {
+			t.Fatalf("spent pair answered again: %+v", resp)
+		}
 	}
-	if resp.Items[0].Sigma != nil {
-		t.Fatal("refused item carried a partial")
+	if ledger := rig.svc.NonceLedger(); len(ledger) != 1 {
+		t.Fatalf("ledger %v, want the one spent pair", ledger)
 	}
 }
 
 func TestPartialReqErrorStatuses(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
+	cs := rig.askRig(t, 2, 1)
 
 	// Unknown key.
 	rig.svc.HandleMessage(2, &PartialReq{Key: 999, Items: []ReqItem{
-		{Digest: [32]byte{1}, Op: OpSign, Sid: NonceSID(999, 2, 0)},
+		{Digest: [32]byte{1}, Op: OpSign, Payload: []byte("m")},
 	}})
 	if resp := rig.lastRespTo(2); resp == nil || resp.Items[0].Status != StUnknownKey {
 		t.Fatalf("unknown key not reported: %+v", resp)
 	}
 
-	// Nonce session not completed here yet.
-	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: [32]byte{2}, Op: OpSign, Sid: NonceSID(1, 2, 7)},
-	}})
-	if resp := rig.lastRespTo(2); resp.Items[0].Status != StNotReady {
-		t.Fatalf("missing aux session not NotReady: %+v", resp.Items[0])
+	// A pair the rig never issued, one issued to another aggregator, and
+	// one whose points are not as issued.
+	forged := cs[0]
+	forged.ID++
+	if it := rig.ask(2, rig.signItem(t, 2, forged, []byte("m"))); it.Status != StRefused {
+		t.Fatalf("unissued pair not refused: %+v", it)
+	}
+	if it := rig.ask(3, rig.signItem(t, 3, cs[0], []byte("m"))); it.Status != StRefused {
+		t.Fatalf("another aggregator's pair not refused: %+v", it)
+	}
+	swapped := cs[0]
+	swapped.D, swapped.E = cs[0].E, cs[0].D
+	if it := rig.ask(2, rig.signItem(t, 2, thresh.Commitment{Signer: 1, ID: cs[0].ID, D: swapped.D, E: swapped.E}, []byte("m"))); it.Status != StRefused {
+		t.Fatalf("altered commitment not refused: %+v", it)
+	}
+	// A list that does not name the rig, or names too few signers.
+	if it := rig.ask(2, ReqItem{Digest: [32]byte{5}, Op: OpSign, Payload: []byte("m"), B: []byte{0, 0, 0, 0}}); it.Status != StBadOp {
+		t.Fatalf("empty commitment list not rejected: %+v", it)
 	}
 
 	// Bogus op code.
@@ -298,11 +402,15 @@ func TestPartialReqErrorStatuses(t *testing.T) {
 	if resp := rig.lastRespTo(2); resp.Items[0].Status != StBadOp {
 		t.Fatalf("garbage ciphertext not rejected: %+v", resp.Items[0])
 	}
+	// After all that, the untouched pair still signs.
+	if it := rig.ask(2, rig.signItem(t, 2, cs[0], []byte("m"))); it.Status != StOK {
+		t.Fatalf("issued pair not answered: %+v", it)
+	}
 }
 
 func TestPrepareSubmitsIdempotently(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
-	sids := []msg.SessionID{NonceSID(1, 2, 0), BeaconSID(1, 1)}
+	sids := []msg.SessionID{BeaconSID(1, 1), BeaconSID(1, 2)}
 	rig.svc.HandleMessage(2, &Prepare{Key: 1, Sids: sids})
 	if len(rig.submitted) != 2 {
 		t.Fatalf("submitted %d sessions, want 2", len(rig.submitted))
@@ -325,7 +433,6 @@ func TestAdmissionTokenBucket(t *testing.T) {
 		cfg.Rate = 1
 		cfg.Burst = 1
 		cfg.Now = func() time.Time { return now }
-		cfg.Provision = func(msg.SessionID, []msg.SessionID) {} // keep requests queued
 	})
 	cb := func(Result, error) {}
 	if err := rig.svc.Sign(1, []byte("m1"), cb); err != nil {
@@ -349,7 +456,6 @@ func TestAdmissionPendingBound(t *testing.T) {
 	rig := newTestRig(t, 3, 1, func(cfg *Config) {
 		cfg.MaxPending = 2
 		cfg.MaxBatch = 64
-		cfg.Provision = func(msg.SessionID, []msg.SessionID) {} // keep requests queued
 	})
 	cb := func(Result, error) {}
 	if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
@@ -388,20 +494,14 @@ func TestRetireLifecycle(t *testing.T) {
 		t.Fatalf("retiring key accepted a request: %v", err)
 	}
 	// Peer partials are still served so other aggregators can finish.
-	sid := NonceSID(1, 2, 0)
-	rig.dealAux(t, sid)
-	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: [32]byte{9}, Op: OpSign, Sid: sid, Payload: []byte("peer msg")},
-	}})
-	if resp := rig.lastRespTo(2); resp == nil || resp.Items[0].Status != StOK {
-		t.Fatalf("retiring key stopped serving partials: %+v", resp)
+	cs := rig.askRig(t, 2, 1)
+	if it := rig.ask(2, rig.signItem(t, 2, cs[0], []byte("peer msg"))); it.Status != StOK {
+		t.Fatalf("retiring key stopped serving partials: %+v", it)
 	}
 }
 
 func TestCloseFailsPending(t *testing.T) {
-	rig := newTestRig(t, 3, 1, func(cfg *Config) {
-		cfg.Provision = func(msg.SessionID, []msg.SessionID) {}
-	})
+	rig := newTestRig(t, 3, 1, nil)
 	var gotErr error
 	called := false
 	if err := rig.svc.Sign(1, []byte("m"), func(_ Result, err error) {
@@ -428,234 +528,86 @@ func TestSignRejectsUnknownKey(t *testing.T) {
 	}
 }
 
-// nonceBooks reads a key's nonce accounting.
-func (r *testRig) nonceBooks(t *testing.T) KeySnapshot {
-	t.Helper()
-	for _, k := range r.svc.KeysSnapshot() {
-		if k.ID == 1 {
-			return k
-		}
-	}
-	t.Fatal("key 1 not installed")
-	return KeySnapshot{}
-}
-
-// TestNonceWidthSlowStart walks a fresh key through its first Sign,
-// counting in e, the nonces a width-1 session yields. Two width-1
-// sessions are provisioned on the request, a third when the flush finds
-// it starved, and only then does the width double; the refill that
-// follows is one width-2 session. The key that has served one signature
-// has 5e−1 nonces left, counting those still being generated — whether
-// or not retry timers flushed the waiting request in between, because
-// width follows arrivals, not timers.
-func TestNonceWidthSlowStart(t *testing.T) {
-	for _, shape := range yieldShapes {
-		for _, reflush := range []bool{false, true} {
-			rig := newTestRig(t, shape[0], shape[1], nil)
-			e := uint64(rig.svc.rows)
-			if err := rig.svc.Sign(1, []byte("first"), func(Result, error) {}); err != nil {
-				t.Fatal(err)
-			}
-			rig.svc.Flush(1)
-			want := []msg.SessionID{NonceSID(1, 1, 0), NonceSID(1, 1, e), NonceSID(1, 1, 2*e), NonceSessionSID(1, 1, 3*e, 2)}
-			if b := rig.nonceBooks(t); len(rig.submitted) != 3 || b.NonceWidth != 2 || b.NonceYield != 2*int(e) || b.Provisioning != 3*int(e) {
-				t.Fatalf("e=%d first flush: %d sessions, books %+v", e, len(rig.submitted), b)
-			}
-			if reflush {
-				for i := 0; i < 3; i++ {
-					rig.svc.Flush(1)
-					rig.svc.Kick(1)
-				}
-				if b := rig.nonceBooks(t); b.NonceWidth != 2 {
-					t.Fatalf("re-flushing one waiting request moved the width: %+v", b)
-				}
-			}
-			// The first session lands and the request takes one of its nonces.
-			rig.dealAux(t, want[0])
-			if len(rig.submitted) != len(want) {
-				t.Fatalf("e=%d reflush=%v: submitted %x, want %x", e, reflush, rig.submitted, want)
-			}
-			for i, sid := range rig.submitted {
-				if sid != want[i] {
-					t.Fatalf("e=%d reflush=%v: submitted %x, want %x", e, reflush, rig.submitted, want)
-				}
-			}
-			if b := rig.nonceBooks(t); b.Reservoir+b.Provisioning != 5*int(e)-1 || b.Inflight != 1 {
-				t.Fatalf("e=%d reflush=%v: a key that served one Sign holds %d nonces (books %+v), want %d", e, reflush, b.Reservoir+b.Provisioning, b, 5*e-1)
-			}
-		}
-	}
-}
-
-// TestNonceWidthFollowsDemand: while arriving requests keep finding the
-// reservoir empty the width doubles, up to 16, and the stock kept is two
-// sessions' yield.
-func TestNonceWidthFollowsDemand(t *testing.T) {
-	for _, shape := range yieldShapes {
-		rig := newTestRig(t, shape[0], shape[1], func(cfg *Config) { cfg.MaxBatch = 1 })
-		for i, wantWidth := range []int{2, 4, 8, 16, 16, 16} {
-			if err := rig.svc.Sign(1, []byte{byte(i)}, func(Result, error) {}); err != nil {
-				t.Fatal(err)
-			}
-			if b := rig.nonceBooks(t); b.NonceWidth != wantWidth {
-				t.Fatalf("after %d starved arrivals: width %d, want %d", i+1, b.NonceWidth, wantWidth)
-			}
-		}
-		b := rig.nonceBooks(t)
-		if b.NonceYield != 16*rig.svc.rows || b.Provisioning < b.QueueDepth+2*b.NonceYield {
-			t.Fatalf("stock %d for %d waiting requests at width 16, yield %d", b.Provisioning, b.QueueDepth, b.NonceYield)
-		}
-		last := rig.submitted[len(rig.submitted)-1]
-		if AuxWidth(last) != 16 {
-			t.Fatalf("last session %x has width %d", uint64(last), AuxWidth(last))
-		}
-		// Sessions tile the counter space without overlap.
-		next := uint64(0)
-		for _, sid := range rig.submitted {
-			if NonceCounter(sid) != next {
-				t.Fatalf("session %x starts at counter %d, want %d", uint64(sid), NonceCounter(sid), next)
-			}
-			next += uint64(rig.svc.yield(AuxWidth(sid)))
-		}
-	}
-}
-
-// TestBatchConsumeOncePerNonce: one width-16 session installs its whole
-// yield of nonces (16, or 48 at three rows), each of which serves exactly
-// one digest — a second digest against any of the ids is refused, and a
-// re-ask for the digest it served replays the recorded partial.
+// TestBatchConsumeOncePerNonce: one fetch issues a whole batch of pairs
+// to an aggregator, each of which answers exactly one (m, B) — a re-ask
+// replays its answer, a second message under it is refused — and every
+// answer checks against the rig's public key share.
 func TestBatchConsumeOncePerNonce(t *testing.T) {
-	for _, shape := range yieldShapes {
-		rig := newTestRig(t, shape[0], shape[1], nil)
-		yield := uint64(rig.svc.yield(16))
-		session := NonceSessionSID(1, 2, 32, 16)
-		_, vs := rig.dealAux(t, session)
-		ask := func(id msg.SessionID, message []byte) RespItem {
-			rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-				{Digest: SignDigest(1, message), Op: OpSign, Sid: id, Payload: message},
-			}})
-			return rig.lastRespTo(2).Items[0]
+	rig := newTestRig(t, 3, 1, nil)
+	cs := rig.askRig(t, 2, startBatch)
+	if len(cs) != startBatch {
+		t.Fatalf("asked for %d commitments, got %d", startBatch, len(cs))
+	}
+	zs := map[string]bool{}
+	for i, c := range cs {
+		message := []byte{'m', byte(i)}
+		item := rig.signItem(t, 2, c, message)
+		first := rig.ask(2, item)
+		if first.Status != StOK || first.Sigma == nil {
+			t.Fatalf("pair %d not served: %+v", i, first)
 		}
-		// The session's own id names its first nonce only as a nonce, and
-		// ids outside the block were never installed.
-		if it := ask(session, []byte("by session id")); it.Status != StNotReady {
-			t.Fatalf("session id answered as a nonce: status %d", it.Status)
+		list, _ := thresh.ParseCommitments(item.B)
+		for j := range list {
+			list[j].Decode(rig.gr) //nolint:errcheck // the rig encoded these points itself
 		}
-		for _, ctr := range []uint64{31, 32 + yield} {
-			if it := ask(NonceSID(1, 2, ctr), []byte("outside")); it.Status != StNotReady {
-				t.Fatalf("nonce %d outside the block answered: status %d", ctr, it.Status)
-			}
+		bind, err := thresh.Bind(rig.gr, rig.keyV.PublicKey(), message, item.B, list, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sigmas := map[string]bool{}
-		for i := uint64(0); i < yield; i++ {
-			id, message := NonceSID(1, 2, 32+i), []byte{'m', byte(i)}
-			first := ask(id, message)
-			if first.Status != StOK || first.Sigma == nil {
-				t.Fatalf("nonce %d not served: %+v", i, first)
-			}
-			// The partial is this node's share of nonce i, not of another.
-			if !thresh.VerifyPartial(rig.gr, rig.keyV, vs[i], message, thresh.PartialSig{Signer: 1, Sigma: first.Sigma}) {
-				t.Fatalf("nonce %d: partial does not verify against its commitment", i)
-			}
-			sigmas[first.Sigma.String()] = true
-			if again := ask(id, message); again.Status != StOK || again.Sigma.Cmp(first.Sigma) != 0 {
-				t.Fatalf("nonce %d: re-ask did not replay the partial: %+v", i, again)
-			}
-			if other := ask(id, []byte{'x', byte(i)}); other.Status != StRefused || other.Sigma != nil {
-				t.Fatalf("nonce %d served a second digest: %+v", i, other)
-			}
+		if !bind.VerifyShare(rig.gr, bind.Index(1), first.Sigma, rig.keyV.Eval(1)) {
+			t.Fatalf("pair %d: answer fails its share check", i)
 		}
-		if uint64(len(sigmas)) != yield {
-			t.Fatalf("%d distinct partials from %d nonces", len(sigmas), yield)
+		zs[first.Sigma.String()] = true
+		if again := rig.ask(2, item); again.Status != StOK || again.Sigma.Cmp(first.Sigma) != 0 {
+			t.Fatalf("pair %d: re-ask did not replay: %+v", i, again)
 		}
-		// Installing the session again re-arms nothing.
-		rig.dealAux(t, session)
-		if it := ask(NonceSID(1, 2, 32), []byte("again")); it.Status != StRefused {
-			t.Fatalf("re-installed session re-armed a spent nonce: status %d", it.Status)
+		if other := rig.ask(2, rig.signItem(t, 2, c, []byte{'x', byte(i)})); other.Status != StRefused || other.Sigma != nil {
+			t.Fatalf("pair %d served a second message: %+v", i, other)
 		}
+	}
+	if len(zs) != len(cs) {
+		t.Fatalf("%d distinct answers from %d pairs", len(zs), len(cs))
 	}
 }
 
-// TestInstallAuxRejectsWrongShape: what a session installs must match
-// the width its id names.
+// TestInstallAuxRejectsWrongShape: a beacon session installs exactly one
+// share, under an id BeaconSID can have produced.
 func TestInstallAuxRejectsWrongShape(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
 	p, _ := poly.NewRandom(rig.gr.Q(), 1, randutil.NewReader(9))
 	share, v := p.EvalInt(1), commit.NewVector(rig.gr, p)
-	rig.svc.InstallAux(NonceSessionSID(1, 2, 0, 2), []*big.Int{share}, []*commit.Vector{v})
-	rig.svc.InstallAux(NonceSID(1, 2, 0), []*big.Int{share, share}, []*commit.Vector{v, v})
-	rig.svc.InstallAux(BeaconSID(1, 1)|1<<widthShift, []*big.Int{share}, []*commit.Vector{v})
+	rig.svc.InstallAux(BeaconSID(1, 1), []*big.Int{share, share}, []*commit.Vector{v, v})
+	rig.svc.InstallAux(BeaconSID(1, 2)|1<<56, []*big.Int{share}, []*commit.Vector{v})
+	rig.svc.InstallAux(BeaconSID(1, 3)&^(1<<61), []*big.Int{share}, []*commit.Vector{v})
 	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: [32]byte{1}, Op: OpSign, Sid: NonceSID(1, 2, 0), Payload: []byte("m")},
-		{Digest: [32]byte{2}, Op: OpOpen, Sid: BeaconSID(1, 1)},
+		{Digest: [32]byte{1}, Op: OpOpen, Sid: BeaconSID(1, 1)},
+		{Digest: [32]byte{2}, Op: OpOpen, Sid: BeaconSID(1, 2)},
+		{Digest: [32]byte{3}, Op: OpOpen, Sid: BeaconSID(1, 3)},
 	}})
 	for _, it := range rig.lastRespTo(2).Items {
 		if it.Status != StNotReady {
 			t.Fatalf("mis-shaped install was accepted: %+v", it)
 		}
 	}
-}
-
-// TestNonceCounterExhausted: the 24-bit nonce counter does not wrap.
-// Once the next session's block — its yield, not its width — would run
-// past it, Sign says so instead of re-deriving ids every node has
-// already buried.
-func TestNonceCounterExhausted(t *testing.T) {
-	for _, shape := range yieldShapes {
-		rig := newTestRig(t, shape[0], shape[1], nil)
-		e := uint64(rig.svc.rows)
-		// An earlier incarnation's last session, of width 4, ended four
-		// width-1 sessions short of the counter's end.
-		rig.svc.ResumeNonces(NonceSessionSID(1, 1, 1<<24-8*e, 4))
-		rig.svc.ResumeNonces(NonceSID(1, 2, 1<<24-e)) // another node's: ignored
-		rig.svc.ResumeNonces(BeaconSID(1, 1<<24-1))   // not a nonce session: ignored
-		cb := func(Result, error) {}
-		if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
-			t.Fatalf("four sessions' counters left: %v", err)
-		}
-		// Two sessions for the stock, one for the starved request, and the
-		// width doubles to 2 with one width-1 session's counters left: not
-		// enough for a block.
-		rig.svc.Flush(1)
-		for i, sid := range rig.submitted {
-			if want := NonceSID(1, 1, 1<<24-4*e+uint64(i)*e); sid != want {
-				t.Fatalf("e=%d session %d: %x, want %x", e, i, uint64(sid), uint64(want))
-			}
-		}
-		if len(rig.submitted) != 3 {
-			t.Fatalf("e=%d: %d sessions submitted, want 3", e, len(rig.submitted))
-		}
-		if err := rig.svc.Sign(1, []byte("b"), cb); !errors.Is(err, ErrNoncesExhausted) {
-			t.Fatalf("e=%d: Sign past the counter's end: %v", e, err)
-		}
-		// What is already signed or queued is unaffected, and so are the
-		// operations that use no nonce.
-		if err := rig.svc.Sign(1, []byte("a"), cb); err != nil {
-			t.Fatalf("duplicate of a queued request: %v", err)
-		}
-		if err := rig.svc.Beacon(1, 1, cb); err != nil {
-			t.Fatalf("beacon on an exhausted key: %v", err)
-		}
-		for _, sid := range rig.submitted {
-			if !IsBeacon(sid) && NonceCounter(sid) < 1<<24-4*e {
-				t.Fatalf("counter wrapped: session %x", uint64(sid))
-			}
-		}
+	rig.dealBeacon(t, BeaconSID(1, 4))
+	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{{Digest: [32]byte{4}, Op: OpOpen, Sid: BeaconSID(1, 4)}}})
+	if it := rig.lastRespTo(2).Items[0]; it.Status != StOK || it.Share == nil {
+		t.Fatalf("well-shaped install not served: %+v", it)
 	}
 }
 
 // TestProvisionPerOperationKind: a key starts the auxiliary sessions of
-// the operations it is asked for, and no others.
+// the operations it is asked for, and no others. Signing starts none:
+// it asks the peers for commitments.
 func TestProvisionPerOperationKind(t *testing.T) {
-	kinds := func(sids []msg.SessionID) (nonces, beacons int) {
-		for _, sid := range sids {
-			if IsBeacon(sid) {
-				beacons++
-			} else {
-				nonces++
+	fetches := func(r *testRig) int {
+		n := 0
+		for _, s := range r.sends {
+			if req, ok := s.body.(*PartialReq); ok && req.Want > 0 {
+				n++
 			}
 		}
-		return nonces, beacons
+		return n
 	}
 	cb := func(Result, error) {}
 
@@ -668,26 +620,26 @@ func TestProvisionPerOperationKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.svc.Flush(1)
-	if info, _ := rig.svc.KeyInfo(1); len(rig.submitted) != 0 || info.State != StateServing {
-		t.Fatalf("decrypt: %d sessions submitted, state %v", len(rig.submitted), info.State)
+	if info, _ := rig.svc.KeyInfo(1); len(rig.submitted) != 0 || fetches(rig) != 0 || info.State != StateServing {
+		t.Fatalf("decrypt: %d sessions submitted, %d fetches, state %v", len(rig.submitted), fetches(rig), info.State)
 	}
 	if err := rig.svc.Beacon(1, 1, cb); err != nil {
 		t.Fatal(err)
 	}
-	if n, b := kinds(rig.submitted); n != 0 || b == 0 {
-		t.Fatalf("beacon: %d nonce and %d beacon sessions", n, b)
+	if len(rig.submitted) == 0 || fetches(rig) != 0 {
+		t.Fatalf("beacon: %d sessions, %d fetches", len(rig.submitted), fetches(rig))
 	}
 	rig.submitted = nil
 	if err := rig.svc.Sign(1, []byte("m"), cb); err != nil {
 		t.Fatal(err)
 	}
-	if n, b := kinds(rig.submitted); n == 0 || b != 0 {
-		t.Fatalf("sign: %d nonce and %d beacon sessions", n, b)
+	if len(rig.submitted) != 0 || fetches(rig) != 2 {
+		t.Fatalf("sign: %d sessions, %d fetches, want 0 and 2", len(rig.submitted), fetches(rig))
 	}
 
 	eager := newTestRig(t, 3, 1, nil)
 	eager.svc.Activate(1)
-	if n, b := kinds(eager.submitted); n != 2 || b != 2 {
-		t.Fatalf("activate: %d nonce and %d beacon sessions, want 2 and 2", n, b)
+	if len(eager.submitted) != 2 || fetches(eager) != 2 {
+		t.Fatalf("activate: %d beacon sessions and %d fetches, want 2 and 2", len(eager.submitted), fetches(eager))
 	}
 }

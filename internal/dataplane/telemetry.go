@@ -2,25 +2,26 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"hybriddkg/internal/msg"
 	"hybriddkg/internal/telemetry"
 )
 
 // KeySnapshot is the JSON-ready view of one serving key for the
 // introspection endpoint (/keys) and `dkgnode top`.
 type KeySnapshot struct {
-	ID           uint64 `json:"id"`
-	State        string `json:"state"`
-	QueueDepth   int    `json:"queue_depth"`
-	Inflight     int    `json:"inflight"`
-	Reservoir    int    `json:"nonce_reservoir"`
-	Provisioning int    `json:"provisioning"`
-	NonceWidth   int    `json:"nonce_width"`
-	NonceYield   int    `json:"nonce_yield"`
-	BeaconHigh   uint64 `json:"beacon_high,omitempty"`
-	Requests     uint64 `json:"requests_total"`
-	Suspects     int    `json:"suspects,omitempty"`
+	ID         uint64 `json:"id"`
+	State      string `json:"state"`
+	QueueDepth int    `json:"queue_depth"`
+	Inflight   int    `json:"inflight"`
+	// Commitments counts the unused signing commitments peers have
+	// issued to this aggregator.
+	Commitments int          `json:"commitments"`
+	BeaconHigh  uint64       `json:"beacon_high,omitempty"`
+	Requests    uint64       `json:"requests_total"`
+	Suspects    []msg.NodeID `json:"suspects,omitempty"`
 }
 
 // KeysSnapshot returns a point-in-time view of every installed key,
@@ -30,19 +31,22 @@ func (s *Service) KeysSnapshot() []KeySnapshot {
 	s.mu.Lock()
 	out := make([]KeySnapshot, 0, len(s.keys))
 	for _, k := range s.keys {
-		out = append(out, KeySnapshot{
-			ID:           uint64(k.id),
-			State:        k.state.String(),
-			QueueDepth:   len(k.queue),
-			Inflight:     len(k.inflight),
-			Reservoir:    len(k.reservoir),
-			Provisioning: k.provisioning,
-			NonceWidth:   k.width,
-			NonceYield:   s.yield(k.width),
-			BeaconHigh:   k.beaconHi,
-			Requests:     k.served,
-			Suspects:     len(k.suspects),
-		})
+		ks := KeySnapshot{
+			ID:         uint64(k.id),
+			State:      k.state.String(),
+			QueueDepth: len(k.queue),
+			Inflight:   len(k.inflight),
+			BeaconHigh: k.beaconHi,
+			Requests:   k.served,
+		}
+		for _, b := range k.book {
+			ks.Commitments += len(b)
+		}
+		for p := range k.suspects {
+			ks.Suspects = append(ks.Suspects, p)
+		}
+		slices.Sort(ks.Suspects)
+		out = append(out, ks)
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -73,6 +77,7 @@ func (s *Service) RegisterMetrics(reg *telemetry.Registry) {
 		emit(ctr("dataplane_peer_items_total", "Peer-side partial operations answered", st.PeerItems))
 		emit(ctr("dataplane_peer_cache_hits_total", "Peer answers served from the partial cache", st.PeerCacheHits))
 		emit(ctr("dataplane_evicted_total", "Bad partials evicted after verification", st.Evicted))
+		emit(ctr("dataplane_sign_attempts_total", "Signing attempts after a request's first", st.SignAttempts))
 		for _, k := range s.KeysSnapshot() {
 			id := fmt.Sprintf("%d", k.ID)
 			emit(telemetry.Sample{
@@ -84,26 +89,25 @@ func (s *Service) RegisterMetrics(reg *telemetry.Registry) {
 				"Queued requests per key", k.QueueDepth))
 			emit(gau(fmt.Sprintf("dataplane_key_inflight{key=%q}", id),
 				"In-flight batched requests per key", k.Inflight))
-			emit(gau(fmt.Sprintf("dataplane_key_nonce_reservoir{key=%q}", id),
-				"Pre-generated signing nonces per key", k.Reservoir))
-			emit(gau(fmt.Sprintf("dataplane_key_nonce_width{key=%q}", id),
-				"Secrets each dealer shares in the key's next nonce DKGs", k.NonceWidth))
-			emit(gau(fmt.Sprintf("dataplane_key_nonce_yield{key=%q}", id),
-				"Nonces each of the key's next nonce DKGs produces", k.NonceYield))
+			emit(gau(fmt.Sprintf("dataplane_key_commitments{key=%q}", id),
+				"Unused signing commitments peers issued to this aggregator", k.Commitments))
 		}
 	})
 }
 
-// NonceLedger returns, for every spent nonce whose tombstone this node
-// still holds, the request digest it signed. A nonce signs one digest
-// and no other; the ledger is how that is checked from outside.
+// NonceLedger returns, for every spent nonce pair whose tombstone this
+// node still holds, keyed by commitment ID, the digest of the (m, B) it
+// signed. A pair signs one (m, B) and no other; the ledger is how that
+// is checked from outside.
 func (s *Service) NonceLedger() map[uint64][32]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[uint64][32]byte)
-	for id, aux := range s.aux {
-		if aux.consumed {
-			out[uint64(id)] = aux.digest
+	for _, k := range s.keys {
+		for _, p := range k.pools {
+			for id, sp := range p.spent {
+				out[id] = sp.digest
+			}
 		}
 	}
 	return out

@@ -14,15 +14,20 @@ import (
 type ReqItem struct {
 	Digest  [32]byte
 	Op      uint8
-	Sid     msg.SessionID // nonce session (sign) or beacon session (open); 0 for decrypt
+	Sid     msg.SessionID // open: beacon session; 0 otherwise
 	Payload []byte        // sign: message; decrypt: blob(C1) ‖ blob(C2), compressed
+	B       []byte        // sign: the signing set's commitment list (thresh.EncodeCommitments)
 }
 
 // PartialReq asks a peer for partial operations against one key. It
 // is the coalescing unit: an aggregator batches all same-key requests
-// that arrive within a flush window into one PartialReq per peer.
+// that arrive within a flush window into one PartialReq per peer. Want
+// asks for that many fresh signing commitments on top of the one each
+// answered sign item brings back (first contact, lost books); it is
+// encoded only when non-zero, after the items.
 type PartialReq struct {
 	Key   msg.SessionID
+	Want  uint32
 	Items []ReqItem
 }
 
@@ -40,6 +45,12 @@ func (m *PartialReq) MarshalBinary() ([]byte, error) {
 		w.U8(it.Op)
 		w.U64(uint64(it.Sid))
 		w.Blob(it.Payload)
+		if it.Op == OpSign {
+			w.Blob(it.B)
+		}
+	}
+	if m.Want > 0 { // optional trailer: decrypt and beacon traffic never carries it
+		w.U32(m.Want)
 	}
 	return w.Bytes(), nil
 }
@@ -62,6 +73,12 @@ func decodePartialReq(data []byte) (msg.Body, error) {
 		it.Op = r.U8()
 		it.Sid = msg.SessionID(r.U64())
 		it.Payload = r.Blob()
+		if it.Op == OpSign {
+			it.B = r.Blob()
+		}
+	}
+	if r.More() {
+		m.Want = r.U32()
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -77,16 +94,20 @@ const maxItemsPerReq = 4096
 type RespItem struct {
 	Digest [32]byte
 	Status uint8
-	Sigma  *big.Int      // sign: σ_i
+	Sigma  *big.Int      // sign: z_i
+	Nonce  uint64        // sign: ID of the nonce pair z_i was made with
 	D      group.Element // decrypt: C1^{s_i}
 	E, Z   *big.Int      // decrypt: Chaum–Pedersen DLEQ proof
 	Share  *big.Int      // open: s_i of the beacon session
 }
 
-// PartialResp carries a peer's answers for one PartialReq.
+// PartialResp carries a peer's answers for one PartialReq, and the
+// fresh signing commitments it issues to the asking aggregator (encoded
+// only when present, after the items).
 type PartialResp struct {
-	Key   msg.SessionID
-	Items []RespItem
+	Key     msg.SessionID
+	Commits []byte // thresh.EncodeCommitments, all of the sender's
+	Items   []RespItem
 }
 
 // MsgType implements msg.Body.
@@ -101,7 +122,7 @@ const (
 
 // MarshalBinary implements msg.Body.
 func (m *PartialResp) MarshalBinary() ([]byte, error) {
-	w := msg.NewWriter(16 + len(m.Items)*96)
+	w := msg.NewWriter(16 + len(m.Commits) + len(m.Items)*96)
 	w.U64(uint64(m.Key))
 	w.U32(uint32(len(m.Items)))
 	for i := range m.Items {
@@ -121,6 +142,7 @@ func (m *PartialResp) MarshalBinary() ([]byte, error) {
 		w.U8(mask)
 		if mask&fSigma != 0 {
 			w.Big(it.Sigma)
+			w.U64(it.Nonce)
 		}
 		if mask&fDec != 0 {
 			w.Blob(it.D.Bytes())
@@ -130,6 +152,9 @@ func (m *PartialResp) MarshalBinary() ([]byte, error) {
 		if mask&fShare != 0 {
 			w.Big(it.Share)
 		}
+	}
+	if len(m.Commits) > 0 { // optional trailer, as PartialReq.Want
+		w.Blob(m.Commits)
 	}
 	return w.Bytes(), nil
 }
@@ -153,6 +178,7 @@ func decodePartialResp(gr *group.Group, data []byte) (msg.Body, error) {
 		mask := r.U8()
 		if mask&fSigma != 0 {
 			it.Sigma = r.Big()
+			it.Nonce = r.U64()
 		}
 		if mask&fDec != 0 {
 			db := r.Blob()
@@ -170,15 +196,18 @@ func decodePartialResp(gr *group.Group, data []byte) (msg.Body, error) {
 			it.Share = r.Big()
 		}
 	}
+	if r.More() {
+		m.Commits = r.Blob()
+	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Prepare tells peers to run the listed auxiliary DKG sessions (nonce
-// reservoir refill, beacon window extension). Session IDs are
-// self-describing (NonceSID/BeaconSID), so handling is idempotent:
+// Prepare tells peers to run the listed auxiliary DKG sessions (beacon
+// window extension). Session IDs are self-describing (BeaconSID), so
+// handling is idempotent:
 // peers submit each session to their engine at most once.
 type Prepare struct {
 	Key  msg.SessionID

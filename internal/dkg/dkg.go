@@ -26,7 +26,8 @@
 //     this the figures rely on other nodes' lead-ch messages alone.
 //   - A session may agree on more than t+1 sharings (Params.QSize) and
 //     then take several independent outputs from each coordinate instead
-//     of the one sum (Options.Rows, extract): nonce sessions do.
+//     of the one sum (Options.Rows, extract), as the lab's extraction
+//     cells do.
 //
 // Liveness matches the paper's own claim: it holds under the weak
 // synchrony assumption once an honest, finally-up leader is reached;

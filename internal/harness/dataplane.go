@@ -22,7 +22,7 @@ type DataPlaneOptions struct {
 	// Group defaults to group.Test256().
 	Group *group.Group
 	// Tweak adjusts each node's service configuration (admission
-	// limits, batch watermarks, reservoir sizes) before construction.
+	// limits, batch watermarks, message taps) before construction.
 	Tweak func(*dataplane.Config)
 	// Timers enables simulator-scheduled retry timers; without them
 	// the fixture pumps stalled requests via Kick.
@@ -30,7 +30,7 @@ type DataPlaneOptions struct {
 }
 
 // DataPlaneCluster is an n-node data-plane deployment over the
-// deterministic simulator, with key and auxiliary shares dealt
+// deterministic simulator, with key and beacon shares dealt
 // directly from polynomials (the control plane is exercised
 // elsewhere; this fixture isolates the serving path). It backs the
 // dataplane unit tests and the E20 benchmark.
@@ -42,13 +42,9 @@ type DataPlaneCluster struct {
 	KeyID    msg.SessionID
 	KeyV     *commit.Vector
 
-	rng        *randutil.Reader
-	keys       map[msg.NodeID]*serveShare
-	auxSeed    uint64
-	prefillCtr uint64
+	rng *randutil.Reader
+	key *poly.Poly
 }
-
-type serveShare struct{ share *poly.Poly }
 
 // NewDataPlaneCluster deals a shared key across n services wired over
 // a fresh simulator and installs it on every node.
@@ -108,7 +104,7 @@ func NewDataPlaneCluster(opts DataPlaneOptions) (*DataPlaneCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.KeyV = v
+	c.key, c.KeyV = p, v
 	for id, svc := range c.Services {
 		if _, err := svc.InstallKey(c.KeyID, p.EvalInt(int64(id)), v); err != nil {
 			return nil, err
@@ -135,58 +131,51 @@ func (c *DataPlaneCluster) deal() (*poly.Poly, *commit.Vector, error) {
 	return p, commit.NewVector(c.Group, p), nil
 }
 
-// provision deals the requested auxiliary sessions and installs the
-// shares on every node — the fixture's stand-in for running real
-// nonce/beacon DKGs through the engine.
+// provision deals the requested beacon sessions and installs the
+// shares on every node — the fixture's stand-in for running real beacon
+// DKGs through the engine.
 func (c *DataPlaneCluster) provision(sids []msg.SessionID) {
 	for _, sid := range sids {
-		if err := c.installSession(sid); err != nil {
+		p, v, err := c.deal()
+		if err != nil {
 			panic(err)
+		}
+		for id, svc := range c.Services {
+			svc.InstallAux(sid, []*big.Int{p.EvalInt(int64(id))}, []*commit.Vector{v})
 		}
 	}
 }
 
-// installSession deals one sharing per output of the session (the
-// fixture runs with f = 0) and installs every node's shares of them.
-func (c *DataPlaneCluster) installSession(sid msg.SessionID) error {
-	width, _, rows := dataplane.SessionShape(sid, c.Opts.N, c.Opts.T, 0)
-	w := width * rows
-	ps := make([]*poly.Poly, w)
-	vs := make([]*commit.Vector, w)
-	for i := range ps {
-		var err error
-		if ps[i], vs[i], err = c.deal(); err != nil {
-			return err
+// PrefillNonces has every other node issue count signing commitments to
+// aggregator agg, and delivers them, before the caller starts timing.
+// Each signature then brings back as many commitments as it spends, so
+// a prefilled aggregator asks for none on its signing path. The E20
+// benchmark uses this to keep first contact out of its timed windows.
+func (c *DataPlaneCluster) PrefillNonces(agg msg.NodeID, count int) error {
+	if count <= 0 {
+		return nil
+	}
+	env := c.Net.SessionEnv(agg, dataplane.PeerSession)
+	for i := 1; i <= c.Opts.N; i++ {
+		if id := msg.NodeID(i); id != agg {
+			env.Send(id, &dataplane.PartialReq{Key: c.KeyID, Want: uint32(count)})
 		}
 	}
-	for id, svc := range c.Services {
-		shares := make([]*big.Int, w)
-		for i, p := range ps {
-			shares[i] = p.EvalInt(int64(id))
-		}
-		svc.InstallAux(sid, shares, vs)
-	}
+	c.Net.Run(0)
 	return nil
 }
 
-// PrefillNonces deals width-1 nonce sessions owned by aggregator agg
-// until they have produced at least count nonces, and installs them on
-// every node, bypassing the Provision path. The counters start far above
-// anything the services allocate themselves, so prefilled and
-// service-provisioned reservoirs never collide. The E20 benchmark uses
-// this to keep the control-plane stand-in (the fixture's polynomial
-// dealer; in production, aux DKGs measured by E15/E18) out of the timed
-// serving path.
-func (c *DataPlaneCluster) PrefillNonces(agg msg.NodeID, count int) error {
-	if c.prefillCtr == 0 {
-		c.prefillCtr = 1 << 20
+// Renew re-shares the key as proactive renewal does — same secret, new
+// polynomial — and installs every node's new share at once, without
+// running the simulator: requests in flight see the new epoch.
+func (c *DataPlaneCluster) Renew() error {
+	p, err := poly.NewRandomWithConstant(c.Group.Q(), c.key.Secret(), c.Opts.T, c.rng)
+	if err != nil {
+		return err
 	}
-	for count > 0 {
-		sid := dataplane.NonceSID(c.KeyID, agg, c.prefillCtr)
-		_, _, rows := dataplane.SessionShape(sid, c.Opts.N, c.Opts.T, 0)
-		c.prefillCtr += uint64(rows)
-		count -= rows
-		if err := c.installSession(sid); err != nil {
+	c.key, c.KeyV = p, commit.NewVector(c.Group, p)
+	for id, svc := range c.Services {
+		if _, err := svc.InstallKey(c.KeyID, p.EvalInt(int64(id)), c.KeyV); err != nil {
 			return err
 		}
 	}

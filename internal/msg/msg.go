@@ -66,8 +66,8 @@ const (
 	TVSSMatrix
 
 	// Threshold data plane (internal/dataplane): partial-operation
-	// fan-out between an aggregator and its peers, and aux-session
-	// provisioning (nonce reservoirs, beacon windows).
+	// fan-out between an aggregator and its peers, and beacon-window
+	// provisioning.
 	TDataReq
 	TDataResp
 	TDataPrepare

@@ -4,14 +4,16 @@
 // decryptions, and a commit-reveal random beacon — all operating on
 // shares and Feldman vector commitments produced by the DKG.
 //
-// Threshold Schnorr needs a fresh shared nonce per signature; the
-// protocol generates it with another DKG run (the paper's point that
-// DKG is the primitive underlying distributed coin tossing and
-// threshold signing, §1/§4). Given key shares s_i committed by V and
-// nonce shares k_i committed by Vk with R = Vk's public key, node i's
-// partial signature on m is σ_i = k_i + c·s_i for c = H(R ‖ pk ‖ m);
-// σ_i is a degree-t share of σ = k + c·s, so any t+1 verified
-// partials interpolate to a standard Schnorr signature (R, σ).
+// Threshold Schnorr needs a fresh nonce per signature. The served path
+// signs with FROST (frost.go): each signer brings its own nonce pair, so
+// no joint nonce — and no DKG — is run per signature. The Stinson–Strobl
+// construction below, where the nonce is itself a DKG output, remains
+// for the experiments that measure it: given key shares s_i committed by
+// V and nonce shares k_i committed by Vk with R = Vk's public key, node
+// i's partial signature on m is σ_i = k_i + c·s_i for c = H(R ‖ pk ‖ m);
+// σ_i is a degree-t share of σ = k + c·s, so any t+1 verified partials
+// interpolate to a standard Schnorr signature (R, σ). Either way the
+// result is an ordinary Schnorr signature that Verify checks.
 package thresh
 
 import (
@@ -97,24 +99,24 @@ func challenge(gr *group.Group, bigR, pk group.Element, message []byte) *big.Int
 	return gr.HashToScalar("hybriddkg/thresh-schnorr/v1", bigR.Bytes(), pk.Bytes(), message)
 }
 
-// Challenge exposes the signing challenge c = H(R ‖ pk ‖ m) for hot
-// paths that compute it once and reuse it across PartialSignPre calls
-// and batched verification.
+// Challenge exposes the signing challenge c = H(R ‖ pk ‖ m) for callers
+// that compute it once and reuse it across PartialSignPre calls and
+// batched verification.
 func Challenge(gr *group.Group, bigR, pk group.Element, message []byte) *big.Int {
 	return challenge(gr, bigR, pk, message)
 }
 
 // PartialSignPre computes σ_i = k_i + c·s_i for a precomputed
 // challenge, skipping the per-call share re-validation that
-// PartialSign performs. It is the data-plane hot path: shares are
-// validated once against their commitments when a key (or nonce) is
-// installed, after which each request costs two scalar operations.
+// PartialSign performs: shares validated once when a key is installed
+// cost two scalar operations per signature. A FROST answer is the same
+// arithmetic with k_i = d_i + e_i·ρ_i and c scaled by λ_i.
 func PartialSignPre(gr *group.Group, self msg.NodeID, keyShare, nonceShare, c *big.Int) PartialSig {
 	return PartialSig{Signer: self, Sigma: gr.AddQ(nonceShare, gr.MulQ(c, keyShare))}
 }
 
 // PartialSign produces node i's signature share using its long-term
-// key share and a fresh nonce share (from a nonce DKG).
+// key share and a fresh nonce share (Stinson–Strobl: from a nonce DKG).
 func PartialSign(gr *group.Group, key, nonce KeyShare, message []byte) (PartialSig, error) {
 	if key.Self != nonce.Self {
 		return PartialSig{}, fmt.Errorf("%w: key/nonce signer mismatch", ErrBadArguments)
@@ -284,67 +286,7 @@ func Combine(gr *group.Group, keyV, nonceV *commit.Vector, t int, message []byte
 	return sig, nil
 }
 
-// CombineUnchecked interpolates the first t+1 distinct partials into
-// a signature WITHOUT verifying them. This is the optimistic
-// data-plane path: when all share holders are expected honest, the
-// caller skips per-partial verification, checks the combined
-// signature (individually via Verify or across requests via
-// BatchVerifySignatures), and only on failure falls back to Combine,
-// whose PartialsError identifies the bad senders.
-func CombineUnchecked(gr *group.Group, nonceV *commit.Vector, t int, partials []PartialSig) (Signature, error) {
-	return CombineUncheckedWith(gr, nonceV, t, partials, nil)
-}
-
-// CombineUncheckedWith is CombineUnchecked with a caller-held
-// Lagrange coefficient cache (at 0, over the group's scalar field).
-// Aggregators combine against a small repeating set of responder
-// subsets, so the cache removes the per-combine modular inversion
-// from the steady state. A nil cache falls back to direct
-// interpolation.
-func CombineUncheckedWith(gr *group.Group, nonceV *commit.Vector, t int, partials []PartialSig, cache *poly.LagrangeCache) (Signature, error) {
-	pts := make([]poly.Point, 0, t+1)
-	seen := make(map[msg.NodeID]bool, t+1)
-	for _, p := range partials {
-		if p.Sigma == nil || !gr.IsScalar(p.Sigma) || p.Signer <= 0 || seen[p.Signer] {
-			continue
-		}
-		seen[p.Signer] = true
-		pts = append(pts, poly.Point{X: int64(p.Signer), Y: p.Sigma})
-		if len(pts) == t+1 {
-			break
-		}
-	}
-	if len(pts) < t+1 {
-		return Signature{}, &PartialsError{Valid: len(pts), Needed: t + 1}
-	}
-	var (
-		sigma *big.Int
-		err   error
-	)
-	if cache != nil {
-		indices := make([]int64, len(pts))
-		for i, pt := range pts {
-			indices[i] = pt.X
-		}
-		var lambda []*big.Int
-		lambda, err = cache.Coeffs(indices)
-		if err == nil {
-			acc := new(big.Int)
-			for i, pt := range pts {
-				acc.Add(acc, new(big.Int).Mul(lambda[i], pt.Y))
-			}
-			sigma = acc.Mod(acc, gr.Q())
-		}
-	} else {
-		sigma, err = poly.Interpolate(gr.Q(), pts, 0)
-	}
-	if err != nil {
-		return Signature{}, err
-	}
-	return Signature{R: nonceV.PublicKey(), Sigma: sigma}, nil
-}
-
-// BatchVerifySignatures verifies many combined signatures under one
+// BatchVerifySignaturesPre verifies many combined signatures under one
 // public key with a single randomized linear combination:
 //
 //	Π R_j^{r_j} · pk^{Σ r_j c_j} · g^{−Σ r_j σ_j} = 1
@@ -352,21 +294,15 @@ func CombineUncheckedWith(gr *group.Group, nonceV *commit.Vector, t int, partial
 // — one multi-exp where the R-side exponents all stay at
 // BatchSoundnessBits and the two collapsed full-width terms (pk and
 // the generator) ride the backend's precomputed tables, against 2·B
-// full-width exponentiations for B per-item Verify
-// calls. A false return means at least one signature is invalid
-// (forgery probability ≤ 2^−BatchSoundnessBits); callers identify it
-// by per-item Verify.
-func BatchVerifySignatures(gr *group.Group, pk group.Element, messages [][]byte, sigs []Signature) bool {
-	return BatchVerifySignaturesPre(gr, pk, messages, nil, sigs)
-}
-
-// BatchVerifySignaturesPre is BatchVerifySignatures with optionally
-// precomputed challenges: cs[j], when non-nil, must equal
-// H(R_j ‖ pk ‖ m_j) for the corresponding signature. An aggregator
-// computes every challenge once to generate its own partial and can
-// hand the values here instead of paying the hash (and the point
-// serializations feeding it) a second time. Nil cs, or a nil entry,
-// falls back to recomputation; a wrong precomputed challenge makes
+// full-width exponentiations for B per-item Verify calls. A false
+// return means at least one signature is invalid (forgery probability
+// ≤ 2^−BatchSoundnessBits); callers identify it by per-item Verify.
+//
+// cs, when non-nil, holds precomputed challenges: cs[j], when non-nil,
+// must equal H(R_j ‖ pk ‖ m_j). An aggregator computes every challenge
+// once to make its own answer and can hand the values here instead of
+// paying the hash (and the point serializations feeding it) a second
+// time. A nil entry is recomputed; a wrong precomputed challenge makes
 // verification fail, never falsely pass, since the signature was
 // produced against the honestly computed value.
 func BatchVerifySignaturesPre(gr *group.Group, pk group.Element, messages [][]byte, cs []*big.Int, sigs []Signature) bool {

@@ -359,49 +359,3 @@ func TestPartialSignPreMatchesPartialSign(t *testing.T) {
 		}
 	}
 }
-
-func TestCombineUncheckedAndBatchVerifySignatures(t *testing.T) {
-	gr := group.Test256()
-	const tt = 2
-	keys, keyV := dealKey(t, gr, tt, 27)
-
-	var msgs [][]byte
-	var sigs []thresh.Signature
-	for j := 0; j < 4; j++ {
-		nonces, nonceV := dealKey(t, gr, tt, 30+uint64(j))
-		message := []byte{byte('a' + j)}
-		var partials []thresh.PartialSig
-		for i := msg.NodeID(1); i <= msg.NodeID(tt+1); i++ {
-			p, err := thresh.PartialSign(gr, keys[i], nonces[i], message)
-			if err != nil {
-				t.Fatal(err)
-			}
-			partials = append(partials, p)
-		}
-		sig, err := thresh.CombineUnchecked(gr, nonceV, tt, partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !thresh.Verify(gr, keyV.PublicKey(), message, sig) {
-			t.Fatalf("optimistic combine %d produced invalid signature", j)
-		}
-		msgs = append(msgs, message)
-		sigs = append(sigs, sig)
-	}
-	if !thresh.BatchVerifySignatures(gr, keyV.PublicKey(), msgs, sigs) {
-		t.Fatal("batch rejected all-valid signatures")
-	}
-	// One corrupted signature must fail the whole batch.
-	bad := make([]thresh.Signature, len(sigs))
-	copy(bad, sigs)
-	bad[2] = thresh.Signature{R: bad[2].R, Sigma: gr.AddQ(bad[2].Sigma, big.NewInt(1))}
-	if thresh.BatchVerifySignatures(gr, keyV.PublicKey(), msgs, bad) {
-		t.Fatal("batch accepted a corrupted signature")
-	}
-	// Too few partials: typed error, no bad senders.
-	_, err := thresh.CombineUnchecked(gr, keyV, tt, nil)
-	var pe *thresh.PartialsError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *thresh.PartialsError", err)
-	}
-}

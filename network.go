@@ -67,7 +67,7 @@ type Network struct {
 	services map[msg.NodeID]*dataplane.Service
 	pool     *verify.Pool
 
-	// Auxiliary (nonce/beacon) DKG sessions requested by the services
+	// Beacon DKG sessions requested by the services
 	// but not yet run. The pump loop drains this between simulator
 	// runs so a DKG never starts from inside a message handler.
 	pendingAux  []msg.SessionID
@@ -131,7 +131,6 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 			Self:        id,
 			N:           roster.N,
 			T:           roster.T,
-			F:           roster.F,
 			Peers:       peers,
 			Send:        func(to msg.NodeID, body msg.Body) { env.Send(to, body) },
 			Provision:   nw.requestAux,
@@ -140,7 +139,6 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 			Burst:       cfg.burst,
 			MaxPending:  cfg.maxPending,
 			MaxBatch:    cfg.maxBatch,
-			NonceTarget: cfg.nonceTarget,
 			BeaconAhead: cfg.beaconAhead,
 		})
 		nw.services[id] = svc
@@ -248,22 +246,21 @@ func (h handlerAdapter) HandleRecover() {
 	}
 }
 
-// dkgResult is one completed DKG: per output of the session, the
-// commitment vector and every live node's share.
+// dkgResult is one completed DKG: the commitment vector and every live
+// node's share.
 type dkgResult struct {
-	vs     []*commit.Vector
-	shares map[msg.NodeID][]*big.Int
+	v      *commit.Vector
+	shares map[msg.NodeID]*big.Int
 }
 
-// runDKG runs one full DKG session with the given τ, in the shape the
-// identifier names, and collects the result. Crashed nodes neither deal
-// nor complete; the DKG tolerates up to f of them.
+// runDKG runs one full DKG session with the given τ and collects the
+// result. Crashed nodes neither deal nor complete; the DKG tolerates up
+// to f of them.
 func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	nodes := make(map[msg.NodeID]*dkg.Node, nw.roster.N)
 	for i := 1; i <= nw.roster.N; i++ {
 		id := msg.NodeID(i)
-		params, opts := sessionShape(nw.dkgParams(id), msg.SessionID(tau))
-		node, err := dkg.NewNode(params, tau, id, nw.sim.Env(id), opts)
+		node, err := dkg.NewNode(nw.dkgParams(id), tau, id, nw.sim.Env(id), dkg.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -299,29 +296,22 @@ func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	if !done() {
 		return nil, ErrIncomplete
 	}
-	res := &dkgResult{shares: make(map[msg.NodeID][]*big.Int, nw.roster.N)}
+	res := &dkgResult{shares: make(map[msg.NodeID]*big.Int, nw.roster.N)}
 	for id, node := range nodes {
 		if !node.Done() {
 			continue // crashed mid-run; recovers via help, has no share yet
 		}
-		outs := node.Result().Outputs()
-		if res.vs == nil {
-			for _, out := range outs {
-				res.vs = append(res.vs, out.V)
-			}
-		}
-		for _, out := range outs {
-			res.shares[id] = append(res.shares[id], out.Share)
-		}
+		ev := node.Result()
+		res.v, res.shares[id] = ev.V, ev.Share
 	}
-	if res.vs == nil {
+	if res.v == nil {
 		return nil, ErrIncomplete
 	}
 	return res, nil
 }
 
 // requestAux is every service's Provision hook: it queues the listed
-// auxiliary sessions for a real DKG run. The pump loop drains the
+// beacon sessions for a real DKG run. The pump loop drains the
 // queue between simulator runs — never from inside a message handler,
 // where a nested simulator run would re-enter the scheduler.
 func (nw *Network) requestAux(_ msg.SessionID, sids []msg.SessionID) {
@@ -348,14 +338,14 @@ func (nw *Network) drainAux() {
 			continue
 		}
 		for id, svc := range nw.services {
-			if shares := out.shares[id]; shares != nil {
-				svc.InstallAux(sid, shares, out.vs)
+			if share := out.shares[id]; share != nil {
+				svc.InstallAux(sid, []*big.Int{share}, []*commit.Vector{out.v})
 			}
 		}
 	}
 }
 
-// pump drives the simulator (and any auxiliary DKGs the data plane
+// pump drives the simulator (and any beacon DKGs the data plane
 // requests along the way) until done or no progress is possible.
 func (nw *Network) pump(ctx context.Context, key msg.SessionID, done func() bool) error {
 	for i := 0; i < 256; i++ {
@@ -414,13 +404,13 @@ func (nw *Network) GenerateKey(ctx context.Context, opts ...KeyOption) (*Key, er
 		return nil, err
 	}
 	sid := msg.SessionID(tau)
-	v := out.vs[0] // a key session has width 1
+	v := out.v
 	shares := make(map[msg.NodeID]*big.Int, len(out.shares))
 	for id, svc := range nw.services {
 		if out.shares[id] == nil {
 			continue // crashed for the whole run: no share to serve
 		}
-		shares[id] = out.shares[id][0]
+		shares[id] = out.shares[id]
 		if _, err := svc.InstallKey(sid, shares[id], v); err != nil {
 			return nil, err
 		}
@@ -498,10 +488,10 @@ func (k *Key) do(ctx context.Context, submit func(svc *dataplane.Service, cb dat
 	return res, rerr
 }
 
-// Sign produces a threshold Schnorr signature on message. Nonces come
-// from the key's pre-provisioned reservoir (each an independent DKG
-// session, consumed exactly once); partials are collected from t+1
-// nodes and verified before combination, with forgers evicted.
+// Sign produces a threshold Schnorr signature on message by FROST: the
+// aggregator and t peers each answer under a nonce pair of their own,
+// used once, and the sum is checked as one ordinary Schnorr signature,
+// with forgers identified and evicted only when that check fails.
 func (k *Key) Sign(ctx context.Context, message []byte) (Signature, error) {
 	res, err := k.do(ctx, func(svc *dataplane.Service, cb dataplane.Callback) error {
 		return svc.Sign(k.id, message, cb)

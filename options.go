@@ -36,7 +36,6 @@ type netConfig struct {
 	burst       int
 	maxPending  int
 	maxBatch    int
-	nonceTarget int
 	beaconAhead int
 }
 
@@ -121,18 +120,6 @@ func WithBatchWindow(n int) Option {
 	return func(c *netConfig) { c.maxBatch = n }
 }
 
-// WithNonceReservoir sets the low-water mark of pre-generated signing
-// nonces each key keeps, counting those still being generated (default
-// 2). It is what a key that signs now and then holds. A key whose Sign
-// requests outrun it is not helped by a larger mark but by wider nonce
-// sessions, which it gets on its own: each time arriving requests find
-// the reservoir empty, the key's auxiliary DKGs double the nonces they
-// share (up to 16), and the key then keeps max(target, 2·width) in
-// stock.
-func WithNonceReservoir(target int) Option {
-	return func(c *netConfig) { c.nonceTarget = target }
-}
-
 // WithBeaconAhead sets the beacon look-ahead window: how many rounds
 // past the highest requested one are provisioned eagerly (default 2).
 func WithBeaconAhead(rounds int) Option {
@@ -155,9 +142,9 @@ func WithAggregator(id NodeID) KeyOption {
 }
 
 // WithEagerServing activates the key on its aggregator immediately,
-// provisioning the nonce reservoir and the beacon window before the
-// first request arrives (otherwise each is provisioned by the first
-// Sign or Beacon).
+// fetching the peers' signing commitments and provisioning the beacon
+// window before the first request arrives (otherwise each is prepared
+// by the first Sign or Beacon).
 func WithEagerServing() KeyOption {
 	return func(c *keyConfig) { c.eager = true }
 }

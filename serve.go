@@ -166,8 +166,8 @@ type SessionID = msg.SessionID
 // DKG sessions over one transport endpoint, a data-plane service
 // serving partial threshold operations to peers, and (optionally) the
 // client request protocol on a second listener. Completed DKG
-// sessions are installed on the data plane automatically: auxiliary
-// sessions as nonce/beacon material, primary sessions as serving keys.
+// sessions are installed on the data plane automatically: beacon
+// sessions as round material, primary sessions as serving keys.
 type Server struct {
 	cfg    ServerConfig
 	gr     *group.Group
@@ -183,10 +183,6 @@ type Server struct {
 	events chan SessionEvent
 	fails  chan SessionFailure
 	closed chan struct{}
-	// staleNonces names the nonce sessions Restore found in the journal.
-	// Restore writes it on the event loop before it resumes any session,
-	// and durable mode runs every session on that loop.
-	staleNonces map[msg.SessionID]bool
 }
 
 // buildCodec registers every protocol decoder.
@@ -350,7 +346,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	}
 
 	// The data-plane service rides the same transport on its reserved
-	// session. Auxiliary DKGs are provisioned through the engine: the
+	// session. Beacon DKGs are provisioned through the engine: the
 	// default Provision submits locally and broadcasts a Prepare,
 	// whose handler submits on every peer. The handler is registered
 	// before the service exists (the port is part of its config), so
@@ -370,7 +366,6 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Self:  cfg.Self,
 		N:     cfg.Roster.N,
 		T:     cfg.Roster.T,
-		F:     cfg.Roster.F,
 		Peers: peerIDs,
 		Send:  func(to msg.NodeID, body msg.Body) { port.Send(to, body) },
 		Submit: func(sid msg.SessionID) {
@@ -388,7 +383,6 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Burst:       nc.burst,
 		MaxPending:  nc.maxPending,
 		MaxBatch:    nc.maxBatch,
-		NonceTarget: nc.nonceTarget,
 		BeaconAhead: nc.beaconAhead,
 	}
 	svc := dataplane.NewService(dcfg)
@@ -398,8 +392,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	ecfg := engine.Config{
 		Fabric: engine.NewTransportFabric(tnode),
 		Factory: func(sid msg.SessionID, rt engine.Runtime) (engine.Runner, error) {
-			p, o := sessionShape(params, sid)
-			return dkg.NewNode(p, uint64(sid), cfg.Self, rt, o)
+			return dkg.NewNode(params, uint64(sid), cfg.Self, rt, dkg.Options{})
 		},
 		Start: func(sid msg.SessionID, r engine.Runner) error {
 			return r.(*dkg.Node).Start(rand.Reader)
@@ -422,8 +415,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		ecfg.Self = cfg.Self
 		ecfg.SnapshotEvery = snapEvery
 		ecfg.RestoreRunner = func(sid msg.SessionID, rt engine.Runtime, snap []byte) (engine.Runner, error) {
-			p, o := sessionShape(params, sid)
-			return dkg.RestoreNode(p, uint64(sid), cfg.Self, rt, o, codec, snap)
+			return dkg.RestoreNode(params, uint64(sid), cfg.Self, rt, dkg.Options{}, codec, snap)
 		}
 		// Completed sessions keep serving protocol-level help
 		// requests (§5.3) for crashed peers that restart later, which
@@ -473,17 +465,6 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// sessionShape fits a node's DKG parameters to one session: its width,
-// the size of its agreed set and the outputs taken per coordinate are
-// functions of the identifier and the roster (dataplane.SessionShape),
-// so every node — and a node rebuilding the session after a restart —
-// runs it in the same shape.
-func sessionShape(params dkg.Params, sid msg.SessionID) (dkg.Params, dkg.Options) {
-	var o dkg.Options
-	o.Width, params.QSize, o.Rows = dataplane.SessionShape(sid, params.N, params.T, params.F)
-	return params, o
-}
-
 func closePool(p *verify.Pool) {
 	if p != nil {
 		p.Close()
@@ -518,26 +499,13 @@ func (h *dataServiceHandler) HandleMessage(from msg.NodeID, body msg.Body) {
 func (h *dataServiceHandler) HandleTimer(uint64) {}
 func (h *dataServiceHandler) HandleRecover()     {}
 
-// onCompleted routes every finished DKG session: auxiliary sessions
-// install nonce/beacon material, primary sessions become serving keys
-// and are reported on Events.
+// onCompleted routes every finished DKG session: beacon sessions
+// install round material, primary sessions become serving keys and are
+// reported on Events.
 func (s *Server) onCompleted(sid msg.SessionID, r engine.Runner) {
 	ev := r.(*dkg.Node).Result()
 	if dataplane.IsAux(sid) {
-		// The service's books of which nonce signed what are in memory
-		// only. A nonce session begun before a restart may have been spent
-		// before it, here or (if it finishes only now) on a peer that has
-		// since dropped it, so its shares are dropped, not re-armed.
-		if s.staleNonces[sid] {
-			return
-		}
-		outs := ev.Outputs()
-		shares := make([]*big.Int, len(outs))
-		vs := make([]*commit.Vector, len(outs))
-		for i, out := range outs {
-			shares[i], vs[i] = out.Share, out.V
-		}
-		s.svc.InstallAux(sid, shares, vs)
+		s.svc.InstallAux(sid, []*big.Int{ev.Share}, []*commit.Vector{ev.V})
 		return
 	}
 	if uint64(sid) < 1<<24 {
@@ -595,6 +563,8 @@ func (s *Server) Failures() <-chan SessionFailure { return s.fails }
 // Restore resumes journaled sessions from the state directory,
 // returning their IDs. Sessions that restore as already completed
 // fire Events during the call, so callers must drain concurrently.
+// Signing nonce pairs are never journaled: a restarted node holds none,
+// refuses whatever it issued before, and issues new ones.
 func (s *Server) Restore() ([]uint64, error) {
 	if s.st == nil {
 		return nil, nil
@@ -605,21 +575,6 @@ func (s *Server) Restore() ([]uint64, error) {
 	}
 	ch := make(chan outcome, 1)
 	s.tnode.Do(func() {
-		journaled, err := s.st.Sessions()
-		if err != nil {
-			ch <- outcome{nil, err}
-			return
-		}
-		// No journaled nonce session is installed again, and the nonce
-		// ids this node derived before the restart may have been handed
-		// out: its counters resume above all of them.
-		s.staleNonces = make(map[msg.SessionID]bool)
-		for _, sid := range journaled {
-			if dataplane.IsAux(sid) && !dataplane.IsBeacon(sid) {
-				s.staleNonces[sid] = true
-				s.svc.ResumeNonces(sid)
-			}
-		}
 		sids, err := s.eng.Restore()
 		ch <- outcome{sids, err}
 	})

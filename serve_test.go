@@ -126,38 +126,6 @@ func awaitSession(t *testing.T, nodes []*Server, sid uint64) SessionEvent {
 	return last
 }
 
-// signAll signs every message under key 1 through srv's own service
-// and checks the signatures.
-func signAll(t *testing.T, srv *Server, pk Element, messages [][]byte) {
-	t.Helper()
-	type outcome struct {
-		i   int
-		res dataplane.Result
-		err error
-	}
-	done := make(chan outcome, len(messages))
-	for i, m := range messages {
-		i := i
-		if err := srv.svc.Sign(1, m, func(res dataplane.Result, err error) { done <- outcome{i, res, err} }); err != nil {
-			t.Fatalf("sign %q: %v", m, err)
-		}
-	}
-	srv.svc.Flush(1)
-	for range messages {
-		select {
-		case o := <-done:
-			if o.err != nil {
-				t.Fatalf("sign %q: %v", messages[o.i], o.err)
-			}
-			if !thresh.Verify(srv.gr, pk, messages[o.i], o.res.Sig) {
-				t.Fatalf("signature on %q does not verify", messages[o.i])
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("signatures did not complete")
-		}
-	}
-}
-
 // TestServeDecryptStartsNoSession: auxiliary DKGs are provisioned for
 // the operation that needs them. A key that has only ever decrypted has
 // run one session on every node: its own.
@@ -203,13 +171,15 @@ func TestServeDecryptStartsNoSession(t *testing.T) {
 	}
 }
 
-// TestServeRestartDoesNotRearmNonces: the books of which nonce signed
-// which digest live in memory, so across a restart nonce material must
-// not survive. Sign, stop every node, bring them back from their state
-// directories, sign other messages: no nonce id may have signed two
-// digests on any node, counting both incarnations — a nonce session
-// that had completed before the restart is not re-installed, and the
-// aggregator's counter resumes above every session it had derived.
+// TestServeRestartDoesNotRearmNonces: signing nonce pairs live in
+// memory only, so a restart forgets them. Under sign load through node
+// 1, a signer (node 2) and then the aggregator (node 1) are stopped and
+// brought back from their state directories. The key share comes back
+// from the WAL: the restored nodes sign again and no honest node is
+// evicted. The nonce pairs do not: a restored node holds no commitments
+// and has spent none, and the aggregator, refused under pairs the signer
+// forgot, fetches new ones. Across both incarnations of every node, no
+// commitment id answers two different (m, B).
 func TestServeRestartDoesNotRearmNonces(t *testing.T) {
 	const n, thr = 4, 1
 	rings, err := NewKeyRings(n, "ed25519")
@@ -227,95 +197,124 @@ func TestServeRestartDoesNotRearmNonces(t *testing.T) {
 		ln.Close()
 		dirs[i] = t.TempDir()
 	}
-	boot := func() []*Server {
-		nodes := make([]*Server, n)
-		for i := range nodes {
-			srv, err := Serve(ServerConfig{
-				Self: NodeID(i + 1), Roster: Roster{N: n, T: thr}, Listen: peers[i].Addr, Peers: peers,
-				Keys: rings[i], VerifyWorkers: 2, StateDir: dirs[i], Logf: func(string, ...any) {},
-			})
-			if err != nil {
-				t.Fatalf("serve node %d: %v", i+1, err)
-			}
-			nodes[i] = srv
+	boot := func(i int) *Server {
+		srv, err := Serve(ServerConfig{
+			Self: NodeID(i + 1), Roster: Roster{N: n, T: thr}, Listen: peers[i].Addr, Peers: peers,
+			Keys: rings[i], VerifyWorkers: 2, StateDir: dirs[i], Logf: func(string, ...any) {},
+		})
+		if err != nil {
+			t.Fatalf("serve node %d: %v", i+1, err)
 		}
-		return nodes
+		return srv
 	}
-	// ledger folds every node's spent nonces into one id → digest book
-	// per node, failing on an id with two digests.
-	books := make([]map[uint64][32]byte, n)
-	for i := range books {
-		books[i] = make(map[uint64][32]byte)
+	nodes := make([]*Server, n)
+	for i := range nodes {
+		nodes[i] = boot(i)
 	}
-	ledger := func(nodes []*Server) {
-		for i, srv := range nodes {
-			for id, digest := range srv.svc.NonceLedger() {
-				if prev, ok := books[i][id]; ok && prev != digest {
-					t.Fatalf("node %d: nonce %x signed two digests", i+1, id)
-				}
-				books[i][id] = digest
-			}
-		}
-	}
-	messages := func(tag string, k int) [][]byte {
-		out := make([][]byte, k)
-		for i := range out {
-			out[i] = []byte(fmt.Sprintf("%s-%d", tag, i))
-		}
-		return out
-	}
-
-	nodes := boot()
-	for _, srv := range nodes {
-		srv.Start(1)
-	}
-	pk := awaitSession(t, nodes, 1).PublicKey
-	signAll(t, nodes[0], pk, messages("before", 12))
-	ledger(nodes)
-	spent := len(books[0])
-	if spent == 0 {
-		t.Fatal("no nonce on the aggregator's books after 12 signatures")
-	}
-	for _, srv := range nodes {
-		srv.Close()
-	}
-
-	nodes = boot()
 	defer func() {
 		for _, srv := range nodes {
 			srv.Close()
 		}
 	}()
-	restored := make(chan error, n)
 	for _, srv := range nodes {
-		srv := srv
-		go func() {
-			_, err := srv.Restore()
-			restored <- err
-		}()
+		srv.Start(1)
 	}
-	if again := awaitSession(t, nodes, 1).PublicKey; !again.Equal(pk) {
-		t.Fatal("restored key session reports another public key")
+	pk := awaitSession(t, nodes, 1).PublicKey
+
+	// books folds every node's spent pairs into one id → (m, B) book per
+	// node, failing on an id with two.
+	books := make([]map[uint64][32]byte, n)
+	for i := range books {
+		books[i] = make(map[uint64][32]byte)
 	}
-	for range nodes {
-		if err := <-restored; err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	}
-	for i, srv := range nodes {
-		if got := len(srv.svc.NonceLedger()); got != 0 {
-			t.Fatalf("node %d restarted with %d spent nonces on its books", i+1, got)
-		}
-		for _, k := range srv.svc.KeysSnapshot() {
-			if k.Reservoir != 0 {
-				t.Fatalf("node %d restarted with %d nonces in its reservoir", i+1, k.Reservoir)
+	ledger := func() {
+		for i, srv := range nodes {
+			for id, digest := range srv.svc.NonceLedger() {
+				if prev, ok := books[i][id]; ok && prev != digest {
+					t.Fatalf("node %d: nonce pair %x answered two (m, B)", i+1, id)
+				}
+				books[i][id] = digest
 			}
 		}
 	}
-	signAll(t, nodes[0], pk, messages("after", 12))
-	ledger(nodes)
-	if len(books[0]) < spent+12 {
-		t.Fatalf("aggregator spent %d nonces over both incarnations, want at least %d distinct ones", len(books[0]), spent+12)
+	// load signs k messages through node 1 without waiting; a signature
+	// that comes back must verify, and closed is the one error allowed.
+	load := func(tag string, k int, closed bool) func() {
+		srv := nodes[0]
+		done := make(chan error, k)
+		for i := 0; i < k; i++ {
+			m := []byte(fmt.Sprintf("%s-%d", tag, i))
+			if err := srv.svc.Sign(1, m, func(res dataplane.Result, err error) {
+				if err == nil && !thresh.Verify(srv.gr, pk, m, res.Sig) {
+					err = fmt.Errorf("signature on %q does not verify", m)
+				}
+				if closed && errors.Is(err, dataplane.ErrClosed) {
+					err = nil
+				}
+				done <- err
+			}); err != nil {
+				t.Fatalf("sign %q: %v", m, err)
+			}
+		}
+		srv.svc.Flush(1)
+		return func() {
+			for i := 0; i < k; i++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(60 * time.Second):
+					t.Fatalf("%s: signatures did not complete", tag)
+				}
+			}
+		}
+	}
+	restart := func(i int) {
+		ledger()
+		nodes[i].Close()
+		nodes[i] = boot(i)
+		restored := make(chan error, 1)
+		go func() {
+			_, err := nodes[i].Restore()
+			restored <- err
+		}()
+		if again := awaitSession(t, nodes[i:i+1], 1).PublicKey; !again.Equal(pk) {
+			t.Fatal("restored key session reports another public key")
+		}
+		if err := <-restored; err != nil {
+			t.Fatalf("restore node %d: %v", i+1, err)
+		}
+		if got := len(nodes[i].svc.NonceLedger()); got != 0 {
+			t.Fatalf("node %d restarted with %d spent pairs on its books", i+1, got)
+		}
+		if ks := nodes[i].svc.KeysSnapshot(); len(ks) != 1 || ks[0].Commitments != 0 {
+			t.Fatalf("node %d restarted holding commitments: %+v", i+1, ks)
+		}
+	}
+
+	load("warm", 8, false)()
+	wait := load("signer", 48, false)
+	restart(1)
+	wait()
+	load("after-signer", 16, false)()
+	// Node 1 had to route around the signer: it was down with answers
+	// owed, and back without the pairs node 1 held commitments for.
+	if st := nodes[0].ServiceStats(); st.SignAttempts == 0 {
+		t.Fatalf("no signing attempt was retried across the signer's restart: %+v", st)
+	}
+	wait = load("aggregator", 8, true)
+	restart(0)
+	wait()
+	load("after-aggregator", 16, false)()
+	ledger()
+	if len(books[1]) == 0 {
+		t.Fatal("the restarted signer never signed")
+	}
+	for i, srv := range nodes {
+		if st := srv.ServiceStats(); st.Evicted != 0 {
+			t.Fatalf("node %d evicted an honest signer: %+v", i+1, st)
+		}
 	}
 }
 
@@ -324,10 +323,9 @@ func TestServeRestartDoesNotRearmNonces(t *testing.T) {
 // handled late — while the nodes that are ahead deal at once. Frames
 // that reach a node before it has registered the session wait for it
 // (transport early-frame admission), so every node completes: a key
-// session, which needs t+1 dealers, and a nonce session, which needs
-// n−t−f of them and is begun on every node the way a Prepare begins it.
-// Nothing may expire or overflow on the way, and no frame may be
-// dropped as belonging to an unknown session.
+// session, and a beacon round session begun on every node the way a
+// Prepare begins it. Nothing may expire or overflow on the way, and no
+// frame may be dropped as belonging to an unknown session.
 func TestServeStaggeredStartStrandsNothing(t *testing.T) {
 	const n, thr = 7, 2
 	nodes := serveCluster(t, n, thr, 1)
@@ -340,26 +338,21 @@ func TestServeStaggeredStartStrandsNothing(t *testing.T) {
 	stagger(1)
 	awaitSession(t, nodes, 1)
 
-	const width = 4
-	nonce := dataplane.NonceSessionSID(1, 1, 1<<20, width)
-	_, _, rows := dataplane.SessionShape(nonce, n, thr, 0)
-	stagger(uint64(nonce))
+	round := dataplane.BeaconSID(1, 1)
+	stagger(uint64(round))
 	deadline := time.Now().Add(30 * time.Second)
 	for i, srv := range nodes {
-		for srv.eng.State(nonce) != engine.StateCompleted {
+		for srv.eng.State(round) != engine.StateCompleted {
 			select {
 			case fl := <-srv.Failures():
 				t.Fatalf("node %d: session %x failed: %v", i+1, fl.Session, fl.Err)
 			default:
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("node %d: nonce session stranded in state %v; demux %+v", i+1, srv.eng.State(nonce), srv.tnode.DemuxStats())
+				t.Fatalf("node %d: beacon session stranded in state %v; demux %+v", i+1, srv.eng.State(round), srv.tnode.DemuxStats())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-	}
-	if ks := nodes[0].svc.KeysSnapshot(); len(ks) != 1 || ks[0].Reservoir != width*rows {
-		t.Fatalf("the session's owner holds %+v, want %d nonces", ks, width*rows)
 	}
 	held := 0
 	for i, srv := range nodes {
