@@ -58,6 +58,11 @@ const (
 	// catalog's draw order is what recorded seeds replay against, so
 	// it runs from hand-written specs (TestBadSigReady).
 	StratBadSigReady = "bad-sig-ready"
+	// StratBadSigEcho is bad-sig-ready one layer up: every DKG echo and
+	// ready the node sends carries garbage where the signature belongs.
+	// They count by sender, so the forgery must never reach a lock's M
+	// set. Hand-written specs only (TestBadSigEcho), like bad-sig-ready.
+	StratBadSigEcho = "bad-sig-echo"
 	// StratSpliceCoordinate follows the protocol on coordinate 0 of a
 	// batched sharing and corrupts coordinate 1 of every echo and ready
 	// it sends: the point vector a node that looked at the first
@@ -151,6 +156,8 @@ func installStrategy(b *build, st StrategySpec) error {
 		installFlood(b, v)
 	case StratBadSigReady:
 		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env} }, nil)
+	case StratBadSigEcho:
+		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env, dkgLayer: true} }, nil)
 	case StratSpliceCoordinate:
 		if b.spec.Cell.Width < 2 {
 			return fmt.Errorf("chaos: strategy %s needs a cell of width > 1", st.Name)
@@ -328,16 +335,33 @@ func (s *spliceCoordinateRuntime) Send(to msg.NodeID, body msg.Body) {
 func (s *spliceCoordinateRuntime) SetTimer(id uint64, delay int64) { s.env.SetTimer(id, delay) }
 func (s *spliceCoordinateRuntime) StopTimer(id uint64)             { s.env.StopTimer(id) }
 
-// badSigRuntime replaces the signature of every outgoing VSS ready.
+// badSigRuntime replaces the signature of every outgoing VSS ready, or
+// with dkgLayer of every outgoing DKG echo and ready.
 type badSigRuntime struct {
-	env *simnet.Env
+	env      *simnet.Env
+	dkgLayer bool
 }
 
 func (s *badSigRuntime) Send(to msg.NodeID, body msg.Body) {
-	if r, ok := body.(*vss.ReadyMsg); ok {
-		forged := *r
-		forged.Sig = []byte("bad-sig-ready")
-		body = &forged
+	switch m := body.(type) {
+	case *vss.ReadyMsg:
+		if !s.dkgLayer {
+			forged := *m
+			forged.Sig = []byte("bad-sig-ready")
+			body = &forged
+		}
+	case *dkg.EchoMsg:
+		if s.dkgLayer {
+			forged := *m
+			forged.Sig = []byte("bad-sig-echo")
+			body = &forged
+		}
+	case *dkg.ReadyMsg:
+		if s.dkgLayer {
+			forged := *m
+			forged.Sig = []byte("bad-sig-echo")
+			body = &forged
+		}
 	}
 	s.env.Send(to, body)
 }

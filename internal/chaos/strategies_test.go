@@ -112,6 +112,54 @@ func TestBadSigReady(t *testing.T) {
 	}
 }
 
+// TestBadSigEcho fields t nodes whose DKG echoes and readies carry
+// garbage signatures: beside an honest initial leader, with the leader
+// one of them, and with the initial leader crashed at the start so that
+// a forger leads the next view. Echoes and readies count by sender and
+// only the lock checks their signatures, so agreement and liveness hold
+// only if every lock drops the forgeries from its M set and waits for
+// genuine arrivals. The run replays hash-identically at any verify-pool
+// width.
+func TestBadSigEcho(t *testing.T) {
+	cell := Cell{N: 13, T: 2, F: 3, Backend: "modp"}
+	for _, tc := range []struct {
+		name    string
+		forgers [2]msg.NodeID
+		crash   msg.NodeID // crashed at the start, forcing a view change
+	}{
+		{"honest-leader", [2]msg.NodeID{5, 8}, 0},
+		{"forger-leader", [2]msg.NodeID{1, 8}, 0},
+		{"view-change", [2]msg.NodeID{2, 8}, 1},
+	} {
+		spec := cleanSpec(29, cell)
+		spec.Strategies = []StrategySpec{{Name: StratBadSigEcho, Node: tc.forgers[0]}, {Name: StratBadSigEcho, Node: tc.forgers[1]}}
+		live := cell.N - cell.T
+		if tc.crash != 0 {
+			spec.Churn = []ChurnEvent{{At: 0, Node: tc.crash, Op: OpCrash}}
+			live--
+		}
+		var hash string
+		for _, workers := range []int{0, 1, 4} {
+			spec.VerifyWorkers = workers
+			r := Run(spec)
+			if r.Failed() {
+				t.Fatalf("%s, pool width %d:\n%s", tc.name, workers, r.Report())
+			}
+			if r.HonestDone != live {
+				t.Errorf("%s, pool width %d: %d of %d honest live nodes done", tc.name, workers, r.HonestDone, live)
+			}
+			if changed := r.LeaderMax != 0; changed != (tc.crash != 0) {
+				t.Errorf("%s: %d leader changes", tc.name, r.LeaderMax)
+			}
+			if hash == "" {
+				hash = r.TraceHash
+			} else if r.TraceHash != hash {
+				t.Errorf("%s: trace hash moved with the pool width (%d workers)", tc.name, workers)
+			}
+		}
+	}
+}
+
 // TestStrategyValidation rejects malformed strategy specs instead of
 // running them.
 func TestStrategyValidation(t *testing.T) {

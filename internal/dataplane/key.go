@@ -89,7 +89,6 @@ type request struct {
 
 	decParts map[msg.NodeID]thresh.PartialDecryption
 	openPts  map[msg.NodeID]*big.Int
-	asked    map[msg.NodeID]bool
 	refused  map[msg.NodeID]bool // permanent per-request refusals
 
 	cbs  []Callback

@@ -482,11 +482,12 @@ func (s *Service) Flush(key msg.SessionID) {
 // beacon items to every eligible peer, supersedes signing attempts left
 // unanswered for a full tick, and asks again for commitments that
 // never came. Runtimes without timers (the deterministic simulator)
-// call it when the event queue drains with requests still pending.
+// call it when the event queue drains with requests still pending. A
+// closed service ignores it, so its timer chain ends.
 func (s *Service) Kick(key msg.SessionID) {
 	var fire, acts []func()
 	s.mu.Lock()
-	if k := s.keys[uint64(key)]; k != nil {
+	if k := s.keys[uint64(key)]; k != nil && !s.closed {
 		s.timers[uint64(key)] = false
 		s.flushLocked(k, &fire, &acts) // dispatch anything still queued
 		s.kickLocked(k, &fire, &acts)
@@ -651,7 +652,6 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	for _, req := range ready {
 		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+2)
 		req.openPts = make(map[msg.NodeID]*big.Int, s.cfg.T+2)
-		req.asked = make(map[msg.NodeID]bool, s.cfg.N)
 		k.inflight[req.digest] = req
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
 	}
@@ -672,9 +672,6 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	targets := s.fanoutTargetsLocked(k, s.cfg.T+1)
 	req := &PartialReq{Key: k.id, Items: items}
 	for _, to := range targets {
-		for _, r := range ready {
-			r.asked[to] = true
-		}
 		s.cfg.Send(to, req)
 	}
 	s.stats.Batches++
@@ -722,13 +719,11 @@ func (s *Service) armTimerLocked(k *serveKey, acts *[]func()) {
 // item to all eligible peers (idempotent: peers replay cached partials).
 func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 	var items []ReqItem
-	var reqs []*request
 	for _, req := range k.inflight {
 		if req.done || req.op == OpSign {
 			continue
 		}
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
-		reqs = append(reqs, req)
 	}
 	if len(items) == 0 {
 		return
@@ -738,9 +733,6 @@ func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 	for _, p := range s.cfg.Peers {
 		if p == s.cfg.Self || k.suspects[p] {
 			continue
-		}
-		for _, req := range reqs {
-			req.asked[p] = true
 		}
 		s.cfg.Send(p, preq)
 		sent = true
@@ -765,7 +757,8 @@ func (s *Service) HandleMessage(from msg.NodeID, body msg.Body) {
 
 // handlePartialReq answers a peer aggregator's batch. The response also
 // carries fresh commitments for that aggregator: one for each nonce pair
-// the batch spent, plus the Want it asked for.
+// the batch spent, plus the Want it asked for up to startBatch, so what
+// one request can make this node draw is bounded by what it spent.
 func (s *Service) handlePartialReq(from msg.NodeID, m *PartialReq) {
 	s.mu.Lock()
 	if s.closed {
@@ -774,7 +767,7 @@ func (s *Service) handlePartialReq(from msg.NodeID, m *PartialReq) {
 	}
 	k := s.keys[uint64(m.Key)]
 	resp := &PartialResp{Key: m.Key, Items: make([]RespItem, 0, len(m.Items))}
-	issue := int(min(m.Want, maxIssued))
+	issue := int(min(m.Want, startBatch))
 	for _, it := range m.Items {
 		switch {
 		case k == nil:
@@ -946,15 +939,19 @@ func (s *Service) answerItemLocked(k *serveKey, it ReqItem) RespItem {
 
 // handlePartialResp folds a peer's commitments and partials into the
 // aggregator state; new commitments may let waiting sign requests start.
+// Commitments are booked only once this node has asked for some: a
+// reply to a previous incarnation's fetch does not fill a restarted
+// node's books.
 func (s *Service) handlePartialResp(from msg.NodeID, m *PartialResp) {
 	var fire, acts []func()
 	s.mu.Lock()
 	if k := s.keys[uint64(m.Key)]; k != nil && !s.closed {
-		if len(m.Commits) > 0 {
+		commits := k.fetched && len(m.Commits) > 0
+		if commits {
 			s.bookLocked(k, from, m.Commits)
 		}
 		s.recordItemsLocked(k, from, m.Items, &fire, &acts)
-		if len(m.Commits) > 0 {
+		if commits {
 			s.dispatchSignsLocked(k, s.waitingSignsLocked(k), &fire, &acts)
 		}
 	}
@@ -1160,13 +1157,14 @@ func (s *Service) startAttemptLocked(k *serveKey, req *request, out map[msg.Node
 func (s *Service) dispatchSignsLocked(k *serveKey, reqs []*request, fire, acts *[]func()) {
 	out := make(map[msg.NodeID][]ReqItem)
 	var solo []*attempt
-	first := 0
+	first, waiting := 0, false
 	for _, req := range reqs {
 		a := s.startAttemptLocked(k, req, out)
 		switch {
 		case a == nil && len(s.cfg.Peers)-1-len(k.suspects) < s.cfg.T:
 			s.completeLocked(k, req, Result{}, fmt.Errorf("%w: fewer than %d unsuspected peers", ErrUnavailable, s.cfg.T), fire)
 		case a == nil:
+			waiting = true
 		case len(req.attempts) == 1:
 			first++
 		default:
@@ -1185,7 +1183,9 @@ func (s *Service) dispatchSignsLocked(k *serveKey, reqs []*request, fire, acts *
 		s.stats.Batches++
 		s.stats.Items += uint64(first)
 	}
-	if len(out) > 0 {
+	// A request left waiting for commitments needs the retry tick too:
+	// it re-asks peers whose fetch was lost.
+	if len(out) > 0 || waiting {
 		s.armTimerLocked(k, acts)
 	}
 	s.finishSignsLocked(k, solo, fire)

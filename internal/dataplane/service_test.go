@@ -643,3 +643,135 @@ func TestProvisionPerOperationKind(t *testing.T) {
 		t.Fatalf("activate: %d beacon sessions and %d fetches, want 2 and 2", len(eager.submitted), fetches(eager))
 	}
 }
+
+// TestSignRefetchesLostStartBatch: a sign request that finds no
+// commitments must keep the retry tick armed, or an aggregator whose
+// first fetch to every peer was lost (say, just after a restart) never
+// asks again. One tick re-asks, and the request completes.
+func TestSignRefetchesLostStartBatch(t *testing.T) {
+	var ticks []func()
+	lost := map[msg.NodeID]bool{}
+	rig := newTestRig(t, 3, 1, func(c *Config) {
+		c.Defer = func(_ time.Duration, fn func()) { ticks = append(ticks, fn) }
+		send := c.Send
+		c.Send = func(to msg.NodeID, body msg.Body) {
+			if req, ok := body.(*PartialReq); ok && req.Want > 0 && !lost[to] {
+				lost[to] = true
+				return
+			}
+			send(to, body)
+		}
+	})
+	message := []byte("after a lost fetch")
+	var got Result
+	var gotErr error
+	called := false
+	if err := rig.svc.Sign(1, message, func(r Result, err error) {
+		got, gotErr, called = r, err, true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rig.svc.Flush(1)
+	if !lost[2] || !lost[3] || len(rig.sends) != 0 {
+		t.Fatalf("the first fetches were not the ones lost: lost %v, sent %d", lost, len(rig.sends))
+	}
+	if len(ticks) != 1 {
+		t.Fatalf("%d retry ticks armed for a request waiting on commitments, want 1", len(ticks))
+	}
+	ticks[0]() // one Kick
+	req := rig.lastReqTo(2)
+	if req == nil || req.Want != startBatch {
+		t.Fatalf("the tick did not re-ask peer 2 for commitments: %+v", req)
+	}
+	pairs := rig.issue(t, 2, startBatch)
+	rig.answerSigns(t, 2, pairs, nil)
+	if !called || gotErr != nil {
+		t.Fatalf("sign did not complete after the re-fetch: called %v, err %v", called, gotErr)
+	}
+	if !thresh.Verify(rig.gr, rig.keyV.PublicKey(), message, got.Sig) {
+		t.Fatal("combined signature does not verify")
+	}
+}
+
+// TestPartialReqBoundsIssuedPairs: an aggregator cannot make a signer
+// draw more nonce pairs than startBatch per request plus one for each
+// pair the request spent, however large a Want it sends, and the pool
+// it holds never passes maxIssued. Honest signing still completes.
+func TestPartialReqBoundsIssuedPairs(t *testing.T) {
+	rig := newTestRig(t, 3, 1, nil)
+	for i := 0; i < 1000; i++ {
+		rig.svc.HandleMessage(2, &PartialReq{Key: 1, Want: maxIssued})
+		cs, err := thresh.ParseCommitments(rig.lastRespTo(2).Commits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cs) > startBatch {
+			t.Fatalf("request %d drew %d commitments, want at most %d", i, len(cs), startBatch)
+		}
+		if n := len(rig.svc.keys[1].pools[2].unused); n > maxIssued {
+			t.Fatalf("request %d: %d unused pairs held for one aggregator, bound %d", i, n, maxIssued)
+		}
+	}
+	// Spending a pair adds one commitment on top of the Want.
+	last := rig.askRig(t, 2, 1)
+	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Want: maxIssued, Items: []ReqItem{rig.signItem(t, 2, last[0], []byte("spent"))}})
+	resp := rig.lastRespTo(2)
+	if resp.Items[0].Status != StOK {
+		t.Fatalf("honest sign item refused after the flood: %+v", resp.Items[0])
+	}
+	if cs, err := thresh.ParseCommitments(resp.Commits); err != nil || len(cs) != startBatch+1 {
+		t.Fatalf("a request spending one pair drew %d commitments (%v), want %d", len(cs), err, startBatch+1)
+	}
+
+	// The node still signs as an aggregator with an honest peer.
+	message := []byte("after the flood")
+	var gotErr error
+	called := false
+	if err := rig.svc.Sign(1, message, func(_ Result, err error) { gotErr, called = err, true }); err != nil {
+		t.Fatal(err)
+	}
+	rig.svc.Flush(1)
+	pairs := rig.issue(t, 3, 2)
+	rig.answerSigns(t, 3, pairs, nil)
+	if !called || gotErr != nil {
+		t.Fatalf("sign after the flood: called %v, err %v", called, gotErr)
+	}
+}
+
+// TestClosedServiceIgnoresKick: a retry tick that fires after Close
+// sends nothing and arms no further tick, though the requests Close
+// failed are still on the books.
+func TestClosedServiceIgnoresKick(t *testing.T) {
+	var ticks []func()
+	rig := newTestRig(t, 3, 1, func(c *Config) {
+		c.Defer = func(_ time.Duration, fn func()) { ticks = append(ticks, fn) }
+	})
+	if err := rig.svc.Sign(1, []byte("m"), func(Result, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	rig.svc.Flush(1)
+	if len(ticks) != 1 {
+		t.Fatalf("%d retry ticks armed, want 1", len(ticks))
+	}
+	rig.svc.Close()
+	sent := len(rig.sends)
+	ticks[0]()
+	if len(rig.sends) != sent || len(ticks) != 1 {
+		t.Fatalf("a tick after Close sent %d messages and armed %d more ticks", len(rig.sends)-sent, len(ticks)-1)
+	}
+}
+
+// TestUnaskedCommitmentsNotBooked: commitments a node never asked for
+// (a reply to its previous incarnation's fetch, say) stay off its books.
+func TestUnaskedCommitmentsNotBooked(t *testing.T) {
+	rig := newTestRig(t, 3, 1, nil)
+	rig.issue(t, 2, 4)
+	if ks := rig.svc.KeysSnapshot(); ks[0].Commitments != 0 {
+		t.Fatalf("booked %d commitments nobody asked for", ks[0].Commitments)
+	}
+	rig.svc.Activate(1)
+	rig.issue(t, 2, 4)
+	if ks := rig.svc.KeysSnapshot(); ks[0].Commitments != 4 {
+		t.Fatalf("booked %d commitments after asking, want 4", ks[0].Commitments)
+	}
+}

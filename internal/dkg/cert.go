@@ -245,8 +245,8 @@ func (nd *Node) handleCert(from msg.NodeID, m *CertMsg) {
 	dc.readyDone = true
 	nd.params.Metrics.DKGReadyQ.Inc()
 	nd.trace(telemetry.EvCert, "dkg-ready-cert-applied")
-	if len(qs.readySigs) == 0 {
-		qs.readySigs = sigs
+	if len(qs.ready.sigs) == 0 {
+		qs.ready.sigs, qs.ready.checked = sigs, len(sigs)
 	}
 	nd.decide(qs)
 }

@@ -239,7 +239,7 @@ func TestCertProofInterop(t *testing.T) {
 		t.Fatalf("test degenerate: committee quorum %d is not below flood threshold %d",
 			len(sigs), nd.params.EchoThreshold())
 	}
-	if !nd.verifyProposalProof(mProp) {
+	if !nd.verifyProposalProof(mProp, false) {
 		t.Fatal("committee-quorum echo proof rejected")
 	}
 
@@ -252,7 +252,7 @@ func TestCertProofInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if floodNode.verifyProposalProof(mProp) {
+	if floodNode.verifyProposalProof(mProp, false) {
 		t.Fatal("flood-mode verifier accepted sub-threshold committee proof")
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
 
 	"hybriddkg/internal/commit"
@@ -249,14 +250,53 @@ type Options struct {
 
 // qstate tracks echo/ready quorums for one proposal digest.
 type qstate struct {
-	prop       *Proposal // slim
-	digest     [32]byte
-	echoSeen   map[msg.NodeID]bool
-	readySeen  map[msg.NodeID]bool
-	echoSigs   []SignedQ
-	readySigs  []SignedQ
-	echoCount  int
-	readyCount int
+	prop   *Proposal // slim
+	digest [32]byte
+	echo   tally
+	ready  tally
+}
+
+// tally counts one phase of one proposal digest by link-authenticated
+// sender, as Fig. 1's counters do. Every counted sender's signature is
+// kept in arrival order, unchecked until the lock draws an M set from
+// them (quorum).
+type tally struct {
+	seen    map[msg.NodeID]bool
+	sigs    []SignedQ // the counted senders' signatures
+	checked int       // leading sigs verified valid
+	count   int       // senders seen, less those whose signature failed
+}
+
+// add counts from's first message of the phase.
+func (t *tally) add(from msg.NodeID, sigBytes []byte) bool {
+	if t.seen[from] {
+		return false
+	}
+	t.seen[from] = true
+	t.count++
+	t.sigs = append(t.sigs, SignedQ{Signer: from, Sig: sigBytes})
+	return true
+}
+
+// quorum returns the first need valid signatures in arrival order, or
+// nil while fewer verify. It checks only the unchecked tail, no further
+// than it takes, and never self's own signature. An invalid signature is
+// dropped and its sender loses its counted slot; it stays seen, so it
+// cannot be counted again.
+func (t *tally) quorum(dir *sig.Directory, self msg.NodeID, transcript []byte, need int) []SignedQ {
+	for t.checked < need && t.checked < len(t.sigs) {
+		s := t.sigs[t.checked]
+		if s.Signer == self || dir.Verify(int64(s.Signer), transcript, s.Sig) {
+			t.checked++
+			continue
+		}
+		t.sigs = slices.Delete(t.sigs, t.checked, t.checked+1)
+		t.count--
+	}
+	if t.checked < need {
+		return nil
+	}
+	return t.sigs[:need]
 }
 
 // lockState is the node's single allowed ready-target (Q, M).
@@ -699,7 +739,9 @@ func (nd *Node) handleSend(from msg.NodeID, m *SendMsg) {
 	if err := m.Prop.WellFormed(nd.params.N, nd.params.QSize); err != nil {
 		return
 	}
-	if !nd.verifyProposalProof(m.Prop) {
+	// R̂ from a send is never forwarded (echoes carry the slim
+	// proposal), so R_d is skipped where it would prove nothing new.
+	if !nd.verifyProposalProof(m.Prop, true) {
 		return
 	}
 	if m.View > nd.curView {
@@ -728,7 +770,8 @@ func (nd *Node) handleSend(from msg.NodeID, m *SendMsg) {
 	}
 }
 
-// handleEcho counts signed echoes per proposal digest.
+// handleEcho counts echoes per proposal digest by sender. Their
+// signatures are checked only if the lock draws its M set from them.
 func (nd *Node) handleEcho(from msg.NodeID, m *EchoMsg) {
 	if m.Tau != nd.tau {
 		return
@@ -737,27 +780,21 @@ func (nd *Node) handleEcho(from msg.NodeID, m *EchoMsg) {
 		return
 	}
 	qs := nd.qstate(m.Prop)
-	if qs.echoSeen[from] {
+	if !qs.echo.add(from, m.Sig) {
 		return
 	}
-	if !nd.params.Directory.Verify(int64(from), EchoTranscript(nd.tau, qs.digest), m.Sig) {
-		return
-	}
-	qs.echoSeen[from] = true
-	qs.echoCount++
-	if len(qs.echoSigs) < nd.params.EchoThreshold() {
-		qs.echoSigs = append(qs.echoSigs, SignedQ{Signer: from, Sig: m.Sig})
-	}
-	if qs.echoCount == nd.params.EchoThreshold() {
+	if qs.echo.count == nd.params.EchoThreshold() {
 		nd.params.Metrics.DKGEchoQ.Inc()
 		nd.trace(telemetry.EvQuorum, "dkg-echo-threshold")
 	}
-	if qs.echoCount == nd.params.EchoThreshold() && qs.readyCount < nd.params.T+1 {
-		nd.lockAndReady(qs, KindEcho, qs.echoSigs)
+	if qs.echo.count >= nd.params.EchoThreshold() {
+		nd.lockOn(qs, KindEcho)
 	}
 }
 
-// handleReady counts signed readies per proposal digest.
+// handleReady counts readies per proposal digest by sender: t+1 of them
+// lock (their signatures checked then), n−t−f decide, which ships
+// nothing and so needs no signature.
 func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 	if m.Tau != nd.tau {
 		return
@@ -766,28 +803,37 @@ func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 		return
 	}
 	qs := nd.qstate(m.Prop)
-	if qs.readySeen[from] {
+	if !qs.ready.add(from, m.Sig) {
 		return
 	}
-	if !nd.params.Directory.Verify(int64(from), ReadyTranscript(nd.tau, qs.digest), m.Sig) {
-		return
+	if qs.ready.count >= nd.params.T+1 {
+		nd.lockOn(qs, KindReady)
 	}
-	qs.readySeen[from] = true
-	qs.readyCount++
-	if len(qs.readySigs) < nd.params.ReadyThreshold() {
-		qs.readySigs = append(qs.readySigs, SignedQ{Signer: from, Sig: m.Sig})
-	}
-	switch {
-	case qs.readyCount == nd.params.T+1 && qs.echoCount < nd.params.EchoThreshold():
-		sigs := qs.readySigs
-		if len(sigs) > nd.params.T+1 {
-			sigs = sigs[:nd.params.T+1]
-		}
-		nd.lockAndReady(qs, KindReady, sigs)
-	case qs.readyCount == nd.params.ReadyThreshold():
+	if qs.ready.count == nd.params.ReadyThreshold() {
 		nd.params.Metrics.DKGReadyQ.Inc()
 		nd.trace(telemetry.EvQuorum, "dkg-ready-threshold")
 		nd.decide(qs)
+	}
+}
+
+// lockOn locks onto qs's proposal once its echoes (KindEcho) or readies
+// (KindReady) hold a quorum of valid signatures. The lock's M set is
+// the only DKG echo/ready signature set that leaves the node (lead-ch
+// material, re-proposals), so this is where signatures are verified: the
+// first EchoThreshold valid echoes or t+1 valid readies, in arrival
+// order. Short of that the lock waits for the next arrival.
+func (nd *Node) lockOn(qs *qstate, kind ProofKind) {
+	if nd.lock != nil {
+		return
+	}
+	var sigs []SignedQ
+	if kind == KindEcho {
+		sigs = qs.echo.quorum(nd.params.Directory, nd.self, EchoTranscript(nd.tau, qs.digest), nd.params.EchoThreshold())
+	} else {
+		sigs = qs.ready.quorum(nd.params.Directory, nd.self, ReadyTranscript(nd.tau, qs.digest), nd.params.T+1)
+	}
+	if sigs != nil {
+		nd.lockAndReady(qs, kind, sigs)
 	}
 }
 
@@ -992,7 +1038,8 @@ func (nd *Node) handleLeadCh(from msg.NodeID, m *LeadChMsg) {
 	if err := m.Prop.WellFormed(nd.params.N, nd.params.QSize); err != nil {
 		return
 	}
-	if !nd.verifyProposalProof(m.Prop) {
+	// Full check: adopted material is re-shipped as evidence.
+	if !nd.verifyProposalProof(m.Prop, false) {
 		return
 	}
 	votes := nd.lcVotes[m.NewView]
@@ -1082,11 +1129,17 @@ func (nd *Node) verifyLeaderProof(view uint64, proof []SignedQ) bool {
 
 // verifyProposalProof implements verify-signature(Q, R̂/M): R̂ sets
 // prove per-dealer VSS completion; M sets prove an echo or ready
-// quorum for the digest.
-func (nd *Node) verifyProposalProof(p *Proposal) bool {
+// quorum for the digest. With skipDone, R_d is not checked for a dealer
+// whose sharing this node completed with the proposed digest: the
+// proposal digest covers only (Q, CHashes), and local completion already
+// tells the node what R_d would.
+func (nd *Node) verifyProposalProof(p *Proposal, skipDone bool) bool {
 	switch p.Kind {
 	case KindVSS:
 		for i, d := range p.Q {
+			if ev, ok := nd.vssDone[d]; skipDone && ok && ev.Digest() == p.CHashes[i] {
+				continue
+			}
 			if !nd.verifyVSSProof(d, p.CHashes[i], p.VSSProofs[i]) {
 				return false
 			}
@@ -1202,10 +1255,10 @@ func (nd *Node) qstate(prop *Proposal) *qstate {
 	qs, ok := nd.qstates[digest]
 	if !ok {
 		qs = &qstate{
-			prop:      prop.Slim(),
-			digest:    digest,
-			echoSeen:  make(map[msg.NodeID]bool, nd.params.N),
-			readySeen: make(map[msg.NodeID]bool, nd.params.N),
+			prop:   prop.Slim(),
+			digest: digest,
+			echo:   tally{seen: make(map[msg.NodeID]bool, nd.params.N)},
+			ready:  tally{seen: make(map[msg.NodeID]bool, nd.params.N)},
 		}
 		nd.qstates[digest] = qs
 	}

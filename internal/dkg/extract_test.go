@@ -132,8 +132,8 @@ func TestOneRowSessionUnchanged(t *testing.T) {
 		msgs  int
 		bytes int64
 	}{
-		{1, "4c58f382d06f32273fdd73a22855396f99663d96db00e4c34f42bbb8497c427f", 180, 25095},
-		{4, "5ef7b30d073b24ff7b577fcf580009175e78b369aabfd6ad2e007e6cece447e1", 180, 42174},
+		{1, "3a4be67d5eba85795508568c90e9f1502032be1f66bdf60c19774369893dd2b1", 180, 25095},
+		{4, "820851f81064cb5499df8245491eef19b9b5ffa135a9c7a2186be61313321fe5", 180, 42174},
 	} {
 		res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, Width: tc.width, DedupDealings: true, CompressedWire: true})
 		if err != nil {

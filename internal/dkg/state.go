@@ -32,9 +32,12 @@ import (
 // per-sharing copy of R_d, which the embedded VSS state already holds.
 // v4 added the further coordinates of batched sessions to the completed
 // sharings and the result; a session of e > 1 rows lists its w·e outputs
-// the same way, so a one-row session's encoding is what it was. Restores
-// of older snapshots fail the magic check and fall back to WAL replay.
-const dkgStateMagic = "hybriddkg/dkg-state/v4"
+// the same way, so a one-row session's encoding is what it was. v5 keeps
+// every counted echo/ready signature with a cursor over the verified
+// ones, since signatures are checked only when the lock draws its M set.
+// Restores of older snapshots fail the magic check and fall back to WAL
+// replay.
+const dkgStateMagic = "hybriddkg/dkg-state/v5"
 
 const stateListMax = 1 << 20
 
@@ -62,12 +65,8 @@ func (nd *Node) MarshalState() ([]byte, error) {
 		qs := nd.qstates[d]
 		w.Blob(d[:])
 		qs.prop.encode(w)
-		w.NodeSet(qs.echoSeen)
-		w.NodeSet(qs.readySeen)
-		encodeSignedQs(w, qs.echoSigs)
-		encodeSignedQs(w, qs.readySigs)
-		w.U32(uint32(qs.echoCount))
-		w.U32(uint32(qs.readyCount))
+		qs.echo.encode(w)
+		qs.ready.encode(w)
 	}
 
 	// Lock and adopted material.
@@ -226,13 +225,10 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		if prop == nil {
 			return fmt.Errorf("dkg: bad qstate proposal encoding")
 		}
-		qs := &qstate{prop: prop, digest: d}
-		qs.echoSeen = r.NodeSet()
-		qs.readySeen = r.NodeSet()
-		qs.echoSigs = decodeSignedQs(r)
-		qs.readySigs = decodeSignedQs(r)
-		qs.echoCount = int(r.U32())
-		qs.readyCount = int(r.U32())
+		qs := &qstate{prop: prop, digest: d, echo: decodeTally(r), ready: decodeTally(r)}
+		if qs.echo.checked > len(qs.echo.sigs) || qs.ready.checked > len(qs.ready.sigs) {
+			return fmt.Errorf("dkg: qstate cursor past its signatures")
+		}
 		nd.qstates[d] = qs
 	}
 
@@ -431,6 +427,17 @@ func decodeU64Set(r *msg.Reader) map[uint64]bool {
 		set[r.U64()] = true
 	}
 	return set
+}
+
+func (t *tally) encode(w *msg.Writer) {
+	w.NodeSet(t.seen)
+	encodeSignedQs(w, t.sigs)
+	w.U32(uint32(t.checked))
+	w.U32(uint32(t.count))
+}
+
+func decodeTally(r *msg.Reader) tally {
+	return tally{seen: r.NodeSet(), sigs: decodeSignedQs(r), checked: int(r.U32()), count: int(r.U32())}
 }
 
 // encodeSigMap appends a signer→certificate-signature map in sorted

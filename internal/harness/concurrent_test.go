@@ -24,11 +24,13 @@ func TestConcurrentDKGSessions(t *testing.T) {
 	if err := res.CheckAllSessions(); err != nil {
 		t.Fatal(err)
 	}
-	// The shared verifier must actually be shared: with 3 sessions on
-	// 4 in-process nodes, most verifications are repeats.
+	// The shared verifier must actually be shared. Each node checks echo
+	// signatures once, when its lock draws the first ⌈(n+t+1)/2⌉ = 3 to
+	// arrive, its own unchecked. Those 4·2 checks per session cover at
+	// most the session's 4 distinct echo signatures, so at least 4 hit.
 	hits, misses := res.Directory.VerifyCacheStats()
-	if hits == 0 || hits < misses {
-		t.Fatalf("verify cache ineffective: hits=%d misses=%d", hits, misses)
+	if want := uint64(3 * (4*2 - 4)); hits < want {
+		t.Fatalf("verify cache ineffective: hits=%d misses=%d, want at least %d hits", hits, misses, want)
 	}
 }
 

@@ -92,15 +92,24 @@ func runPair(t *testing.T, opts harness.ConcurrentDKGOptions) (seq, par *harness
 }
 
 // TestParallelVerifyDifferentialHonest: honest multi-session runs,
-// full-matrix and hashed-echo modes.
+// full-matrix and hashed-echo modes, and one whose initial leader
+// crashes just after the start. Echo and ready signatures are checked only where they become
+// evidence, so a healthy flood run gives the speculator nothing to do;
+// a leader change does (lead-ch signatures, the new leader's proof).
 func TestParallelVerifyDifferentialHonest(t *testing.T) {
 	for _, hashed := range []bool{false, true} {
 		_, par := runPair(t, harness.ConcurrentDKGOptions{
 			Sessions: 3, N: 7, T: 2, Seed: 42, HashedEcho: hashed,
 		})
-		if stored, _ := par.Directory.SpeculationStats(); stored == 0 {
-			t.Fatal("pipeline ran but never stored a verdict (speculation dead?)")
+		if stored, _ := par.Directory.SpeculationStats(); stored != 0 {
+			t.Fatalf("healthy flood run speculated %d verdicts", stored)
 		}
+	}
+	_, par := runPair(t, harness.ConcurrentDKGOptions{
+		Sessions: 3, N: 7, T: 2, Seed: 42, CrashAt: map[msg.NodeID]int64{1: 1},
+	})
+	if stored, _ := par.Directory.SpeculationStats(); stored == 0 {
+		t.Fatal("leader change ran but the pipeline never stored a verdict (speculation dead?)")
 	}
 }
 

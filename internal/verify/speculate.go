@@ -9,16 +9,20 @@ import (
 
 // Speculator inspects protocol messages addressed to one node and
 // schedules their signature checks on the worker pool before the
-// node's state machine consumes them: DKG echo/ready/lead-ch
-// signatures, the proof sets inside DKG proposals, and certificate-mode
+// node's state machine consumes them: DKG lead-ch signatures, the
+// leader-change proof of a later view's send, and certificate-mode
 // attestations and certificates all run through the shared
 // sig.Directory, whose verification memo turns the inline re-check
 // into a hit (enable it with Directory.EnableVerifyCache).
 //
-// VSS traffic in flood mode is not speculated on. Its points are
-// checked by one polynomial evaluation once the dealer's row is known,
-// and a ready's signature is checked only if its proof set is used
-// (vss.Node.ReadyProof).
+// Flood-mode echo and ready traffic is not speculated on, at either
+// layer. VSS points are checked by one polynomial evaluation once the
+// dealer's row is known. Echo and ready signatures, VSS and DKG alike,
+// are checked only where they become evidence: when a proof set is
+// used (vss.Node.ReadyProof) or the DKG lock draws its M set. The proof
+// sets inside a send or lead-ch are checked inline: followers skip most
+// of a leader's R̂, having completed the same sharings, and lead-ch is
+// rare.
 //
 // Observe is safe for concurrent use (transport read loops call it
 // from several goroutines) and never blocks: it only builds closures
@@ -45,12 +49,7 @@ func NewSpeculator(pool *Pool, dir *sig.Directory) *Speculator {
 func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 	switch m := body.(type) {
 	case *dkg.SendMsg:
-		s.proposal(m.Prop, m.Tau)
 		s.leaderProof(m.Tau, m.View, m.LeaderProof)
-	case *dkg.EchoMsg:
-		s.qsig(from, m.Tau, m.Prop, m.Sig, false)
-	case *dkg.ReadyMsg:
-		s.qsig(from, m.Tau, m.Prop, m.Sig, true)
 	case *dkg.LeadChMsg:
 		if len(m.Sig) > 0 {
 			tau, view, sigBytes := m.Tau, m.NewView, m.Sig
@@ -58,7 +57,6 @@ func (s *Speculator) Observe(from msg.NodeID, body msg.Body) {
 				s.dir.Speculate(int64(from), dkg.LeadChTranscript(tau, view), sigBytes)
 			})
 		}
-		s.proposal(m.Prop, m.Tau)
 	case *vss.CertSignMsg:
 		if len(m.Sig) > 0 {
 			session, cHash, phase, sigBytes := m.Session, m.CHash, m.Phase, m.Sig
@@ -110,65 +108,6 @@ func dkgCertTranscript(tau uint64, prop *dkg.Proposal, phase uint8) []byte {
 		return dkg.ReadyTranscript(tau, digest)
 	}
 	return dkg.EchoTranscript(tau, digest)
-}
-
-// qsig schedules the signature check of a DKG echo/ready message; the
-// proposal digest is computed on the worker, not the caller.
-func (s *Speculator) qsig(from msg.NodeID, tau uint64, prop *dkg.Proposal, sigBytes []byte, ready bool) {
-	if prop == nil || len(sigBytes) == 0 {
-		return
-	}
-	s.pool.Submit(func() {
-		digest := prop.Digest(tau)
-		transcript := dkg.EchoTranscript(tau, digest)
-		if ready {
-			transcript = dkg.ReadyTranscript(tau, digest)
-		}
-		s.dir.Speculate(int64(from), transcript, sigBytes)
-	})
-}
-
-// proposal schedules the validity-proof checks of a full DKG proposal
-// (leader send or lead-ch material): per-dealer VSS ready-proof sets,
-// or the echo/ready quorum signatures over the proposal digest. One
-// task per proof set keeps task granularity near one multi-exp.
-func (s *Speculator) proposal(p *dkg.Proposal, tau uint64) {
-	if p == nil {
-		return
-	}
-	switch p.Kind {
-	case dkg.KindVSS:
-		if len(p.VSSProofs) != len(p.Q) || len(p.CHashes) != len(p.Q) {
-			return
-		}
-		for i := range p.Q {
-			dealer, cHash, proof := p.Q[i], p.CHashes[i], p.VSSProofs[i]
-			if len(proof) == 0 {
-				continue
-			}
-			s.pool.Submit(func() {
-				transcript := vss.ReadyTranscript(vss.SessionID{Dealer: dealer, Tau: tau}, cHash)
-				for _, sr := range proof {
-					s.dir.Speculate(int64(sr.Signer), transcript, sr.Sig)
-				}
-			})
-		}
-	case dkg.KindEcho, dkg.KindReady:
-		if len(p.QSigs) == 0 {
-			return
-		}
-		kind, sigs, prop := p.Kind, p.QSigs, p
-		s.pool.Submit(func() {
-			digest := prop.Digest(tau)
-			transcript := dkg.EchoTranscript(tau, digest)
-			if kind == dkg.KindReady {
-				transcript = dkg.ReadyTranscript(tau, digest)
-			}
-			for _, q := range sigs {
-				s.dir.Speculate(int64(q.Signer), transcript, q.Sig)
-			}
-		})
-	}
 }
 
 // leaderProof schedules the signed lead-ch set legitimising a view>1

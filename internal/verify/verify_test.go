@@ -104,11 +104,12 @@ func matrixFixture(t *testing.T, gr *group.Group, n, deg int, self int64) (*comm
 	return m, alphas
 }
 
-// TestSpeculatorWarmsSigMemo: an observed signed DKG echo lands its
+// TestSpeculatorWarmsSigMemo: an observed signed lead-ch lands its
 // verdict in the directory's memo, the state machine's inline check is
 // then a hit counted as a used speculation, and a speculated verdict
-// nobody reads stays counted as wasted. VSS readies are not speculated
-// on at all: their signatures are checked when a proof set is used.
+// nobody reads stays counted as wasted. Flood echoes and readies, VSS
+// and DKG alike, are not speculated on at all: their signatures are
+// checked when a proof set is used or the lock draws its M set.
 func TestSpeculatorWarmsSigMemo(t *testing.T) {
 	scheme := sig.Ed25519{}
 	dir := sig.NewDirectory(scheme)
@@ -123,13 +124,20 @@ func TestSpeculatorWarmsSigMemo(t *testing.T) {
 	}
 	const tau = 9
 	prop := &dkg.Proposal{Q: []msg.NodeID{1, 2}, CHashes: [][32]byte{{1}, {2}}}
-	echoT := dkg.EchoTranscript(tau, prop.Digest(tau))
-	readyT := dkg.ReadyTranscript(tau, prop.Digest(tau))
-	echoSig, err := scheme.Sign(priv, echoT)
+	echoSig, err := scheme.Sign(priv, dkg.EchoTranscript(tau, prop.Digest(tau)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	readySig, err := scheme.Sign(priv, readyT)
+	readySig, err := scheme.Sign(priv, dkg.ReadyTranscript(tau, prop.Digest(tau)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcT2, lcT3 := dkg.LeadChTranscript(tau, 2), dkg.LeadChTranscript(tau, 3)
+	lcSig2, err := scheme.Sign(priv, lcT2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcSig3, err := scheme.Sign(priv, lcT3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +146,13 @@ func TestSpeculatorWarmsSigMemo(t *testing.T) {
 	defer pool.Close()
 	sp := NewSpeculator(pool, dir)
 	sp.Observe(2, &vss.ReadyMsg{Session: vss.SessionID{Dealer: 1, Tau: tau}, Alpha: big.NewInt(1), Sig: echoSig})
-	if st := pool.Stats(); st.Submitted+st.Dropped != 0 {
-		t.Fatalf("a VSS ready was speculated on: %+v", st)
-	}
 	sp.Observe(2, &dkg.EchoMsg{Tau: tau, Prop: prop, Sig: echoSig})
 	sp.Observe(2, &dkg.ReadyMsg{Tau: tau, Prop: prop, Sig: readySig})
+	if st := pool.Stats(); st.Submitted+st.Dropped != 0 {
+		t.Fatalf("a flood echo or ready was speculated on: %+v", st)
+	}
+	sp.Observe(2, &dkg.LeadChMsg{Tau: tau, NewView: 2, Sig: lcSig2})
+	sp.Observe(2, &dkg.LeadChMsg{Tau: tau, NewView: 3, Sig: lcSig3})
 	pool.Close() // drains and joins: both verdicts are stored
 
 	if stored, used := dir.SpeculationStats(); stored != 2 || used != 0 {
@@ -152,7 +162,7 @@ func TestSpeculatorWarmsSigMemo(t *testing.T) {
 		t.Fatalf("speculation counted as inline lookups: hits=%d misses=%d", hits, misses)
 	}
 	for i := 0; i < 2; i++ { // the second read is a plain hit, not a second "used"
-		if !dir.Verify(2, echoT, echoSig) {
+		if !dir.Verify(2, lcT2, lcSig2) {
 			t.Fatal("valid signature rejected")
 		}
 	}
@@ -160,7 +170,7 @@ func TestSpeculatorWarmsSigMemo(t *testing.T) {
 		t.Fatalf("inline checks were not memo hits: hits=%d misses=%d", hits, misses)
 	}
 	if stored, used := dir.SpeculationStats(); stored != 2 || used != 1 {
-		t.Fatalf("stored=%d used=%d, want 2/1 (the ready's verdict was never read)", stored, used)
+		t.Fatalf("stored=%d used=%d, want 2/1 (view 3's verdict was never read)", stored, used)
 	}
 }
 
