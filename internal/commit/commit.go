@@ -138,10 +138,7 @@ func (m *Matrix) rowsFor(i int64) []group.Element {
 		return rows
 	}
 	m.memoMu.Unlock()
-	rows := make([]group.Element, m.t+1)
-	for j := 0; j <= m.t; j++ {
-		rows[j] = m.hornerRow(j, i)
-	}
+	rows := m.gr.HornerBatch(m.c, i)
 	m.memoMu.Lock()
 	if m.rowMemo == nil {
 		m.rowMemo = make(map[int64][]group.Element, 4)
@@ -174,24 +171,47 @@ func (m *Matrix) Column0() *Vector {
 	return &Vector{gr: m.gr, v: v}
 }
 
-// Mul returns the entrywise product of two matrices, committing to the
-// sum of the underlying polynomials. This is the DKG share-summation
-// step: ∀p,q C_{p,q} ← Π_d (C_d)_{p,q}.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	if !m.gr.Equal(o.gr) {
-		return nil, ErrGroupMismatch
+// Product returns the entrywise product of the matrices, committing to
+// the sum of their polynomials. This is the DKG share-summation step:
+// ∀p,q C_{p,q} ← Π_d (C_d)_{p,q}. Horner at x = 1 is the plain product
+// of a chain, so each upper-triangle entry is one chain of a single
+// Horner batch: bare Jacobian additions on p256, with one inversion
+// for the whole matrix.
+func Product(mats []*Matrix) (*Matrix, error) {
+	if len(mats) == 0 {
+		return nil, ErrEmptyCombine
 	}
-	if m.t != o.t {
-		return nil, ErrDimensionMismatch
-	}
-	c := make([][]group.Element, m.t+1)
-	for j := range c {
-		c[j] = make([]group.Element, m.t+1)
-		for l := range c[j] {
-			c[j][l] = m.gr.Mul(m.c[j][l], o.c[j][l])
+	gr, t := mats[0].gr, mats[0].t
+	for _, m := range mats[1:] {
+		if !m.gr.Equal(gr) {
+			return nil, ErrGroupMismatch
+		}
+		if m.t != t {
+			return nil, ErrDimensionMismatch
 		}
 	}
-	return &Matrix{gr: m.gr, t: m.t, c: c}, nil
+	var chains [][]group.Element
+	for j := 0; j <= t; j++ {
+		for l := j; l <= t; l++ {
+			chain := make([]group.Element, len(mats))
+			for d, m := range mats {
+				chain[d] = m.c[j][l]
+			}
+			chains = append(chains, chain)
+		}
+	}
+	sums := gr.HornerBatch(chains, 1)
+	c := make([][]group.Element, t+1)
+	for j := range c {
+		c[j] = make([]group.Element, t+1)
+	}
+	for j := 0; j <= t; j++ {
+		for l := j; l <= t; l++ {
+			c[j][l], c[l][j] = sums[0], sums[0]
+			sums = sums[1:]
+		}
+	}
+	return &Matrix{gr: gr, t: t, c: c}, nil
 }
 
 // Equal reports entrywise equality.
@@ -293,11 +313,6 @@ func (m *Matrix) hornerColumn(l int, i int64) group.Element {
 		col[j] = m.c[j][l]
 	}
 	return m.gr.Horner(col, i)
-}
-
-// hornerRow computes Π_ℓ C_{jℓ}^{i^ℓ} for row j.
-func (m *Matrix) hornerRow(j int, i int64) group.Element {
-	return m.gr.Horner(m.c[j], i)
 }
 
 // Vector is a Feldman commitment to a univariate polynomial h:

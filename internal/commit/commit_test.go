@@ -117,6 +117,8 @@ func TestPublicKey(t *testing.T) {
 
 // TestMulHomomorphism: Commit(f)·Commit(g) == Commit(f+g) — the DKG
 // share-summation invariant in the exponent.
+// TestMulHomomorphism checks that the product of two matrices commits
+// to the sum of their polynomials.
 func TestMulHomomorphism(t *testing.T) {
 	gr, f1, m1 := testSetup(t, 7, 3)
 	r := randutil.NewReader(77)
@@ -126,7 +128,7 @@ func TestMulHomomorphism(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := NewMatrix(gr, f2)
-	prod, err := m1.Mul(m2)
+	prod, err := Product([]*Matrix{m1, m2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +145,100 @@ func TestMulHomomorphism(t *testing.T) {
 	}
 }
 
+// TestMulMismatch checks that Product refuses matrices of different
+// degrees and an empty list.
 func TestMulMismatch(t *testing.T) {
 	_, _, m3 := testSetup(t, 8, 3)
 	_, _, m4 := testSetup(t, 9, 4)
-	if _, err := m3.Mul(m4); err == nil {
-		t.Error("Mul with different degrees succeeded")
+	if _, err := Product([]*Matrix{m3, m4}); err != ErrDimensionMismatch {
+		t.Errorf("Product with different degrees: err = %v, want %v", err, ErrDimensionMismatch)
+	}
+	if _, err := Product(nil); err != ErrEmptyCombine {
+		t.Errorf("Product of nothing: err = %v, want %v", err, ErrEmptyCombine)
+	}
+}
+
+// TestProductOfDealers checks Product over several dealers on both
+// backend families against the commitment to the summed polynomial,
+// entry by entry, and with entries that cancel to the identity.
+func TestProductOfDealers(t *testing.T) {
+	for _, gr := range []*group.Group{group.Test256(), group.P256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			const deg, dealers = 2, 4
+			r := randutil.NewReader(31)
+			mats := make([]*Matrix, dealers)
+			rows := make([]*poly.Poly, 6)
+			for d := range mats {
+				s, _ := gr.RandScalar(r)
+				f, err := poly.NewRandomSymmetric(gr.Q(), s, deg, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mats[d] = NewMatrix(gr, f)
+				for i := range rows {
+					row := f.Row(int64(i))
+					if d == 0 {
+						rows[i] = row
+					} else if rows[i], err = rows[i].Add(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			prod, err := Product(mats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(1); i < int64(len(rows)); i++ {
+				if !prod.VerifyPoly(i, rows[i]) {
+					t.Fatalf("summed row %d does not verify against the product", i)
+				}
+			}
+			for j := 0; j <= deg; j++ {
+				for l := 0; l <= deg; l++ {
+					want := gr.Identity()
+					for _, m := range mats {
+						want = gr.Mul(want, m.Entry(j, l))
+					}
+					if !prod.Entry(j, l).Equal(want) {
+						t.Fatalf("entry (%d,%d) differs from the pairwise product", j, l)
+					}
+				}
+			}
+
+			// A dealer whose (0,0) and (1,2) entries invert the first
+			// dealer's: those entries of the product are the identity.
+			c := make([][]group.Element, deg+1)
+			for j := range c {
+				c[j] = make([]group.Element, deg+1)
+				for l := range c[j] {
+					c[j][l] = gr.Generator()
+				}
+			}
+			for _, jl := range [][2]int{{0, 0}, {1, 2}, {2, 1}} {
+				inv, err := gr.Inv(mats[0].Entry(jl[0], jl[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c[jl[0]][jl[1]] = inv
+			}
+			anti := &Matrix{gr: gr, t: deg, c: c}
+			cancel, err := Product([]*Matrix{mats[0], anti})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, jl := range [][2]int{{0, 0}, {1, 2}, {2, 1}} {
+				if !cancel.Entry(jl[0], jl[1]).Equal(gr.Identity()) {
+					t.Fatalf("entry %v did not cancel to the identity", jl)
+				}
+			}
+			want := gr.Mul(mats[0].Entry(0, 1), gr.Generator())
+			if !cancel.Entry(0, 1).Equal(want) || !cancel.Entry(1, 0).Equal(want) {
+				t.Fatal("entry (0,1) of the cancelling product is wrong")
+			}
+			if _, err := cancel.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -236,10 +236,6 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	k.v = v
 	k.pubs = make(map[msg.NodeID]group.Element) // V(i) of the old epoch are stale
 	k.pk = v.PublicKey()
-	// A serving key's pk is the one fixed full-width base every batch
-	// verification collapses onto; precomputed tables turn that term
-	// into short table lookups on the shared multi-exp chain.
-	s.cfg.Group.Precompute(k.pk)
 	s.dispatchSignsLocked(k, restart, &fire, &acts)
 	info := s.infoLocked(k)
 	s.mu.Unlock()
@@ -1273,6 +1269,14 @@ func (s *Service) finishSignsLocked(k *serveKey, done []*attempt, fire *[]func()
 		}
 		ok, msgs, cs = append(ok, a), append(msgs, a.req.payload), append(cs, b.C)
 		sigs = append(sigs, b.Aggregate(s.gr, zs))
+	}
+	if len(sigs) > 0 {
+		// The key's pk is the one fixed full-width base every batch
+		// verification collapses onto; precomputed tables turn that
+		// term into short table lookups on the shared multi-exp chain.
+		// Only an aggregator reads them, so they are built on its first
+		// signed delivery (a no-op once built).
+		s.gr.Precompute(k.pk)
 	}
 	batchOK := thresh.BatchVerifySignaturesPre(s.gr, k.pk, msgs, cs, sigs)
 	var restart []*request

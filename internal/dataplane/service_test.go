@@ -313,6 +313,52 @@ func TestSignProvisionAndServe(t *testing.T) {
 	}
 }
 
+// precomputeLog is a backend that records the bases handed to
+// Precompute.
+type precomputeLog struct {
+	group.Backend
+	bases []group.Element
+}
+
+func (l *precomputeLog) Precompute(base group.Element) {
+	l.bases = append(l.bases, base)
+	l.Backend.Precompute(base)
+}
+
+// TestKeyCombBuiltOnFirstSignedDelivery: installing a key builds no
+// fixed-base tables for its pk, nor does a delivery with no signature;
+// the aggregator's first signed delivery, which batch-verifies under
+// pk, builds them.
+func TestKeyCombBuiltOnFirstSignedDelivery(t *testing.T) {
+	log := &precomputeLog{Backend: group.NewP256()}
+	rig := newTestRigOn(t, group.FromBackend(log), 3, 1, nil)
+	if len(log.bases) != 0 {
+		t.Fatalf("InstallKey precomputed %d bases", len(log.bases))
+	}
+	rig.svc.mu.Lock()
+	var fire []func()
+	rig.svc.finishSignsLocked(rig.svc.keys[1], nil, &fire)
+	rig.svc.mu.Unlock()
+	if len(log.bases) != 0 {
+		t.Fatal("an empty delivery precomputed a base")
+	}
+
+	message := []byte("comb")
+	var gotErr error
+	called := false
+	if err := rig.svc.Sign(1, message, func(_ Result, err error) { gotErr, called = err, true }); err != nil {
+		t.Fatal(err)
+	}
+	rig.svc.Flush(1)
+	rig.answerSigns(t, 2, rig.issue(t, 2, 4), nil)
+	if !called || gotErr != nil {
+		t.Fatalf("sign did not complete: called=%v err=%v", called, gotErr)
+	}
+	if len(log.bases) != 1 || !log.bases[0].Equal(rig.keyV.PublicKey()) {
+		t.Fatalf("first signed delivery precomputed %d bases, want the key's pk once", len(log.bases))
+	}
+}
+
 // TestNonceConsumeOnce pins the core safety invariant on the signer's
 // side: a pair answers one (m, B). A re-ask of the same (m, B) replays
 // the answer bit for bit; another message, or another list, under the

@@ -999,25 +999,18 @@ func extract(gr *group.Group, q []msg.NodeID, events map[msg.NodeID]vss.SharedEv
 func SumCombiner(gr *group.Group) Combiner {
 	return func(_ msg.NodeID, q []msg.NodeID, events map[msg.NodeID]vss.SharedEvent) (CombineResult, error) {
 		share := new(big.Int)
-		var cProd *commit.Matrix
-		for _, d := range q {
+		mats := make([]*commit.Matrix, len(q))
+		for i, d := range q {
 			ev, ok := events[d]
 			if !ok {
 				return CombineResult{}, fmt.Errorf("dkg: missing sharing for dealer %d", d)
 			}
 			share.Add(share, ev.Share)
-			if cProd == nil {
-				cProd = ev.C
-			} else {
-				prod, err := cProd.Mul(ev.C)
-				if err != nil {
-					return CombineResult{}, err
-				}
-				cProd = prod
-			}
+			mats[i] = ev.C
 		}
-		if cProd == nil {
-			return CombineResult{}, fmt.Errorf("dkg: empty decided set")
+		cProd, err := commit.Product(mats)
+		if err != nil {
+			return CombineResult{}, fmt.Errorf("dkg: combine decided set: %w", err)
 		}
 		share.Mod(share, gr.Q())
 		return CombineResult{Share: share, C: cProd, V: cProd.Column0()}, nil

@@ -103,6 +103,7 @@ func conformAxioms(t *testing.T, gr *Group) {
 // zero index, and chains of length one.
 func conformHorner(t *testing.T, gr *Group) {
 	r := randutil.NewReader(4000 + uint64(gr.SecurityBits()))
+	var chains [][]Element
 	for trial := 0; trial < 6; trial++ {
 		n := 1 + trial // chain length 1..6
 		v := make([]Element, n)
@@ -121,6 +122,37 @@ func conformHorner(t *testing.T, gr *Group) {
 			if got := gr.Horner(v, x); !got.Equal(want) {
 				t.Fatalf("Horner(len=%d, x=%d) mismatch", n, x)
 			}
+		}
+		chains = append(chains, v)
+	}
+
+	// Batches must match chain-by-chain evaluation, including chains
+	// that evaluate to the identity and a batch of one.
+	e, _ := gr.RandScalar(r)
+	b := gr.GExp(e)
+	for _, x := range []int64{0, 1, 3, 16} {
+		bx, err := gr.Inv(gr.Exp(b, big.NewInt(x)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel := []Element{bx, b} // b^x · b^−x
+		batch := append(append([][]Element{}, chains...), cancel, []Element{gr.Identity()})
+		got := gr.HornerBatch(batch, x)
+		if len(got) != len(batch) {
+			t.Fatalf("HornerBatch returned %d values for %d chains", len(got), len(batch))
+		}
+		for c, v := range batch {
+			if !got[c].Equal(gr.Horner(v, x)) {
+				t.Fatalf("HornerBatch chain %d at x=%d differs from Horner", c, x)
+			}
+		}
+		for _, c := range got[len(got)-2:] {
+			if !c.Equal(gr.Identity()) {
+				t.Fatalf("identity chain at x=%d evaluated to %v", x, c)
+			}
+		}
+		if one := gr.HornerBatch(chains[2:3], x); len(one) != 1 || !one[0].Equal(gr.Horner(chains[2], x)) {
+			t.Fatalf("batch of one at x=%d differs from Horner", x)
 		}
 	}
 }

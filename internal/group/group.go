@@ -88,11 +88,13 @@ type Backend interface {
 	// GExp returns g^e.
 	GExp(e *big.Int) Element
 	// Horner evaluates Π_ℓ v[ℓ]^{x^ℓ} by Horner's rule in the
-	// exponent for a small non-negative x (a node index) — the chain
-	// at the core of commitment evaluation and share verification.
-	// Backends keep the running value in their fastest internal
-	// representation across the whole chain. v must be non-empty.
-	Horner(v []Element, x int64) Element
+	// exponent for every chain v of chains at one small non-negative x
+	// (a node index) — the chains at the core of commitment evaluation
+	// and share verification. Backends keep each running value in
+	// their fastest internal representation across its whole chain and
+	// may convert all of them back at once. Every chain must be
+	// non-empty.
+	Horner(chains [][]Element, x int64) []Element
 	// MultiExp returns Π bases[i]^exps[i] with every scalar
 	// multiplication on the backend's secret-safe per-term path.
 	// Exponents are reduced mod q; slices must have equal length.
@@ -221,7 +223,16 @@ func (gr *Group) ExpInt(base Element, k int64) Element {
 // small non-negative x. It is the hot path of share verification and
 // commitment evaluation; backends avoid per-step representation
 // conversions.
-func (gr *Group) Horner(v []Element, x int64) Element { return gr.b.Horner(v, x) }
+func (gr *Group) Horner(v []Element, x int64) Element {
+	return gr.b.Horner([][]Element{v}, x)[0]
+}
+
+// HornerBatch evaluates Horner(v, x) for every chain v at one x. On
+// p256 the chains leave Jacobian coordinates together, for one field
+// inversion instead of one per chain.
+func (gr *Group) HornerBatch(chains [][]Element, x int64) []Element {
+	return gr.b.Horner(chains, x)
+}
 
 // IsElement reports whether e is a valid element of this group.
 func (gr *Group) IsElement(e Element) bool {

@@ -231,13 +231,22 @@ func (b *ModP) GExp(e *big.Int) Element {
 	return &modpElement{v: new(big.Int).Exp(b.g, e, b.p)}
 }
 
-// Horner implements Backend with the schoolbook chain
+// Horner implements Backend, one chain at a time.
+func (b *ModP) Horner(chains [][]Element, x int64) []Element {
+	out := make([]Element, len(chains))
+	for i, v := range chains {
+		out[i] = b.horner(v, x)
+	}
+	return out
+}
+
+// horner evaluates one chain with the schoolbook step
 // acc ← acc^x · v[ℓ], keeping the accumulator as a raw residue and
 // reducing once per step. The per-step exponent is a node index, so
 // the exponentiation runs as an in-place square-and-multiply over its
 // few bits instead of paying big.Int.Exp's generic machinery — this
 // chain sits under every verify-point and share-verification call.
-func (b *ModP) Horner(v []Element, x int64) Element {
+func (b *ModP) horner(v []Element, x int64) Element {
 	if len(v) == 0 {
 		panic("group: empty Horner chain")
 	}

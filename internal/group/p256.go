@@ -195,21 +195,24 @@ func (b *P256Backend) Exp(base Element, e *big.Int) Element {
 }
 
 // Horner implements Backend entirely in Jacobian coordinates: the
-// accumulator never leaves projective form, so the whole chain costs
-// one field inversion total.
-func (b *P256Backend) Horner(v []Element, x int64) Element {
-	if len(v) == 0 {
-		panic("group: empty Horner chain")
-	}
-	var acc, scratch jp
-	jpFromElement(&acc, b.el(v[len(v)-1]))
+// accumulators never leave projective form, so all the chains together
+// cost one field inversion.
+func (b *P256Backend) Horner(chains [][]Element, x int64) []Element {
+	acc := make([]jp, len(chains))
+	var scratch jp
 	var a ap
-	for l := len(v) - 2; l >= 0; l-- {
-		jpExp(&acc, &scratch, x)
-		apFromElement(&a, b.el(v[l]))
-		jpAddAffine(&acc, &a)
+	for c, v := range chains {
+		if len(v) == 0 {
+			panic("group: empty Horner chain")
+		}
+		jpFromElement(&acc[c], b.el(v[len(v)-1]))
+		for l := len(v) - 2; l >= 0; l-- {
+			jpExp(&acc[c], &scratch, x)
+			apFromElement(&a, b.el(v[l]))
+			jpAddAffine(&acc[c], &a)
+		}
 	}
-	return b.jpToAffine(&acc)
+	return b.jpsToElements(acc)
 }
 
 // GExp implements Backend.
@@ -418,6 +421,29 @@ func (b *P256Backend) jpToAffine(j *jp) *p256Element {
 	feMul(&fy, &j.y, &fzi2)
 	feMul(&fy, &fy, &fzi)
 	return newP256ElementFE(&fx, &fy)
+}
+
+// jpsToElements normalizes Jacobian points with one shared inversion;
+// points at infinity become the identity.
+func (b *P256Backend) jpsToElements(pts []jp) []Element {
+	live := make([]jp, 0, len(pts))
+	for i := range pts {
+		if !feIsZero(&pts[i].z) {
+			live = append(live, pts[i])
+		}
+	}
+	aff := make([]ap, len(live))
+	b.batchToAffineInto(aff, live)
+	out := make([]Element, len(pts))
+	for i := range pts {
+		if feIsZero(&pts[i].z) {
+			out[i] = b.Identity()
+			continue
+		}
+		out[i] = newP256ElementFE(&aff[0].x, &aff[0].y)
+		aff = aff[1:]
+	}
+	return out
 }
 
 // jpDouble doubles in place ("dbl-2001-b", a = −3: 3M + 5S).

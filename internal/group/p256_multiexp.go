@@ -24,12 +24,15 @@ func (b *P256Backend) MultiExp(bases []Element, exps []*big.Int) Element {
 // mulEquivalents of the curve operations, used to choose between
 // including a full-width term in the shared Jacobian accumulation and
 // handing it to crypto/elliptic's (assembly-backed, but per-term)
-// ladder. Units are field multiplications; the ladder constants were
-// measured against this package's feMul.
+// ladder. Units are this package's feMul; each constant is the ratio
+// of BenchmarkJpDouble, BenchmarkJpAddAffine and a full-width Exp
+// (BenchmarkMultiExp/exp/k=1) to BenchmarkFeMul (DESIGN.md, "Batch
+// verification & multi-exp"). With them one full-width term goes to
+// the ladder and two or more share the chain.
 const (
-	costDouble     = 8
-	costMixedAdd   = 11
-	costScalarMult = 680
+	costDouble     = 11
+	costMixedAdd   = 14
+	costScalarMult = 2850
 )
 
 // VarTimeMultiExp implements Backend. Generator terms merge into one

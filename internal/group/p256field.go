@@ -2,10 +2,13 @@ package group
 
 // Flat-limb arithmetic for the P-256 base field, used by the Jacobian
 // verification fast path. A field element is four little-endian 64-bit
-// limbs in the Montgomery domain (value·2²⁵⁶ mod p): multiplication is
-// a schoolbook 4×4 product followed by Montgomery reduction, which is
-// particularly cheap for this prime because p ≡ −1 (mod 2⁶⁴) makes
-// the per-round quotient digit the accumulator word itself (n0′ = 1).
+// limbs in the Montgomery domain (value·2²⁵⁶ mod p). Multiplication is
+// word-by-word Montgomery (the shape of fiat-crypto's p256Mul, Erbsen
+// et al., S&P 2019), which is particularly cheap for this prime
+// because p ≡ −1 (mod 2⁶⁴) makes each step's quotient digit the
+// accumulator's low word itself (n0′ = 1); squaring has its own
+// ten-product path. Multiply, square, add, subtract and the final
+// reduction contain no data-dependent branch.
 // feFromBig/feToBig are the only domain boundary — everything between
 // them (the Jacobian formulas, the multi-exp accumulators) is
 // domain-oblivious, and the zero element and limb equality are
@@ -83,7 +86,7 @@ func feFromBig(z *fe, v *big.Int) {
 // feToBig converts back to a canonical big.Int value.
 func feToBig(z *fe) *big.Int {
 	var out fe
-	feMontReduceRegs(&out, z[0], z[1], z[2], z[3], 0, 0, 0, 0) // v·R·R⁻¹ = v
+	feMul(&out, z, &fe{1}) // v·R·1·R⁻¹ = v
 	return feRawToBig(&out)
 }
 
@@ -99,20 +102,19 @@ func feAdd(z, x, y *fe) {
 	feReduceOnce(z, c)
 }
 
-// feSub sets z = x − y mod p.
+// feSub sets z = x − y mod p: on a borrow, p is added back through a
+// mask rather than a branch.
 func feSub(z, x, y *fe) {
-	var b uint64
+	var b, c uint64
 	z[0], b = bits.Sub64(x[0], y[0], 0)
 	z[1], b = bits.Sub64(x[1], y[1], b)
 	z[2], b = bits.Sub64(x[2], y[2], b)
 	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], p256P[0], 0)
-		z[1], c = bits.Add64(z[1], p256P[1], c)
-		z[2], c = bits.Add64(z[2], p256P[2], c)
-		z[3], _ = bits.Add64(z[3], p256P[3], c)
-	}
+	mask := -b
+	z[0], c = bits.Add64(z[0], p256P[0]&mask, 0)
+	z[1], c = bits.Add64(z[1], p256P[1]&mask, c)
+	z[2], c = bits.Add64(z[2], p256P[2]&mask, c)
+	z[3], _ = bits.Add64(z[3], p256P[3]&mask, c)
 }
 
 // feNeg sets z = −x mod p. x must be < p; the result is 0 for x = 0.
@@ -128,123 +130,203 @@ func feNeg(z, x *fe) {
 	z[3], _ = bits.Sub64(p256P[3], x[3], b)
 }
 
-// feReduceOnce conditionally subtracts p when the value (with incoming
-// carry bit) is ≥ p.
+// feReduceOnce subtracts p from carry·2²⁵⁶ + z when that value is ≥ p
+// (it must be < 2p). The choice is a mask select, not a branch.
 func feReduceOnce(z *fe, carry uint64) {
-	var t fe
-	var b uint64
-	t[0], b = bits.Sub64(z[0], p256P[0], 0)
-	t[1], b = bits.Sub64(z[1], p256P[1], b)
-	t[2], b = bits.Sub64(z[2], p256P[2], b)
-	t[3], b = bits.Sub64(z[3], p256P[3], b)
-	if carry != 0 || b == 0 {
-		*z = t
-	}
+	var t0, t1, t2, t3, b uint64
+	t0, b = bits.Sub64(z[0], p256P[0], 0)
+	t1, b = bits.Sub64(z[1], p256P[1], b)
+	t2, b = bits.Sub64(z[2], p256P[2], b)
+	t3, b = bits.Sub64(z[3], p256P[3], b)
+	_, b = bits.Sub64(carry, 0, b) // b = 1 iff the value is < p
+	keep := -b
+	z[0] = z[0]&keep | t0&^keep
+	z[1] = z[1]&keep | t1&^keep
+	z[2] = z[2]&keep | t2&^keep
+	z[3] = z[3]&keep | t3&^keep
 }
 
-// madd returns a·b + c + d as a 128-bit (hi, lo) pair. The sum cannot
-// overflow: (2⁶⁴−1)² + 2(2⁶⁴−1) = 2¹²⁸ − 1.
-func madd(a, b, c, d uint64) (hi, lo uint64) {
-	hi, lo = bits.Mul64(a, b)
-	var carry uint64
-	lo, carry = bits.Add64(lo, c, 0)
-	hi += carry
-	lo, carry = bits.Add64(lo, d, 0)
-	hi += carry
-	return
-}
-
-// feMul sets z = x·y (Montgomery product: fully unrolled schoolbook
-// 4×4 multiply + Montgomery reduction, everything in registers).
+// feMul sets z = x·y, a word-by-word Montgomery multiply: for each limb
+// of x, add that limb times y to a five-word accumulator, then add m·p
+// with m the accumulator's low word (n0′ = 1 because p ≡ −1 mod 2⁶⁴)
+// and drop that word. Because p = 2²⁵⁶ − 2²²⁴ + 2¹⁹² + 2⁹⁶ − 1,
+// m·p + (accumulator) clears the low word while adding m·2⁹⁶ (two
+// shifts) and m·p[3]·2¹⁹² (one product), so a step costs five limb
+// products. The accumulator stays below 2p; one masked subtraction
+// finishes.
 func feMul(z, x, y *fe) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var a0, a1, a2, a3, a4, c, h0, h1, h2, h3, l0, l1, l2, l3, s0, s1, s2, s3, s4, s5, ph, pl uint64
 
-	// row 0: x0·y
-	c, t0 := bits.Mul64(x0, y0)
-	c, t1 := madd(x0, y1, c, 0)
-	c, t2 := madd(x0, y2, c, 0)
-	t4, t3 := madd(x0, y3, c, 0)
-	// row 1: x1·y added at offset 1
-	c, t1 = madd(x1, y0, t1, 0)
-	c, t2 = madd(x1, y1, t2, c)
-	c, t3 = madd(x1, y2, t3, c)
-	t5, t4 := madd(x1, y3, t4, c)
-	// row 2
-	c, t2 = madd(x2, y0, t2, 0)
-	c, t3 = madd(x2, y1, t3, c)
-	c, t4 = madd(x2, y2, t4, c)
-	t6, t5 := madd(x2, y3, t5, c)
-	// row 3
-	c, t3 = madd(x3, y0, t3, 0)
-	c, t4 = madd(x3, y1, t4, c)
-	c, t5 = madd(x3, y2, t5, c)
-	t7, t6 := madd(x3, y3, t6, c)
+	// limb 0
+	h0, l0 = bits.Mul64(x[0], y0)
+	h1, l1 = bits.Mul64(x[0], y1)
+	h2, l2 = bits.Mul64(x[0], y2)
+	h3, l3 = bits.Mul64(x[0], y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	s0, c = bits.Add64(a0, l0, 0)
+	s1, c = bits.Add64(a1, l1, c)
+	s2, c = bits.Add64(a2, l2, c)
+	s3, c = bits.Add64(a3, l3, c)
+	s4, s5 = bits.Add64(a4, h3, c)
+	ph, pl = bits.Mul64(s0, p256P[3])
+	a0, c = bits.Add64(s1, s0<<32, 0)
+	a1, c = bits.Add64(s2, s0>>32, c)
+	a2, c = bits.Add64(s3, pl, c)
+	a3, c = bits.Add64(s4, ph, c)
+	a4 = s5 + c
 
-	feMontReduceRegs(z, t0, t1, t2, t3, t4, t5, t6, t7)
+	// limb 1
+	h0, l0 = bits.Mul64(x[1], y0)
+	h1, l1 = bits.Mul64(x[1], y1)
+	h2, l2 = bits.Mul64(x[1], y2)
+	h3, l3 = bits.Mul64(x[1], y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	s0, c = bits.Add64(a0, l0, 0)
+	s1, c = bits.Add64(a1, l1, c)
+	s2, c = bits.Add64(a2, l2, c)
+	s3, c = bits.Add64(a3, l3, c)
+	s4, s5 = bits.Add64(a4, h3, c)
+	ph, pl = bits.Mul64(s0, p256P[3])
+	a0, c = bits.Add64(s1, s0<<32, 0)
+	a1, c = bits.Add64(s2, s0>>32, c)
+	a2, c = bits.Add64(s3, pl, c)
+	a3, c = bits.Add64(s4, ph, c)
+	a4 = s5 + c
+
+	// limb 2
+	h0, l0 = bits.Mul64(x[2], y0)
+	h1, l1 = bits.Mul64(x[2], y1)
+	h2, l2 = bits.Mul64(x[2], y2)
+	h3, l3 = bits.Mul64(x[2], y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	s0, c = bits.Add64(a0, l0, 0)
+	s1, c = bits.Add64(a1, l1, c)
+	s2, c = bits.Add64(a2, l2, c)
+	s3, c = bits.Add64(a3, l3, c)
+	s4, s5 = bits.Add64(a4, h3, c)
+	ph, pl = bits.Mul64(s0, p256P[3])
+	a0, c = bits.Add64(s1, s0<<32, 0)
+	a1, c = bits.Add64(s2, s0>>32, c)
+	a2, c = bits.Add64(s3, pl, c)
+	a3, c = bits.Add64(s4, ph, c)
+	a4 = s5 + c
+
+	// limb 3
+	h0, l0 = bits.Mul64(x[3], y0)
+	h1, l1 = bits.Mul64(x[3], y1)
+	h2, l2 = bits.Mul64(x[3], y2)
+	h3, l3 = bits.Mul64(x[3], y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	h3 += c
+	s0, c = bits.Add64(a0, l0, 0)
+	s1, c = bits.Add64(a1, l1, c)
+	s2, c = bits.Add64(a2, l2, c)
+	s3, c = bits.Add64(a3, l3, c)
+	s4, s5 = bits.Add64(a4, h3, c)
+	ph, pl = bits.Mul64(s0, p256P[3])
+	a0, c = bits.Add64(s1, s0<<32, 0)
+	a1, c = bits.Add64(s2, s0>>32, c)
+	a2, c = bits.Add64(s3, pl, c)
+	a3, c = bits.Add64(s4, ph, c)
+	a4 = s5 + c
+	z[0], z[1], z[2], z[3] = a0, a1, a2, a3
+	feReduceOnce(z, a4)
 }
 
-// feMontReduceRegs is Montgomery reduction over register-resident
-// limbs: four rounds of m ← lowest live limb; t += m·p at that offset,
-// exploiting p ≡ −1 (mod 2⁶⁴) (the quotient digit is the limb itself)
-// and p's zero limb 2. Adding m·p zeroes the round's low limb, so each
-// round is two madds and a carry ripple; the result is t/2²⁵⁶ < 2p,
-// finished by one conditional subtraction.
-func feMontReduceRegs(z *fe, t0, t1, t2, t3, t4, t5, t6, t7 uint64) {
-	var ex, c, hi, lo, carry uint64
+// feSqr sets z = x². The ten limb products (six cross products
+// doubled, four squares) form the 512-bit square; its low half is
+// Montgomery-reduced in four single-product steps (as in feMul) to a
+// value ≤ p, and the high half (< p, since x² < p²) is added to it
+// before one masked subtraction.
+func feSqr(z, x *fe) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var c, t0, t1, t2, t3, t4, t5, t6, t7 uint64
 
-	// round 0: m = t0
-	hi, lo = bits.Mul64(t0, p256P[0])
-	_, c = bits.Add64(t0, lo, 0)
-	carry = hi + c
-	hi, t1 = madd(t0, p256P[1], t1, carry)
-	t2, carry = bits.Add64(t2, hi, 0)
-	hi, t3 = madd(t0, p256P[3], t3, carry)
-	t4, c = bits.Add64(t4, hi, 0)
-	t5, c = bits.Add64(t5, 0, c)
-	t6, c = bits.Add64(t6, 0, c)
-	t7, c = bits.Add64(t7, 0, c)
-	ex += c
+	// Cross products x_i·x_j, i < j, at limb i+j.
+	h01, t1 := bits.Mul64(x0, x1)
+	h02, l02 := bits.Mul64(x0, x2)
+	h03, l03 := bits.Mul64(x0, x3)
+	h12, l12 := bits.Mul64(x1, x2)
+	h13, l13 := bits.Mul64(x1, x3)
+	h23, l23 := bits.Mul64(x2, x3)
+	t2, c = bits.Add64(l02, h01, 0)
+	t3, c = bits.Add64(l03, h02, c)
+	t4 = h03 + c
+	l13, c = bits.Add64(l13, h12, 0)
+	h13 += c
+	t3, c = bits.Add64(t3, l12, 0)
+	t4, c = bits.Add64(t4, l13, c)
+	t5 = h13 + c
+	t5, c = bits.Add64(t5, l23, 0)
+	t6 = h23 + c
 
-	// round 1: m = t1
-	hi, lo = bits.Mul64(t1, p256P[0])
-	_, c = bits.Add64(t1, lo, 0)
-	carry = hi + c
-	hi, t2 = madd(t1, p256P[1], t2, carry)
-	t3, carry = bits.Add64(t3, hi, 0)
-	hi, t4 = madd(t1, p256P[3], t4, carry)
-	t5, c = bits.Add64(t5, hi, 0)
-	t6, c = bits.Add64(t6, 0, c)
-	t7, c = bits.Add64(t7, 0, c)
-	ex += c
+	// Double them.
+	t7 = t6 >> 63
+	t6 = t6<<1 | t5>>63
+	t5 = t5<<1 | t4>>63
+	t4 = t4<<1 | t3>>63
+	t3 = t3<<1 | t2>>63
+	t2 = t2<<1 | t1>>63
+	t1 <<= 1
 
-	// round 2: m = t2
-	hi, lo = bits.Mul64(t2, p256P[0])
-	_, c = bits.Add64(t2, lo, 0)
-	carry = hi + c
-	hi, t3 = madd(t2, p256P[1], t3, carry)
-	t4, carry = bits.Add64(t4, hi, 0)
-	hi, t5 = madd(t2, p256P[3], t5, carry)
-	t6, c = bits.Add64(t6, hi, 0)
-	t7, c = bits.Add64(t7, 0, c)
-	ex += c
+	// Add the squares x_i² at limb 2i.
+	h0, t0 := bits.Mul64(x0, x0)
+	h1, l1 := bits.Mul64(x1, x1)
+	h2, l2 := bits.Mul64(x2, x2)
+	h3, l3 := bits.Mul64(x3, x3)
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, l1, c)
+	t3, c = bits.Add64(t3, h1, c)
+	t4, c = bits.Add64(t4, l2, c)
+	t5, c = bits.Add64(t5, h2, c)
+	t6, c = bits.Add64(t6, l3, c)
+	t7 += h3 + c
 
-	// round 3: m = t3
-	hi, lo = bits.Mul64(t3, p256P[0])
-	_, c = bits.Add64(t3, lo, 0)
-	carry = hi + c
-	hi, t4 = madd(t3, p256P[1], t4, carry)
-	t5, carry = bits.Add64(t5, hi, 0)
-	hi, t6 = madd(t3, p256P[3], t6, carry)
-	t7, c = bits.Add64(t7, hi, 0)
-	ex += c
-
-	z[0], z[1], z[2], z[3] = t4, t5, t6, t7
-	feReduceOnce(z, ex)
+	// Reduce the low half: four steps of t = (t + t0·p) / 2⁶⁴, each
+	// below 2²⁵⁶.
+	var m, ph, pl uint64
+	m = t0
+	ph, pl = bits.Mul64(m, p256P[3])
+	t0, c = bits.Add64(t1, m<<32, 0)
+	t1, c = bits.Add64(t2, m>>32, c)
+	t2, c = bits.Add64(t3, pl, c)
+	t3 = ph + c
+	m = t0
+	ph, pl = bits.Mul64(m, p256P[3])
+	t0, c = bits.Add64(t1, m<<32, 0)
+	t1, c = bits.Add64(t2, m>>32, c)
+	t2, c = bits.Add64(t3, pl, c)
+	t3 = ph + c
+	m = t0
+	ph, pl = bits.Mul64(m, p256P[3])
+	t0, c = bits.Add64(t1, m<<32, 0)
+	t1, c = bits.Add64(t2, m>>32, c)
+	t2, c = bits.Add64(t3, pl, c)
+	t3 = ph + c
+	m = t0
+	ph, pl = bits.Mul64(m, p256P[3])
+	t0, c = bits.Add64(t1, m<<32, 0)
+	t1, c = bits.Add64(t2, m>>32, c)
+	t2, c = bits.Add64(t3, pl, c)
+	t3 = ph + c
+	z[0], c = bits.Add64(t0, t4, 0)
+	z[1], c = bits.Add64(t1, t5, c)
+	z[2], c = bits.Add64(t2, t6, c)
+	z[3], c = bits.Add64(t3, t7, c)
+	feReduceOnce(z, c)
 }
-
-// feSqr sets z = x² mod p.
-func feSqr(z, x *fe) { feMul(z, x, x) }
 
 // feSqrN sets z = x^(2^n) by n in-place squarings.
 func feSqrN(z, x *fe, n int) {

@@ -24,6 +24,10 @@ func TestP256FieldAgainstBigInt(t *testing.T) {
 		pm1, new(big.Int).Sub(p, big.NewInt(2)),
 		new(big.Int).Lsh(big.NewInt(1), 224), new(big.Int).Lsh(big.NewInt(1), 96),
 		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19)),
+		// Top limb 0xffffffff00000000: just under p's top limb, so the
+		// carries and the final subtraction sit at their edge.
+		topLimb(0), topLimb(1), topLimb(0x7fffffff),
+		new(big.Int).Sub(p, new(big.Int).Lsh(big.NewInt(1), 192)),
 	}
 	r := randutil.NewReader(7)
 	vals := append([]*big.Int{}, special...)
@@ -59,7 +63,8 @@ func TestP256FieldAgainstBigInt(t *testing.T) {
 			}
 		}
 	}
-	// Squaring via the mul path.
+	// Squaring has its own ten-product path; check it against math/big,
+	// not against feMul.
 	for _, x := range vals {
 		feFromBig(&fx, x)
 		feSqr(&fz, &fx)
@@ -68,6 +73,93 @@ func TestP256FieldAgainstBigInt(t *testing.T) {
 			t.Fatalf("sqr mismatch: %v", x)
 		}
 	}
+	// The same edge values as raw limbs, i.e. as the Montgomery-domain
+	// words the multiply sees: feMul(a, b) = a·b·R⁻¹ mod p.
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), p)
+	for _, x := range special {
+		for _, y := range special {
+			feRawFromBig(&fx, x)
+			feRawFromBig(&fy, y)
+			want := new(big.Int).Mul(x, y)
+			want.Mul(want, rInv).Mod(want, p)
+			feMul(&fz, &fx, &fy)
+			if feRawToBig(&fz).Cmp(want) != 0 {
+				t.Fatalf("raw mul mismatch: %x * %x", x, y)
+			}
+			if x == y {
+				feSqr(&fz, &fx)
+				if feRawToBig(&fz).Cmp(want) != 0 {
+					t.Fatalf("raw sqr mismatch: %x", x)
+				}
+			}
+		}
+	}
+}
+
+// topLimb returns 0xffffffff00000000·2¹⁹² + low.
+func topLimb(low int64) *big.Int {
+	v := new(big.Int).Lsh(new(big.Int).SetUint64(0xffffffff00000000), 192)
+	return v.Add(v, big.NewInt(low))
+}
+
+// checkFieldOps compares mul, sqr, add, sub, inv and sqrt on x and y
+// (reduced mod p) with math/big.
+func checkFieldOps(t *testing.T, x, y *big.Int) {
+	t.Helper()
+	p := elliptic.P256().Params().P
+	x, y = new(big.Int).Mod(x, p), new(big.Int).Mod(y, p)
+	var fx, fy, fz fe
+	feFromBig(&fx, x)
+	feFromBig(&fy, y)
+	check := func(op string, want *big.Int) {
+		t.Helper()
+		if got := feToBig(&fz); got.Cmp(want.Mod(want, p)) != 0 {
+			t.Fatalf("%s(%x, %x) = %x, want %x", op, x, y, got, want)
+		}
+	}
+	feMul(&fz, &fx, &fy)
+	check("mul", new(big.Int).Mul(x, y))
+	feSqr(&fz, &fx)
+	check("sqr", new(big.Int).Mul(x, x))
+	feAdd(&fz, &fx, &fy)
+	check("add", new(big.Int).Add(x, y))
+	feSub(&fz, &fx, &fy)
+	check("sub", new(big.Int).Sub(x, y))
+	feInv(&fz, &fx)
+	if x.Sign() == 0 {
+		check("inv", new(big.Int))
+	} else {
+		check("inv", new(big.Int).ModInverse(x, p))
+	}
+	root := new(big.Int).ModSqrt(x, p)
+	if ok := feSqrt(&fz, &fx); ok != (root != nil) {
+		t.Fatalf("sqrt(%x) reports %v, math/big %v", x, ok, root != nil)
+	} else if ok {
+		feSqr(&fz, &fz)
+		check("sqrt²", new(big.Int).Set(x))
+	}
+}
+
+// FuzzP256Field cross-checks the field operations against math/big on
+// arbitrary 32-byte inputs (reduced mod p).
+func FuzzP256Field(f *testing.F) {
+	p := elliptic.P256().Params().P
+	pm := func(d int64) []byte {
+		b := make([]byte, 32)
+		return new(big.Int).Sub(p, big.NewInt(d)).FillBytes(b)
+	}
+	top := topLimb(0).FillBytes(make([]byte, 32))
+	f.Add(make([]byte, 32), make([]byte, 32))
+	f.Add(pm(1), pm(1))
+	f.Add(pm(2), pm(1))
+	f.Add(top, pm(2))
+	f.Add(top, top)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if len(a) > 32 || len(b) > 32 {
+			return
+		}
+		checkFieldOps(t, new(big.Int).SetBytes(a), new(big.Int).SetBytes(b))
+	})
 }
 
 // TestFeInv cross-checks the Fermat-inversion addition chain against

@@ -100,6 +100,38 @@ func TestConcurrentCrashInterleaving(t *testing.T) {
 	}
 }
 
+// TestConcurrentCrashedFromStart: a node crashed before any session
+// is submitted runs none of them, and the live nodes must change leader
+// (node 1 leads view 1) to decide every session.
+func TestConcurrentCrashedFromStart(t *testing.T) {
+	const sessions = 3
+	res, err := harness.RunConcurrentSessions(harness.ConcurrentDKGOptions{
+		Sessions: sessions, N: 7, T: 1, F: 1, Seed: 4,
+		TimeoutBase:      2000,
+		CrashedFromStart: []msg.NodeID{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := msg.SessionID(1); s <= sessions; s++ {
+		done := res.Completed[s]
+		if _, ok := done[1]; ok {
+			t.Fatalf("session %d completed on crashed node 1", s)
+		}
+		if len(done) != 6 {
+			t.Fatalf("session %d completed on %d/6 live nodes", s, len(done))
+		}
+		for id, ev := range done {
+			if ev.FinalView < 2 {
+				t.Fatalf("session %d: node %d decided at view %d without a leader change", s, id, ev.FinalView)
+			}
+		}
+		if err := res.CheckSessionConsistency(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // copyBridge is the Byzantine cross-session attacker: everything it
 // receives in its source session is re-broadcast verbatim into the
 // target session (it holds the link secret, so the frames authenticate

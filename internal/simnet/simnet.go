@@ -510,10 +510,11 @@ func (n *Network) Crashed(id msg.NodeID) bool {
 // Crash marks a node crashed immediately: it stops receiving messages
 // and timer fires until Recover. Its protocol state is preserved
 // (crash-recovery model: state survives on stable storage; in-flight
-// messages are lost).
+// messages are lost). A node with nothing registered yet gets its slot
+// here, so it stays crashed once its sessions are registered.
 func (n *Network) Crash(id msg.NodeID) {
-	slot, ok := n.nodes[id]
-	if !ok || slot.crashed {
+	slot := n.slot(id)
+	if slot.crashed {
 		return
 	}
 	slot.crashed = true
