@@ -101,6 +101,16 @@ func BenchmarkJpAddAffine(b *testing.B) {
 	sinkFe = j.x
 }
 
+func BenchmarkJpAdd(b *testing.B) {
+	j, _ := benchPoint(b)
+	o := j
+	jpDouble(&o)
+	for i := 0; i < b.N; i++ {
+		jpAdd(&j, &o)
+	}
+	sinkFe = j.x
+}
+
 func BenchmarkPointMul(b *testing.B) {
 	gr := P256()
 	x := gr.GExp(big.NewInt(7))
@@ -202,4 +212,51 @@ func BenchmarkMultiExp(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMultiExpMixed times the near-tie the cost model must call:
+// one full-width exponent beside three 64-bit ones (a batch check's
+// blinded terms), all on the shared chain or with the full-width term
+// on the ladder.
+func BenchmarkMultiExpMixed(b *testing.B) {
+	gr := P256()
+	pb := gr.Backend().(*P256Backend)
+	r := randutil.NewReader(13)
+	bases := make([]Element, 4)
+	pts := make([]*p256Element, 4)
+	exps := make([]*big.Int, 4)
+	for i := range bases {
+		bases[i] = gr.HashToElement("bench-mixed", []byte{byte(i)})
+		pts[i] = pb.el(bases[i])
+		e, err := gr.RandScalar(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			e.Rsh(e, uint(e.BitLen()-64))
+		}
+		exps[i] = e
+	}
+	b.Run("chain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var acc jp
+			pb.strausJP(&acc, pts, exps, nil)
+			sinkEl = pb.jpToAffine(&acc)
+		}
+	})
+	b.Run("ladder", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var acc jp
+			pb.strausJP(&acc, pts[1:], exps[1:], nil)
+			var a ap
+			apFromElement(&a, pb.el(gr.Exp(bases[0], exps[0])))
+			jpAddAffine(&acc, &a)
+			sinkEl = pb.jpToAffine(&acc)
+		}
+	})
+	b.Run("vartime", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkEl = gr.VarTimeMultiExp(bases, exps)
+		}
+	})
 }

@@ -222,9 +222,18 @@ func (gr *Group) ExpInt(base Element, k int64) Element {
 // Horner evaluates Π_ℓ v[ℓ]^{x^ℓ} (Horner in the exponent) for a
 // small non-negative x. It is the hot path of share verification and
 // commitment evaluation; backends avoid per-step representation
-// conversions.
+// conversions. Both built-in backends evaluate a lone chain without
+// the slices of a batch.
 func (gr *Group) Horner(v []Element, x int64) Element {
+	if h, ok := gr.b.(chainEvaluator); ok {
+		return h.horner(v, x)
+	}
 	return gr.b.Horner([][]Element{v}, x)[0]
+}
+
+// chainEvaluator is a backend's one-chain Horner.
+type chainEvaluator interface {
+	horner(v []Element, x int64) Element
 }
 
 // HornerBatch evaluates Horner(v, x) for every chain v at one x. On

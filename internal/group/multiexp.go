@@ -111,27 +111,52 @@ func pippengerWindow(k int) uint {
 // wnafDigits returns the width-w NAF of e: one signed digit per bit
 // position, each either zero or odd with |d| < 2^(w-1). The sum
 // Σ d_i·2^i equals e, and at most one of any w consecutive digits is
-// nonzero. w must be in [2, 7] (digits fit int8).
+// nonzero. w must be in [2, 7] (digits fit int8) and 0 ≤ e < 2²⁵⁶.
+//
+// The recoding reads e's bits in place from a fixed limb copy: a
+// window of w bits at the current position, plus a carry that stands
+// for the 2^w a negative digit borrowed from the positions above it.
+// After a nonzero digit the next w−1 digits are zero, so the position
+// jumps by w.
 func wnafDigits(e *big.Int, w uint) []int8 {
 	if w < 2 || w > 7 {
 		panic("group: wNAF width out of range")
 	}
-	digits := make([]int8, e.BitLen()+1)
-	v := new(big.Int).Set(e)
-	mask := int64(1<<w - 1)
-	half := int64(1 << (w - 1))
-	for i := 0; v.Sign() > 0; i++ {
-		if v.Bit(0) == 1 {
-			// Low word access: v > 0 here, and w ≤ 7 bits fit in the
-			// lowest word on every platform.
-			d := int64(v.Bits()[0]) & mask
-			if d >= half {
-				d -= mask + 1
-			}
-			digits[i] = int8(d)
-			v.Sub(v, big.NewInt(d))
+	n := e.BitLen()
+	if e.Sign() < 0 || n > 256 {
+		panic("group: wNAF exponent out of range")
+	}
+	var v [5]uint64 // e's limbs, little-endian; the top one stays zero
+	if bits.UintSize == 64 {
+		for i, word := range e.Bits() {
+			v[i] = uint64(word)
 		}
-		v.Rsh(v, 1)
+	} else {
+		for i, word := range e.Bits() {
+			v[i/2] |= uint64(word) << (32 * uint(i%2))
+		}
+	}
+	digits := make([]int8, n+1)
+	mask := uint64(1)<<w - 1
+	half := uint64(1) << (w - 1)
+	var carry uint64
+	for pos := 0; pos <= n; {
+		limb, sh := pos/64, uint(pos%64)
+		buf := v[limb] >> sh
+		if sh > 64-w {
+			buf |= v[limb+1] << (64 - sh)
+		}
+		win := carry + buf&mask
+		if win&1 == 0 {
+			pos++ // an even window (2^w included) moves the carry up one bit
+			continue
+		}
+		if win < half {
+			digits[pos], carry = int8(win), 0
+		} else {
+			digits[pos], carry = int8(int64(win)-int64(mask+1)), 1
+		}
+		pos += int(w)
 	}
 	return digits
 }

@@ -294,3 +294,69 @@ func FuzzMultiExp(f *testing.F) {
 		}
 	})
 }
+
+// wnafDigitsBig is the big.Int recoder wnafDigits replaced, kept as its
+// oracle: subtract the signed low-window digit whenever the value is
+// odd, then shift right one bit.
+func wnafDigitsBig(e *big.Int, w uint) []int8 {
+	digits := make([]int8, e.BitLen()+1)
+	v := new(big.Int).Set(e)
+	mask := int64(1<<w - 1)
+	half := int64(1 << (w - 1))
+	for i := 0; v.Sign() > 0; i++ {
+		if v.Bit(0) == 1 {
+			d := int64(v.Bits()[0]) & mask
+			if d >= half {
+				d -= mask + 1
+			}
+			digits[i] = int8(d)
+			v.Sub(v, big.NewInt(d))
+		}
+		v.Rsh(v, 1)
+	}
+	return digits
+}
+
+// FuzzWnafDigits: the limb recoder yields the big.Int recoder's digits
+// for every width, the digits are a valid width-w NAF, and Σ dᵢ·2ⁱ = e.
+func FuzzWnafDigits(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(P256().Q().Bytes())
+	f.Add(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)).Bytes())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 32 {
+			raw = raw[:32]
+		}
+		e := new(big.Int).SetBytes(raw)
+		for w := uint(2); w <= 7; w++ {
+			got, want := wnafDigits(e, w), wnafDigitsBig(e, w)
+			if len(got) != len(want) {
+				t.Fatalf("w=%d: %d digits, oracle %d", w, len(got), len(want))
+			}
+			sum := new(big.Int)
+			last := -int(w)
+			for i := len(got) - 1; i >= 0; i-- {
+				d := got[i]
+				if d != want[i] {
+					t.Fatalf("w=%d e=%x: digit %d is %d, oracle %d", w, e, i, d, want[i])
+				}
+				sum.Lsh(sum, 1)
+				sum.Add(sum, big.NewInt(int64(d)))
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || d >= 1<<(w-1) || d <= -(1<<(w-1)) {
+					t.Fatalf("w=%d: digit %d = %d is not odd and below 2^(w-1)", w, i, d)
+				}
+				if last-i < int(w) && last >= 0 {
+					t.Fatalf("w=%d: nonzero digits %d and %d closer than w", w, last, i)
+				}
+				last = i
+			}
+			if sum.Cmp(e) != 0 {
+				t.Fatalf("w=%d: digits sum to %x, want %x", w, sum, e)
+			}
+		}
+	})
+}

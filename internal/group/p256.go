@@ -199,20 +199,33 @@ func (b *P256Backend) Exp(base Element, e *big.Int) Element {
 // cost one field inversion.
 func (b *P256Backend) Horner(chains [][]Element, x int64) []Element {
 	acc := make([]jp, len(chains))
-	var scratch jp
-	var a ap
 	for c, v := range chains {
-		if len(v) == 0 {
-			panic("group: empty Horner chain")
-		}
-		jpFromElement(&acc[c], b.el(v[len(v)-1]))
-		for l := len(v) - 2; l >= 0; l-- {
-			jpExp(&acc[c], &scratch, x)
-			apFromElement(&a, b.el(v[l]))
-			jpAddAffine(&acc[c], &a)
-		}
+		b.hornerJP(&acc[c], v, x)
 	}
 	return b.jpsToElements(acc)
+}
+
+// horner evaluates one chain straight to an element, without the
+// slices a batch of chains needs.
+func (b *P256Backend) horner(v []Element, x int64) Element {
+	var acc jp
+	b.hornerJP(&acc, v, x)
+	return b.jpToAffine(&acc)
+}
+
+// hornerJP sets acc to Π_ℓ v[ℓ]^{x^ℓ} in Jacobian coordinates.
+func (b *P256Backend) hornerJP(acc *jp, v []Element, x int64) {
+	if len(v) == 0 {
+		panic("group: empty Horner chain")
+	}
+	var scratch jp
+	var a ap
+	jpFromElement(acc, b.el(v[len(v)-1]))
+	for l := len(v) - 2; l >= 0; l-- {
+		jpExp(acc, &scratch, x)
+		apFromElement(&a, b.el(v[l]))
+		jpAddAffine(acc, &a)
+	}
 }
 
 // GExp implements Backend.
@@ -446,41 +459,42 @@ func (b *P256Backend) jpsToElements(pts []jp) []Element {
 	return out
 }
 
-// jpDouble doubles in place ("dbl-2001-b", a = −3: 3M + 5S).
+// jpDouble doubles in place (a = −3: 4M + 4S). With Y′ = 2Y it
+// computes δ = Z², α = 3(X−δ)(X+δ), β′ = X·Y′² = 4XY² and
+//
+//	X3 = α² − 2β′,  Y3 = α(β′ − X3) − Y′⁴/2,  Z3 = Y′·Z,
+//
+// which is "dbl-2001-b" with one square traded for a multiply and
+// seven additions for one halving.
 func jpDouble(j *jp) {
 	if feIsZero(&j.z) || feIsZero(&j.y) {
 		j.z = fe{}
 		return
 	}
-	var delta, gamma, beta, alpha, t1, t2, x3, y3, z3 fe
-	feSqr(&delta, &j.z)        // Z²
-	feSqr(&gamma, &j.y)        // Y²
-	feMul(&beta, &j.x, &gamma) // X·Y²
-	feSub(&t1, &j.x, &delta)   // X−δ
-	feAdd(&t2, &j.x, &delta)   // X+δ
-	feMul(&alpha, &t1, &t2)    // (X−δ)(X+δ)
+	var delta, y2, g4, b4, alpha, t1, t2, x3, y3, z3 fe
+	feSqr(&delta, &j.z)      // Z²
+	feAdd(&y2, &j.y, &j.y)   // Y′ = 2Y
+	feMul(&z3, &y2, &j.z)    // 2YZ
+	feSqr(&g4, &y2)          // Y′² = 4Y²
+	feMul(&b4, &j.x, &g4)    // β′ = 4XY²
+	feSub(&t1, &j.x, &delta) // X−δ
+	feAdd(&t2, &j.x, &delta) // X+δ
+	feMul(&alpha, &t1, &t2)  // (X−δ)(X+δ)
 	feAdd(&t1, &alpha, &alpha)
-	feAdd(&alpha, &t1, &alpha) // 3(X−δ)(X+δ)
+	feAdd(&alpha, &t1, &alpha) // α = 3(X−δ)(X+δ)
 	feSqr(&x3, &alpha)         // α²
-	feAdd(&t1, &beta, &beta)   // 2β
-	feAdd(&t2, &t1, &t1)       // 4β
-	feAdd(&t1, &t2, &t2)       // 8β
-	feSub(&x3, &x3, &t1)       // α² − 8β
-	feAdd(&z3, &j.y, &j.z)
-	feSqr(&z3, &z3)
-	feSub(&z3, &z3, &gamma)
-	feSub(&z3, &z3, &delta) // (Y+Z)² − γ − δ
-	feSub(&y3, &t2, &x3)    // 4β − X3
-	feMul(&y3, &alpha, &y3) // α(4β − X3)
-	feSqr(&gamma, &gamma)   // γ²
-	feAdd(&t1, &gamma, &gamma)
-	feAdd(&t1, &t1, &t1)
-	feAdd(&t1, &t1, &t1) // 8γ²
-	feSub(&y3, &y3, &t1) // α(4β−X3) − 8γ²
+	feAdd(&t1, &b4, &b4)
+	feSub(&x3, &x3, &t1)    // α² − 8XY²
+	feSub(&y3, &b4, &x3)    // β′ − X3
+	feMul(&y3, &alpha, &y3) // α(β′ − X3)
+	feSqr(&t1, &g4)         // 16Y⁴
+	feHalf(&t1, &t1)        // 8Y⁴
+	feSub(&y3, &y3, &t1)
 	j.x, j.y, j.z = x3, y3, z3
 }
 
-// jpAddAffine adds an affine point in place ("madd-2007-bl": 7M + 4S).
+// jpAddAffine adds an affine point in place ("madd-2004-hmv":
+// 8M + 3S, with fewer additions than madd-2007-bl's 7M + 4S).
 func jpAddAffine(j *jp, a *ap) {
 	if a.inf {
 		return
@@ -489,13 +503,13 @@ func jpAddAffine(j *jp, a *ap) {
 		j.x, j.y, j.z = a.x, a.y, feOne
 		return
 	}
-	var z1z1, u2, s2, h, hh, i, jj, r, v, t, x3, y3, z3 fe
+	var z1z1, u2, s2, h, r, hh, hhh, v, t, x3, y3, z3 fe
 	feSqr(&z1z1, &j.z)      // Z1²
-	feMul(&u2, &a.x, &z1z1) // X2·Z1²
+	feMul(&u2, &a.x, &z1z1) // U2 = X2·Z1²
 	feMul(&s2, &a.y, &j.z)
-	feMul(&s2, &s2, &z1z1) // Y2·Z1³
-	feSub(&h, &u2, &j.x)   // U2 − X1
-	feSub(&r, &s2, &j.y)   // S2 − Y1
+	feMul(&s2, &s2, &z1z1) // S2 = Y2·Z1³
+	feSub(&h, &u2, &j.x)   // H = U2 − X1
+	feSub(&r, &s2, &j.y)   // r = S2 − Y1
 	if feIsZero(&h) {
 		if feIsZero(&r) {
 			jpDouble(j) // same point
@@ -504,25 +518,18 @@ func jpAddAffine(j *jp, a *ap) {
 		j.z = fe{} // inverse points: infinity
 		return
 	}
-	feAdd(&r, &r, &r) // r = 2(S2−Y1)
-	feSqr(&hh, &h)    // H²
-	feAdd(&i, &hh, &hh)
-	feAdd(&i, &i, &i)   // 4H²
-	feMul(&jj, &h, &i)  // J = H·I
-	feMul(&v, &j.x, &i) // V = X1·I
-	feSqr(&x3, &r)
-	feSub(&x3, &x3, &jj)
+	feMul(&z3, &j.z, &h)  // Z1·H
+	feSqr(&hh, &h)        // H²
+	feMul(&hhh, &hh, &h)  // H³
+	feMul(&v, &j.x, &hh)  // V = X1·H²
+	feSqr(&x3, &r)        // r²
+	feSub(&x3, &x3, &hhh) // r² − H³
 	feAdd(&t, &v, &v)
-	feSub(&x3, &x3, &t) // r² − J − 2V
+	feSub(&x3, &x3, &t) // r² − H³ − 2V
 	feSub(&y3, &v, &x3)
 	feMul(&y3, &y3, &r) // r(V − X3)
-	feMul(&t, &jj, &j.y)
-	feAdd(&t, &t, &t)
-	feSub(&y3, &y3, &t) // r(V−X3) − 2Y1·J
-	feAdd(&z3, &j.z, &h)
-	feSqr(&z3, &z3)
-	feSub(&z3, &z3, &z1z1)
-	feSub(&z3, &z3, &hh) // (Z1+H)² − Z1² − H²
+	feMul(&t, &j.y, &hhh)
+	feSub(&y3, &y3, &t) // r(V − X3) − Y1·H³
 	j.x, j.y, j.z = x3, y3, z3
 }
 

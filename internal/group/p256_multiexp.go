@@ -25,14 +25,19 @@ func (b *P256Backend) MultiExp(bases []Element, exps []*big.Int) Element {
 // including a full-width term in the shared Jacobian accumulation and
 // handing it to crypto/elliptic's (assembly-backed, but per-term)
 // ladder. Units are this package's feMul; each constant is the ratio
-// of BenchmarkJpDouble, BenchmarkJpAddAffine and a full-width Exp
-// (BenchmarkMultiExp/exp/k=1) to BenchmarkFeMul (DESIGN.md, "Batch
-// verification & multi-exp"). With them one full-width term goes to
-// the ladder and two or more share the chain.
+// of BenchmarkJpDouble, BenchmarkJpAddAffine, BenchmarkJpAdd,
+// BenchmarkFeInv and a full-width Exp (BenchmarkMultiExp/exp/k=1) to
+// BenchmarkFeMul (DESIGN.md, "Batch verification & multi-exp");
+// costNormEntry is the batch normalisation's six products and one
+// square per table entry. With them one full-width term goes to the
+// ladder and two or more share the chain.
 const (
 	costDouble     = 11
-	costMixedAdd   = 14
-	costScalarMult = 2850
+	costMixedAdd   = 13
+	costAdd        = 20
+	costNormEntry  = 7
+	costInv        = 240
+	costScalarMult = 3400
 )
 
 // VarTimeMultiExp implements Backend. Generator terms merge into one
@@ -84,26 +89,29 @@ func (b *P256Backend) VarTimeMultiExp(bases []Element, exps []*big.Int) Element 
 	var a ap
 
 	// Unit exponents are bare point additions; peeling them keeps a
-	// lone full-width companion term on the per-term ladder path.
-	if len(es) > 1 {
-		kept, keptE := pts[:0], es[:0]
-		for i, e := range es {
-			if e.Cmp(one) == 0 {
-				apFromElement(&a, pts[i])
-				jpAddAffine(&acc, &a)
-				continue
-			}
-			kept = append(kept, pts[i])
-			keptE = append(keptE, e)
+	// lone full-width companion term on the per-term ladder path and
+	// spares a table for the unit term.
+	kept, keptE := pts[:0], es[:0]
+	for i, e := range es {
+		if e.Cmp(one) == 0 {
+			apFromElement(&a, pts[i])
+			jpAddAffine(&acc, &a)
+			continue
 		}
-		pts, es = kept, keptE
+		kept = append(kept, pts[i])
+		keptE = append(keptE, e)
 	}
+	pts, es = kept, keptE
 
 	// Decide which terms share the Jacobian chain. The chain's
 	// doubling count is set by the largest included exponent, so a few
 	// stray full-width terms among short ones can cost more inside the
-	// chain than on per-term ladders.
-	smallMax, largeMax, nLarge := 0, 0, 0
+	// chain than on per-term ladders. A chain term pays its nonzero
+	// digits' mixed additions, its table of odd multiples (one
+	// doubling, then Jacobian additions) and the table's share of the
+	// batch normalisation — the whole inversion when no short term
+	// needs a table of its own.
+	smallMax, largeMax, nLarge, smallTables := 0, 0, 0, false
 	for _, e := range es {
 		l := e.BitLen()
 		if l > 96 {
@@ -111,16 +119,29 @@ func (b *P256Backend) VarTimeMultiExp(bases []Element, exps []*big.Int) Element 
 			if l > largeMax {
 				largeMax = l
 			}
-		} else if l > smallMax {
+			continue
+		}
+		if l > smallMax {
 			smallMax = l
 		}
+		if strausWindow(l) > 2 {
+			smallTables = true
+		}
+	}
+	shared := smallMax // doublings the chain runs without the large terms
+	if len(combTerms) > 0 && shared < combSpacing {
+		shared = combSpacing
 	}
 	ladderLarge := false
 	if nLarge > 0 && len(es) < pippengerCutoff {
 		w := int(strausWindow(largeMax))
-		extraDbl := (largeMax - smallMax) * costDouble
-		perTerm := largeMax/(w+1)*costMixedAdd + (1<<(w-2))*costMixedAdd
-		ladderLarge = nLarge*costScalarMult < extraDbl+nLarge*perTerm
+		entries := 1<<(w-2) - 1 // odd multiples beyond the base itself
+		chain := max(largeMax-shared, 0)*costDouble +
+			nLarge*(largeMax/(w+1)*costMixedAdd+costDouble+entries*(costAdd+costNormEntry))
+		if !smallTables {
+			chain += costInv
+		}
+		ladderLarge = nLarge*costScalarMult < chain
 	}
 	if ladderLarge {
 		kept := pts[:0]
@@ -178,7 +199,7 @@ type combTerm struct {
 // strausJP accumulates Π pts[i]^es[i] · Π comb terms into acc (which
 // must start at infinity) by interleaved wNAF:
 // per-base tables of odd multiples (batch-normalized to affine so the
-// inner loop is all mixed additions), one shared doubling chain over
+// inner loop is all mixed additions; the base itself needs none), one shared doubling chain over
 // the longest exponent. Comb terms need no table build or
 // normalization and cap their chain contribution at combSpacing
 // doublings regardless of exponent width.
@@ -188,7 +209,7 @@ func (b *P256Backend) strausJP(acc *jp, pts []*p256Element, es []*big.Int, combs
 		tab    []ap // odd multiples 1,3,…,2^(w−1)−1
 	}
 	tabs := make([]baseTab, len(pts))
-	var all []jp // every table entry, for one shared normalization
+	var all []jp // every table entry but the bases, for one shared normalization
 	maxLen := 0
 	for i, pt := range pts {
 		w := strausWindow(es[i].BitLen())
@@ -197,29 +218,27 @@ func (b *P256Backend) strausJP(acc *jp, pts []*p256Element, es []*big.Int, combs
 			maxLen = len(digits)
 		}
 		n := 1 << (w - 2)
-		var p1, p2 jp
-		jpFromElement(&p1, pt)
-		all = append(all, p1)
+		tab := make([]ap, n)
+		apFromElement(&tab[0], pt) // the base is affine already
 		if n > 1 {
-			p2 = p1
-			jpDouble(&p2) // 2P, for stepping between odd multiples
-			cur := p1
+			var cur, twice jp
+			jpFromElement(&cur, pt)
+			twice = cur
+			jpDouble(&twice) // 2P, for stepping between odd multiples
 			for d := 1; d < n; d++ {
-				jpAdd(&cur, &p2)
+				jpAdd(&cur, &twice)
 				all = append(all, cur)
 			}
 		}
-		tabs[i] = baseTab{digits: digits, tab: make([]ap, n)}
+		tabs[i] = baseTab{digits: digits, tab: tab}
 	}
 	if len(combs) > 0 && maxLen < combSpacing {
 		maxLen = combSpacing
 	}
 	aff := b.batchToAffine(all)
-	off := 0
 	for i := range tabs {
-		n := len(tabs[i].tab)
-		copy(tabs[i].tab, aff[off:off+n])
-		off += n
+		n := copy(tabs[i].tab[1:], aff)
+		aff = aff[n:]
 	}
 
 	var neg ap

@@ -7,8 +7,8 @@ package group
 // et al., S&P 2019), which is particularly cheap for this prime
 // because p ≡ −1 (mod 2⁶⁴) makes each step's quotient digit the
 // accumulator's low word itself (n0′ = 1); squaring has its own
-// ten-product path. Multiply, square, add, subtract and the final
-// reduction contain no data-dependent branch.
+// ten-product path. Multiply, square, add, subtract and halve contain
+// no data-dependent branch; each ends in its own masked reduction.
 // feFromBig/feToBig are the only domain boundary — everything between
 // them (the Jacobian formulas, the multi-exp accumulators) is
 // domain-oblivious, and the zero element and limb equality are
@@ -29,8 +29,16 @@ import (
 // Montgomery domain.
 type fe [4]uint64
 
-// p256P is the field prime p, little-endian limbs.
-var p256P = fe{0xffffffffffffffff, 0x00000000ffffffff, 0x0000000000000000, 0xffffffff00000001}
+// p256P is the field prime p; p0…p3 are its little-endian limbs as
+// constants.
+const (
+	p0 = 0xffffffffffffffff
+	p1 = 0x00000000ffffffff
+	p2 = 0
+	p3 = 0xffffffff00000001
+)
+
+var p256P = fe{p0, p1, p2, p3}
 
 // p256RR is R² mod p (R = 2²⁵⁶) and feMontOne is R mod p (the
 // Montgomery representation of 1); both are derived from p at init so
@@ -99,7 +107,18 @@ func feAdd(z, x, y *fe) {
 	z[1], c = bits.Add64(x[1], y[1], c)
 	z[2], c = bits.Add64(x[2], y[2], c)
 	z[3], c = bits.Add64(x[3], y[3], c)
-	feReduceOnce(z, c)
+	// Subtract p when carry·2²⁵⁶ + z ≥ p, selecting by mask.
+	var t0, t1, t2, t3, b uint64
+	t0, b = bits.Sub64(z[0], p0, 0)
+	t1, b = bits.Sub64(z[1], p1, b)
+	t2, b = bits.Sub64(z[2], p2, b)
+	t3, b = bits.Sub64(z[3], p3, b)
+	_, b = bits.Sub64(c, 0, b) // b = 1 iff the sum is < p
+	keep := -b
+	z[0] = z[0]&keep | t0&^keep
+	z[1] = z[1]&keep | t1&^keep
+	z[2] = z[2]&keep | t2&^keep
+	z[3] = z[3]&keep | t3&^keep
 }
 
 // feSub sets z = x − y mod p: on a borrow, p is added back through a
@@ -111,10 +130,25 @@ func feSub(z, x, y *fe) {
 	z[2], b = bits.Sub64(x[2], y[2], b)
 	z[3], b = bits.Sub64(x[3], y[3], b)
 	mask := -b
-	z[0], c = bits.Add64(z[0], p256P[0]&mask, 0)
-	z[1], c = bits.Add64(z[1], p256P[1]&mask, c)
-	z[2], c = bits.Add64(z[2], p256P[2]&mask, c)
-	z[3], _ = bits.Add64(z[3], p256P[3]&mask, c)
+	z[0], c = bits.Add64(z[0], p0&mask, 0)
+	z[1], c = bits.Add64(z[1], p1&mask, c)
+	z[2], c = bits.Add64(z[2], p2&mask, c)
+	z[3], _ = bits.Add64(z[3], p3&mask, c)
+}
+
+// feHalf sets z = x/2 mod p: p is added when x is odd (through a
+// mask), and the sum, below 2p, is shifted right one bit.
+func feHalf(z, x *fe) {
+	mask := -(x[0] & 1)
+	var t0, t1, t2, t3, c uint64
+	t0, c = bits.Add64(x[0], p0&mask, 0)
+	t1, c = bits.Add64(x[1], p1&mask, c)
+	t2, c = bits.Add64(x[2], p2&mask, c)
+	t3, c = bits.Add64(x[3], p3&mask, c)
+	z[0] = t0>>1 | t1<<63
+	z[1] = t1>>1 | t2<<63
+	z[2] = t2>>1 | t3<<63
+	z[3] = t3>>1 | c<<63
 }
 
 // feNeg sets z = −x mod p. x must be < p; the result is 0 for x = 0.
@@ -124,26 +158,10 @@ func feNeg(z, x *fe) {
 		return
 	}
 	var b uint64
-	z[0], b = bits.Sub64(p256P[0], x[0], 0)
-	z[1], b = bits.Sub64(p256P[1], x[1], b)
-	z[2], b = bits.Sub64(p256P[2], x[2], b)
-	z[3], _ = bits.Sub64(p256P[3], x[3], b)
-}
-
-// feReduceOnce subtracts p from carry·2²⁵⁶ + z when that value is ≥ p
-// (it must be < 2p). The choice is a mask select, not a branch.
-func feReduceOnce(z *fe, carry uint64) {
-	var t0, t1, t2, t3, b uint64
-	t0, b = bits.Sub64(z[0], p256P[0], 0)
-	t1, b = bits.Sub64(z[1], p256P[1], b)
-	t2, b = bits.Sub64(z[2], p256P[2], b)
-	t3, b = bits.Sub64(z[3], p256P[3], b)
-	_, b = bits.Sub64(carry, 0, b) // b = 1 iff the value is < p
-	keep := -b
-	z[0] = z[0]&keep | t0&^keep
-	z[1] = z[1]&keep | t1&^keep
-	z[2] = z[2]&keep | t2&^keep
-	z[3] = z[3]&keep | t3&^keep
+	z[0], b = bits.Sub64(p0, x[0], 0)
+	z[1], b = bits.Sub64(p1, x[1], b)
+	z[2], b = bits.Sub64(p2, x[2], b)
+	z[3], _ = bits.Sub64(p3, x[3], b)
 }
 
 // feMul sets z = x·y, a word-by-word Montgomery multiply: for each limb
@@ -172,7 +190,7 @@ func feMul(z, x, y *fe) {
 	s2, c = bits.Add64(a2, l2, c)
 	s3, c = bits.Add64(a3, l3, c)
 	s4, s5 = bits.Add64(a4, h3, c)
-	ph, pl = bits.Mul64(s0, p256P[3])
+	ph, pl = bits.Mul64(s0, p3)
 	a0, c = bits.Add64(s1, s0<<32, 0)
 	a1, c = bits.Add64(s2, s0>>32, c)
 	a2, c = bits.Add64(s3, pl, c)
@@ -193,7 +211,7 @@ func feMul(z, x, y *fe) {
 	s2, c = bits.Add64(a2, l2, c)
 	s3, c = bits.Add64(a3, l3, c)
 	s4, s5 = bits.Add64(a4, h3, c)
-	ph, pl = bits.Mul64(s0, p256P[3])
+	ph, pl = bits.Mul64(s0, p3)
 	a0, c = bits.Add64(s1, s0<<32, 0)
 	a1, c = bits.Add64(s2, s0>>32, c)
 	a2, c = bits.Add64(s3, pl, c)
@@ -214,7 +232,7 @@ func feMul(z, x, y *fe) {
 	s2, c = bits.Add64(a2, l2, c)
 	s3, c = bits.Add64(a3, l3, c)
 	s4, s5 = bits.Add64(a4, h3, c)
-	ph, pl = bits.Mul64(s0, p256P[3])
+	ph, pl = bits.Mul64(s0, p3)
 	a0, c = bits.Add64(s1, s0<<32, 0)
 	a1, c = bits.Add64(s2, s0>>32, c)
 	a2, c = bits.Add64(s3, pl, c)
@@ -235,14 +253,27 @@ func feMul(z, x, y *fe) {
 	s2, c = bits.Add64(a2, l2, c)
 	s3, c = bits.Add64(a3, l3, c)
 	s4, s5 = bits.Add64(a4, h3, c)
-	ph, pl = bits.Mul64(s0, p256P[3])
+	ph, pl = bits.Mul64(s0, p3)
 	a0, c = bits.Add64(s1, s0<<32, 0)
 	a1, c = bits.Add64(s2, s0>>32, c)
 	a2, c = bits.Add64(s3, pl, c)
 	a3, c = bits.Add64(s4, ph, c)
 	a4 = s5 + c
-	z[0], z[1], z[2], z[3] = a0, a1, a2, a3
-	feReduceOnce(z, a4)
+
+	// Subtract p when a4·2²⁵⁶ + a < 2p is ≥ p, selecting by mask. The
+	// subtraction is written out here rather than called: a call above
+	// the inliner's budget would store z only to load it again.
+	var b uint64
+	s0, b = bits.Sub64(a0, p0, 0)
+	s1, b = bits.Sub64(a1, p1, b)
+	s2, b = bits.Sub64(a2, p2, b)
+	s3, b = bits.Sub64(a3, p3, b)
+	_, b = bits.Sub64(a4, 0, b) // b = 1 iff the value is < p
+	keep := -b
+	z[0] = a0&keep | s0&^keep
+	z[1] = a1&keep | s1&^keep
+	z[2] = a2&keep | s2&^keep
+	z[3] = a3&keep | s3&^keep
 }
 
 // feSqr sets z = x². The ten limb products (six cross products
@@ -298,34 +329,46 @@ func feSqr(z, x *fe) {
 	// below 2²⁵⁶.
 	var m, ph, pl uint64
 	m = t0
-	ph, pl = bits.Mul64(m, p256P[3])
+	ph, pl = bits.Mul64(m, p3)
 	t0, c = bits.Add64(t1, m<<32, 0)
 	t1, c = bits.Add64(t2, m>>32, c)
 	t2, c = bits.Add64(t3, pl, c)
 	t3 = ph + c
 	m = t0
-	ph, pl = bits.Mul64(m, p256P[3])
+	ph, pl = bits.Mul64(m, p3)
 	t0, c = bits.Add64(t1, m<<32, 0)
 	t1, c = bits.Add64(t2, m>>32, c)
 	t2, c = bits.Add64(t3, pl, c)
 	t3 = ph + c
 	m = t0
-	ph, pl = bits.Mul64(m, p256P[3])
+	ph, pl = bits.Mul64(m, p3)
 	t0, c = bits.Add64(t1, m<<32, 0)
 	t1, c = bits.Add64(t2, m>>32, c)
 	t2, c = bits.Add64(t3, pl, c)
 	t3 = ph + c
 	m = t0
-	ph, pl = bits.Mul64(m, p256P[3])
+	ph, pl = bits.Mul64(m, p3)
 	t0, c = bits.Add64(t1, m<<32, 0)
 	t1, c = bits.Add64(t2, m>>32, c)
 	t2, c = bits.Add64(t3, pl, c)
 	t3 = ph + c
-	z[0], c = bits.Add64(t0, t4, 0)
-	z[1], c = bits.Add64(t1, t5, c)
-	z[2], c = bits.Add64(t2, t6, c)
-	z[3], c = bits.Add64(t3, t7, c)
-	feReduceOnce(z, c)
+	t0, c = bits.Add64(t0, t4, 0)
+	t1, c = bits.Add64(t1, t5, c)
+	t2, c = bits.Add64(t2, t6, c)
+	t3, c = bits.Add64(t3, t7, c)
+
+	// Subtract p when c·2²⁵⁶ + t < 2p is ≥ p, selecting by mask.
+	var b uint64
+	t4, b = bits.Sub64(t0, p0, 0)
+	t5, b = bits.Sub64(t1, p1, b)
+	t6, b = bits.Sub64(t2, p2, b)
+	t7, b = bits.Sub64(t3, p3, b)
+	_, b = bits.Sub64(c, 0, b) // b = 1 iff the value is < p
+	keep := -b
+	z[0] = t0&keep | t4&^keep
+	z[1] = t1&keep | t5&^keep
+	z[2] = t2&keep | t6&^keep
+	z[3] = t3&keep | t7&^keep
 }
 
 // feSqrN sets z = x^(2^n) by n in-place squarings.

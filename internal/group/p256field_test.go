@@ -102,7 +102,7 @@ func topLimb(low int64) *big.Int {
 	return v.Add(v, big.NewInt(low))
 }
 
-// checkFieldOps compares mul, sqr, add, sub, inv and sqrt on x and y
+// checkFieldOps compares mul, sqr, add, sub, half, inv and sqrt on x and y
 // (reduced mod p) with math/big.
 func checkFieldOps(t *testing.T, x, y *big.Int) {
 	t.Helper()
@@ -125,6 +125,8 @@ func checkFieldOps(t *testing.T, x, y *big.Int) {
 	check("add", new(big.Int).Add(x, y))
 	feSub(&fz, &fx, &fy)
 	check("sub", new(big.Int).Sub(x, y))
+	feHalf(&fz, &fx)
+	check("half", new(big.Int).Mul(x, new(big.Int).ModInverse(big.NewInt(2), p)))
 	feInv(&fz, &fx)
 	if x.Sign() == 0 {
 		check("inv", new(big.Int))

@@ -93,8 +93,13 @@ func VerifyPartialDecryption(gr *group.Group, v *commit.Vector, ct Ciphertext, p
 
 // VerifyDecryption is the verifying core: with y the decryptor's public
 // share, a1 = g^z·y^{−e} and a2 = C1^z·D^{−e} must hash back to e. The
-// exponent q−e spares inversions; VarTimeMultiExp is no faster here on
-// p256 and slower on Z_p* (DESIGN.md, data plane).
+// exponent q−e spares inversions. Every input is public, yet the check
+// stays on the ladders: on p256 a 2-term VarTimeMultiExp for a2 reads
+// 161 µs against 216 µs for two Exp and a Mul (BenchmarkMultiExp k=2,
+// medians of 12 runs, 2-vCPU host), and a trial that moved a2 onto the
+// chain and y^{−e} onto per-epoch comb tables left decrypt_n7 unmoved
+// (+5/−1/−3 % over three rig pairs); on Z_p* big.Int.Exp beats the
+// Straus chain (DESIGN.md, data plane).
 func VerifyDecryption(gr *group.Group, y group.Element, ct Ciphertext, pd PartialDecryption) bool {
 	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil {
 		return false

@@ -172,17 +172,21 @@ func Bind(gr *group.Group, pk group.Element, message, enc []byte, list []Commitm
 	prefix = append(prefix, hm[:]...)
 	prefix = append(prefix, hb[:]...)
 	b := &Binding{List: list, rho: make([]*big.Int, len(list)), lambda: lambda}
+	bases := make([]group.Element, 0, 2*len(list))
+	exps := make([]*big.Int, 0, 2*len(list))
+	unit := big.NewInt(1)
 	var id [8]byte
 	for i, c := range list {
 		binary.BigEndian.PutUint64(id[:], uint64(c.Signer))
 		b.rho[i] = gr.HashToScalar("hybriddkg/frost-rho/v1", prefix, id[:])
-		term := gr.Mul(c.D, gr.Exp(c.E, b.rho[i]))
-		if i == 0 {
-			b.R = term
-		} else {
-			b.R = gr.Mul(b.R, term)
-		}
+		bases = append(bases, c.D, c.E)
+		exps = append(exps, unit, b.rho[i])
 	}
+	// R = Π D_j·E_j^{ρ_j} is made of published commitments and public
+	// hashes only, so it is one variable-time multi-exp: the D_j are bare
+	// additions, the E_j^{ρ_j} share one doubling chain, and the product
+	// is normalised once.
+	b.R = gr.VarTimeMultiExp(bases, exps)
 	b.C = challenge(gr, b.R, pk, message)
 	return b, nil
 }
@@ -210,14 +214,18 @@ func (b *Binding) Sign(gr *group.Group, i int, pair *NoncePair, share *big.Int) 
 }
 
 // VerifyShare checks member i's z_i against its public key share
-// y_i = V(i): g^{z_i} = D_i · E_i^{ρ_i} · y_i^{λ_i·c}.
+// y_i = V(i): g^{z_i} = D_i · E_i^{ρ_i} · y_i^{λ_i·c}, checked as
+// D_i · E_i^{ρ_i} · y_i^{λ_i·c} · g^{−z_i} = 1 in one variable-time
+// multi-exp, since a peer's answer, its commitment and y_i are public.
 func (b *Binding) VerifyShare(gr *group.Group, i int, z *big.Int, y group.Element) bool {
 	if i < 0 || i >= len(b.List) || !gr.IsScalar(z) {
 		return false
 	}
 	c := b.List[i]
-	rhs := gr.Mul(gr.Mul(c.D, gr.Exp(c.E, b.rho[i])), gr.Exp(y, gr.MulQ(b.lambda[i], b.C)))
-	return gr.GExp(z).Equal(rhs)
+	return gr.VarTimeMultiExp(
+		[]group.Element{c.D, c.E, y, gr.Generator()},
+		[]*big.Int{big.NewInt(1), b.rho[i], gr.MulQ(b.lambda[i], b.C), gr.NegQ(z)},
+	).Equal(gr.Identity())
 }
 
 // Aggregate sums the members' answers, in list order, into the

@@ -319,13 +319,17 @@ func BatchVerifySignaturesPre(gr *group.Group, pk group.Element, messages [][]by
 		return challenge(gr, sigs[j].R, pk, messages[j])
 	}
 	if len(sigs) == 1 {
+		// One signature needs no blinding: R · pk^c · g^{−σ} = 1 is a
+		// single multi-exp over public values, where R is a bare
+		// addition and a Precompute'd pk rides its comb tables.
 		sg := sigs[0]
 		if sg.R == nil || sg.Sigma == nil || !gr.IsElement(sg.R) || !gr.IsScalar(sg.Sigma) {
 			return false
 		}
-		lhs := gr.GExp(sg.Sigma)
-		rhs := gr.Mul(sg.R, gr.Exp(pk, chal(0)))
-		return lhs.Equal(rhs)
+		return gr.VarTimeMultiExp(
+			[]group.Element{sg.R, pk, gr.Generator()},
+			[]*big.Int{big.NewInt(1), chal(0), gr.NegQ(sg.Sigma)},
+		).Equal(gr.Identity())
 	}
 	blind, err := commit.RandBlinders(len(sigs))
 	if err != nil {
@@ -354,16 +358,8 @@ func BatchVerifySignaturesPre(gr *group.Group, pk group.Element, messages [][]by
 }
 
 // Verify checks a combined signature exactly like a single-party
-// Schnorr verifier: g^σ = R · pk^c with c = H(R ‖ pk ‖ m).
+// Schnorr verifier: g^σ = R · pk^c with c = H(R ‖ pk ‖ m). It is the
+// one-signature batch.
 func Verify(gr *group.Group, pk group.Element, message []byte, sig Signature) bool {
-	if sig.R == nil || sig.Sigma == nil {
-		return false
-	}
-	if !gr.IsElement(sig.R) || !gr.IsScalar(sig.Sigma) {
-		return false
-	}
-	c := challenge(gr, sig.R, pk, message)
-	lhs := gr.GExp(sig.Sigma)
-	rhs := gr.Mul(sig.R, gr.Exp(pk, c))
-	return lhs.Equal(rhs)
+	return BatchVerifySignaturesPre(gr, pk, [][]byte{message}, nil, []Signature{sig})
 }
