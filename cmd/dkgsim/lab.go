@@ -18,9 +18,9 @@ var (
 	labSeeds    = flag.String("lab-seeds", "1-20", "seed set: 'a-b' range or comma list")
 	labN        = flag.String("lab-n", "13,64,128", "cluster sizes (comma list)")
 	labBackends = flag.String("lab-backends", "modp,p256", "group backends (comma list of modp,p256)")
-	labModes    = flag.String("lab-modes", "flood,cert", "protocol modes (comma list of flood,cert, their width-4 cells flood-w4,cert-w4 and those with extraction on, flood-w4-x,cert-w4-x)")
+	labModes    = flag.String("lab-modes", "flood,cert", "protocol modes (comma list of flood,cert)")
 	labReplay   = flag.Uint64("lab-replay", 0, "replay one failing seed (needs single-valued -lab-n/-lab-backends/-lab-modes)")
-	labInject   = flag.String("lab-inject", "", "inject a named implementation bug into every scenario (drop-help, drop-echo-to-1, verify-first-coordinate-only, extract-share-row-zero)")
+	labInject   = flag.String("lab-inject", "", "inject a named implementation bug into every scenario (drop-help, drop-echo-to-1)")
 	labVerify   = flag.Int("lab-verify", 0, "verify-pool width (execution knob; never moves the trace hash)")
 	labStop     = flag.Bool("lab-stop", false, "stop the sweep at the first failure")
 )

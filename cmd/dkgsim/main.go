@@ -490,34 +490,39 @@ func e13(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	nonceRun, err := harness.RunDKG(harness.DKGOptions{N: n, T: t, Seed: seed + 1, Group: gr})
-	if err != nil {
-		return err
-	}
-	keyV, nonceV := keyRun.Completed[1].V, nonceRun.Completed[1].V
+	keyV := keyRun.Completed[1].V
+	r := randutil.NewReader(seed)
+
+	// FROST: each of t+1 signers draws a nonce pair, the commitment list
+	// binds them, and their answers aggregate into one Schnorr signature.
 	message := []byte("benchmark message")
 	start := time.Now()
-	partials := make([]thresh.PartialSig, 0, t+1)
+	pairs := make([]*thresh.NoncePair, 0, t+1)
+	list := make([]thresh.Commitment, 0, t+1)
 	for i := msg.NodeID(1); i <= t+1; i++ {
-		p, err := thresh.PartialSign(gr,
-			thresh.KeyShare{Self: i, Share: keyRun.Completed[i].Share, V: keyV},
-			thresh.KeyShare{Self: i, Share: nonceRun.Completed[i].Share, V: nonceV},
-			message)
+		p, err := thresh.NewNoncePair(gr, i, 1, keyRun.Completed[i].Share, r)
 		if err != nil {
 			return err
 		}
-		partials = append(partials, p)
+		pairs = append(pairs, p)
+		list = append(list, p.Commitment)
 	}
-	sg, err := thresh.Combine(gr, keyV, nonceV, t, message, partials)
+	bind, err := thresh.Bind(gr, keyV.PublicKey(), message, thresh.EncodeCommitments(gr, list), list, nil)
 	if err != nil {
 		return err
 	}
+	zs := make([]*big.Int, len(pairs))
+	for i, p := range pairs {
+		if zs[i], err = bind.Sign(gr, i, p, keyRun.Completed[p.Signer].Share); err != nil {
+			return err
+		}
+	}
+	sg := bind.Aggregate(gr, zs)
 	signTime := time.Since(start)
 	if !thresh.Verify(gr, keyV.PublicKey(), message, sg) {
 		return fmt.Errorf("signature invalid")
 	}
 
-	r := randutil.NewReader(seed)
 	m := gr.GExp(big.NewInt(777))
 	ct, err := thresh.Encrypt(gr, keyV.PublicKey(), m, r)
 	if err != nil {
@@ -543,7 +548,7 @@ func e13(seed uint64) error {
 	}
 	fmt.Println("| operation | wall time (crypto only) | result |")
 	fmt.Println("|-----------|--------------------------|--------|")
-	fmt.Printf("| threshold Schnorr sign (t+1=%d partials + combine) | %v | verifies |\n", t+1, signTime)
+	fmt.Printf("| FROST sign (t+1=%d nonce pairs, bind, answers, aggregate) | %v | verifies |\n", t+1, signTime)
 	fmt.Printf("| threshold ElGamal decrypt (t+1 DLEQ partials + combine) | %v | correct |\n", decTime)
 	sorted := make([]msg.NodeID, 0, len(keyRun.Completed))
 	for id := range keyRun.Completed {

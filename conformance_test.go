@@ -2,8 +2,8 @@ package hybriddkg_test
 
 // Protocol-level backend conformance: every registered group backend
 // is run through the same end-to-end battery — Pedersen binding, a
-// full HybridVSS sharing, sharings and DKGs of width 1, 2 and 16 over
-// the flood and over certificates, and a §6.2 node addition. The
+// full HybridVSS sharing, a dedup sharing and DKGs over the flood and
+// over certificates, and a §6.2 node addition. The
 // backend the façade serves (p256) additionally runs a complete DKG
 // with threshold Schnorr signing, ElGamal decryption and one proactive
 // renewal phase through New. Group-axiom and encoding conformance
@@ -84,38 +84,36 @@ func conformVSS(t *testing.T, gr *group.Group) {
 	}
 }
 
-// conformWidth runs a sharing and a whole DKG at widths 1, 2 and 16,
-// the DKG over the flood and over quorum certificates: every node must
-// finish with the session's width in key pairs, consistent on every
-// coordinate.
+// conformWidth runs a sharing of one secret per dealer, the only width
+// sessions have, with dedup and compressed matrices, and a whole DKG
+// over the flood and over quorum certificates: every node must finish
+// with one consistent key pair.
 func conformWidth(t *testing.T, gr *group.Group) {
-	for _, w := range []int{1, 2, 16} {
-		vres, err := harness.RunVSS(harness.VSSOptions{N: 4, T: 1, Seed: 36, Group: gr, Width: w, DedupDealings: true, CompressedWire: true})
+	vres, err := harness.RunVSS(harness.VSSOptions{N: 4, T: 1, Seed: 36, Group: gr, DedupDealings: true, CompressedWire: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vres.HonestDone() != 4 {
+		t.Fatalf("VSS completed on %d/4 nodes", vres.HonestDone())
+	}
+	if err := vres.CheckConsistency(true); err != nil {
+		t.Fatalf("VSS: %v", err)
+	}
+	for _, certs := range []bool{false, true} {
+		dres, err := harness.RunDKG(harness.DKGOptions{
+			N: 4, T: 1, Seed: 37, Group: gr, Certificates: certs,
+			HashedEcho: true, DedupDealings: true, CompressedWire: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vres.HonestDone() != 4 {
-			t.Fatalf("width %d: VSS completed on %d/4 nodes", w, vres.HonestDone())
+		if dres.HonestDone() != 4 {
+			t.Fatalf("certificates %v: DKG completed on %d/4 nodes", certs, dres.HonestDone())
 		}
-		if err := vres.CheckConsistency(true); err != nil {
-			t.Fatalf("width %d: VSS: %v", w, err)
+		if err := dres.CheckConsistency(); err != nil {
+			t.Fatalf("certificates %v: %v", certs, err)
 		}
-		for _, certs := range []bool{false, true} {
-			dres, err := harness.RunDKG(harness.DKGOptions{
-				N: 4, T: 1, Seed: 37, Group: gr, Width: w, Certificates: certs,
-				HashedEcho: true, DedupDealings: true, CompressedWire: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dres.HonestDone() != 4 {
-				t.Fatalf("width %d, certificates %v: DKG completed on %d/4 nodes", w, certs, dres.HonestDone())
-			}
-			if err := dres.CheckConsistency(); err != nil {
-				t.Fatalf("width %d, certificates %v: %v", w, certs, err)
-			}
-			dres.Close()
-		}
+		dres.Close()
 	}
 }
 

@@ -25,30 +25,13 @@ const (
 	// to node 1, starving one node's quorum participation — a
 	// targeted-starvation regression the agreement+liveness pair flags.
 	InjectDropEchoTo1 = "drop-echo-to-1"
-	// InjectVerifyFirstCoordinateOnly makes every honest node check an
-	// echo's or ready's points on coordinate 0 alone — the shortcut a
-	// batched dealing invites. Nothing stalls; a node that counts a
-	// vector spliced on a later coordinate interpolates a wrong share
-	// for it, and the agreement invariant (every share verifies against
-	// the joint commitment, on every coordinate) flags the run. It takes
-	// a cell of width > 1 and a coordinate splicer to show.
-	InjectVerifyFirstCoordinateOnly = "verify-first-coordinate-only"
-	// InjectExtractShareRowZero makes every honest node combine its
-	// shares with row 0 of the extraction map whatever row it is
-	// computing, while commitments use the right row — the slip of
-	// reusing the sum that was there before. Rows past the first then
-	// hold shares their commitments reject; the agreement invariant,
-	// which checks every one of a session's w·e outputs, flags the run.
-	// It takes an extraction cell to show.
-	InjectExtractShareRowZero = "extract-share-row-zero"
 )
 
 // installInject wires a named injected bug into the build. Lost-traffic
 // bugs are fault filters: their drops acknowledge AllowDrop
 // mechanically (they model what an implementation bug would lose), but
 // the spec still asserts liveness — that mismatch is exactly what makes
-// the lab flag the bug. A bug inside a state machine is switched on in
-// the honest nodes' options.
+// the lab flag the bug.
 func installInject(b *build, name string) error {
 	switch name {
 	case InjectDropHelp:
@@ -69,10 +52,6 @@ func installInject(b *build, name string) error {
 			}
 			return simnet.Verdict{}
 		})
-	case InjectVerifyFirstCoordinateOnly:
-		b.opts.InjectVerifyFirstCoordinateOnly = true
-	case InjectExtractShareRowZero:
-		b.opts.InjectExtractShareRowZero = true
 	default:
 		return fmt.Errorf("chaos: unknown injected bug %q", name)
 	}

@@ -166,14 +166,10 @@ func TestDropCountersSurfaced(t *testing.T) {
 	}
 }
 
-// wideCell is the width-4 cell: every dealer shares four secrets under
-// one broadcast, and half the scenarios field a coordinate splicer.
-var wideCell = Cell{N: 13, T: 2, F: 3, Backend: "modp", Width: 4}
-
-// TestWideCellLeavesRecordedSeedsAlone: the wide cell is a new cell.
-// Its scenarios extend the width-1 cell's draws and nothing in a
-// width-1 cell's spec, rendering or fingerprint knows that widths exist:
-// the hashes below were recorded before sessions had a width.
+// TestWideCellLeavesRecordedSeedsAlone: the width-1 cells every
+// recorded seed ran in replay to the hashes recorded before sessions had
+// a width, and the wide and extraction cells and the bugs only they
+// showed are gone: asking for them is the lab's "unknown" error.
 func TestWideCellLeavesRecordedSeedsAlone(t *testing.T) {
 	for _, rec := range []struct {
 		seed uint64
@@ -189,145 +185,15 @@ func TestWideCellLeavesRecordedSeedsAlone(t *testing.T) {
 			t.Fatalf("seed %d cell %s: trace hash %.12s, recorded %s", rec.seed, rec.cell, r.TraceHash, rec.hash)
 		}
 	}
-	narrow := wideCell
-	narrow.Width = 0
-	one := narrow
-	one.Width = 1
-	splicers := 0
-	for seed := uint64(1); seed <= 60; seed++ {
-		a, b := RandomSpec(seed, narrow), RandomSpec(seed, one)
-		if a.String() != b.String() {
-			t.Fatalf("seed %d: width 0 and width 1 derive different scenarios", seed)
-		}
-		for _, st := range a.Strategies {
-			if st.Name == StratSpliceCoordinate {
-				t.Fatalf("seed %d: a width-1 cell drew %s", seed, st.Name)
-			}
-		}
-		for _, st := range RandomSpec(seed, wideCell).Strategies {
-			if st.Name == StratSpliceCoordinate {
-				splicers++
-			}
+	for _, mode := range []string{"flood-w4", "cert-w4", "flood-w4-x", "cert-w4-x"} {
+		if _, err := DefaultCells([]int{13}, []string{"modp"}, []string{mode}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("mode %s: got %v, want an unknown-mode error", mode, err)
 		}
 	}
-	if splicers < 10 {
-		t.Fatalf("only %d of 60 wide scenarios field a coordinate splicer", splicers)
-	}
-}
-
-// TestSweepWideCell: scenarios at width 4, splicers included, hold
-// agreement on all four key pairs and liveness, over the flood and over
-// certificates, and replay hash-identically.
-func TestSweepWideCell(t *testing.T) {
-	cert := wideCell
-	cert.Certificates = true
-	for _, cell := range []Cell{wideCell, cert} {
-		for seed := uint64(1); seed <= 8; seed++ {
-			r := Replay(seed, cell, "", 0)
-			if r.Failed() {
-				t.Fatalf("%s", r.Report())
-			}
-			if again := Replay(seed, cell, "", 0); again.TraceHash != r.TraceHash {
-				t.Fatalf("seed %d cell %s: replay hash moved", seed, cell)
-			}
+	cell := Cell{N: 13, T: 2, F: 3, Backend: "modp"}
+	for _, bug := range []string{"verify-first-coordinate-only", "extract-share-row-zero"} {
+		if r := Replay(1, cell, bug, 0); r.Err == nil || !strings.Contains(r.Err.Error(), "unknown injected bug") {
+			t.Errorf("bug %s: got %v, want an unknown-bug error", bug, r.Err)
 		}
-	}
-}
-
-// TestLabCatchesFirstCoordinateOnly: with every honest node verifying
-// points on coordinate 0 alone, a bounded sweep of the wide cell must
-// flag an agreement violation — some node holds a share that its
-// commitment rejects — and the failing seed must replay to the same
-// verdict and trace hash. The same seed without the bug passes.
-func TestLabCatchesFirstCoordinateOnly(t *testing.T) {
-	var caught *Result
-	for seed := uint64(1); seed <= 200; seed++ {
-		r := Replay(seed, wideCell, InjectVerifyFirstCoordinateOnly, 0)
-		if r.Err != nil {
-			t.Fatalf("seed %d: %v", seed, r.Err)
-		}
-		if r.Failed() {
-			caught = r
-			break
-		}
-	}
-	if caught == nil {
-		t.Fatal("injected verify-first-coordinate-only bug not caught within 200 seeds")
-	}
-	if caught.Violation != InvAgreement {
-		t.Fatalf("caught with violation %q, want %q:\n%s", caught.Violation, InvAgreement, caught.Report())
-	}
-	t.Logf("caught at seed=%d: %s", caught.Spec.Seed, caught.Spec.String())
-	again := Replay(caught.Spec.Seed, wideCell, InjectVerifyFirstCoordinateOnly, 0)
-	if again.Violation != caught.Violation || again.TraceHash != caught.TraceHash {
-		t.Fatalf("replay drifted: %q %s, want %q %s", again.Violation, again.TraceHash, caught.Violation, caught.TraceHash)
-	}
-	if clean := Replay(caught.Spec.Seed, wideCell, "", 0); clean.Failed() {
-		t.Fatalf("the catching seed fails without the bug:\n%s", clean.Report())
-	}
-}
-
-// extractCell is the wide cell with extraction on: the agreed set holds
-// n−t−f = 8 dealers and each of the four coordinates yields
-// n−2t−f = 6 outputs.
-var extractCell = Cell{N: 13, T: 2, F: 3, Backend: "modp", Width: 4, Extract: true}
-
-// TestSweepExtractionCell: scenarios that must collect n−t−f dealers
-// under the lab's faults hold liveness and agreement on all 24 outputs,
-// over the flood and over certificates, and replay hash-identically. The
-// cell is named apart from the wide cell it extends, so neither's seeds
-// disturb the other's.
-func TestSweepExtractionCell(t *testing.T) {
-	if extractCell.String() == wideCell.String() || extractCell.fingerprint() == wideCell.fingerprint() {
-		t.Fatal("the extraction cell is not a cell of its own")
-	}
-	cert := extractCell
-	cert.Certificates = true
-	for _, cell := range []Cell{extractCell, cert} {
-		for seed := uint64(1); seed <= 8; seed++ {
-			r := Replay(seed, cell, "", 0)
-			if r.Failed() {
-				t.Fatalf("%s", r.Report())
-			}
-			if again := Replay(seed, cell, "", 0); again.TraceHash != r.TraceHash {
-				t.Fatalf("seed %d cell %s: replay hash moved", seed, cell)
-			}
-		}
-	}
-}
-
-// TestLabCatchesExtractShareRowZero: with every honest node combining
-// shares by row 0 and commitments by the row at hand, a bounded sweep of
-// the extraction cell must flag an agreement violation — an output past
-// the first row whose share its commitment rejects — reproducibly, and
-// the same seed must pass without the bug.
-func TestLabCatchesExtractShareRowZero(t *testing.T) {
-	var caught *Result
-	for seed := uint64(1); seed <= 20; seed++ {
-		r := Replay(seed, extractCell, InjectExtractShareRowZero, 0)
-		if r.Err != nil {
-			t.Fatalf("seed %d: %v", seed, r.Err)
-		}
-		if r.Failed() {
-			caught = r
-			break
-		}
-	}
-	if caught == nil {
-		t.Fatal("injected extract-share-row-zero bug not caught within 20 seeds")
-	}
-	if caught.Violation != InvAgreement {
-		t.Fatalf("caught with violation %q, want %q:\n%s", caught.Violation, InvAgreement, caught.Report())
-	}
-	again := Replay(caught.Spec.Seed, extractCell, InjectExtractShareRowZero, 0)
-	if again.Violation != caught.Violation || again.TraceHash != caught.TraceHash {
-		t.Fatalf("replay drifted: %q %s, want %q %s", again.Violation, again.TraceHash, caught.Violation, caught.TraceHash)
-	}
-	if clean := Replay(caught.Spec.Seed, extractCell, "", 0); clean.Failed() {
-		t.Fatalf("the catching seed fails without the bug:\n%s", clean.Report())
-	}
-	// A cell that sums t+1 dealers has no later rows for the bug to touch.
-	if r := Replay(caught.Spec.Seed, wideCell, InjectExtractShareRowZero, 0); r.Failed() {
-		t.Fatalf("the bug shows in a cell without extraction:\n%s", r.Report())
 	}
 }

@@ -65,17 +65,10 @@ func (r *Result) Report() string {
 
 // cellMode names the cell's protocol mode as -lab-modes spells it.
 func cellMode(c Cell) string {
-	mode := "flood"
 	if c.Certificates {
-		mode = "cert"
+		return "cert"
 	}
-	if c.Width > 1 {
-		mode += fmt.Sprintf("-w%d", c.Width)
-	}
-	if c.Extract {
-		mode += "-x"
-	}
-	return mode
+	return "flood"
 }
 
 // traceHasher folds the simulator's scheduling trace into a replay
@@ -156,11 +149,9 @@ func Run(spec Spec) *Result {
 		CompressedWire: spec.CompressedWire,
 		Coalesce:       spec.Coalesce,
 		Certificates:   cell.Certificates,
-		Width:          cell.Width,
 		VerifyWorkers:  spec.VerifyWorkers,
 		MaxEvents:      spec.MaxEvents,
 	}
-	opts.QSize, opts.Rows = cell.shape()
 	if spec.Dealers > 0 {
 		for i := spec.Dealers + 1; i <= cell.N; i++ {
 			opts.NoDeal = append(opts.NoDeal, msg.NodeID(i))

@@ -30,24 +30,6 @@ type Cell struct {
 	// Certificates switches the echo/ready phases to PR-9's
 	// committee-sampled quorum certificates (false = classic flood).
 	Certificates bool
-	// Width is the number of secrets every dealer shares (0 and 1: one,
-	// the cells every recorded seed ran in). A wider cell's rendering,
-	// fingerprint and scenario draws extend a width-1 cell's, so those
-	// seeds replay unchanged.
-	Width int
-	// Extract runs the session the way nonce sessions run: the agreed set
-	// holds n−t−f dealers and n−2t−f outputs are extracted from each
-	// coordinate. A cell of its own, like a wide one.
-	Extract bool
-}
-
-// shape returns the agreed-set size and rows per coordinate the cell's
-// sessions run with (zero values: the dkg package's defaults, t+1 and 1).
-func (c Cell) shape() (qsize, rows int) {
-	if !c.Extract {
-		return 0, 0
-	}
-	return c.N - c.T - c.F, c.N - 2*c.T - c.F
 }
 
 func (c Cell) String() string {
@@ -63,12 +45,6 @@ func (c Cell) fingerprint() uint64 {
 	}
 	if c.Certificates {
 		fp ^= 0xce27
-	}
-	if c.Width > 1 {
-		fp ^= uint64(c.Width) << 48
-	}
-	if c.Extract {
-		fp ^= 0xe7 << 56
 	}
 	return fp
 }
@@ -243,10 +219,9 @@ func RandomSpec(seed uint64, cell Cell) Spec {
 	spec.DedupDealings = spec.HashedEcho && rng.IntN(3) == 0
 	spec.CompressedWire = rng.IntN(2) == 0
 	spec.Coalesce = rng.IntN(2) == 0
-	if cell.N >= 64 && !cell.Extract {
+	if cell.N >= 64 {
 		// Any-Trust regime: restrict the dealer set so large cells stay
-		// tractable (quorums still span all n nodes). An extraction cell
-		// needs n−t−f dealers to finish, so there everybody deals.
+		// tractable (quorums still span all n nodes).
 		spec.Dealers = cell.T + 2 + rng.IntN(2)
 	}
 
@@ -342,14 +317,6 @@ func RandomSpec(seed uint64, cell Cell) Spec {
 			continue
 		}
 		spec.Strategies = append(spec.Strategies, StrategySpec{Name: name, Node: v})
-	}
-	// Wide cells only, and after every draw a width-1 cell makes: half
-	// their scenarios field a coordinate splicer while the Byzantine
-	// budget lasts.
-	if cell.Width > 1 && len(spec.Strategies) < cell.T && rng.IntN(2) == 0 {
-		if v := pickVictim(rng, cell.N, victims); v != 0 {
-			spec.Strategies = append(spec.Strategies, StrategySpec{Name: StratSpliceCoordinate, Node: v})
-		}
 	}
 	return spec
 }

@@ -63,11 +63,6 @@ const (
 	// They count by sender, so the forgery must never reach a lock's M
 	// set. Hand-written specs only (TestBadSigEcho), like bad-sig-ready.
 	StratBadSigEcho = "bad-sig-echo"
-	// StratSpliceCoordinate follows the protocol on coordinate 0 of a
-	// batched sharing and corrupts coordinate 1 of every echo and ready
-	// it sends: the point vector a node that looked at the first
-	// coordinate alone would count. Only wide cells draw it.
-	StratSpliceCoordinate = "splice-coordinate"
 )
 
 // build accumulates everything the strategies hook into a run before
@@ -109,9 +104,7 @@ func chainFilters(fns []simnet.SessionFilterFunc) simnet.SessionFilterFunc {
 // incarnations speak exactly the cluster's dialect (wire format,
 // dedup, certificates).
 func byzParams(spec Spec, gr *group.Group, dir *sig.Directory, priv []byte) dkg.Params {
-	qsize, _ := spec.Cell.shape()
 	return dkg.Params{
-		QSize:          qsize,
 		Group:          gr,
 		N:              spec.Cell.N,
 		T:              spec.Cell.T,
@@ -124,13 +117,6 @@ func byzParams(spec Spec, gr *group.Group, dir *sig.Directory, priv []byte) dkg.
 		Directory:      dir,
 		SignKey:        priv,
 	}
-}
-
-// byzOptions is the session shape a Byzantine incarnation shares with
-// the honest nodes of its cell.
-func byzOptions(cell Cell) dkg.Options {
-	_, rows := cell.shape()
-	return dkg.Options{Width: cell.Width, Rows: rows}
 }
 
 // installStrategy wires one strategy into the build.
@@ -158,11 +144,6 @@ func installStrategy(b *build, st StrategySpec) error {
 		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env} }, nil)
 	case StratBadSigEcho:
 		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &badSigRuntime{env: env, dkgLayer: true} }, nil)
-	case StratSpliceCoordinate:
-		if b.spec.Cell.Width < 2 {
-			return fmt.Errorf("chaos: strategy %s needs a cell of width > 1", st.Name)
-		}
-		installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &spliceCoordinateRuntime{env: env} }, nil)
 	default:
 		return fmt.Errorf("chaos: unknown strategy %q", st.Name)
 	}
@@ -254,12 +235,12 @@ func installEquivDealer(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, byzOptions(spec.Cell))
+		a, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, low: true}, dkg.Options{})
 		if err != nil {
 			buildErr = err
 			return th
 		}
-		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, byzOptions(spec.Cell))
+		bb, err := dkg.NewNode(params, 1, v, &twinRuntime{env: env, n: spec.Cell.N, high: true, off: twinOffset}, dkg.Options{})
 		if err != nil {
 			buildErr = err
 			return th
@@ -307,34 +288,6 @@ func installEchoSplice(b *build, v msg.NodeID) {
 	installWrappedNode(b, v, func(env *simnet.Env) dkg.Runtime { return &spliceRuntime{env: env} }, nil)
 }
 
-// spliceCoordinateRuntime corrupts coordinate 1 of the point vector in
-// every outgoing VSS echo and ready, and nothing else.
-type spliceCoordinateRuntime struct {
-	env *simnet.Env
-}
-
-func (s *spliceCoordinateRuntime) Send(to msg.NodeID, body msg.Body) {
-	splice := func(more []*big.Int) []*big.Int {
-		out := append([]*big.Int(nil), more...)
-		out[0] = new(big.Int).Add(more[0], big.NewInt(1))
-		return out
-	}
-	switch m := body.(type) {
-	case *vss.EchoMsg:
-		spliced := *m
-		spliced.MoreAlpha = splice(m.MoreAlpha)
-		body = &spliced
-	case *vss.ReadyMsg:
-		spliced := *m
-		spliced.MoreAlpha = splice(m.MoreAlpha)
-		body = &spliced
-	}
-	s.env.Send(to, body)
-}
-
-func (s *spliceCoordinateRuntime) SetTimer(id uint64, delay int64) { s.env.SetTimer(id, delay) }
-func (s *spliceCoordinateRuntime) StopTimer(id uint64)             { s.env.StopTimer(id) }
-
 // badSigRuntime replaces the signature of every outgoing VSS ready, or
 // with dkgLayer of every outgoing DKG echo and ready.
 type badSigRuntime struct {
@@ -381,7 +334,7 @@ func installWrappedNode(b *build, v msg.NodeID, mkRT func(env *simnet.Env) dkg.R
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, mkRT(env), byzOptions(spec.Cell))
+		nd, err := dkg.NewNode(params, 1, v, mkRT(env), dkg.Options{})
 		if err != nil {
 			buildErr = err
 			return silentHandler{}
@@ -565,7 +518,7 @@ func installFlood(b *build, v msg.NodeID) {
 	var buildErr error
 	b.opts.Byzantine[v] = func(env *simnet.Env) simnet.Handler {
 		params := byzParams(spec, b.gr, b.dir, b.privs[v])
-		nd, err := dkg.NewNode(params, 1, v, env, byzOptions(spec.Cell))
+		nd, err := dkg.NewNode(params, 1, v, env, dkg.Options{})
 		if err != nil {
 			buildErr = err
 			return silentHandler{}

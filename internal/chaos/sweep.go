@@ -1,9 +1,6 @@
 package chaos
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // SweepOptions configures a seed sweep across lab cells.
 type SweepOptions struct {
@@ -65,11 +62,9 @@ func Replay(seed uint64, cell Cell, inject string, verifyWorkers int) *Result {
 }
 
 // DefaultCells builds the lab's standard sweep grid: each cluster size
-// × each backend × the named modes — "flood", "cert", their width-4
-// variants "flood-w4" and "cert-w4", and those with extraction on,
-// "flood-w4-x" and "cert-w4-x". Shapes satisfy n ≥ 3t+2f+1 with
-// small thresholds so large cells stay tractable (the Any-Trust dealer
-// restriction in RandomSpec does the rest).
+// × each backend × flood and certificate modes. Shapes satisfy
+// n ≥ 3t+2f+1 with small thresholds so large cells stay tractable
+// (the Any-Trust dealer restriction in RandomSpec does the rest).
 func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error) {
 	var cells []Cell
 	for _, n := range sizes {
@@ -82,21 +77,14 @@ func DefaultCells(sizes []int, backends []string, modes []string) ([]Cell, error
 				return nil, fmt.Errorf("chaos: unknown backend %q", be)
 			}
 			for _, mode := range modes {
-				cell := Cell{N: n, T: t, F: f, Backend: be}
-				base, extract := strings.CutSuffix(mode, "-x")
-				base, wide := strings.CutSuffix(base, "-w4")
-				if wide {
-					cell.Width = 4
-				}
-				cell.Extract = extract
-				switch base {
+				switch mode {
 				case "flood":
+					cells = append(cells, Cell{N: n, T: t, F: f, Backend: be})
 				case "cert":
-					cell.Certificates = true
+					cells = append(cells, Cell{N: n, T: t, F: f, Backend: be, Certificates: true})
 				default:
-					return nil, fmt.Errorf("chaos: unknown mode %q (want flood or cert, with -w4 or -w4-x appended for a wide cell)", mode)
+					return nil, fmt.Errorf("chaos: unknown mode %q (want flood or cert)", mode)
 				}
-				cells = append(cells, cell)
 			}
 		}
 	}

@@ -24,10 +24,8 @@
 //     w+1 with a doubled timeout if no leader is installed (the
 //     delay(t) growth of §2.1 applied per view, as in PBFT). Without
 //     this the figures rely on other nodes' lead-ch messages alone.
-//   - A session may agree on more than t+1 sharings (Params.QSize) and
-//     then take several independent outputs from each coordinate instead
-//     of the one sum (Options.Rows, extract), as the lab's extraction
-//     cells do.
+//   - A session may agree on more than t+1 sharings (Params.QSize), as
+//     share renewal across a threshold decrease needs (§6.4).
 //
 // Liveness matches the paper's own claim: it holds under the weak
 // synchrony assumption once an honest, finally-up leader is reached;
@@ -176,11 +174,8 @@ func (p *Params) applyDefaults() {
 // CompletedEvent is the (L̄, τ, DKG-completed, C, s_i) output. V is
 // the Feldman vector commitment to the joint sharing polynomial and is
 // always set; C is the full matrix product and is set only by the
-// standard summation combiner (renewal-style combinations and
-// extraction produce vector commitments directly, §5.2). A session of
-// width w and e rows agreed on one Q and produced w·e outputs from it,
-// coordinate-major (output k·e+p is row p of coordinate k): C, V, Share
-// and PublicKey are the first, More the others.
+// standard summation combiner (renewal-style combinations produce
+// vector commitments directly, §5.2).
 type CompletedEvent struct {
 	Tau       uint64
 	FinalView uint64
@@ -189,13 +184,6 @@ type CompletedEvent struct {
 	V         *commit.Vector
 	Share     *big.Int
 	PublicKey group.Element
-	More      []CombineResult
-}
-
-// Outputs returns the session's w·e (share, commitment) results,
-// coordinate-major.
-func (ev CompletedEvent) Outputs() []CombineResult {
-	return append([]CombineResult{{Share: ev.Share, C: ev.C, V: ev.V}}, ev.More...)
 }
 
 // CombineResult is what a Combiner produces from the decided set.
@@ -224,28 +212,8 @@ type Options struct {
 	// the resharing's constant term against the dealer's previous
 	// share commitment; nil accepts everything.
 	ValidateDealing func(ev vss.SharedEvent) bool
-	// Combine overrides the default summation combiner. It is applied
-	// to each coordinate on its own.
+	// Combine overrides the default summation combiner.
 	Combine Combiner
-	// Width is the number of secrets every dealer shares under one
-	// broadcast (vss.Options.Width): 1 (also the zero value), 2, 4, 8 or
-	// 16. The session agrees on one Q and outputs Width·Rows key pairs.
-	Width int
-	// Rows is e, the number of outputs extracted from each coordinate's
-	// |Q| sharings (see extract): 1 (also the zero value) is Fig. 2's sum.
-	// More needs QSize > t+1 dealers and the default combiner, and never
-	// exceeds QSize − t: with t dealers corrupt only QSize − t of the
-	// inputs are unknown to the adversary, and one output more would be a
-	// known linear combination of the others — for signing nonces, a key
-	// leak.
-	Rows int
-	// InjectExtractShareRowZero plants the chaos lab's bug of that name:
-	// every row's share is combined with row 0's coefficients. Never set
-	// outside the lab.
-	InjectExtractShareRowZero bool
-	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of that
-	// name in the embedded sharings. Never set outside the lab.
-	InjectVerifyFirstCoordinateOnly bool
 }
 
 // qstate tracks echo/ready quorums for one proposal digest.
@@ -377,19 +345,6 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 	if params.Metrics == nil {
 		params.Metrics = &telemetry.ProtocolMetrics{}
 	}
-	if opts.Width == 0 {
-		opts.Width = 1
-	}
-	if opts.Rows == 0 {
-		opts.Rows = 1
-	}
-	if opts.Rows < 1 || opts.Rows > params.QSize-params.T {
-		return nil, fmt.Errorf("%w: %d rows from %d dealers with t=%d: at most QSize−t are independent",
-			ErrBadParams, opts.Rows, params.QSize, params.T)
-	}
-	if opts.Rows > 1 && opts.Combine != nil {
-		return nil, fmt.Errorf("%w: extraction (%d rows) with a custom combiner", ErrBadParams, opts.Rows)
-	}
 	nd := &Node{
 		params:       params,
 		tau:          tau,
@@ -432,9 +387,7 @@ func NewNode(params Params, tau uint64, self msg.NodeID, runtime Runtime, opts O
 		dealer := msg.NodeID(d)
 		session := vss.SessionID{Dealer: dealer, Tau: tau}
 		vnode, err := vss.NewNode(vssParams, session, self, runtime, vss.Options{
-			OnShared:                        func(ev vss.SharedEvent) { nd.onVSSShared(ev) },
-			Width:                           opts.Width,
-			InjectVerifyFirstCoordinateOnly: opts.InjectVerifyFirstCoordinateOnly,
+			OnShared: func(ev vss.SharedEvent) { nd.onVSSShared(ev) },
 		})
 		if err != nil {
 			return nil, err
@@ -466,8 +419,7 @@ func (nd *Node) Result() *CompletedEvent { return nd.result }
 func (nd *Node) VSSNode(dealer msg.NodeID) *vss.Node { return nd.vssNodes[dealer] }
 
 // Start begins the session: the node deals its own extended HybridVSS
-// sharing of a fresh random secret (or Options.ShareSource) per
-// coordinate.
+// sharing of a fresh random secret (or Options.ShareSource).
 func (nd *Node) Start(rand io.Reader) error {
 	if nd.started {
 		return ErrAlreadyStarted
@@ -616,7 +568,7 @@ func (nd *Node) ownQhat() *Proposal {
 			continue
 		}
 		p.Q = append(p.Q, d)
-		p.CHashes = append(p.CHashes, nd.vssDone[d].Digest())
+		p.CHashes = append(p.CHashes, nd.vssDone[d].C.Hash())
 		p.VSSProofs = append(p.VSSProofs, proof)
 		if len(p.Q) == nd.params.QSize {
 			return p
@@ -889,26 +841,24 @@ func (nd *Node) tryFinish() {
 		}
 	}
 	for i, d := range nd.decided.Q {
-		if nd.vssDone[d].Digest() != nd.decided.CHashes[i] {
+		if nd.vssDone[d].C.Hash() != nd.decided.CHashes[i] {
 			// The VSS agreement property makes this unreachable for
 			// honest quorums; refuse to finish on divergence.
 			return
 		}
 	}
-	// One Q for the whole session, Rows outputs per coordinate.
-	outs := make([]CombineResult, 0, nd.opts.Width*nd.opts.Rows)
-	for k := 0; k < nd.opts.Width; k++ {
-		events := make(map[msg.NodeID]vss.SharedEvent, len(nd.decided.Q))
-		for _, d := range nd.decided.Q {
-			events[d] = nd.vssDone[d].Coordinate(k)
-		}
-		rows, err := nd.combine(events)
-		if err != nil {
-			return
-		}
-		outs = append(outs, rows...)
+	combiner := nd.opts.Combine
+	if combiner == nil {
+		combiner = SumCombiner(nd.params.Group)
 	}
-	res := outs[0]
+	events := make(map[msg.NodeID]vss.SharedEvent, len(nd.decided.Q))
+	for _, d := range nd.decided.Q {
+		events[d] = nd.vssDone[d]
+	}
+	res, err := combiner(nd.self, nd.decided.Q, events)
+	if err != nil || res.V == nil || res.Share == nil {
+		return
+	}
 	nd.done = true
 	if nd.certTimerArmed {
 		nd.runtime.StopTimer(CertFallbackTimer)
@@ -924,74 +874,9 @@ func (nd *Node) tryFinish() {
 		Share:     res.Share,
 		PublicKey: res.V.PublicKey(),
 	}
-	if len(outs) > 1 {
-		nd.result.More = outs[1:]
-	}
 	if nd.opts.OnCompleted != nil {
 		nd.opts.OnCompleted(*nd.result)
 	}
-}
-
-// combine turns one coordinate's decided sharings into its Rows outputs.
-// One row is the configured combiner (Fig. 2's sum unless renewal or
-// node addition installed another); more are extracted.
-func (nd *Node) combine(events map[msg.NodeID]vss.SharedEvent) ([]CombineResult, error) {
-	if nd.opts.Rows > 1 {
-		return extract(nd.params.Group, nd.decided.Q, events, nd.opts.Rows, nd.opts.InjectExtractShareRowZero)
-	}
-	combiner := nd.opts.Combine
-	if combiner == nil {
-		combiner = SumCombiner(nd.params.Group)
-	}
-	res, err := combiner(nd.self, nd.decided.Q, events)
-	if err == nil && (res.V == nil || res.Share == nil) {
-		err = fmt.Errorf("dkg: combiner returned an incomplete result")
-	}
-	return []CombineResult{res}, err
-}
-
-// extract applies the Vandermonde map with the dealer ids as bases to
-// the |Q| sharings of one coordinate: row p is share_p = Σ_{d∈Q} d^p·s_d
-// with commitment V_p = Π_{d∈Q} V_d^{d^p}, V_d being column 0 of C_d. Any
-// rows ≤ |Q|−t of them are jointly uniform given the t corrupt dealers'
-// inputs (every rows×rows minor of the map over distinct bases is
-// invertible), which is what NewNode holds Rows to. Row 0 is
-// SumCombiner's share and V; the matrix product is not formed.
-func extract(gr *group.Group, q []msg.NodeID, events map[msg.NodeID]vss.SharedEvent, rows int, shareRowZero bool) ([]CombineResult, error) {
-	mod := gr.Q()
-	mats := make([]*commit.Matrix, len(q))
-	shares := make([]*big.Int, len(q))
-	pows := make([]*big.Int, len(q)) // d^p for the current row p
-	for i, d := range q {
-		ev, ok := events[d]
-		if !ok {
-			return nil, fmt.Errorf("dkg: missing sharing for dealer %d", d)
-		}
-		mats[i], shares[i], pows[i] = ev.C, ev.Share, big.NewInt(1)
-	}
-	outs := make([]CombineResult, rows)
-	term := new(big.Int)
-	for p := range outs {
-		v, err := commit.CombineColumn0(mats, pows)
-		if err != nil {
-			return nil, err
-		}
-		share := new(big.Int)
-		if shareRowZero && p > 0 {
-			share.Set(outs[0].Share)
-		} else {
-			for i := range q {
-				share.Add(share, term.Mul(pows[i], shares[i]))
-			}
-			share.Mod(share, mod)
-		}
-		outs[p] = CombineResult{Share: share, V: v}
-		for i, d := range q {
-			next := new(big.Int).Mul(pows[i], big.NewInt(int64(d)))
-			pows[i] = next.Mod(next, mod)
-		}
-	}
-	return outs, nil
 }
 
 // SumCombiner is the standard Fig. 2 combination: s_i = Σ s_{i,d} and
@@ -1130,7 +1015,7 @@ func (nd *Node) verifyProposalProof(p *Proposal, skipDone bool) bool {
 	switch p.Kind {
 	case KindVSS:
 		for i, d := range p.Q {
-			if ev, ok := nd.vssDone[d]; skipDone && ok && ev.Digest() == p.CHashes[i] {
+			if ev, ok := nd.vssDone[d]; skipDone && ok && ev.C.Hash() == p.CHashes[i] {
 				continue
 			}
 			if !nd.verifyVSSProof(d, p.CHashes[i], p.VSSProofs[i]) {

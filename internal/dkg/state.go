@@ -31,8 +31,8 @@ import (
 // classic messages and per-digest certificate state). v3 dropped the
 // per-sharing copy of R_d, which the embedded VSS state already holds.
 // v4 added the further coordinates of batched sessions to the completed
-// sharings and the result; a session of e > 1 rows lists its w·e outputs
-// the same way, so a one-row session's encoding is what it was. v5 keeps
+// sharings and the result, which a session of one secret and one output
+// encodes as it did before. v5 keeps
 // every counted echo/ready signature with a cursor over the verified
 // ones, since signatures are checked only when the lock draws its M set.
 // Restores of older snapshots fail the magic check and fall back to WAL
@@ -132,13 +132,10 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	for _, d := range dealers {
 		ev := nd.vssDone[d]
 		w.Node(d)
-		for k := 0; k < nd.opts.Width; k++ {
-			co := ev.Coordinate(k)
-			if err := vss.EncodeMatrixPtr(w, co.C); err != nil {
-				return nil, err
-			}
-			w.BigPtr(co.Share)
+		if err := vss.EncodeMatrixPtr(w, ev.C); err != nil {
+			return nil, err
 		}
+		w.BigPtr(ev.Share)
 	}
 
 	// Embedded VSS instances, dealer order 1..n.
@@ -302,26 +299,18 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 	nd.vssDone = make(map[msg.NodeID]vss.SharedEvent, nDealers)
 	for i := 0; i < nDealers; i++ {
 		d := r.Node()
-		ev := vss.SharedEvent{Session: vss.SessionID{Dealer: d, Tau: nd.tau}}
-		for k := 0; k < nd.opts.Width; k++ {
-			c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
-			if err != nil {
-				return err
-			}
-			share := r.BigPtr()
-			if c == nil || share == nil {
-				return fmt.Errorf("dkg: vssDone dealer %d coordinate %d incomplete", d, k)
-			}
-			if k == 0 {
-				ev.C, ev.Share = c, share
-			} else {
-				ev.More = append(ev.More, vss.Coordinate{C: c, Share: share})
-			}
+		c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
+		if err != nil {
+			return err
+		}
+		share := r.BigPtr()
+		if c == nil || share == nil {
+			return fmt.Errorf("dkg: vssDone dealer %d incomplete", d)
 		}
 		if d < 1 || int(d) > nd.params.N {
 			return fmt.Errorf("dkg: vssDone dealer %d out of range", d)
 		}
-		nd.vssDone[d] = ev
+		nd.vssDone[d] = vss.SharedEvent{Session: vss.SessionID{Dealer: d, Tau: nd.tau}, C: c, Share: share}
 	}
 
 	for d := 1; d <= nd.params.N; d++ {
@@ -490,25 +479,20 @@ func decodeProposalPtr(r *msg.Reader) (*Proposal, error) {
 }
 
 func encodeResult(w *msg.Writer, ev *CompletedEvent) error {
-	if ev == nil {
-		return fmt.Errorf("dkg: done without a result")
+	if ev == nil || ev.V == nil || ev.Share == nil {
+		return fmt.Errorf("dkg: done without a complete result")
 	}
 	w.U64(ev.FinalView)
 	w.Nodes(ev.Q)
-	for _, out := range ev.Outputs() {
-		if out.V == nil || out.Share == nil {
-			return fmt.Errorf("dkg: done without a complete result")
-		}
-		if err := vss.EncodeMatrixPtr(w, out.C); err != nil {
-			return err
-		}
-		vEnc, err := out.V.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		w.Blob(vEnc)
-		w.Big(out.Share)
+	if err := vss.EncodeMatrixPtr(w, ev.C); err != nil {
+		return err
 	}
+	vEnc, err := ev.V.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	w.Blob(vEnc)
+	w.Big(ev.Share)
 	return nil
 }
 
@@ -516,25 +500,18 @@ func decodeResult(r *msg.Reader, nd *Node) (*CompletedEvent, error) {
 	ev := &CompletedEvent{Tau: nd.tau}
 	ev.FinalView = r.U64()
 	ev.Q = r.Nodes()
-	for k := 0; k < nd.opts.Width*nd.opts.Rows; k++ {
-		c, err := vss.DecodeMatrixPtr(r, nd.params.Group)
-		if err != nil {
-			return nil, err
-		}
-		vEnc := r.Blob()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		v, err := commit.UnmarshalVector(nd.params.Group, vEnc)
-		if err != nil {
-			return nil, err
-		}
-		out := CombineResult{Share: r.Big(), C: c, V: v}
-		if k == 0 {
-			ev.C, ev.V, ev.Share, ev.PublicKey = c, v, out.Share, v.PublicKey()
-		} else {
-			ev.More = append(ev.More, out)
-		}
+	var err error
+	if ev.C, err = vss.DecodeMatrixPtr(r, nd.params.Group); err != nil {
+		return nil, err
 	}
+	vEnc := r.Blob()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if ev.V, err = commit.UnmarshalVector(nd.params.Group, vEnc); err != nil {
+		return nil, err
+	}
+	ev.Share = r.Big()
+	ev.PublicKey = ev.V.PublicKey()
 	return ev, nil
 }

@@ -47,17 +47,16 @@ func dkgParamsFor(res *harness.DKGResult, id msg.NodeID) dkg.Params {
 
 // TestStateRoundTripCompleted: every completed node's full session
 // state (embedded VSS instances included) survives marshal → restore
-// with identical results on every output — each coordinate, and each
-// row extracted from it — and the codec is deterministic.
+// with identical results, for an agreed set of t+1 and of n−t−f
+// dealers, and the codec is deterministic.
 func TestStateRoundTripCompleted(t *testing.T) {
-	for _, width := range []int{1, 4} {
-		testStateRoundTripCompleted(t, width, 0, 1)
-		testStateRoundTripCompleted(t, width, 3, 2)
+	for _, qsize := range []int{0, 3} {
+		testStateRoundTripCompleted(t, qsize)
 	}
 }
 
-func testStateRoundTripCompleted(t *testing.T, width, qsize, rows int) {
-	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, Width: width, QSize: qsize, Rows: rows})
+func testStateRoundTripCompleted(t *testing.T, qsize int) {
+	res, err := harness.RunDKG(harness.DKGOptions{N: 4, T: 1, Seed: 11, QSize: qsize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func testStateRoundTripCompleted(t *testing.T, width, qsize, rows int) {
 		if err != nil {
 			t.Fatalf("node %d marshal: %v", id, err)
 		}
-		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{Width: width, Rows: rows}, codec, st1)
+		restored, err := dkg.RestoreNode(dkgParamsFor(res, id), 1, id, nullRuntime{}, dkg.Options{}, codec, st1)
 		if err != nil {
 			t.Fatalf("node %d restore: %v", id, err)
 		}
@@ -78,14 +77,8 @@ func testStateRoundTripCompleted(t *testing.T, width, qsize, rows int) {
 			t.Fatalf("node %d not done after restore", id)
 		}
 		orig, got := node.Result(), restored.Result()
-		if len(got.Outputs()) != width*rows {
-			t.Fatalf("node %d restored %d outputs, want %d", id, len(got.Outputs()), width*rows)
-		}
-		for k, out := range got.Outputs() {
-			want := orig.Outputs()[k]
-			if out.Share.Cmp(want.Share) != 0 || !out.V.Equal(want.V) {
-				t.Fatalf("node %d output %d changed across restore", id, k)
-			}
+		if got.Share.Cmp(orig.Share) != 0 {
+			t.Fatalf("node %d share changed across restore", id)
 		}
 		if !got.PublicKey.Equal(orig.PublicKey) {
 			t.Fatalf("node %d public key changed across restore", id)
@@ -115,14 +108,13 @@ func testStateRoundTripCompleted(t *testing.T, width, qsize, rows int) {
 // DKG, swap in a restored clone, and require the whole cluster to
 // finish consistently.
 func TestStateRestoreMidProtocol(t *testing.T) {
-	for _, width := range []int{1, 4} {
-		testStateRestoreMidProtocol(t, width, 0, 1)
+	for _, qsize := range []int{0, 3} {
+		testStateRestoreMidProtocol(t, qsize)
 	}
-	testStateRestoreMidProtocol(t, 4, 3, 2)
 }
 
-func testStateRestoreMidProtocol(t *testing.T, width, qsize, rows int) {
-	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true, Width: width, QSize: qsize, Rows: rows}
+func testStateRestoreMidProtocol(t *testing.T, qsize int) {
+	opts := harness.DKGOptions{N: 4, T: 1, Seed: 23, HashedEcho: true, QSize: qsize}
 	res, err := harness.SetupDKG(&opts)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +137,7 @@ func testStateRestoreMidProtocol(t *testing.T, width, qsize, rows int) {
 		t.Fatal(err)
 	}
 	clone, err := dkg.RestoreNode(dkgParamsFor(res, victim), 1, victim, res.Net.Env(victim),
-		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }, Width: width, Rows: rows},
+		dkg.Options{OnCompleted: func(ev dkg.CompletedEvent) { res.Completed[victim] = ev }},
 		codec, st)
 	if err != nil {
 		t.Fatal(err)

@@ -46,17 +46,9 @@ type DKGOptions struct {
 	// (still deterministic) simulation loop advances. Protocol
 	// behaviour is bit-identical to VerifyWorkers == 0.
 	VerifyWorkers int
-	// Width is the number of secrets every dealer shares, and so the
-	// number of key pairs the session outputs (0 means 1).
-	Width int
 	// QSize is the number of sharings the agreed set holds (0 means
-	// t+1) and Rows the number of outputs extracted per coordinate (0
-	// means 1): dkg.Params.QSize and dkg.Options.Rows.
-	QSize, Rows int
-	// InjectVerifyFirstCoordinateOnly and InjectExtractShareRowZero plant
-	// the chaos lab's bugs of those names in every honest node.
-	InjectVerifyFirstCoordinateOnly bool
-	InjectExtractShareRowZero       bool
+	// t+1): dkg.Params.QSize.
+	QSize int
 	// InitialLeader defaults to 1.
 	InitialLeader msg.NodeID
 	// TimeoutBase defaults to the dkg package default.
@@ -216,11 +208,7 @@ func SetupDKG(opts *DKGOptions) (*DKGResult, error) {
 // its first incarnation and for any rebuilt from durable state.
 func (r *DKGResult) nodeOptions(id msg.NodeID) dkg.Options {
 	return dkg.Options{
-		OnCompleted:                     func(ev dkg.CompletedEvent) { r.Completed[id] = ev },
-		Width:                           r.Opts.Width,
-		Rows:                            r.Opts.Rows,
-		InjectVerifyFirstCoordinateOnly: r.Opts.InjectVerifyFirstCoordinateOnly,
-		InjectExtractShareRowZero:       r.Opts.InjectExtractShareRowZero,
+		OnCompleted: func(ev dkg.CompletedEvent) { r.Completed[id] = ev },
 	}
 }
 
@@ -306,62 +294,52 @@ func (r *DKGResult) MaxLeaderChanges() int {
 }
 
 // CheckConsistency verifies Definition 4.1's consistency across all
-// completed honest nodes: identical Q, and on every output of the
-// session (each row of each coordinate) identical commitment and public
-// key; every share valid against the joint commitment; any t+1 shares
+// completed honest nodes: identical Q, commitment and public key; every
+// share valid against the joint commitment; any t+1 shares
 // interpolating to a secret matching the public key.
 func (r *DKGResult) CheckConsistency() error {
-	width := max(r.Opts.Width, 1) * max(r.Opts.Rows, 1)
-	var refQ []msg.NodeID
-	for k := 0; k < width; k++ {
-		var ref *dkg.CombineResult
-		pts := make([]poly.Point, 0, r.Opts.T+1)
-		for id, node := range r.Nodes {
-			if !node.Done() {
-				continue
+	var ref *dkg.CompletedEvent
+	pts := make([]poly.Point, 0, r.Opts.T+1)
+	for id, node := range r.Nodes {
+		if !node.Done() {
+			continue
+		}
+		ev := r.Completed[id]
+		if ref == nil {
+			ref = &ev
+		} else {
+			// Renewal-style combinations carry the vector commitment alone.
+			if !ref.V.Equal(ev.V) || (ref.C != nil && ev.C != nil && ref.C.Hash() != ev.C.Hash()) {
+				return fmt.Errorf("%w: different joint commitments", ErrInconsistency)
 			}
-			outs := r.Completed[id].Outputs()
-			if len(outs) != width {
-				return fmt.Errorf("%w: node %d output %d key pairs, want %d", ErrInconsistency, id, len(outs), width)
+			if len(ref.Q) != len(ev.Q) {
+				return fmt.Errorf("%w: different Q sizes", ErrInconsistency)
 			}
-			out := outs[k]
-			if ref == nil {
-				ref, refQ = &out, r.Completed[id].Q
-			} else {
-				// Extracted outputs carry the vector commitment alone.
-				if !ref.V.Equal(out.V) || (ref.C != nil && out.C != nil && ref.C.Hash() != out.C.Hash()) {
-					return fmt.Errorf("%w: different joint commitments", ErrInconsistency)
+			for i := range ref.Q {
+				if ref.Q[i] != ev.Q[i] {
+					return fmt.Errorf("%w: different Q sets", ErrInconsistency)
 				}
-				q := r.Completed[id].Q
-				if len(refQ) != len(q) {
-					return fmt.Errorf("%w: different Q sizes", ErrInconsistency)
-				}
-				for i := range refQ {
-					if refQ[i] != q[i] {
-						return fmt.Errorf("%w: different Q sets", ErrInconsistency)
-					}
-				}
-			}
-			if !out.V.VerifyShare(int64(id), out.Share) {
-				return fmt.Errorf("%w: node %d share invalid", ErrInconsistency, id)
-			}
-			if len(pts) < r.Opts.T+1 {
-				pts = append(pts, poly.Point{X: int64(id), Y: out.Share})
 			}
 		}
-		if ref == nil {
-			return fmt.Errorf("%w: no node completed%s", ErrIncomplete, r.timelineSuffix())
+		if !ev.V.VerifyShare(int64(id), ev.Share) {
+			return fmt.Errorf("%w: node %d share invalid", ErrInconsistency, id)
 		}
 		if len(pts) < r.Opts.T+1 {
-			return fmt.Errorf("%w: only %d shares%s", ErrIncomplete, len(pts), r.timelineSuffix())
+			pts = append(pts, poly.Point{X: int64(id), Y: ev.Share})
 		}
-		secret, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
-		if err != nil {
-			return err
-		}
-		if !r.Opts.Group.GExp(secret).Equal(ref.V.PublicKey()) {
-			return fmt.Errorf("%w: interpolated secret does not match public key", ErrInconsistency)
-		}
+	}
+	if ref == nil {
+		return fmt.Errorf("%w: no node completed%s", ErrIncomplete, r.timelineSuffix())
+	}
+	if len(pts) < r.Opts.T+1 {
+		return fmt.Errorf("%w: only %d shares%s", ErrIncomplete, len(pts), r.timelineSuffix())
+	}
+	secret, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
+	if err != nil {
+		return err
+	}
+	if !r.Opts.Group.GExp(secret).Equal(ref.V.PublicKey()) {
+		return fmt.Errorf("%w: interpolated secret does not match public key", ErrInconsistency)
 	}
 	return nil
 }

@@ -166,16 +166,17 @@ func TestRestartMidRenewal(t *testing.T) {
 	}
 }
 
-// TestRestartWideSession: the kill-and-restore scenarios at width 4,
-// summing t+1 dealers and extracting two rows from n−t−f. The victim
-// comes back from its WAL alone, and from a snapshot plus the WAL tail,
-// and the cluster agrees on all four, or eight, key pairs.
+// TestRestartWideSession: the kill-and-restore scenarios for a session
+// that sums t+1 dealers and for one that agrees on n−t−f (the name is
+// from when sessions could share several secrets per dealer). The
+// victim comes back from its WAL alone, and from a snapshot plus the
+// WAL tail, and the cluster agrees on the key.
 func TestRestartWideSession(t *testing.T) {
-	for _, shape := range [][2]int{{0, 1}, {3, 2}} {
-		qsize, rows := shape[0], shape[1]
+	for _, shape := range [][2]int{{0, 2}, {3, 3}} { // QSize, dealers agreed on
+		qsize, want := shape[0], shape[1]
 		for _, snapshotEvery := range []int{0, 4} {
 			res, err := RunRestartDKG(RestartOptions{
-				DKG: DKGOptions{N: 4, T: 1, Seed: 101, Width: 4, QSize: qsize, Rows: rows,
+				DKG: DKGOptions{N: 4, T: 1, Seed: 101, QSize: qsize,
 					DedupDealings: true, CompressedWire: true},
 				Victim:        2,
 				CrashAt:       120,
@@ -190,8 +191,8 @@ func TestRestartWideSession(t *testing.T) {
 			if res.UsedSnapshot != (snapshotEvery > 0) {
 				t.Fatalf("snapshot every %d: restore used a snapshot: %v", snapshotEvery, res.UsedSnapshot)
 			}
-			if got := len(res.RestoredNode.Result().Outputs()); got != 4*rows {
-				t.Fatalf("restored victim output %d key pairs, want %d", got, 4*rows)
+			if got := len(res.RestoredNode.Result().Q); got != want {
+				t.Fatalf("restored victim agreed on %d dealers, want %d", got, want)
 			}
 		}
 	}

@@ -48,8 +48,6 @@ type VSSOptions struct {
 	Extended bool
 	// DMax is the d(κ) crash budget (defaults to N).
 	DMax int
-	// Width is the number of secrets the dealing shares (0 means 1).
-	Width int
 	// CrashedFromStart lists nodes that are down for the whole run.
 	CrashedFromStart []msg.NodeID
 	// CrashAt schedules mid-run crashes: node -> virtual time.
@@ -166,7 +164,6 @@ func SetupVSS(opts *VSSOptions) (*VSSResult, error) {
 		}
 		node, err := vss.NewNode(p, session, id, env, vss.Options{
 			OnShared: func(ev vss.SharedEvent) { res.Shared[id] = ev },
-			Width:    opts.Width,
 		})
 		if err != nil {
 			return nil, err
@@ -240,56 +237,46 @@ func (r *VSSResult) HonestDone() int {
 }
 
 // CheckConsistency verifies the paper's Consistency property across
-// all completed honest nodes, on every coordinate of the sharing: a
-// single commitment matrix, every share valid against it, and any t+1
-// shares interpolating to the same value — the one the matrix commits
-// to, and on coordinate 0 the dealt secret, when the dealer is honest
-// (checkSecret).
+// all completed honest nodes: a single commitment matrix, every share
+// valid against it, and any t+1 shares interpolating to the same
+// value — equal to the dealt secret, and the one the matrix commits to,
+// when the dealer is honest (checkSecret).
 func (r *VSSResult) CheckConsistency(checkSecret bool) error {
-	width := max(r.Opts.Width, 1)
-	for k := 0; k < width; k++ {
-		var ref vss.SharedEvent
-		var have bool
-		pts := make([]poly.Point, 0, r.Opts.T+1)
-		for id, node := range r.Nodes {
-			if !node.Done() {
-				continue
-			}
-			if r.Shared[id].Width() != width {
-				return fmt.Errorf("%w: node %d output %d coordinates, want %d", ErrInconsistency, id, r.Shared[id].Width(), width)
-			}
-			ev := r.Shared[id].Coordinate(k)
-			if !have {
-				ref, have = ev, true
-			} else if ref.C.Hash() != ev.C.Hash() {
-				return fmt.Errorf("%w: nodes decided different commitments (coordinate %d)", ErrInconsistency, k)
-			}
-			if !ev.C.VerifyShare(int64(id), ev.Share) {
-				return fmt.Errorf("%w: node %d share fails verification (coordinate %d)", ErrInconsistency, id, k)
-			}
-			if len(pts) < r.Opts.T+1 {
-				pts = append(pts, poly.Point{X: int64(id), Y: ev.Share})
-			}
-		}
-		if !have {
-			return fmt.Errorf("%w: no node completed", ErrIncomplete)
-		}
-		if len(pts) < r.Opts.T+1 {
-			return fmt.Errorf("%w: only %d completed shares", ErrIncomplete, len(pts))
-		}
-		z, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
-		if err != nil {
-			return err
-		}
-		if !checkSecret {
+	var ref vss.SharedEvent
+	var have bool
+	pts := make([]poly.Point, 0, r.Opts.T+1)
+	for id, node := range r.Nodes {
+		if !node.Done() {
 			continue
 		}
-		if k == 0 && z.Cmp(new(big.Int).Mod(r.Secret, r.Opts.Group.Q())) != 0 {
-			return fmt.Errorf("%w: interpolated %v, dealt %v", ErrInconsistency, z, r.Secret)
+		ev := r.Shared[id]
+		if !have {
+			ref, have = ev, true
+		} else if ref.C.Hash() != ev.C.Hash() {
+			return fmt.Errorf("%w: nodes decided different commitments", ErrInconsistency)
 		}
-		if !ref.C.PublicKey().Equal(r.Opts.Group.GExp(z)) {
-			return fmt.Errorf("%w: commitment public key mismatch (coordinate %d)", ErrInconsistency, k)
+		if !ev.C.VerifyShare(int64(id), ev.Share) {
+			return fmt.Errorf("%w: node %d share fails verification", ErrInconsistency, id)
 		}
+		if len(pts) < r.Opts.T+1 {
+			pts = append(pts, poly.Point{X: int64(id), Y: ev.Share})
+		}
+	}
+	if !have {
+		return fmt.Errorf("%w: no node completed", ErrIncomplete)
+	}
+	if len(pts) < r.Opts.T+1 {
+		return fmt.Errorf("%w: only %d completed shares", ErrIncomplete, len(pts))
+	}
+	z, err := poly.Interpolate(r.Opts.Group.Q(), pts, 0)
+	if err != nil {
+		return err
+	}
+	if checkSecret && z.Cmp(new(big.Int).Mod(r.Secret, r.Opts.Group.Q())) != 0 {
+		return fmt.Errorf("%w: interpolated %v, dealt %v", ErrInconsistency, z, r.Secret)
+	}
+	if checkSecret && !ref.C.PublicKey().Equal(r.Opts.Group.GExp(z)) {
+		return fmt.Errorf("%w: commitment public key mismatch", ErrInconsistency)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package vss
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math/big"
 
@@ -29,93 +28,6 @@ func decodeSession(r *msg.Reader) SessionID {
 	return SessionID{Dealer: r.Node(), Tau: r.U64()}
 }
 
-// MaxWidth is the largest number of secrets one sharing carries.
-const MaxWidth = 16
-
-// validWidth reports whether w is a session width: a power of two up
-// to MaxWidth.
-func validWidth(w int) bool { return w >= 1 && w <= MaxWidth && w&(w-1) == 0 }
-
-// A sharing of width w > 1 (a batched dealing) shares w secrets under
-// one broadcast: w commitment matrices, rows and points travel under
-// one digest (DealingHash). On the wire coordinate 0 stays where the
-// width-1 encoding has it and coordinates 1..w−1 follow in a trailing
-// section — a count byte, then the coordinates — so a width-1 message
-// is byte for byte what it always was. In the message structs the
-// More* fields hold that section; they are nil at width 1.
-
-// DealingHash is the digest a sharing's w commitment matrices are
-// referenced by: the matrix's own hash at width 1, a hash over the w
-// matrix hashes above it.
-func DealingHash(cs []*commit.Matrix) [32]byte {
-	if len(cs) == 1 {
-		return cs[0].Hash()
-	}
-	h := sha256.New()
-	h.Write([]byte("hybriddkg/vss-dealing/v1"))
-	for _, c := range cs {
-		ch := c.Hash()
-		h.Write(ch[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// joinMatrices returns coordinate 0 followed by the trailing ones, or
-// nil when the message carries no matrix.
-func joinMatrices(c *commit.Matrix, more []*commit.Matrix) []*commit.Matrix {
-	if c == nil {
-		return nil
-	}
-	return append([]*commit.Matrix{c}, more...)
-}
-
-// splitMatrices is the inverse of joinMatrices.
-func splitMatrices(cs []*commit.Matrix) (*commit.Matrix, []*commit.Matrix) {
-	if len(cs) == 0 {
-		return nil, nil
-	}
-	return cs[0], cs[1:]
-}
-
-// encodeMoreCount opens the trailing section (nothing at width 1).
-func encodeMoreCount(w *msg.Writer, k int) error {
-	if k >= MaxWidth {
-		return fmt.Errorf("vss: %d trailing coordinates", k)
-	}
-	if k > 0 {
-		w.U8(uint8(k))
-	}
-	return nil
-}
-
-// decodeMoreCount reads the trailing section's count: 0 when the
-// message ends here. A present section is never empty, so each message
-// has one encoding.
-func decodeMoreCount(r *msg.Reader) (int, error) {
-	if !r.More() {
-		return 0, r.Err()
-	}
-	k := int(r.U8())
-	if k < 1 || k >= MaxWidth {
-		return 0, fmt.Errorf("vss: bad trailing coordinate count %d", k)
-	}
-	return k, nil
-}
-
-func encodeMatrix(w *msg.Writer, c *commit.Matrix, compressed bool) error {
-	if c == nil {
-		return fmt.Errorf("vss: nil commitment matrix")
-	}
-	enc, err := marshalMatrix(c, compressed)
-	if err != nil {
-		return err
-	}
-	w.Blob(enc)
-	return nil
-}
-
 func decodeMatrixBlob(r *msg.Reader, gr *group.Group) (*commit.Matrix, error) {
 	enc := r.Blob()
 	if r.Err() != nil {
@@ -124,9 +36,8 @@ func decodeMatrixBlob(r *msg.Reader, gr *group.Group) (*commit.Matrix, error) {
 	return commit.UnmarshalMatrix(gr, enc)
 }
 
-// encodeScalars writes a length-prefixed list of scalars: a row's
-// coefficients on the wire, a point or share vector in a snapshot (nil
-// as the empty list).
+// encodeScalars writes a length-prefixed list of scalars, a row's
+// coefficients.
 func encodeScalars(w *msg.Writer, v []*big.Int) {
 	w.U32(uint32(len(v)))
 	for _, x := range v {
@@ -160,8 +71,6 @@ type SendMsg struct {
 	Session  SessionID
 	C        *commit.Matrix
 	A        []*big.Int // coefficients of a_i(y), ascending; nil if OmitPoly
-	MoreC    []*commit.Matrix
-	MoreA    [][]*big.Int // one row per MoreC entry; nil if OmitPoly
 	OmitPoly bool
 	// Compressed selects the wire-format-v2 matrix encoding on the
 	// marshal side only; decoding auto-detects the version, so the flag
@@ -189,26 +98,12 @@ func (m *SendMsg) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !m.OmitPoly && len(m.MoreA) != len(m.MoreC) {
-		return nil, fmt.Errorf("vss: send carries %d trailing matrices and %d rows", len(m.MoreC), len(m.MoreA))
-	}
-	w := msg.NewWriter((64 + len(cEnc)) * (1 + len(m.MoreC)))
+	w := msg.NewWriter(64 + len(cEnc))
 	m.Session.encode(w)
 	w.Blob(cEnc)
 	w.Bool(m.OmitPoly)
 	if !m.OmitPoly {
 		encodeScalars(w, m.A)
-	}
-	if err := encodeMoreCount(w, len(m.MoreC)); err != nil {
-		return nil, err
-	}
-	for j, c := range m.MoreC {
-		if err := encodeMatrix(w, c, m.Compressed); err != nil {
-			return nil, err
-		}
-		if !m.OmitPoly {
-			encodeScalars(w, m.MoreA[j])
-		}
 	}
 	return w.Bytes(), nil
 }
@@ -227,24 +122,6 @@ func decodeSend(gr *group.Group) msg.Decoder {
 				return nil, err
 			}
 		}
-		k, err := decodeMoreCount(r)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < k; j++ {
-			c, err := decodeMatrixBlob(r, gr)
-			if err != nil {
-				return nil, err
-			}
-			out.MoreC = append(out.MoreC, c)
-			if !out.OmitPoly {
-				a, err := decodeScalars(r, maxCoeffs)
-				if err != nil {
-					return nil, err
-				}
-				out.MoreA = append(out.MoreA, a)
-			}
-		}
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -257,12 +134,10 @@ func decodeSend(gr *group.Group) msg.Decoder {
 // with the hashed-commitment optimisation only its digest does
 // (O(κn³), §3 efficiency discussion).
 type EchoMsg struct {
-	Session   SessionID
-	C         *commit.Matrix // nil in hashed/dedup mode
-	CHash     [32]byte       // always set: DealingHash of the sharing's matrices
-	Alpha     *big.Int
-	MoreC     []*commit.Matrix // nil in hashed/dedup mode
-	MoreAlpha []*big.Int
+	Session SessionID
+	C       *commit.Matrix // nil in hashed/dedup mode
+	CHash   [32]byte       // always set: the digest of C
+	Alpha   *big.Int
 	// Compressed selects the v2 matrix encoding (marshal side only).
 	Compressed bool
 }
@@ -272,25 +147,33 @@ var _ msg.Body = (*EchoMsg)(nil)
 // MsgType implements msg.Body.
 func (m *EchoMsg) MsgType() msg.Type { return msg.TVSSEcho }
 
-// encodeCommitRef writes an echo/ready's reference to coordinate 0's
-// commitment: the matrix itself, or the sharing's digest.
+// encodeCommitRef writes an echo/ready's reference to the commitment:
+// the matrix itself, or its digest.
 func encodeCommitRef(w *msg.Writer, c *commit.Matrix, cHash [32]byte, compressed bool) error {
 	if c == nil {
 		w.Bool(false)
 		w.Blob(cHash[:])
 		return nil
 	}
+	enc, err := marshalMatrix(c, compressed)
+	if err != nil {
+		return err
+	}
 	w.Bool(true)
-	return encodeMatrix(w, c, compressed)
+	w.Blob(enc)
+	return nil
 }
 
-// decodeCommitRef reads what encodeCommitRef wrote: a matrix, or a
-// digest and a nil matrix.
+// decodeCommitRef reads what encodeCommitRef wrote: a matrix and its
+// digest, or a digest and a nil matrix.
 func decodeCommitRef(r *msg.Reader, gr *group.Group) (*commit.Matrix, [32]byte, error) {
 	var h [32]byte
 	if r.Bool() {
 		c, err := decodeMatrixBlob(r, gr)
-		return c, h, err
+		if err != nil {
+			return nil, h, err
+		}
+		return c, c.Hash(), nil
 	}
 	blob := r.Blob()
 	if r.Err() != nil {
@@ -303,51 +186,6 @@ func decodeCommitRef(r *msg.Reader, gr *group.Group) (*commit.Matrix, [32]byte, 
 	return nil, h, nil
 }
 
-// encodeMorePoints writes an echo/ready's trailing section: per further
-// coordinate its matrix (full-matrix mode only) and its point.
-func encodeMorePoints(w *msg.Writer, full bool, moreC []*commit.Matrix, moreAlpha []*big.Int, compressed bool) error {
-	if full && len(moreC) != len(moreAlpha) {
-		return fmt.Errorf("vss: %d trailing matrices for %d trailing points", len(moreC), len(moreAlpha))
-	}
-	if err := encodeMoreCount(w, len(moreAlpha)); err != nil {
-		return err
-	}
-	for j, alpha := range moreAlpha {
-		if full {
-			if err := encodeMatrix(w, moreC[j], compressed); err != nil {
-				return err
-			}
-		}
-		w.Big(alpha)
-	}
-	return nil
-}
-
-// decodeMorePoints reads what encodeMorePoints wrote and, in
-// full-matrix mode, returns the digest over all the message's matrices.
-func decodeMorePoints(r *msg.Reader, gr *group.Group, c *commit.Matrix, cHash [32]byte) ([]*commit.Matrix, []*big.Int, [32]byte, error) {
-	k, err := decodeMoreCount(r)
-	if err != nil {
-		return nil, nil, cHash, err
-	}
-	var moreC []*commit.Matrix
-	var moreAlpha []*big.Int
-	for j := 0; j < k; j++ {
-		if c != nil {
-			mc, err := decodeMatrixBlob(r, gr)
-			if err != nil {
-				return nil, nil, cHash, err
-			}
-			moreC = append(moreC, mc)
-		}
-		moreAlpha = append(moreAlpha, r.Big())
-	}
-	if c != nil {
-		cHash = DealingHash(joinMatrices(c, moreC))
-	}
-	return moreC, moreAlpha, cHash, nil
-}
-
 // MarshalBinary implements msg.Body.
 func (m *EchoMsg) MarshalBinary() ([]byte, error) {
 	w := msg.NewWriter(128)
@@ -356,9 +194,6 @@ func (m *EchoMsg) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	w.Big(m.Alpha)
-	if err := encodeMorePoints(w, m.C != nil, m.MoreC, m.MoreAlpha, m.Compressed); err != nil {
-		return nil, err
-	}
 	return w.Bytes(), nil
 }
 
@@ -371,9 +206,6 @@ func decodeEcho(gr *group.Group) msg.Decoder {
 			return nil, err
 		}
 		out.Alpha = r.Big()
-		if out.MoreC, out.MoreAlpha, out.CHash, err = decodeMorePoints(r, gr, out.C, out.CHash); err != nil {
-			return nil, err
-		}
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -386,13 +218,11 @@ func decodeEcho(gr *group.Group) msg.Decoder {
 // of n−t−f of them is a transferable completion proof R_d for the DKG
 // leader's proposal.
 type ReadyMsg struct {
-	Session   SessionID
-	C         *commit.Matrix // nil in hashed/dedup mode
-	CHash     [32]byte
-	Alpha     *big.Int
-	Sig       []byte           // empty outside extended mode
-	MoreC     []*commit.Matrix // nil in hashed/dedup mode
-	MoreAlpha []*big.Int
+	Session SessionID
+	C       *commit.Matrix // nil in hashed/dedup mode
+	CHash   [32]byte
+	Alpha   *big.Int
+	Sig     []byte // empty outside extended mode
 	// Compressed selects the v2 matrix encoding (marshal side only).
 	Compressed bool
 }
@@ -411,9 +241,6 @@ func (m *ReadyMsg) MarshalBinary() ([]byte, error) {
 	}
 	w.Big(m.Alpha)
 	w.Blob(m.Sig)
-	if err := encodeMorePoints(w, m.C != nil, m.MoreC, m.MoreAlpha, m.Compressed); err != nil {
-		return nil, err
-	}
 	return w.Bytes(), nil
 }
 
@@ -427,9 +254,6 @@ func decodeReady(gr *group.Group) msg.Decoder {
 		}
 		out.Alpha = r.Big()
 		out.Sig = r.Blob()
-		if out.MoreC, out.MoreAlpha, out.CHash, err = decodeMorePoints(r, gr, out.C, out.CHash); err != nil {
-			return nil, err
-		}
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -499,14 +323,13 @@ func decodeFetch(data []byte) (msg.Body, error) {
 	return out, nil
 }
 
-// MatrixMsg answers a FetchMsg with the sharing's commitment matrices.
+// MatrixMsg answers a FetchMsg with the commitment matrix.
 // It is self-authenticating: the receiver recomputes the digest from
 // the decoded entries, so the reply needs no signature and may come
 // from any node that resolved the digest.
 type MatrixMsg struct {
 	Session SessionID
 	C       *commit.Matrix
-	MoreC   []*commit.Matrix
 	// Compressed selects the v2 matrix encoding (marshal side only).
 	Compressed bool
 }
@@ -522,17 +345,9 @@ func (m *MatrixMsg) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := msg.NewWriter((24 + len(cEnc)) * (1 + len(m.MoreC)))
+	w := msg.NewWriter(24 + len(cEnc))
 	m.Session.encode(w)
 	w.Blob(cEnc)
-	if err := encodeMoreCount(w, len(m.MoreC)); err != nil {
-		return nil, err
-	}
-	for _, c := range m.MoreC {
-		if err := encodeMatrix(w, c, m.Compressed); err != nil {
-			return nil, err
-		}
-	}
 	return w.Bytes(), nil
 }
 
@@ -543,17 +358,6 @@ func decodeMatrix(gr *group.Group) msg.Decoder {
 		var err error
 		if out.C, err = decodeMatrixBlob(r, gr); err != nil {
 			return nil, err
-		}
-		k, err := decodeMoreCount(r)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < k; j++ {
-			c, err := decodeMatrixBlob(r, gr)
-			if err != nil {
-				return nil, err
-			}
-			out.MoreC = append(out.MoreC, c)
 		}
 		if err := r.Done(); err != nil {
 			return nil, err

@@ -32,8 +32,10 @@ import (
 // progress, relay collections, parked certificates) and the node-level
 // fallback latch. Older snapshots fail the magic check and the engine
 // falls back to full-WAL replay, which reconstructs the same state.
-// v4 made the share, the matrices, the points and the row polynomials
-// vectors with one entry per coordinate of the session's width.
+// v4 wrote the share, the matrix, each point and the row polynomials
+// as lists with one entry per coordinate of a batched sharing. Sharings
+// carry one secret again, and the lists stay as the framing of a value
+// (see encodeOptScalar), so v4 snapshots still restore.
 const vssStateMagic = "hybriddkg/vss-state/v4"
 
 // stateListMax bounds decoded list lengths, mirroring the wire
@@ -48,8 +50,8 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	w.Bool(nd.dealt)
 	w.Bool(nd.sendHandled)
 	w.Bool(nd.done)
-	encodeScalars(w, nd.shares)
-	if err := encodeMatrices(w, nd.outC); err != nil {
+	encodeOptScalar(w, nd.share)
+	if err := encodeOptMatrix(w, nd.outC); err != nil {
 		return nil, err
 	}
 	EncodeSignedReadies(w, nd.certProof)
@@ -62,7 +64,7 @@ func (nd *Node) MarshalState() ([]byte, error) {
 	for _, h := range hashes {
 		cs := nd.cstates[h]
 		w.Blob(h[:])
-		if err := encodeMatrices(w, cs.c); err != nil {
+		if err := encodeOptMatrix(w, cs.c); err != nil {
 			return nil, err
 		}
 		ids := make([]msg.NodeID, 0, len(cs.points))
@@ -73,19 +75,19 @@ func (nd *Node) MarshalState() ([]byte, error) {
 		w.U32(uint32(len(ids)))
 		for _, id := range ids {
 			w.Node(id)
-			encodeScalars(w, cs.points[id])
+			encodeOptScalar(w, cs.points[id])
 		}
 		w.U32(uint32(cs.echoCount))
 		w.U32(uint32(cs.readyCount))
 		EncodeSignedReadies(w, cs.readySigs)
 		w.Bool(cs.sentReady)
 		w.Bool(cs.echoFlooded)
-		encodePolys(w, cs.aBar)
-		encodePolys(w, cs.aRow)
+		encodeOptPoly(w, cs.aBar)
+		encodeOptPoly(w, cs.aRow)
 		w.U32(uint32(len(cs.unverified)))
 		for _, pp := range cs.unverified {
 			w.Node(pp.from)
-			encodeScalars(w, pp.alpha)
+			encodeOptScalar(w, pp.alpha)
 			w.Bool(pp.ready)
 			w.Blob(pp.sig)
 			w.Bool(pp.buffered)
@@ -107,7 +109,7 @@ func (nd *Node) MarshalState() ([]byte, error) {
 		w.U32(uint32(len(pps)))
 		for _, pp := range pps {
 			w.Node(pp.from)
-			encodeScalars(w, pp.alpha)
+			encodeOptScalar(w, pp.alpha)
 			w.Bool(pp.ready)
 			w.Blob(pp.sig)
 		}
@@ -217,10 +219,10 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 	nd.sendHandled = r.Bool()
 	nd.done = r.Bool()
 	var err error
-	if nd.shares, err = nd.decodeVector(r, true); err != nil {
+	if nd.share, err = decodeOptScalar(r); err != nil {
 		return err
 	}
-	if nd.outC, err = nd.decodeMatrices(r); err != nil {
+	if nd.outC, err = nd.decodeOptMatrix(r); err != nil {
 		return err
 	}
 	nd.certProof = DecodeSignedReadies(r)
@@ -239,8 +241,8 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 			return fmt.Errorf("vss: bad cstate digest length %d", len(hb))
 		}
 		copy(h[:], hb)
-		cs := &cstate{h: h, points: make(map[msg.NodeID][]*big.Int)}
-		if cs.c, err = nd.decodeMatrices(r); err != nil {
+		cs := &cstate{h: h, points: make(map[msg.NodeID]*big.Int)}
+		if cs.c, err = nd.decodeOptMatrix(r); err != nil {
 			return err
 		}
 		nPts, err := r.ListLen(stateListMax)
@@ -249,7 +251,7 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 		for j := 0; j < nPts; j++ {
 			id := r.Node()
-			if cs.points[id], err = nd.decodeVector(r, false); err != nil {
+			if cs.points[id], err = decodeScalar(r); err != nil {
 				return err
 			}
 		}
@@ -258,10 +260,10 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		cs.readySigs = DecodeSignedReadies(r)
 		cs.sentReady = r.Bool()
 		cs.echoFlooded = r.Bool()
-		if cs.aBar, err = nd.decodePolys(r); err != nil {
+		if cs.aBar, err = nd.decodeOptPoly(r); err != nil {
 			return err
 		}
-		if cs.aRow, err = nd.decodePolys(r); err != nil {
+		if cs.aRow, err = nd.decodeOptPoly(r); err != nil {
 			return err
 		}
 		nUnv, err := r.ListLen(stateListMax)
@@ -270,8 +272,7 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 		for j := 0; j < nUnv; j++ {
 			pp := pendingPoint{from: r.Node()}
-			// Queued points passed the range check on every coordinate.
-			if pp.alpha, err = nd.decodeVector(r, false); err != nil {
+			if pp.alpha, err = decodeScalar(r); err != nil {
 				return err
 			}
 			pp.ready, pp.sig, pp.buffered = r.Bool(), r.Blob(), r.Bool()
@@ -298,10 +299,17 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 		}
 		pps := make([]pendingPoint, 0, nPts)
 		for j := 0; j < nPts; j++ {
-			// Buffered before any check ran: any length may be here.
+			// Buffered before any check ran: a v4 snapshot may hold a point
+			// vector of any length here. One that is not a single scalar
+			// restores as nil, which the range check rejects as it
+			// rejected the vector.
 			pp := pendingPoint{from: r.Node()}
-			if pp.alpha, err = decodeScalars(r, stateListMax); err != nil {
+			v, err := decodeScalars(r, stateListMax)
+			if err != nil {
 				return err
+			}
+			if len(v) == 1 {
+				pp.alpha = v[0]
 			}
 			pp.ready, pp.sig = r.Bool(), r.Blob()
 			pps = append(pps, pp)
@@ -380,84 +388,94 @@ func (nd *Node) UnmarshalState(codec *msg.Codec, data []byte) error {
 	return r.Done()
 }
 
-// --- per-coordinate vectors ------------------------------------------
+// --- values in list framing ------------------------------------------
 
-// decodeVector reads a vector that the state machine indexes by
-// coordinate, so its length must be the session's width (or, where
-// nullable, zero).
-func (nd *Node) decodeVector(r *msg.Reader, nullable bool) ([]*big.Int, error) {
-	v, err := decodeScalars(r, stateListMax)
-	if err != nil {
-		return nil, err
+// encodeOptScalar appends x as a list of one scalar, or nil as the
+// empty list.
+func encodeOptScalar(w *msg.Writer, x *big.Int) {
+	if x == nil {
+		w.U32(0)
+		return
 	}
-	if len(v) != nd.width && !(nullable && len(v) == 0) {
-		return nil, fmt.Errorf("vss: snapshot vector of %d scalars in a width-%d session", len(v), nd.width)
-	}
-	return v, nil
+	w.U32(1)
+	w.Big(x)
 }
 
-// encodeMatrices appends a dealing's matrices; nil (digest known,
-// matrices not) encodes as the empty list.
-func encodeMatrices(w *msg.Writer, cs []*commit.Matrix) error {
-	w.U32(uint32(len(cs)))
-	for _, c := range cs {
-		enc, err := c.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		w.Blob(enc)
+// decodeOptScalar reads what encodeOptScalar wrote.
+func decodeOptScalar(r *msg.Reader) (*big.Int, error) {
+	n, err := r.ListLen(1)
+	if err != nil || n == 0 {
+		return nil, err
 	}
+	return r.Big(), r.Err()
+}
+
+// decodeScalar reads a scalar encodeOptScalar wrote, which must be
+// there.
+func decodeScalar(r *msg.Reader) (*big.Int, error) {
+	x, err := decodeOptScalar(r)
+	if err == nil && x == nil {
+		err = fmt.Errorf("vss: snapshot point missing")
+	}
+	return x, err
+}
+
+// encodeOptMatrix appends a dealing's matrix as a list of one; nil
+// (digest known, matrix not) encodes as the empty list.
+func encodeOptMatrix(w *msg.Writer, c *commit.Matrix) error {
+	if c == nil {
+		w.U32(0)
+		return nil
+	}
+	enc, err := c.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	w.U32(1)
+	w.Blob(enc)
 	return nil
 }
 
-func (nd *Node) decodeMatrices(r *msg.Reader) ([]*commit.Matrix, error) {
-	n, err := r.ListLen(MaxWidth)
+func (nd *Node) decodeOptMatrix(r *msg.Reader) (*commit.Matrix, error) {
+	n, err := r.ListLen(1)
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	cs := make([]*commit.Matrix, n)
-	for k := range cs {
-		enc := r.Blob()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if cs[k], err = commit.UnmarshalMatrix(nd.params.Group, enc); err != nil {
-			return nil, err
-		}
+	enc := r.Blob()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if !nd.wellFormed(cs) {
-		return nil, fmt.Errorf("vss: snapshot dealing is not %d degree-%d matrices", nd.width, nd.params.T)
+	c, err := commit.UnmarshalMatrix(nd.params.Group, enc)
+	if err != nil {
+		return nil, err
 	}
-	return cs, nil
+	if !nd.wellFormed(c) {
+		return nil, fmt.Errorf("vss: snapshot dealing is not a degree-%d matrix", nd.params.T)
+	}
+	return c, nil
 }
 
-// encodePolys appends the row polynomials; nil encodes as the empty
-// list.
-func encodePolys(w *msg.Writer, ps []*poly.Poly) {
-	w.U32(uint32(len(ps)))
-	for _, p := range ps {
-		EncodePolyPtr(w, p)
+// encodeOptPoly appends a row polynomial as a list of one; nil encodes
+// as the empty list.
+func encodeOptPoly(w *msg.Writer, p *poly.Poly) {
+	if p == nil {
+		w.U32(0)
+		return
 	}
+	w.U32(1)
+	EncodePolyPtr(w, p)
 }
 
-func (nd *Node) decodePolys(r *msg.Reader) ([]*poly.Poly, error) {
-	n, err := r.ListLen(MaxWidth)
+func (nd *Node) decodeOptPoly(r *msg.Reader) (*poly.Poly, error) {
+	n, err := r.ListLen(1)
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n != nd.width {
-		return nil, fmt.Errorf("vss: snapshot holds %d row polynomials in a width-%d session", n, nd.width)
+	p, err := DecodePolyPtr(r, nd.params.Group.Q())
+	if err == nil && p == nil {
+		err = fmt.Errorf("vss: snapshot row polynomial missing")
 	}
-	ps := make([]*poly.Poly, n)
-	for k := range ps {
-		if ps[k], err = DecodePolyPtr(r, nd.params.Group.Q()); err != nil {
-			return nil, err
-		}
-		if ps[k] == nil {
-			return nil, fmt.Errorf("vss: snapshot row polynomial missing")
-		}
-	}
-	return ps, nil
+	return p, err
 }
 
 // --- nullable crypto-object helpers (shared with internal/dkg) -------

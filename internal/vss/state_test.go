@@ -33,19 +33,16 @@ func TestStateRoundTripCompleted(t *testing.T) {
 	for _, mode := range []struct {
 		name             string
 		hashed, extended bool
-		width            int
 	}{
 		{name: "plain"},
 		{name: "hashed", hashed: true},
 		{name: "extended", extended: true},
 		{name: "hashed-extended", hashed: true, extended: true},
-		{name: "wide", extended: true, width: 4},
-		{name: "wide-hashed", hashed: true, width: 16},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := harness.VSSOptions{
 				N: 7, T: 2, Seed: 42, DMax: 7,
-				HashedEcho: mode.hashed, Extended: mode.extended, Width: mode.width,
+				HashedEcho: mode.hashed, Extended: mode.extended,
 			}
 			res, err := harness.RunVSS(opts)
 			if err != nil {
@@ -71,7 +68,7 @@ func TestStateRoundTripCompleted(t *testing.T) {
 				if err != nil {
 					t.Fatalf("node %d marshal: %v", id, err)
 				}
-				fresh, err := vss.NewNode(params, res.Session, id, nullSender{}, vss.Options{Width: mode.width})
+				fresh, err := vss.NewNode(params, res.Session, id, nullSender{}, vss.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,16 +77,6 @@ func TestStateRoundTripCompleted(t *testing.T) {
 				}
 				if !fresh.Done() {
 					t.Fatalf("node %d not done after restore", id)
-				}
-				if mode.width > 1 {
-					// A snapshot restores only into a session of its width.
-					narrow, err := vss.NewNode(params, res.Session, id, nullSender{}, vss.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if narrow.UnmarshalState(codec, st1) == nil {
-						t.Fatalf("node %d: width-%d snapshot restored into a width-1 session", id, mode.width)
-					}
 				}
 				if fresh.Share().Cmp(node.Share()) != 0 {
 					t.Fatalf("node %d share changed across restore", id)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sort"
 
 	"hybriddkg/internal/commit"
 	"hybriddkg/internal/group"
@@ -152,42 +151,11 @@ type Sender interface {
 
 // SharedEvent reports Sh completion: (P_d, τ, out, shared, C, s_i).
 // The R_d proof set of extended mode is assembled when it is used
-// (Node.ReadyProof). C and Share are coordinate 0 of the sharing; a
-// batched sharing's further coordinates follow in More.
+// (Node.ReadyProof).
 type SharedEvent struct {
 	Session SessionID
 	C       *commit.Matrix
 	Share   *big.Int
-	More    []Coordinate
-}
-
-// Coordinate is one further (commitment, share) pair of a batched
-// sharing.
-type Coordinate struct {
-	C     *commit.Matrix
-	Share *big.Int
-}
-
-// Width returns the number of secrets the sharing carried.
-func (ev SharedEvent) Width() int { return 1 + len(ev.More) }
-
-// Coordinate returns the j-th coordinate as a sharing of its own, the
-// shape combiners and validators written for one secret consume.
-func (ev SharedEvent) Coordinate(j int) SharedEvent {
-	if j == 0 {
-		return SharedEvent{Session: ev.Session, C: ev.C, Share: ev.Share}
-	}
-	return SharedEvent{Session: ev.Session, C: ev.More[j-1].C, Share: ev.More[j-1].Share}
-}
-
-// Digest returns the digest the sharing's echo, ready and certificate
-// votes named (DealingHash).
-func (ev SharedEvent) Digest() [32]byte {
-	cs := []*commit.Matrix{ev.C}
-	for _, co := range ev.More {
-		cs = append(cs, co.C)
-	}
-	return DealingHash(cs)
 }
 
 // ReconstructedEvent reports Rec completion:
@@ -198,14 +166,11 @@ type ReconstructedEvent struct {
 }
 
 // cstate is the per-commitment state: the point set A_C and the echo
-// and ready counters e_C, r_C of Fig. 1. A sharing of width w keeps w
-// matrices, w points per sender and w row polynomials under the one
-// digest h, and one pair of counters: a sender counts once, for all
-// coordinates or for none.
+// and ready counters e_C, r_C of Fig. 1.
 type cstate struct {
 	h          [32]byte
-	c          []*commit.Matrix // nil until the matrices are known (hashed mode)
-	points     map[msg.NodeID][]*big.Int
+	c          *commit.Matrix // nil until the matrix is known (hashed mode)
+	points     map[msg.NodeID]*big.Int
 	echoCount  int
 	readyCount int
 	// readySigs holds the signature of every counted ready (extended
@@ -216,12 +181,12 @@ type cstate struct {
 	proof        []SignedReady
 	proofChecked int
 	sentReady    bool
-	aBar         []*poly.Poly // interpolated row polynomials, once available
-	// aRow holds the row polynomials f(i,·) from the dealer's send,
+	aBar         *poly.Poly // interpolated row polynomial, once available
+	// aRow holds the row polynomial f(i,·) from the dealer's send,
 	// pinned to this commitment by verify-poly. Once either aRow or aBar
 	// is known, incoming points verify by scalar evaluation (see
 	// pointValid) instead of exponentiations.
-	aRow []*poly.Poly
+	aRow *poly.Poly
 	// echoFlooded marks that the classic all-to-all echo broadcast for
 	// this commitment has run (immediately in flood mode, lazily on
 	// certificate fallback), so the fallback never double-sends.
@@ -237,7 +202,7 @@ type cstate struct {
 
 // rowPoly returns a trusted representation of f(i,·) for this
 // commitment, if one is known.
-func (cs *cstate) rowPoly() []*poly.Poly {
+func (cs *cstate) rowPoly() *poly.Poly {
 	if cs.aRow != nil {
 		return cs.aRow
 	}
@@ -249,7 +214,7 @@ func (cs *cstate) rowPoly() []*poly.Poly {
 // batch-verification queue entry.
 type pendingPoint struct {
 	from  msg.NodeID
-	alpha []*big.Int // one point per coordinate
+	alpha *big.Int
 	ready bool
 	sig   []byte
 	// buffered marks a point that came through the hashed-mode
@@ -268,11 +233,6 @@ type Node struct {
 	self    msg.NodeID
 	session SessionID
 	sender  Sender
-	// width is the number of secrets the session shares; checked is how
-	// many leading coordinates of a point vector are verified — all of
-	// them, except under the chaos lab's injected bug.
-	width   int
-	checked int
 
 	onShared        func(SharedEvent)
 	onReconstructed func(ReconstructedEvent)
@@ -287,9 +247,9 @@ type Node struct {
 	cstates     map[[32]byte]*cstate
 	pending     map[[32]byte][]pendingPoint
 
-	done   bool
-	shares []*big.Int
-	outC   []*commit.Matrix
+	done  bool
+	share *big.Int
+	outC  *commit.Matrix
 	// certProof is the R_d set taken from a verified ready certificate
 	// (certificate mode); flood completions derive theirs on use.
 	certProof []SignedReady
@@ -327,15 +287,6 @@ type Options struct {
 	OnShared func(SharedEvent)
 	// OnReconstructed fires exactly once when protocol Rec completes.
 	OnReconstructed func(ReconstructedEvent)
-	// Width is the number of secrets the session shares under one
-	// broadcast: 1 (also the zero value), 2, 4, 8 or 16. Every node of a
-	// session must use the same width, so callers derive it from the
-	// session identifier.
-	Width int
-	// InjectVerifyFirstCoordinateOnly plants the chaos lab's bug of that
-	// name: points are verified on coordinate 0 alone. Never set outside
-	// the lab.
-	InjectVerifyFirstCoordinateOnly bool
 }
 
 // NewNode creates the session endpoint for node self in session.
@@ -352,26 +303,14 @@ func NewNode(params Params, session SessionID, self msg.NodeID, sender Sender, o
 	if sender == nil {
 		return nil, fmt.Errorf("%w: nil sender", ErrBadParams)
 	}
-	if opts.Width == 0 {
-		opts.Width = 1
-	}
-	if !validWidth(opts.Width) {
-		return nil, fmt.Errorf("%w: width %d not a power of two in [1,%d]", ErrBadParams, opts.Width, MaxWidth)
-	}
 	if params.Metrics == nil {
 		params.Metrics = &telemetry.ProtocolMetrics{}
-	}
-	checked := opts.Width
-	if opts.InjectVerifyFirstCoordinateOnly {
-		checked = 1
 	}
 	return &Node{
 		params:          params,
 		self:            self,
 		session:         session,
 		sender:          sender,
-		width:           opts.Width,
-		checked:         checked,
 		onShared:        opts.OnShared,
 		onReconstructed: opts.OnReconstructed,
 		echoSeen:        make(map[msg.NodeID]bool, params.N),
@@ -393,23 +332,16 @@ func (nd *Node) Session() SessionID { return nd.session }
 // Done reports whether protocol Sh has completed locally.
 func (nd *Node) Done() bool { return nd.done }
 
-// Share returns this node's share s_i of coordinate 0 (nil until
-// Done); SharedEvent carries every coordinate.
+// Share returns this node's share s_i (nil until Done).
 func (nd *Node) Share() *big.Int {
-	if nd.shares == nil {
+	if nd.share == nil {
 		return nil
 	}
-	return new(big.Int).Set(nd.shares[0])
+	return new(big.Int).Set(nd.share)
 }
 
-// Commitment returns the decided commitment matrix of coordinate 0
-// (nil until Done).
-func (nd *Node) Commitment() *commit.Matrix {
-	if nd.outC == nil {
-		return nil
-	}
-	return nd.outC[0]
-}
+// Commitment returns the decided commitment matrix (nil until Done).
+func (nd *Node) Commitment() *commit.Matrix { return nd.outC }
 
 // ReadyProof returns the R_d set (extended mode, after Done): the first
 // n−t−f valid signatures among the counted readies, in arrival order.
@@ -422,7 +354,7 @@ func (nd *Node) ReadyProof() []SignedReady {
 		return nd.certProof
 	}
 	rt := nd.params.ReadyThreshold()
-	h := DealingHash(nd.outC)
+	h := nd.outC.Hash()
 	cs := nd.cstates[h]
 	transcript := ReadyTranscript(nd.session, h)
 	for ; cs.proofChecked < len(cs.readySigs) && len(cs.proof) < rt; cs.proofChecked++ {
@@ -446,10 +378,8 @@ func (nd *Node) Reconstructed() *big.Int {
 }
 
 // ShareSecret is the dealer's (P_d, τ, in, share, s) operator message:
-// it samples one symmetric bivariate polynomial per coordinate,
-// commits, and sends each node its rows. Coordinate 0 shares s; the
-// further coordinates of a batched sharing share fresh uniform secrets
-// drawn from rand.
+// it samples a symmetric bivariate polynomial with f(0,0) = s, commits,
+// and sends each node its row.
 func (nd *Node) ShareSecret(s *big.Int, rand io.Reader) error {
 	if nd.self != nd.session.Dealer {
 		return ErrNotDealer
@@ -457,35 +387,19 @@ func (nd *Node) ShareSecret(s *big.Int, rand io.Reader) error {
 	if nd.dealt {
 		return ErrAlreadyDealt
 	}
-	fs := make([]*poly.BiPoly, nd.width)
-	cs := make([]*commit.Matrix, nd.width)
-	for k := range fs {
-		if k > 0 {
-			var err error
-			if s, err = nd.params.Group.RandScalar(rand); err != nil {
-				return fmt.Errorf("vss: sample secret: %w", err)
-			}
-		}
-		f, err := poly.NewRandomSymmetric(nd.params.Group.Q(), s, nd.params.T, rand)
-		if err != nil {
-			return fmt.Errorf("vss: sample bivariate polynomial: %w", err)
-		}
-		fs[k], cs[k] = f, commit.NewMatrix(nd.params.Group, f)
+	f, err := poly.NewRandomSymmetric(nd.params.Group.Q(), s, nd.params.T, rand)
+	if err != nil {
+		return fmt.Errorf("vss: sample bivariate polynomial: %w", err)
 	}
+	c := commit.NewMatrix(nd.params.Group, f)
 	nd.dealt = true
-	c, moreC := splitMatrices(cs)
 	for j := 1; j <= nd.params.N; j++ {
-		out := &SendMsg{
+		nd.sendLogged(msg.NodeID(j), &SendMsg{
 			Session:    nd.session,
 			C:          c,
-			A:          fs[0].Row(int64(j)).Coeffs(),
-			MoreC:      moreC,
+			A:          f.Row(int64(j)).Coeffs(),
 			Compressed: nd.params.CompressedWire,
-		}
-		for _, f := range fs[1:] {
-			out.MoreA = append(out.MoreA, f.Row(int64(j)).Coeffs())
-		}
-		nd.sendLogged(msg.NodeID(j), out)
+		})
 	}
 	return nil
 }
@@ -525,40 +439,31 @@ func (nd *Node) handleSend(from msg.NodeID, m *SendMsg) {
 	if m.Session != nd.session || from != nd.session.Dealer || nd.sendHandled {
 		return
 	}
-	c := joinMatrices(m.C, m.MoreC)
-	if !nd.wellFormed(c) {
+	if !nd.wellFormed(m.C) {
 		return
 	}
 	if m.OmitPoly {
 		// Redacted retransmission (renewal recovery): learn C so
 		// buffered hashed echoes can be processed, but send no echo.
 		nd.sendHandled = true
-		nd.learnCommitment(c)
+		nd.learnCommitment(m.C)
 		return
 	}
-	if len(m.MoreA) != len(m.MoreC) {
+	if len(m.A) != nd.params.T+1 {
 		return
 	}
-	// verify-poly, coordinate by coordinate: the dealing is accepted
-	// only if every row matches its matrix.
-	rows := make([]*poly.Poly, nd.width)
-	for k, coeffs := range append([][]*big.Int{m.A}, m.MoreA...) {
-		if len(coeffs) != nd.params.T+1 {
-			return
-		}
-		a, err := poly.FromCoeffs(nd.params.Group.Q(), coeffs)
-		if err != nil {
-			return
-		}
-		if !c[k].VerifyPoly(int64(nd.self), a) {
-			return
-		}
-		rows[k] = a
+	a, err := poly.FromCoeffs(nd.params.Group.Q(), m.A)
+	if err != nil {
+		return
+	}
+	// verify-poly
+	if !m.C.VerifyPoly(int64(nd.self), a) {
+		return
 	}
 	nd.sendHandled = true
 	nd.params.Metrics.Dealings.Inc()
 	nd.trace(telemetry.EvPhase, "vss-dealing-accepted")
-	cs := nd.learnCommitmentRow(c, rows)
+	cs := nd.learnCommitmentRow(m.C, a)
 	if nd.params.Certificates && !nd.certFloodActive {
 		nd.certSendEcho(cs.h)
 	} else {
@@ -566,40 +471,10 @@ func (nd *Node) handleSend(from msg.NodeID, m *SendMsg) {
 	}
 }
 
-// wellFormed reports whether c can be this session's dealing: one
-// degree-t matrix per coordinate of the session's width.
-func (nd *Node) wellFormed(c []*commit.Matrix) bool {
-	if len(c) != nd.width {
-		return false
-	}
-	for _, m := range c {
-		if m == nil || m.T() != nd.params.T {
-			return false
-		}
-	}
-	return true
-}
-
-// evalAll evaluates every coordinate's row polynomial at x.
-func evalAll(rows []*poly.Poly, x int64) []*big.Int {
-	out := make([]*big.Int, len(rows))
-	for k, a := range rows {
-		out[k] = a.EvalInt(x)
-	}
-	return out
-}
-
-// equalScalars reports whether two point vectors agree.
-func equalScalars(a, b []*big.Int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k].Cmp(b[k]) != 0 {
-			return false
-		}
-	}
-	return true
+// wellFormed reports whether c can be this session's dealing: a
+// degree-t matrix.
+func (nd *Node) wellFormed(c *commit.Matrix) bool {
+	return c != nil && c.T() == nd.params.T
 }
 
 // floodEchoes runs the classic Fig. 1 echo broadcast from the dealer's
@@ -613,7 +488,7 @@ func (nd *Node) floodEchoes(cs *cstate) {
 	cs.echoFlooded = true
 	for j := 1; j <= nd.params.N; j++ {
 		nd.params.Metrics.EchoSent.Inc()
-		nd.sendLogged(msg.NodeID(j), nd.makeEcho(cs, evalAll(cs.aRow, int64(j))))
+		nd.sendLogged(msg.NodeID(j), nd.makeEcho(cs, cs.aRow.EvalInt(int64(j))))
 	}
 }
 
@@ -622,51 +497,39 @@ func (nd *Node) handleEcho(from msg.NodeID, m *EchoMsg) {
 	if m.Session != nd.session || nd.echoSeen[from] {
 		return
 	}
-	c := joinMatrices(m.C, m.MoreC)
-	if c != nil && !nd.wellFormed(c) {
+	if m.C != nil && !nd.wellFormed(m.C) {
 		return
 	}
-	alpha := append([]*big.Int{m.Alpha}, m.MoreAlpha...)
-	cs, known := nd.resolveCommitment(c, m.CHash)
+	cs, known := nd.resolveCommitment(m.C, m.CHash)
 	if !known {
 		// Hashed/dedup mode, matrix not yet known: buffer, but still
 		// burn the sender's first-echo slot so equivocation cannot
 		// inflate counters later.
 		nd.echoSeen[from] = true
-		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: alpha})
+		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: m.Alpha})
 		nd.maybeFetch(m.CHash, from)
 		return
 	}
-	if nd.deferPoint(cs, pendingPoint{from: from, alpha: alpha}) {
+	if nd.deferPoint(cs, pendingPoint{from: from, alpha: m.Alpha}) {
 		nd.maybeFlushBatch(cs)
 		return
 	}
-	if !nd.pointValid(cs, from, alpha) {
+	if !nd.pointValid(cs, from, m.Alpha) {
 		return
 	}
 	nd.echoSeen[from] = true
-	nd.addEcho(cs, from, alpha)
+	nd.addEcho(cs, from, m.Alpha)
 	// A direct apply can move the counters to the brink; the queued
 	// points (if any) must get their crossing chance too.
 	nd.maybeFlushBatch(cs)
 }
 
-// scalarsInRange reports whether alpha holds one scalar of Z_q per
-// coordinate of the session.
-func (nd *Node) scalarsInRange(alpha []*big.Int) bool {
-	if len(alpha) != nd.width {
-		return false
-	}
-	for _, a := range alpha {
-		if a == nil || a.Sign() < 0 || a.Cmp(nd.params.Group.Q()) >= 0 {
-			return false
-		}
-	}
-	return true
+// scalarInRange reports whether alpha is a scalar of Z_q.
+func (nd *Node) scalarInRange(alpha *big.Int) bool {
+	return alpha != nil && alpha.Sign() >= 0 && alpha.Cmp(nd.params.Group.Q()) < 0
 }
 
-// pointValid checks α = f(from, self) against the commitment, on every
-// coordinate: a point vector counts only if all of it holds. The
+// pointValid checks α = f(from, self) against the commitment. The
 // expensive verify-point exponentiations only run while the node has
 // no trusted row polynomial:
 //
@@ -679,24 +542,17 @@ func (nd *Node) scalarsInRange(alpha []*big.Int) bool {
 //   - likewise after ā was interpolated from t+1 verified points
 //     (Fig. 1), since a degree-t polynomial through t+1 evaluations of
 //     f(i,·) is f(i,·).
-func (nd *Node) pointValid(cs *cstate, from msg.NodeID, alpha []*big.Int) bool {
-	if !nd.scalarsInRange(alpha) {
+func (nd *Node) pointValid(cs *cstate, from msg.NodeID, alpha *big.Int) bool {
+	if !nd.scalarInRange(alpha) {
 		return false
 	}
-	if prev, ok := cs.points[from]; ok && equalScalars(prev, alpha) {
+	if prev, ok := cs.points[from]; ok && prev.Cmp(alpha) == 0 {
 		return true
 	}
-	rows := cs.rowPoly()
-	for k, a := range alpha[:nd.checked] {
-		if rows != nil {
-			if rows[k].EvalInt(int64(from)).Cmp(a) != 0 {
-				return false
-			}
-		} else if !cs.c[k].VerifyPoint(int64(nd.self), int64(from), a) {
-			return false
-		}
+	if row := cs.rowPoly(); row != nil {
+		return row.EvalInt(int64(from)).Cmp(alpha) == 0
 	}
-	return true
+	return cs.c.VerifyPoint(int64(nd.self), int64(from), alpha)
 }
 
 // deferPoint reports whether pp should join the deferred-verification
@@ -721,11 +577,11 @@ func (nd *Node) deferPoint(cs *cstate, pp pendingPoint) bool {
 	if nd.params.DisableBatch || cs.c == nil || cs.rowPoly() != nil {
 		return false
 	}
-	if prev, ok := cs.points[pp.from]; ok && equalScalars(prev, pp.alpha) {
-		return false // cheap comparison path; no need to defer
-	}
-	if !nd.scalarsInRange(pp.alpha) {
+	if !nd.scalarInRange(pp.alpha) {
 		return false // invalid scalar: let pointValid reject it for free
+	}
+	if prev, ok := cs.points[pp.from]; ok && prev.Cmp(pp.alpha) == 0 {
+		return false // cheap comparison path; no need to defer
 	}
 	cs.unverified = append(cs.unverified, pp)
 	return true
@@ -760,11 +616,7 @@ func (nd *Node) maybeFlushBatch(cs *cstate) {
 	bv := commit.NewBatchVerifier(nd.params.Group)
 	bv.SetParallel(nd.params.Parallel)
 	for idx, pp := range pend {
-		// One check per coordinate under the sender's tag: the vector is
-		// bad if any of them fails.
-		for k, a := range pp.alpha[:nd.checked] {
-			bv.AddPoint(idx, cs.c[k], int64(nd.self), int64(pp.from), a)
-		}
+		bv.AddPoint(idx, cs.c, int64(nd.self), int64(pp.from), pp.alpha)
 	}
 	bad := make(map[int]bool, len(pend))
 	for _, tag := range bv.Flush() {
@@ -823,7 +675,7 @@ func (nd *Node) drainUnverified(cs *cstate) {
 }
 
 // addEcho applies a verified echo point to commitment state.
-func (nd *Node) addEcho(cs *cstate, from msg.NodeID, alpha []*big.Int) {
+func (nd *Node) addEcho(cs *cstate, from msg.NodeID, alpha *big.Int) {
 	cs.points[from] = alpha
 	cs.echoCount++
 	if cs.echoCount == nd.params.EchoThreshold() {
@@ -842,34 +694,32 @@ func (nd *Node) handleReady(from msg.NodeID, m *ReadyMsg) {
 	if m.Session != nd.session || nd.readySeen[from] {
 		return
 	}
-	c := joinMatrices(m.C, m.MoreC)
-	if c != nil && !nd.wellFormed(c) {
+	if m.C != nil && !nd.wellFormed(m.C) {
 		return
 	}
-	alpha := append([]*big.Int{m.Alpha}, m.MoreAlpha...)
-	cs, known := nd.resolveCommitment(c, m.CHash)
+	cs, known := nd.resolveCommitment(m.C, m.CHash)
 	if !known {
 		nd.readySeen[from] = true
-		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: alpha, ready: true, sig: m.Sig})
+		nd.pending[m.CHash] = append(nd.pending[m.CHash], pendingPoint{from: from, alpha: m.Alpha, ready: true, sig: m.Sig})
 		nd.maybeFetch(m.CHash, from)
 		return
 	}
-	if nd.deferPoint(cs, pendingPoint{from: from, alpha: alpha, ready: true, sig: m.Sig}) {
+	if nd.deferPoint(cs, pendingPoint{from: from, alpha: m.Alpha, ready: true, sig: m.Sig}) {
 		nd.maybeFlushBatch(cs)
 		return
 	}
-	if !nd.pointValid(cs, from, alpha) {
+	if !nd.pointValid(cs, from, m.Alpha) {
 		return
 	}
 	nd.readySeen[from] = true
-	nd.addReady(cs, from, alpha, m.Sig)
+	nd.addReady(cs, from, m.Alpha, m.Sig)
 	// A direct apply can move the counters to the brink; the queued
 	// points (if any) must get their crossing chance too.
 	nd.maybeFlushBatch(cs)
 }
 
 // addReady applies a verified ready point to commitment state.
-func (nd *Node) addReady(cs *cstate, from msg.NodeID, alpha []*big.Int, sigBytes []byte) {
+func (nd *Node) addReady(cs *cstate, from msg.NodeID, alpha *big.Int, sigBytes []byte) {
 	cs.points[from] = alpha
 	cs.readyCount++
 	if nd.params.Extended {
@@ -893,29 +743,19 @@ func (nd *Node) interpolateRow(cs *cstate) bool {
 	if cs.aBar != nil {
 		return true
 	}
-	if len(cs.points) < nd.params.T+1 {
+	pts := make([]poly.Point, 0, nd.params.T+1)
+	for from, alpha := range cs.points {
+		pts = append(pts, poly.Point{X: int64(from), Y: alpha})
+		if len(pts) == nd.params.T+1 {
+			break
+		}
+	}
+	if len(pts) < nd.params.T+1 {
 		return false
 	}
-	// Any t+1 verified points give the same polynomials; taking the
-	// lowest senders makes the choice a function of protocol state, so
-	// a seeded run replays even when a planted bug lets a bad point in.
-	froms := make([]msg.NodeID, 0, len(cs.points))
-	for from := range cs.points {
-		froms = append(froms, from)
-	}
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	froms = froms[:nd.params.T+1]
-	aBar := make([]*poly.Poly, nd.width)
-	pts := make([]poly.Point, len(froms))
-	for k := range aBar {
-		for i, from := range froms {
-			pts[i] = poly.Point{X: int64(from), Y: cs.points[from][k]}
-		}
-		a, err := poly.InterpolatePoly(nd.params.Group.Q(), pts)
-		if err != nil {
-			return false
-		}
-		aBar[k] = a
+	aBar, err := poly.InterpolatePoly(nd.params.Group.Q(), pts)
+	if err != nil {
+		return false
 	}
 	cs.aBar = aBar
 	// A trusted row retires the deferred queue (nothing new defers
@@ -943,10 +783,9 @@ func (nd *Node) broadcastReady(cs *cstate) {
 	}
 	for j := 1; j <= nd.params.N; j++ {
 		nd.params.Metrics.ReadySent.Inc()
-		alpha := evalAll(cs.aBar, int64(j))
-		out := &ReadyMsg{Session: nd.session, Alpha: alpha[0], MoreAlpha: alpha[1:], CHash: h, Sig: sigBytes}
+		out := &ReadyMsg{Session: nd.session, Alpha: cs.aBar.EvalInt(int64(j)), CHash: h, Sig: sigBytes}
 		if !nd.hashOnly() {
-			out.C, out.MoreC = splitMatrices(cs.c)
+			out.C = cs.c
 			out.Compressed = nd.params.CompressedWire
 		}
 		nd.sendLogged(msg.NodeID(j), out)
@@ -964,25 +803,21 @@ func (nd *Node) complete(cs *cstate) {
 	nd.done = true
 	nd.params.Metrics.VSSCompleted.Inc()
 	nd.trace(telemetry.EvPhase, "vss-completed")
-	nd.shares = evalAll(cs.aBar, 0)
+	nd.share = cs.aBar.EvalInt(0)
 	nd.outC = cs.c
 	if nd.onShared != nil {
-		ev := SharedEvent{Session: nd.session, C: cs.c[0], Share: new(big.Int).Set(nd.shares[0])}
-		for k := 1; k < nd.width; k++ {
-			ev.More = append(ev.More, Coordinate{C: cs.c[k], Share: new(big.Int).Set(nd.shares[k])})
-		}
-		nd.onShared(ev)
+		nd.onShared(SharedEvent{Session: nd.session, C: cs.c, Share: new(big.Int).Set(nd.share)})
 	}
 	nd.drainRecPending()
 }
 
 // cstateFor returns (allocating if needed) the state of the well-formed
 // dealing c.
-func (nd *Node) cstateFor(c []*commit.Matrix) *cstate {
-	h := DealingHash(c)
+func (nd *Node) cstateFor(c *commit.Matrix) *cstate {
+	h := c.Hash()
 	cs, ok := nd.cstates[h]
 	if !ok {
-		cs = &cstate{h: h, c: c, points: make(map[msg.NodeID][]*big.Int)}
+		cs = &cstate{h: h, c: c, points: make(map[msg.NodeID]*big.Int)}
 		nd.cstates[h] = cs
 	} else if cs.c == nil {
 		cs.c = c
@@ -991,9 +826,9 @@ func (nd *Node) cstateFor(c []*commit.Matrix) *cstate {
 }
 
 // resolveCommitment returns the cstate for a message carrying either
-// the full (well-formed) matrices or only their digest. known is false
-// when the digest is not yet associated with matrices.
-func (nd *Node) resolveCommitment(c []*commit.Matrix, cHash [32]byte) (*cstate, bool) {
+// the full (well-formed) matrix or only its digest. known is false
+// when the digest is not yet associated with a matrix.
+func (nd *Node) resolveCommitment(c *commit.Matrix, cHash [32]byte) (*cstate, bool) {
 	if c != nil {
 		return nd.cstateFor(c), true
 	}
@@ -1004,14 +839,14 @@ func (nd *Node) resolveCommitment(c []*commit.Matrix, cHash [32]byte) (*cstate, 
 	return nil, false
 }
 
-// learnCommitment records the matrices from a send message and replays
-// buffered hashed echoes/readies against them.
-func (nd *Node) learnCommitment(c []*commit.Matrix) { nd.learnCommitmentRow(c, nil) }
+// learnCommitment records the matrix from a send message and replays
+// buffered hashed echoes/readies against it.
+func (nd *Node) learnCommitment(c *commit.Matrix) { nd.learnCommitmentRow(c, nil) }
 
 // learnCommitmentRow additionally installs the verify-poly-pinned row
-// polynomials, so the buffered points (and all later ones) verify by
+// polynomial, so the buffered points (and all later ones) verify by
 // scalar evaluation.
-func (nd *Node) learnCommitmentRow(c []*commit.Matrix, a []*poly.Poly) *cstate {
+func (nd *Node) learnCommitmentRow(c *commit.Matrix, a *poly.Poly) *cstate {
 	cs := nd.cstateFor(c)
 	h := cs.h
 	if a != nil && cs.aRow == nil {
@@ -1057,10 +892,10 @@ func (nd *Node) applyPoint(cs *cstate, pp pendingPoint) {
 }
 
 // makeEcho builds an echo message in the configured mode.
-func (nd *Node) makeEcho(cs *cstate, alpha []*big.Int) *EchoMsg {
-	out := &EchoMsg{Session: nd.session, Alpha: alpha[0], MoreAlpha: alpha[1:], CHash: cs.h}
+func (nd *Node) makeEcho(cs *cstate, alpha *big.Int) *EchoMsg {
+	out := &EchoMsg{Session: nd.session, Alpha: alpha, CHash: cs.h}
 	if !nd.hashOnly() {
-		out.C, out.MoreC = splitMatrices(cs.c)
+		out.C = cs.c
 		out.Compressed = nd.params.CompressedWire
 	}
 	return out
@@ -1126,8 +961,7 @@ func (nd *Node) handleFetch(from msg.NodeID, m *FetchMsg) {
 		return
 	}
 	served[from] = true
-	c, moreC := splitMatrices(cs.c)
-	nd.sender.Send(from, &MatrixMsg{Session: nd.session, C: c, MoreC: moreC, Compressed: nd.params.CompressedWire})
+	nd.sender.Send(from, &MatrixMsg{Session: nd.session, C: cs.c, Compressed: nd.params.CompressedWire})
 }
 
 // handleMatrix installs a fetched matrix. The reply authenticates
@@ -1136,14 +970,13 @@ func (nd *Node) handleFetch(from msg.NodeID, m *FetchMsg) {
 // under that digest: an unsolicited matrix for a digest nobody
 // referenced cannot allocate state.
 func (nd *Node) handleMatrix(from msg.NodeID, m *MatrixMsg) {
-	c := joinMatrices(m.C, m.MoreC)
-	if m.Session != nd.session || !nd.wellFormed(c) {
+	if m.Session != nd.session || !nd.wellFormed(m.C) {
 		return
 	}
-	if len(nd.pending[DealingHash(c)]) == 0 {
+	if len(nd.pending[m.C.Hash()]) == 0 {
 		return
 	}
-	nd.learnCommitment(c)
+	nd.learnCommitment(m.C)
 }
 
 // --- crash recovery (Fig. 1 recover/help) ---------------------------
@@ -1218,7 +1051,7 @@ func (nd *Node) EraseDealingSecrets() {
 	for to, bodies := range nd.outLog {
 		for i, b := range bodies {
 			if sm, ok := b.(*SendMsg); ok {
-				nd.outLog[to][i] = &SendMsg{Session: sm.Session, C: sm.C, MoreC: sm.MoreC, OmitPoly: true, Compressed: sm.Compressed}
+				nd.outLog[to][i] = &SendMsg{Session: sm.Session, C: sm.C, OmitPoly: true, Compressed: sm.Compressed}
 			}
 		}
 	}
@@ -1227,8 +1060,6 @@ func (nd *Node) EraseDealingSecrets() {
 // --- Rec protocol ----------------------------------------------------
 
 // StartReconstruct is the (P_d, τ, in, reconstruct) operator message.
-// Rec opens coordinate 0; nothing opens a batched sharing's further
-// coordinates through this protocol.
 func (nd *Node) StartReconstruct() error {
 	if !nd.done {
 		return ErrNotDone
@@ -1238,7 +1069,7 @@ func (nd *Node) StartReconstruct() error {
 	}
 	nd.recStarted = true
 	for j := 1; j <= nd.params.N; j++ {
-		nd.sender.Send(msg.NodeID(j), &RecShareMsg{Session: nd.session, Share: new(big.Int).Set(nd.shares[0])})
+		nd.sender.Send(msg.NodeID(j), &RecShareMsg{Session: nd.session, Share: new(big.Int).Set(nd.share)})
 	}
 	return nil
 }
@@ -1262,7 +1093,7 @@ func (nd *Node) acceptRecShare(from msg.NodeID, share *big.Int) {
 	if nd.recSeen[from] || nd.reconstructed != nil {
 		return
 	}
-	if share == nil || !nd.outC[0].VerifyShare(int64(from), share) {
+	if share == nil || !nd.outC.VerifyShare(int64(from), share) {
 		return
 	}
 	nd.recSeen[from] = true

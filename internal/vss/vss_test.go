@@ -137,6 +137,38 @@ func TestShLivenessAndConsistency(t *testing.T) {
 	}
 }
 
+// TestWidthLivenessAndConsistency runs a sharing of one secret, the
+// only width a sharing has, through every wire configuration: the full
+// matrix in every echo, hashed echoes, dedup with compressed matrices
+// and signed readies, and unbatched point checks.
+func TestWidthLivenessAndConsistency(t *testing.T) {
+	modes := []struct {
+		name string
+		opts harness.VSSOptions
+	}{
+		{"full-matrix", harness.VSSOptions{}},
+		{"hashed", harness.VSSOptions{HashedEcho: true}},
+		{"dedup-compressed-extended", harness.VSSOptions{DedupDealings: true, CompressedWire: true, Extended: true}},
+		{"unbatched", harness.VSSOptions{HashedEcho: true, DisableBatch: true}},
+	}
+	for _, mode := range modes {
+		t.Run("w1/"+mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.N, opts.T, opts.Seed = 7, 2, 41
+			res, err := harness.RunVSS(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.HonestDone() != opts.N {
+				t.Fatalf("completed on %d/%d nodes", res.HonestDone(), opts.N)
+			}
+			if err := res.CheckConsistency(true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestShMessageComplexity checks the §3 claim: a crash-free execution
 // has exactly n send + n² echo + n² ready messages.
 func TestShMessageComplexity(t *testing.T) {
@@ -459,6 +491,58 @@ func TestBadRowVictimsStillComplete(t *testing.T) {
 	}
 	if err := res.CheckConsistency(false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wrongDegreeDealer deals an honest sharing whose polynomial has the
+// wrong degree for the session.
+type wrongDegreeDealer struct {
+	env    *simnet.Env
+	n, deg int
+}
+
+func (d *wrongDegreeDealer) HandleMessage(msg.NodeID, msg.Body) {}
+func (d *wrongDegreeDealer) HandleTimer(uint64)                 {}
+func (d *wrongDegreeDealer) HandleRecover()                     {}
+
+func (d *wrongDegreeDealer) deal() {
+	gr := group.Test256()
+	f, _ := poly.NewRandomSymmetric(gr.Q(), big.NewInt(1000), d.deg, randutil.NewReader(54))
+	c := commit.NewMatrix(gr, f)
+	sess := vss.SessionID{Dealer: 1, Tau: 1}
+	for j := 1; j <= d.n; j++ {
+		d.env.Send(msg.NodeID(j), &vss.SendMsg{Session: sess, C: c, A: f.Row(int64(j)).Coeffs()})
+	}
+}
+
+// TestWrongWidthDealingIgnored: a dealing whose matrix is not of the
+// session's shape — a sharing of degree t−1 or t+1 — is not a dealing
+// of that session, so no node echoes it or completes.
+func TestWrongWidthDealingIgnored(t *testing.T) {
+	const n, thr = 7, 2
+	for _, deg := range []int{thr - 1, thr + 1} {
+		var dealer *wrongDegreeDealer
+		opts := harness.VSSOptions{
+			N: n, T: thr, Seed: 54, HashedEcho: true,
+			Byzantine: map[msg.NodeID]func(env *simnet.Env) simnet.Handler{
+				1: func(env *simnet.Env) simnet.Handler {
+					dealer = &wrongDegreeDealer{env: env, n: n, deg: deg}
+					return dealer
+				},
+			},
+		}
+		res, err := harness.SetupVSS(&opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dealer.deal()
+		res.Net.Run(0)
+		if done := res.HonestDone(); done != 0 {
+			t.Errorf("degree %d: %d nodes completed", deg, done)
+		}
+		if echoes := res.Net.Stats().MsgCount[msg.TVSSEcho]; echoes != 0 {
+			t.Errorf("degree %d: %d echoes sent", deg, echoes)
+		}
 	}
 }
 
