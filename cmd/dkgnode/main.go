@@ -569,7 +569,7 @@ func serve(args []string) error {
 // holds no key material, connects to one node's -client-listen
 // endpoint, requests operations under an installed key and verifies
 // every result it can check publicly (signatures against the key,
-// beacon outputs against their openings, decryptions by round-trip).
+// beacon outputs against their coin values, decryptions by round-trip).
 func client(args []string) error {
 	fs := flag.NewFlagSet("client", flag.ExitOnError)
 	var (

@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/big"
 	"os"
-	"sort"
 	"time"
 
 	"hybriddkg/internal/commit"
@@ -550,16 +549,23 @@ func e13(seed uint64) error {
 	fmt.Println("|-----------|--------------------------|--------|")
 	fmt.Printf("| FROST sign (t+1=%d nonce pairs, bind, answers, aggregate) | %v | verifies |\n", t+1, signTime)
 	fmt.Printf("| threshold ElGamal decrypt (t+1 DLEQ partials + combine) | %v | correct |\n", decTime)
-	sorted := make([]msg.NodeID, 0, len(keyRun.Completed))
-	for id := range keyRun.Completed {
-		sorted = append(sorted, id)
+	// The beacon is the threshold coin on the same key: t+1 DLEQ-proved
+	// shares H_1^{s_i} combine to H_1^s.
+	h := thresh.BeaconBase(gr, keyV.PublicKey(), 1)
+	coin := make([]thresh.PartialDecryption, 0, t+1)
+	for i := msg.NodeID(1); i <= t+1; i++ {
+		pd, err := thresh.ProveDecryption(gr, i, keyRun.Completed[i].Share, keyV.Eval(int64(i)), h, r)
+		if err != nil {
+			return err
+		}
+		coin = append(coin, pd)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	secret, err := keyRun.Secret()
+	pub := func(i msg.NodeID) group.Element { return keyV.Eval(int64(i)) }
+	value, err := thresh.CombineShares(gr, t, h, nil, coin, pub, poly.NewLagrangeCache(gr.Q(), 0))
 	if err != nil {
 		return err
 	}
-	beacon := thresh.BeaconOutput(gr, 1, secret)
+	beacon := thresh.BeaconOutput(gr, 1, value)
 	fmt.Printf("| beacon output round 1 | %x… | coin=%v |\n", beacon[:8], thresh.BeaconBit(beacon))
 	return nil
 }

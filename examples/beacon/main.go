@@ -1,9 +1,11 @@
 // Random beacon (the distributed coin-tossing motivation of §1): the
-// nodes serve numbered beacon rounds from one long-lived key. Each
-// round is backed by a fresh distributed ephemeral secret — nobody
-// knows it while it is being generated — which t+1 nodes then open by
-// pooling shares. Hashing the round number with the opened value
-// gives a public random output nobody could predict or (mostly) bias.
+// nodes serve numbered beacon rounds from one long-lived key. Round r's
+// value is a threshold coin, H_r^s, where H_r hashes the public key and
+// r to a group element and s is the key's shared secret: t+1 nodes each
+// contribute H_r^{s_i} with a proof that it matches their public share,
+// and the aggregator combines them. Nobody can compute a round's value
+// before t+1 nodes answer, nobody can steer it, and every aggregator
+// gets the same one. No DKG runs per round.
 //
 //	go run ./examples/beacon
 package main
@@ -14,6 +16,7 @@ import (
 	"log"
 
 	"hybriddkg"
+	"hybriddkg/internal/thresh"
 )
 
 func main() {
@@ -23,9 +26,7 @@ func main() {
 }
 
 func run() error {
-	net, err := hybriddkg.New(hybriddkg.Roster{N: 7, T: 2},
-		hybriddkg.WithSeed(7),
-		hybriddkg.WithBeaconAhead(2)) // provision rounds ahead of demand
+	net, err := hybriddkg.New(hybriddkg.Roster{N: 7, T: 2}, hybriddkg.WithSeed(7))
 	if err != nil {
 		return err
 	}
@@ -46,20 +47,18 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// Anyone can audit the round: the opened ephemeral secret
-		// must match the round's published ephemeral public key.
-		if !net.Group().GExp(out.Opened).Equal(out.EphemeralPK) {
-			return fmt.Errorf("round %d: opened value does not match commitment", round)
+		// Anyone can audit the round: the output is the hash of the
+		// combined coin value.
+		if out.Output != thresh.BeaconOutput(net.Group(), round, out.Value) {
+			return fmt.Errorf("round %d: output does not match its value", round)
 		}
 		coin := "tails"
-		if out.Output[0]&1 == 1 {
+		if thresh.BeaconBit(out.Output) {
 			coin = "heads"
 			heads++
 		}
 		fmt.Printf("%5d | %x | %s\n", round, out.Output[:8], coin)
 	}
-	fmt.Printf("\n%d/%d heads. Caveat (documented in EXPERIMENTS.md): Feldman-based\n", heads, rounds)
-	fmt.Println("DKG lets an adversary bias a few output bits by selective aborts")
-	fmt.Println("(Gennaro et al.); acceptable for lotteries, not for key generation.")
+	fmt.Printf("\n%d/%d heads\n", heads, rounds)
 	return nil
 }

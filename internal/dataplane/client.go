@@ -33,7 +33,7 @@ const (
 	// ClientMagic opens every ClientHello.
 	ClientMagic = "DKDP"
 	// ClientVersion is the protocol version this build speaks.
-	ClientVersion uint16 = 1
+	ClientVersion uint16 = 2
 	// MaxClientFrame bounds one frame (a signing message must fit).
 	MaxClientFrame = 1 << 20
 )
@@ -275,8 +275,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.reply(cw, id, FBeaconResp, err, func(w *msg.Writer) {
 					w.U64(res.Beacon.Round)
 					w.Blob(res.Beacon.Output[:])
-					w.Big(res.Beacon.Opened)
-					w.Blob(gr.EncodeCompressed(res.Beacon.EphemeralPK))
+					w.Blob(gr.EncodeCompressed(res.Beacon.Value))
 				})
 			})
 			s.syncErr(cw, id, err)
@@ -583,8 +582,8 @@ func (c *Client) Decrypt(ctx context.Context, key uint64, ct thresh.Ciphertext) 
 }
 
 // Beacon pulls one round of key's randomness beacon. The result
-// carries the opening, so the caller can check Output =
-// BeaconOutput(round, Opened) with g^Opened = EphemeralPK.
+// carries the coin value, so the caller can check Output =
+// BeaconOutput(round, Value).
 func (c *Client) Beacon(ctx context.Context, key uint64, round uint64) (BeaconResult, error) {
 	rep, err := c.call(ctx, FBeaconReq, func(reqID uint64) []byte {
 		w := msg.NewWriter(24)
@@ -600,8 +599,7 @@ func (c *Client) Beacon(ctx context.Context, key uint64, round uint64) (BeaconRe
 	r.U64()
 	out := BeaconResult{Round: r.U64()}
 	ob := r.Blob()
-	out.Opened = r.Big()
-	pkb := r.Blob()
+	vb := r.Blob()
 	if err := r.Done(); err != nil {
 		return BeaconResult{}, err
 	}
@@ -609,7 +607,7 @@ func (c *Client) Beacon(ctx context.Context, key uint64, round uint64) (BeaconRe
 		return BeaconResult{}, fmt.Errorf("%w: beacon output length %d", msg.ErrBadEnvelope, len(ob))
 	}
 	copy(out.Output[:], ob)
-	out.EphemeralPK, err = c.gr.DecodeCompressed(pkb)
+	out.Value, err = c.gr.DecodeCompressed(vb)
 	if err != nil {
 		return BeaconResult{}, err
 	}

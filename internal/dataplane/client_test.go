@@ -23,6 +23,7 @@ import (
 type soloRig struct {
 	svc  *Service
 	srv  *Server
+	keyP *poly.Poly
 	keyV *commit.Vector
 	gr   *group.Group
 }
@@ -41,16 +42,6 @@ func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 		Send:  func(msg.NodeID, msg.Body) {},
 		Rand:  rng,
 	}
-	cfg.Provision = func(_ msg.SessionID, sids []msg.SessionID) {
-		// Runs on connection goroutines; panic rather than t.Fatal.
-		for _, sid := range sids {
-			p, err := poly.NewRandom(gr.Q(), 0, randutil.NewReader(uint64(sid)))
-			if err != nil {
-				panic(err)
-			}
-			rig.svc.InstallAux(sid, []*big.Int{p.EvalInt(1)}, []*commit.Vector{commit.NewVector(gr, p)})
-		}
-	}
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -59,7 +50,7 @@ func newSoloRig(t *testing.T, tweak func(*Config)) *soloRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig.keyV = commit.NewVector(gr, keyP)
+	rig.keyP, rig.keyV = keyP, commit.NewVector(gr, keyP)
 	if _, err := rig.svc.InstallKey(1, keyP.EvalInt(1), rig.keyV); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +119,11 @@ func TestClientEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bout.Output != thresh.BeaconOutput(rig.gr, 1, bout.Opened) {
-		t.Fatal("beacon output does not match its opening")
+	if bout.Output != thresh.BeaconOutput(rig.gr, 1, bout.Value) {
+		t.Fatal("beacon output does not match its value")
 	}
-	if !rig.gr.GExp(bout.Opened).Equal(bout.EphemeralPK) {
-		t.Fatal("beacon opening does not match the round public key")
+	if !rig.gr.Exp(thresh.BeaconBase(rig.gr, rig.keyV.PublicKey(), 1), rig.keyP.Secret()).Equal(bout.Value) {
+		t.Fatal("beacon value is not H_1^s")
 	}
 }
 

@@ -146,10 +146,14 @@ func TestDataPlaneDecrypt(t *testing.T) {
 	}
 }
 
+// TestDataPlaneBeacon: a round's output is the hash of H_r^s, so it is
+// the same whichever aggregator opens it, across a renewal, and on a
+// cluster built afresh from the same sharing; any round ≥ 1 is served.
 func TestDataPlaneBeacon(t *testing.T) {
 	c := newCluster(t, 5, 1, nil)
 	var prev [32]byte
-	for round := uint64(1); round <= 3; round++ {
+	outs := map[uint64][32]byte{}
+	for _, round := range []uint64{1, 2, 3, 1 << 40} {
 		out, err := c.Beacon(1, round)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -161,28 +165,30 @@ func TestDataPlaneBeacon(t *testing.T) {
 			t.Fatalf("round %d output repeated", round)
 		}
 		prev = out.Output
-		// The output is publicly verifiable from the opening.
-		if out.Output != thresh.BeaconOutput(c.Group, round, out.Opened) {
-			t.Fatalf("round %d output does not match opening", round)
+		if out.Output != thresh.BeaconOutput(c.Group, round, out.Value) {
+			t.Fatalf("round %d output does not match its value", round)
 		}
-		if !c.Group.GExp(out.Opened).Equal(out.EphemeralPK) {
-			t.Fatalf("round %d opening does not match round key", round)
+		outs[round] = out.Output
+	}
+	same := func(c *harness.DataPlaneCluster, agg msg.NodeID, round uint64, what string) {
+		t.Helper()
+		out, err := c.Beacon(agg, round)
+		if err != nil {
+			t.Fatalf("%s: round %d via node %d: %v", what, round, agg, err)
+		}
+		if out.Output != outs[round] {
+			t.Fatalf("%s: node %d disagrees on round %d", what, agg, round)
 		}
 	}
-
-	// The beacon is a shared sequence: a different aggregator opening
-	// the same round gets the identical output.
-	out2, err := c.Beacon(3, 2)
-	if err != nil {
+	for agg := msg.NodeID(2); agg <= 5; agg++ {
+		same(c, agg, 2, "another aggregator")
+	}
+	if err := c.Renew(); err != nil {
 		t.Fatal(err)
 	}
-	out1, err := c.Beacon(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1.Output != out2.Output {
-		t.Fatal("aggregators disagree on a beacon round")
-	}
+	same(c, 3, 3, "after renewal")
+	same(c, 4, 1<<40, "after renewal")
+	same(newCluster(t, 5, 1, nil), 5, 1, "fresh services, same sharing")
 }
 
 // TestDataPlaneEvictsBadSigner wires nodes 2, 3 and 4 — the peers
@@ -237,70 +243,163 @@ func TestDataPlaneEvictsBadSigner(t *testing.T) {
 
 // TestDecryptByzantineResponders puts t = 3 Byzantine nodes in
 // aggregator 1's first fan-out at n = 10: node 2 returns a bad Z, node
-// 3 a bad D and node 4 withholds its answers. Every decryption must
-// complete with the right plaintext, and exactly nodes 2 and 3 are
-// evicted: after the first request, node 1 asks neither again, while
-// the silent node 4, which proved nothing wrong, is still asked.
+// 3 a bad D and node 4 withholds its answers. Every decryption, and
+// every beacon round, must complete with the right result, and exactly
+// nodes 2 and 3 are evicted: after the first request, node 1 asks
+// neither again, while the silent node 4, which proved nothing wrong,
+// is still asked.
 func TestDecryptByzantineResponders(t *testing.T) {
 	for _, gr := range []*group.Group{group.P256(), group.Test256()} {
 		t.Run(gr.Name(), func(t *testing.T) {
-			var asked map[msg.NodeID]bool
-			c, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: 10, T: 3, Seed: 42, Group: gr,
-				Tweak: func(cfg *dataplane.Config) {
-					self, orig := cfg.Self, cfg.Send
-					cfg.Send = func(to msg.NodeID, body msg.Body) {
-						switch m := body.(type) {
-						case *dataplane.PartialReq:
-							if self == 1 && asked != nil {
-								asked[to] = true
-							}
-						case *dataplane.PartialResp:
-							if self == 4 {
-								return
-							}
-							if self == 2 || self == 3 {
-								bad := &dataplane.PartialResp{Key: m.Key, Items: append([]dataplane.RespItem(nil), m.Items...)}
-								for i := range bad.Items {
-									if self == 2 {
-										bad.Items[i].Z = new(big.Int).Add(bad.Items[i].Z, big.NewInt(1))
-									} else {
-										bad.Items[i].D = gr.Mul(bad.Items[i].D, gr.Generator())
-									}
-								}
-								body = bad
-							}
-						}
-						orig(to, body)
-					}
-				}})
+			honest, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: 10, T: 3, Seed: 42, Group: gr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := randutil.NewReader(5)
-			for i := 0; i < 6; i++ {
-				if i == 1 {
-					asked = map[msg.NodeID]bool{}
-				}
-				plain := gr.GExp(big.NewInt(int64(1000 + i)))
-				ct, err := thresh.Encrypt(gr, c.KeyV.PublicKey(), plain, rng)
+			rows := []struct {
+				op  string
+				run func(c *harness.DataPlaneCluster, i int, rng *randutil.Reader) error
+			}{
+				{"decrypt", func(c *harness.DataPlaneCluster, i int, rng *randutil.Reader) error {
+					plain := gr.GExp(big.NewInt(int64(1000 + i)))
+					ct, err := thresh.Encrypt(gr, c.KeyV.PublicKey(), plain, rng)
+					if err != nil {
+						return err
+					}
+					got, err := c.Decrypt(1, ct)
+					if err == nil && !got.Equal(plain) {
+						err = errors.New("wrong plaintext")
+					}
+					return err
+				}},
+				// The honest cluster deals the same key (same seed): its
+				// aggregator's output is the round's.
+				{"beacon", func(c *harness.DataPlaneCluster, i int, _ *randutil.Reader) error {
+					round := uint64(1 + i)
+					got, err := c.Beacon(1, round)
+					if err != nil {
+						return err
+					}
+					want, err := honest.Beacon(2, round)
+					if err == nil && got.Output != want.Output {
+						err = errors.New("wrong beacon output")
+					}
+					return err
+				}},
+			}
+			for _, row := range rows {
+				var asked map[msg.NodeID]bool
+				c, err := harness.NewDataPlaneCluster(harness.DataPlaneOptions{N: 10, T: 3, Seed: 42, Group: gr,
+					Tweak: func(cfg *dataplane.Config) {
+						self, orig := cfg.Self, cfg.Send
+						cfg.Send = func(to msg.NodeID, body msg.Body) {
+							switch m := body.(type) {
+							case *dataplane.PartialReq:
+								if self == 1 && asked != nil {
+									asked[to] = true
+								}
+							case *dataplane.PartialResp:
+								if self == 4 {
+									return
+								}
+								if self == 2 || self == 3 {
+									bad := &dataplane.PartialResp{Key: m.Key, Items: append([]dataplane.RespItem(nil), m.Items...)}
+									for i := range bad.Items {
+										if self == 2 {
+											bad.Items[i].Z = new(big.Int).Add(bad.Items[i].Z, big.NewInt(1))
+										} else {
+											bad.Items[i].D = gr.Mul(bad.Items[i].D, gr.Generator())
+										}
+									}
+									body = bad
+								}
+							}
+							orig(to, body)
+						}
+					}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := c.Decrypt(1, ct)
-				if err != nil {
-					t.Fatalf("decrypt %d: %v", i, err)
+				rng := randutil.NewReader(5)
+				for i := 0; i < 6; i++ {
+					if i == 1 {
+						asked = map[msg.NodeID]bool{}
+					}
+					if err := row.run(c, i, rng); err != nil {
+						t.Fatalf("%s %d: %v", row.op, i, err)
+					}
 				}
-				if !got.Equal(plain) {
-					t.Fatalf("decrypt %d: wrong plaintext", i)
+				if st := c.Services[1].Stats(); st.Evicted != 2 {
+					t.Fatalf("%s: evicted %d, want 2: %+v", row.op, st.Evicted, st)
 				}
-			}
-			if st := c.Services[1].Stats(); st.Evicted != 2 {
-				t.Fatalf("evicted %d, want 2: %+v", st.Evicted, st)
-			}
-			if asked[2] || asked[3] || !asked[4] {
-				t.Fatalf("asked after eviction: %v, want 4 but neither 2 nor 3", asked)
+				if asked[2] || asked[3] || !asked[4] {
+					t.Fatalf("%s: asked after eviction: %v, want 4 but neither 2 nor 3", row.op, asked)
+				}
 			}
 		})
+	}
+}
+
+// TestPlantedPartialEvictsNoOne: a roster member asks every peer for a
+// decryption under another request's digest — a beacon round's, which
+// anyone can predict, and another ciphertext's. A peer answers an item
+// only under the digest it derives from the payload, so it refuses
+// both and caches nothing; the round and the decryption then complete
+// with no honest peer evicted.
+func TestPlantedPartialEvictsNoOne(t *testing.T) {
+	const byz, round = msg.NodeID(4), 3
+	var refused, answered int
+	c := newCluster(t, 4, 1, func(cfg *dataplane.Config) {
+		orig := cfg.Send
+		cfg.Send = func(to msg.NodeID, body msg.Body) {
+			if resp, ok := body.(*dataplane.PartialResp); ok && to == byz {
+				for _, it := range resp.Items {
+					if it.Status == dataplane.StBadOp {
+						refused++
+					} else {
+						answered++
+					}
+				}
+			}
+			orig(to, body)
+		}
+	})
+	rng := randutil.NewReader(11)
+	plainA, plainB := c.Group.GExp(big.NewInt(11)), c.Group.GExp(big.NewInt(12))
+	ctA, err := thresh.Encrypt(c.Group, c.KeyV.PublicKey(), plainA, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctB, err := thresh.Encrypt(c.Group, c.KeyV.PublicKey(), plainB, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := msg.NewWriter(0)
+	w.Blob(c.Group.EncodeCompressed(ctA.C1))
+	w.Blob(c.Group.EncodeCompressed(ctA.C2))
+	wrongB := dataplane.DecryptDigest(c.KeyID, c.Group.EncodeCompressed(ctB.C1), c.Group.EncodeCompressed(ctB.C2))
+	env := c.Net.SessionEnv(byz, dataplane.PeerSession)
+	for to := msg.NodeID(1); to < byz; to++ {
+		env.Send(to, &dataplane.PartialReq{Key: c.KeyID, Items: []dataplane.ReqItem{
+			{Digest: dataplane.BeaconDigest(c.KeyID, round), Op: dataplane.OpDecrypt, Payload: w.Bytes()},
+			{Digest: wrongB, Op: dataplane.OpDecrypt, Payload: w.Bytes()},
+		}})
+	}
+	c.Net.Run(0)
+	if refused != 6 || answered != 0 {
+		t.Fatalf("planted items: %d refused, %d answered; want 6 and 0", refused, answered)
+	}
+	for agg := msg.NodeID(1); agg < byz; agg++ {
+		out, err := c.Beacon(agg, round)
+		if err != nil || out.Output != thresh.BeaconOutput(c.Group, round, out.Value) {
+			t.Fatalf("round %d via node %d: %+v, %v", round, agg, out, err)
+		}
+		got, err := c.Decrypt(agg, ctB)
+		if err != nil || !got.Equal(plainB) {
+			t.Fatalf("decrypt via node %d: %v", agg, err)
+		}
+		if st := c.Services[agg].Stats(); st.Evicted != 0 {
+			t.Fatalf("node %d evicted %d honest peers", agg, st.Evicted)
+		}
 	}
 }
 

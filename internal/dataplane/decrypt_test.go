@@ -14,11 +14,14 @@ import (
 
 var backends = []*group.Group{group.P256(), group.Test256()}
 
-// pendingDecrypt is one decryption the rig's service (node 1) is
-// aggregating.
+// pendingDecrypt is one decryption, or beacon round, the rig's service
+// (node 1) is aggregating. A beacon round has ct.C1 = H_r; plain is the
+// value H_r^s it must combine to and out the output hashed from it.
 type pendingDecrypt struct {
 	ct     thresh.Ciphertext
 	plain  group.Element
+	round  uint64 // beacon round; 0 for a decryption
+	out    [32]byte
 	digest [32]byte
 	res    *Result
 	err    *error
@@ -48,6 +51,24 @@ func (r *testRig) startDecrypt(t *testing.T, seed uint64) pendingDecrypt {
 	return pd
 }
 
+// startBeacon submits beacon round and flushes, as startDecrypt does.
+func (r *testRig) startBeacon(t *testing.T, round uint64) pendingDecrypt {
+	t.Helper()
+	h := thresh.BeaconBase(r.gr, r.keyV.PublicKey(), round)
+	pd := pendingDecrypt{
+		ct: thresh.Ciphertext{C1: h}, plain: r.gr.Exp(h, r.keyP.Secret()), round: round,
+		digest: BeaconDigest(1, round), res: new(Result), err: new(error), done: new(bool),
+	}
+	pd.out = thresh.BeaconOutput(r.gr, round, pd.plain)
+	if err := r.svc.Beacon(1, round, func(res Result, err error) {
+		*pd.res, *pd.err, *pd.done = res, err, true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.svc.Flush(1)
+	return pd
+}
+
 // answer delivers peer from's partial for pd, proved with share under v.
 func (r *testRig) answer(t *testing.T, pd pendingDecrypt, from msg.NodeID, share *big.Int, v *commit.Vector, tamper func(*RespItem)) {
 	t.Helper()
@@ -65,9 +86,13 @@ func (r *testRig) answer(t *testing.T, pd pendingDecrypt, from msg.NodeID, share
 func (pd pendingDecrypt) check(t *testing.T) {
 	t.Helper()
 	if !*pd.done || *pd.err != nil {
-		t.Fatalf("decrypt did not complete: done=%v err=%v", *pd.done, *pd.err)
+		t.Fatalf("request did not complete: done=%v err=%v", *pd.done, *pd.err)
 	}
-	if !pd.res.Plain.Equal(pd.plain) {
+	if pd.round != 0 {
+		if b := pd.res.Beacon; !b.Value.Equal(pd.plain) || b.Output != pd.out {
+			t.Fatal("beacon value mismatch")
+		}
+	} else if !pd.res.Plain.Equal(pd.plain) {
 		t.Fatal("decryption mismatch")
 	}
 }
@@ -210,18 +235,21 @@ func TestDecryptRenewalDropsPublicShares(t *testing.T) {
 	}
 }
 
-// TestDecryptRenewalMidFlight: a decrypt flushed under the old epoch,
-// whose peers answer only after a renewal re-install, still yields the
-// right plaintext. The own share recorded at flush is trusted without a
-// proof, so it must follow the key into the new epoch; combined with
-// new-epoch peer partials, an old-epoch own share would interpolate to
-// a wrong C1^s.
+// TestDecryptRenewalMidFlight: a decrypt, and a beacon round, flushed
+// under the old epoch, whose peers answer only after a renewal
+// re-install, still yield the right plaintext and the round's value. The
+// own share recorded at flush is trusted without a proof, so it must
+// follow the key into the new epoch; combined with new-epoch peer
+// partials, an old-epoch own share would interpolate to a wrong C1^s.
+// The beacon round combines to H_r^s of the old epoch's secret, which
+// the renewal keeps.
 func TestDecryptRenewalMidFlight(t *testing.T) {
 	for _, gr := range backends {
 		t.Run(gr.Name(), func(t *testing.T) {
 			rig := newTestRigOn(t, gr, 5, 2, nil)
 			oldP := rig.keyP
 			pd := rig.startDecrypt(t, 30)
+			pb := rig.startBeacon(t, 8)
 			newP, err := poly.NewRandomWithConstant(rig.gr.Q(), oldP.Secret(), 2, randutil.NewReader(31))
 			if err != nil {
 				t.Fatal(err)
@@ -230,9 +258,11 @@ func TestDecryptRenewalMidFlight(t *testing.T) {
 			if _, err := rig.svc.InstallKey(1, newP.EvalInt(1), rig.keyV); err != nil {
 				t.Fatal(err)
 			}
-			rig.answer(t, pd, 2, newP.EvalInt(2), rig.keyV, nil)
-			rig.answer(t, pd, 3, newP.EvalInt(3), rig.keyV, nil)
-			pd.check(t)
+			for _, p := range []pendingDecrypt{pd, pb} {
+				rig.answer(t, p, 2, newP.EvalInt(2), rig.keyV, nil)
+				rig.answer(t, p, 3, newP.EvalInt(3), rig.keyV, nil)
+				p.check(t)
+			}
 			if st := rig.svc.Stats(); st.Evicted != 0 {
 				t.Fatalf("honest new-epoch peers evicted: %+v", st)
 			}

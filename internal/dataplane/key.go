@@ -15,8 +15,8 @@ import (
 type KeyState int
 
 // Lifecycle states. Install yields Ready; the first request (or
-// Activate) moves to Serving, asking peers for signing commitments or
-// provisioning beacon sessions as the request needs; Retire
+// Activate) moves to Serving, asking peers for signing commitments if
+// the request signs; Retire
 // sheds new requests while in-flight ones drain and peer partials
 // keep being served.
 const (
@@ -53,17 +53,15 @@ type KeyInfo struct {
 type Result struct {
 	Sig    thresh.Signature // OpSign
 	Plain  group.Element    // OpDecrypt
-	Beacon BeaconResult     // OpOpen
+	Beacon BeaconResult     // OpBeacon
 }
 
-// BeaconResult is one beacon round's output plus the opening that
-// produced it: Output = BeaconOutput(round, Opened) with
-// g^Opened = EphemeralPK, the round session's public key.
+// BeaconResult is one beacon round's output plus the coin value that
+// produced it: Output = BeaconOutput(Round, Value) with Value = H_r^s.
 type BeaconResult struct {
-	Round       uint64
-	Output      [32]byte
-	Opened      *big.Int
-	EphemeralPK group.Element
+	Round  uint64
+	Output [32]byte
+	Value  group.Element
 }
 
 // Callback delivers a request's terminal result (or error). It is
@@ -74,12 +72,9 @@ type Callback func(Result, error)
 type request struct {
 	digest  [32]byte
 	op      uint8
-	payload []byte            // sign: message; decrypt: encoded ciphertext
-	ct      thresh.Ciphertext // decrypt operands
-	round   uint64            // open round
-
-	sid    msg.SessionID  // open: the round's beacon session
-	roundV *commit.Vector // open: the round session's commitment
+	payload []byte            // sign: message; decrypt: encoded ciphertext; beacon: round
+	ct      thresh.Ciphertext // decrypt operands; beacon: C1 = H_r, no C2
+	round   uint64            // beacon round
 
 	// Sign: every FROST attempt made so far, the retry tick the newest
 	// started in, and the peers asked in one and not yet heard from.
@@ -87,9 +82,8 @@ type request struct {
 	gen      uint64
 	pending  map[msg.NodeID]bool
 
-	decParts map[msg.NodeID]thresh.PartialDecryption
-	openPts  map[msg.NodeID]*big.Int
-	refused  map[msg.NodeID]bool // permanent per-request refusals
+	decParts map[msg.NodeID]thresh.PartialDecryption // decrypt, beacon: shares C1^{s_i}
+	refused  map[msg.NodeID]bool                     // permanent per-request refusals
 
 	cbs  []Callback
 	done bool
@@ -116,25 +110,6 @@ func (r *request) live() bool {
 	return false
 }
 
-// recorded counts the contributions collected so far for the
-// request's op.
-func (r *request) recorded() int {
-	if r.op == OpDecrypt {
-		return len(r.decParts)
-	}
-	return len(r.openPts)
-}
-
-// contributed reports whether p's contribution is already recorded.
-func (r *request) contributed(p msg.NodeID) bool {
-	if r.op == OpDecrypt {
-		_, ok := r.decParts[p]
-		return ok
-	}
-	_, ok := r.openPts[p]
-	return ok
-}
-
 // serveKey is the per-key serving state (aggregator and peer sides).
 type serveKey struct {
 	id    msg.SessionID
@@ -147,7 +122,6 @@ type serveKey struct {
 	pubs map[msg.NodeID]group.Element
 
 	// Aggregator side.
-	beaconHi uint64
 	queue    []*request
 	inflight map[[32]byte]*request
 	results  *ring[Result]
@@ -166,7 +140,7 @@ type serveKey struct {
 	served     uint64 // requests admitted on this key (telemetry)
 
 	// Peer side: partial-result cache keyed by request digest (decrypt,
-	// open), and the nonce pairs issued to each aggregator.
+	// beacon), and the nonce pairs issued to each aggregator.
 	partials *ring[RespItem]
 	pools    map[msg.NodeID]*noncePool
 }

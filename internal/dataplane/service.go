@@ -20,9 +20,8 @@ import (
 )
 
 // Config wires one node's data-plane service into its surroundings.
-// The service is transport-agnostic: peer traffic goes through Send,
-// beacon DKGs are requested through Provision/Submit, and retries are
-// scheduled through Defer — all supplied by the runtime (the
+// The service is transport-agnostic: peer traffic goes through Send and
+// retries are scheduled through Defer, both supplied by the runtime (the
 // simulator-backed facade or the TCP serve path).
 type Config struct {
 	Group *group.Group
@@ -35,31 +34,17 @@ type Config struct {
 	// service lock is held.
 	Send func(to msg.NodeID, body msg.Body)
 
-	// Provision arranges for the listed beacon DKG sessions to run
-	// on every node, eventually reaching each node's InstallAux. When
-	// nil the default applies: Submit each session locally and
-	// broadcast a Prepare to all peers.
-	Provision func(key msg.SessionID, sids []msg.SessionID)
-
-	// Submit runs one auxiliary DKG locally (the Prepare handler and
-	// the default Provision use it). It must be idempotent per sid.
-	Submit func(sid msg.SessionID)
-
 	// Defer schedules fn after roughly RetryDelay (retry/batch
 	// timers). nil disables timers; the runtime then pumps stalled
 	// requests via Kick.
 	Defer func(delay time.Duration, fn func())
 
-	// Rand supplies signing nonce pairs and DLEQ nonces for partial
-	// decryptions.
+	// Rand supplies signing nonce pairs and DLEQ nonces for decryption
+	// and beacon partials.
 	Rand io.Reader
 
 	// Now is the admission-control clock (defaults to time.Now).
 	Now func() time.Time
-
-	// BeaconAhead is the beacon look-ahead window provisioned past the
-	// highest requested round (default 2).
-	BeaconAhead int
 
 	// MaxBatch is the size watermark: enqueueing the MaxBatch-th
 	// same-key request flushes the batch immediately (default 8).
@@ -98,9 +83,6 @@ func (c *Config) applyDefaults() {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	if c.BeaconAhead <= 0 {
-		c.BeaconAhead = 2
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
@@ -132,12 +114,6 @@ type Stats struct {
 	SignAttempts  uint64 // signing attempts after a request's first (ROAST retries)
 }
 
-// auxShare is this node's share of a completed beacon DKG.
-type auxShare struct {
-	share *big.Int
-	v     *commit.Vector
-}
-
 // Service is one node's data plane: it serves partial operations to
 // aggregating peers and aggregates partials for its own clients.
 // All methods are safe for concurrent use.
@@ -145,10 +121,8 @@ type Service struct {
 	cfg Config
 	gr  *group.Group
 
-	mu      sync.Mutex
-	keys    map[uint64]*serveKey // by low-24-bit key session ID
-	aux     map[msg.SessionID]*auxShare
-	auxWait map[msg.SessionID]bool // submitted, not yet installed
+	mu   sync.Mutex
+	keys map[uint64]*serveKey // by key session ID
 	// nonceID is the last nonce pair ID issued. Its high 32 bits are drawn
 	// at random per process, so pairs of an earlier incarnation do not
 	// share an ID with this one's.
@@ -164,13 +138,11 @@ type Service struct {
 func NewService(cfg Config) *Service {
 	cfg.applyDefaults()
 	return &Service{
-		cfg:     cfg,
-		gr:      cfg.Group,
-		keys:    make(map[uint64]*serveKey),
-		aux:     make(map[msg.SessionID]*auxShare),
-		auxWait: make(map[msg.SessionID]bool),
-		timers:  make(map[uint64]bool),
-		lag:     poly.NewLagrangeCache(cfg.Group.Q(), 0),
+		cfg:    cfg,
+		gr:     cfg.Group,
+		keys:   make(map[uint64]*serveKey),
+		timers: make(map[uint64]bool),
+		lag:    poly.NewLagrangeCache(cfg.Group.Q(), 0),
 	}
 }
 
@@ -187,9 +159,6 @@ func (s *Service) Stats() Stats {
 // spent-nonce replays — old answers would not combine with new-epoch
 // ones — and restarts every signing attempt in flight.
 func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector) (KeyInfo, error) {
-	if uint64(id) >= 1<<24 {
-		return KeyInfo{}, fmt.Errorf("dataplane: key session %d exceeds 24-bit aux derivation range", id)
-	}
 	if share == nil || v == nil || !v.VerifyShare(int64(s.cfg.Self), share) {
 		return KeyInfo{}, fmt.Errorf("dataplane: key %d share fails commitment check", id)
 	}
@@ -215,11 +184,13 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 		for _, p := range k.pools {
 			p.spent, p.tombs = make(map[uint64]spentPair), nil
 		}
-		// An in-flight decrypt's own share is trusted without a proof, so
-		// it is recomputed under the new share; peers' old-epoch partials
-		// fail verification against the new V(j) instead. A sign attempt's
-		// peers may have answered under their old shares, which would sum
-		// to no signature and name honest peers: each attempt gives way.
+		// An in-flight decrypt's or beacon round's own share is trusted
+		// without a proof, so it is recomputed under the new share (a
+		// renewal keeps pk, hence each round's base); peers' old-epoch
+		// partials fail verification against the new V(j) instead. A sign
+		// attempt's peers may have answered under their old shares, which
+		// would sum to no signature and name honest peers: each attempt
+		// gives way.
 		for _, req := range k.inflight {
 			if _, ok := req.decParts[s.cfg.Self]; ok && !req.done {
 				req.decParts[s.cfg.Self] = thresh.PartialDecryption{Decryptor: s.cfg.Self, D: s.gr.Exp(req.ct.C1, share)}
@@ -334,22 +305,20 @@ func encodeCiphertext(gr *group.Group, ct thresh.Ciphertext) []byte {
 	return w.Bytes()
 }
 
-func decodeCiphertext(gr *group.Group, data []byte) (thresh.Ciphertext, error) {
+// decodeCiphertext parses an OpDecrypt payload; c1 and c2 are the raw
+// element encodings the payload's digest is computed over.
+func decodeCiphertext(gr *group.Group, data []byte) (ct thresh.Ciphertext, c1, c2 []byte, err error) {
 	r := msg.NewReader(data)
-	b1 := r.Blob()
-	b2 := r.Blob()
-	if err := r.Done(); err != nil {
-		return thresh.Ciphertext{}, err
+	c1 = r.Blob()
+	c2 = r.Blob()
+	if err = r.Done(); err != nil {
+		return
 	}
-	c1, err := gr.DecodeCompressed(b1)
-	if err != nil {
-		return thresh.Ciphertext{}, err
+	if ct.C1, err = gr.DecodeCompressed(c1); err != nil {
+		return
 	}
-	c2, err := gr.DecodeCompressed(b2)
-	if err != nil {
-		return thresh.Ciphertext{}, err
-	}
-	return thresh.Ciphertext{C1: c1, C2: c2}, nil
+	ct.C2, err = gr.DecodeCompressed(c2)
+	return
 }
 
 // Sign requests a threshold signature over message under key. The
@@ -380,18 +349,18 @@ func (s *Service) Decrypt(key msg.SessionID, ct thresh.Ciphertext, cb Callback) 
 	}, cb)
 }
 
-// Beacon requests the round-th beacon output of key's beacon
-// sequence. Rounds are 1-based; outputs are cached, so re-requesting
-// a round is idempotent.
+// Beacon requests the round-th value of key's threshold coin. Rounds
+// are 1-based; outputs are cached, so re-requesting a round is
+// idempotent, and every aggregator obtains the same output.
 func (s *Service) Beacon(key msg.SessionID, round uint64, cb Callback) error {
-	if round == 0 || round >= 1<<24 {
-		return fmt.Errorf("dataplane: beacon round %d out of range", round)
+	if round == 0 {
+		return fmt.Errorf("dataplane: beacon round 0 out of range")
 	}
 	return s.enqueue(key, &request{
-		digest: BeaconDigest(key, round),
-		op:     OpOpen,
-		round:  round,
-		sid:    BeaconSID(key, round),
+		digest:  BeaconDigest(key, round),
+		op:      OpBeacon,
+		payload: binary.BigEndian.AppendUint64(nil, round),
+		round:   round,
 	}, cb)
 }
 
@@ -444,13 +413,9 @@ func (s *Service) enqueue(key msg.SessionID, req *request, cb Callback) error {
 		k.served++
 		req.cbs = append(req.cbs, cb)
 		k.queue = append(k.queue, req)
-		// Each operation prepares what it uses: a sign the peers'
-		// commitments, a beacon round its sessions; a decrypt needs nothing.
-		switch req.op {
-		case OpSign:
+		// Signing needs the peers' commitments; nothing else is prepared.
+		if req.op == OpSign {
 			s.contactLocked(k)
-		case OpOpen:
-			s.ensureBeaconLocked(k, req.round, &acts)
 		}
 		if len(k.queue) >= s.cfg.MaxBatch {
 			s.flushLocked(k, &fire, &acts)
@@ -523,146 +488,55 @@ func (s *Service) Close() {
 	run(fire, nil)
 }
 
-// Activate eagerly moves a key to Serving, asks every peer for its
-// starting batch of signing commitments and provisions the beacon
-// window, instead of waiting for the first request that needs them.
+// Activate eagerly moves a key to Serving and asks every peer for its
+// starting batch of signing commitments, instead of waiting for the
+// first Sign.
 func (s *Service) Activate(id msg.SessionID) {
-	var acts []func()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if k := s.keys[uint64(id)]; k != nil && k.state == StateReady {
 		k.state = StateServing
 		s.contactLocked(k)
-		s.ensureBeaconLocked(k, 0, &acts)
 	}
-	s.mu.Unlock()
-	run(nil, acts)
 }
 
-// ensureBeaconLocked provisions beacon sessions up to
-// max(round, highest so far) + BeaconAhead.
-func (s *Service) ensureBeaconLocked(k *serveKey, round uint64, acts *[]func()) {
-	hi := k.beaconHi
-	if round > hi {
-		hi = round
-	}
-	hi += uint64(s.cfg.BeaconAhead)
-	if hi <= k.beaconHi {
-		return
-	}
-	sids := make([]msg.SessionID, 0, hi-k.beaconHi)
-	for r := k.beaconHi + 1; r <= hi; r++ {
-		sids = append(sids, BeaconSID(k.id, r))
-	}
-	k.beaconHi = hi
-	s.provisionLocked(k.id, sids, acts)
-}
-
-// provisionLocked queues the aux-session provisioning action for
-// execution outside the lock (Provision may run entire DKGs
-// synchronously and re-enter InstallAux).
-func (s *Service) provisionLocked(key msg.SessionID, sids []msg.SessionID, acts *[]func()) {
-	if len(sids) == 0 {
-		return
-	}
-	if s.cfg.Provision != nil {
-		*acts = append(*acts, func() { s.cfg.Provision(key, sids) })
-		return
-	}
-	for _, sid := range sids {
-		s.auxWait[sid] = true
-	}
-	*acts = append(*acts, func() {
-		if s.cfg.Submit != nil {
-			for _, sid := range sids {
-				s.cfg.Submit(sid)
-			}
-		}
-		prep := &Prepare{Key: key, Sids: sids}
-		for _, p := range s.cfg.Peers {
-			if p != s.cfg.Self {
-				s.cfg.Send(p, prep)
-			}
-		}
-	})
-}
-
-// InstallAux registers this node's share of a completed beacon DKG:
-// one (share, commitment) pair, as dkg.CompletedEvent.Outputs gives it.
-// Duplicate installs are ignored.
-//
-// The share is not re-verified against the commitment here: the DKG
-// that produced it already checked it (HybridVSS verifies every
-// subshare), and the opening path checks each share it combines, which
-// names and evicts the sender of a bad one.
-func (s *Service) InstallAux(sid msg.SessionID, shares []*big.Int, vs []*commit.Vector) {
-	if !validAux(sid) || len(shares) != 1 || len(vs) != 1 || vs[0] == nil || !s.gr.IsScalar(shares[0]) {
-		return
-	}
-	var fire, acts []func()
-	s.mu.Lock()
-	delete(s.auxWait, sid)
-	if _, dup := s.aux[sid]; !dup {
-		s.aux[sid] = &auxShare{share: shares[0], v: vs[0]}
-	}
-	if k := s.keys[AuxKey(sid)]; k != nil {
-		// Queued beacon requests may have been waiting for this round.
-		s.flushLocked(k, &fire, &acts)
-	}
-	s.mu.Unlock()
-	run(fire, acts)
-}
-
-// flushLocked dispatches every ready queued request. Decrypt and beacon
-// requests go as one batch: self partials are computed locally, then a
+// flushLocked dispatches every queued request. Decrypt and beacon
+// requests go as one batch: the own shares are computed locally, then a
 // single PartialReq per fan-out target carries all items. Each sign
 // request starts its first FROST attempt, one PartialReq per signer.
 func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	if len(k.queue) == 0 {
 		return
 	}
-	var ready, waiting, signs []*request
+	var ready, signs []*request
 	for _, req := range k.queue {
-		switch req.op {
-		case OpSign:
+		if req.op == OpSign {
 			req.pending = make(map[msg.NodeID]bool, s.cfg.T)
 			k.inflight[req.digest] = req
 			signs = append(signs, req)
-		case OpOpen:
-			aux := s.aux[req.sid]
-			if aux == nil {
-				waiting = append(waiting, req)
-				continue
-			}
-			req.roundV = aux.v
-			ready = append(ready, req)
-		default:
+		} else {
 			ready = append(ready, req)
 		}
 	}
-	k.queue = waiting
+	k.queue = nil
 	s.dispatchSignsLocked(k, signs, fire, acts)
 	if len(ready) == 0 {
 		return
 	}
+	// The own share D = C1^{s_self} (a beacon round's C1 is its base
+	// H_r) needs no proof — InstallKey checked the share — and is never
+	// sent or cached; it is counted like a peer item.
 	items := make([]ReqItem, 0, len(ready))
+	self := make([]RespItem, 0, len(ready))
 	for _, req := range ready {
-		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+2)
-		req.openPts = make(map[msg.NodeID]*big.Int, s.cfg.T+2)
-		k.inflight[req.digest] = req
-		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
-	}
-	// Self partials go through the same answer path as peer requests,
-	// sharing the partial cache, except the own decryption share
-	// D = C1^{s_self}: InstallKey checked the share, so it needs no
-	// proof, and it is never sent or cached.
-	self := make([]RespItem, 0, len(items))
-	for i, it := range items {
-		if it.Op == OpDecrypt {
-			s.stats.PeerItems++ // counted like every other self item
-			self = append(self, RespItem{Digest: it.Digest, Status: StOK, D: s.gr.Exp(ready[i].ct.C1, k.share)})
-			continue
+		if req.op == OpBeacon {
+			req.ct.C1 = thresh.BeaconBase(s.gr, k.pk, req.round)
 		}
-		self = append(self, s.answerItemLocked(k, it))
+		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+2)
+		k.inflight[req.digest] = req
+		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Payload: req.payload})
+		s.stats.PeerItems++
+		self = append(self, RespItem{Digest: req.digest, Status: StOK, D: s.gr.Exp(req.ct.C1, k.share)})
 	}
 	s.recordItemsLocked(k, s.cfg.Self, self, fire, acts)
 	targets := s.fanoutTargetsLocked(k, s.cfg.T+1)
@@ -719,7 +593,7 @@ func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 		if req.done || req.op == OpSign {
 			continue
 		}
-		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Sid: req.sid, Payload: req.payload})
+		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Payload: req.payload})
 	}
 	if len(items) == 0 {
 		return
@@ -738,16 +612,14 @@ func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 	}
 }
 
-// HandleMessage is the data-plane session handler: peer requests,
-// peer responses and prepare messages.
+// HandleMessage is the data-plane session handler: peer requests and
+// peer responses.
 func (s *Service) HandleMessage(from msg.NodeID, body msg.Body) {
 	switch m := body.(type) {
 	case *PartialReq:
 		s.handlePartialReq(from, m)
 	case *PartialResp:
 		s.handlePartialResp(from, m)
-	case *Prepare:
-		s.handlePrepare(from, m)
 	}
 }
 
@@ -886,49 +758,49 @@ func (s *Service) answerSignLocked(k *serveKey, from msg.NodeID, it ReqItem) (ou
 	return out, true
 }
 
-// answerItemLocked computes (or replays) one decrypt or beacon partial.
-// Their digests fully determine the answers, so they share a plain
-// digest-keyed cache.
+// answerItemLocked computes (or replays) one decrypt or beacon partial:
+// D = h^{s_i} with a DLEQ proof, where h is the ciphertext's C1 or the
+// round's base H_r. This node derives H_r from its own key and the
+// round, never taking a base from the asker. Before the cache is
+// touched, the item's digest must be the one this node derives from its
+// payload: the digest then fully determines the answer, so decrypts and
+// beacon rounds share a plain digest-keyed cache, and no asker can plant
+// an answer under another request's digest.
 func (s *Service) answerItemLocked(k *serveKey, it ReqItem) RespItem {
 	s.stats.PeerItems++
-	out := RespItem{Digest: it.Digest}
+	out := RespItem{Digest: it.Digest, Status: StBadOp}
+	var h group.Element
+	var round uint64
 	switch it.Op {
 	case OpDecrypt:
-		if cached, ok := k.partials.get(it.Digest); ok {
-			s.stats.PeerCacheHits++
-			return cached
-		}
-		ct, err := decodeCiphertext(s.gr, it.Payload)
-		if err != nil {
-			out.Status = StBadOp
+		ct, c1, c2, err := decodeCiphertext(s.gr, it.Payload)
+		if err != nil || it.Digest != DecryptDigest(k.id, c1, c2) {
 			return out
 		}
-		pd, err := thresh.ProveDecryption(s.gr, s.cfg.Self, k.share, k.pub(s.cfg.Self), ct, s.cfg.Rand)
-		if err != nil {
-			out.Status = StBadOp
+		h = ct.C1
+	case OpBeacon:
+		if len(it.Payload) != 8 {
 			return out
 		}
-		out.Status = StOK
-		out.D = pd.D
-		out.E = pd.Proof.E
-		out.Z = pd.Proof.Z
-	case OpOpen:
-		if cached, ok := k.partials.get(it.Digest); ok {
-			s.stats.PeerCacheHits++
-			return cached
-		}
-		aux := s.aux[it.Sid]
-		if aux == nil || !IsBeacon(it.Sid) {
-			out.Status = StNotReady
+		round = binary.BigEndian.Uint64(it.Payload)
+		if round == 0 || it.Digest != BeaconDigest(k.id, round) {
 			return out
 		}
-		// Beacon shares are opened by design; no consumption.
-		out.Status = StOK
-		out.Share = aux.share
 	default:
-		out.Status = StBadOp
 		return out
 	}
+	if cached, ok := k.partials.get(it.Digest); ok {
+		s.stats.PeerCacheHits++
+		return cached
+	}
+	if h == nil {
+		h = thresh.BeaconBase(s.gr, k.pk, round)
+	}
+	pd, err := thresh.ProveDecryption(s.gr, s.cfg.Self, k.share, k.pub(s.cfg.Self), h, s.cfg.Rand)
+	if err != nil {
+		return out
+	}
+	out.Status, out.D, out.E, out.Z = StOK, pd.D, pd.Proof.E, pd.Proof.Z
 	k.partials.put(it.Digest, out)
 	return out
 }
@@ -955,30 +827,6 @@ func (s *Service) handlePartialResp(from msg.NodeID, m *PartialResp) {
 	run(fire, acts)
 }
 
-// handlePrepare submits requested beacon sessions, at most once each.
-func (s *Service) handlePrepare(_ msg.NodeID, m *Prepare) {
-	if s.cfg.Submit == nil {
-		return
-	}
-	var todo []msg.SessionID
-	s.mu.Lock()
-	for _, sid := range m.Sids {
-		if !validAux(sid) || s.auxWait[sid] {
-			continue
-		}
-		if _, have := s.aux[sid]; have {
-			continue
-		}
-		s.auxWait[sid] = true
-		todo = append(todo, sid)
-	}
-	submit := s.cfg.Submit
-	s.mu.Unlock()
-	for _, sid := range todo {
-		submit(sid)
-	}
-}
-
 // recordItemsLocked records a sender's items and completes every
 // request that reaches the t+1 threshold. Sign attempts completed by
 // the same delivery are verified together. A malformed OK item evicts
@@ -1002,7 +850,7 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 		}
 		switch it.Status {
 		case StOK:
-		case StRefused, StUnknownKey:
+		case StRefused, StUnknownKey, StBadOp:
 			// Permanent for this request: the sender will never
 			// contribute, which feeds the give-up accounting.
 			if req.refused == nil {
@@ -1011,44 +859,22 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 			req.refused[from] = true
 			continue
 		default:
-			// NotReady is transient: the aux session may still
-			// complete there; the retry kick re-asks.
 			continue
 		}
-		switch req.op {
-		case OpDecrypt:
-			// Only the aggregator's own share comes without a proof.
-			proved := it.E != nil && it.Z != nil && s.gr.IsScalar(it.E) && s.gr.IsScalar(it.Z)
-			if it.D == nil || !s.gr.IsElement(it.D) || (!proved && from != s.cfg.Self) {
-				s.evictBadLocked(k, req, []msg.NodeID{from})
-				continue
-			}
-			if _, dup := req.decParts[from]; dup {
-				continue
-			}
-			req.decParts[from] = thresh.PartialDecryption{
-				Decryptor: from, D: it.D, Proof: thresh.DLEQProof{E: it.E, Z: it.Z},
-			}
-			if len(req.decParts) >= t+1 {
-				s.finishDecryptLocked(k, req, fire, acts)
-			}
-		case OpOpen:
-			if it.Share == nil || !s.gr.IsScalar(it.Share) {
-				continue
-			}
-			if _, dup := req.openPts[from]; dup {
-				continue
-			}
-			// Beacon shares self-verify against the round commitment;
-			// reject forgeries at the door so t+1 recorded ⇒ combinable.
-			if !req.roundV.VerifyShare(int64(from), it.Share) {
-				s.evictBadLocked(k, req, []msg.NodeID{from})
-				continue
-			}
-			req.openPts[from] = it.Share
-			if len(req.openPts) >= t+1 {
-				s.finishOpenLocked(k, req, fire)
-			}
+		// Only the aggregator's own share comes without a proof.
+		proved := it.E != nil && it.Z != nil && s.gr.IsScalar(it.E) && s.gr.IsScalar(it.Z)
+		if it.D == nil || !s.gr.IsElement(it.D) || (!proved && from != s.cfg.Self) {
+			s.evictBadLocked(k, req, []msg.NodeID{from})
+			continue
+		}
+		if _, dup := req.decParts[from]; dup {
+			continue
+		}
+		req.decParts[from] = thresh.PartialDecryption{
+			Decryptor: from, D: it.D, Proof: thresh.DLEQProof{E: it.E, Z: it.Z},
+		}
+		if len(req.decParts) >= t+1 {
+			s.finishDecryptLocked(k, req, fire, acts)
 		}
 	}
 	restart = append(restart, s.finishSignsLocked(k, finished, fire)...)
@@ -1347,7 +1173,6 @@ func (s *Service) evictBadLocked(k *serveKey, req *request, bad []msg.NodeID) {
 		delete(k.book, b)
 		if req != nil {
 			delete(req.decParts, b)
-			delete(req.openPts, b)
 		}
 	}
 }
@@ -1364,9 +1189,9 @@ func (s *Service) evictLocked(k *serveKey, req *request, err error, fire, acts *
 	// refused for this request — cover t+1. Peers already asked still
 	// count: their answers may be in flight, and re-asks replay
 	// idempotently.
-	possible := req.recorded()
+	possible := len(req.decParts)
 	for _, p := range s.cfg.Peers {
-		if p == s.cfg.Self || k.suspects[p] || req.refused[p] || req.contributed(p) {
+		if _, in := req.decParts[p]; p == s.cfg.Self || k.suspects[p] || req.refused[p] || in {
 			continue
 		}
 		possible++
@@ -1380,7 +1205,8 @@ func (s *Service) evictLocked(k *serveKey, req *request, err error, fire, acts *
 
 // finishDecryptLocked combines the aggregator's own share, trusted,
 // with peer partials, each DLEQ-verified against the memoised V(j)
-// until t of them pass (inside CombineDecryptWith).
+// until t of them pass (inside CombineShares), into C1^s: a decryption
+// divides it out of C2, a beacon round hashes it into the output.
 func (s *Service) finishDecryptLocked(k *serveKey, req *request, fire, acts *[]func()) {
 	var own *thresh.PartialDecryption
 	parts := make([]thresh.PartialDecryption, 0, len(req.decParts))
@@ -1391,40 +1217,18 @@ func (s *Service) finishDecryptLocked(k *serveKey, req *request, fire, acts *[]f
 		}
 		parts = append(parts, pd)
 	}
-	plain, err := thresh.CombineDecryptWith(s.gr, s.cfg.T, req.ct, own, parts, k.pub, s.lag)
+	hs, err := thresh.CombineShares(s.gr, s.cfg.T, req.ct.C1, own, parts, k.pub, s.lag)
 	if err != nil {
 		s.evictLocked(k, req, err, fire, acts)
 		return
 	}
-	s.completeLocked(k, req, Result{Plain: plain}, nil, fire)
-}
-
-// finishOpenLocked interpolates a beacon opening from verified
-// shares and derives the round output.
-func (s *Service) finishOpenLocked(k *serveKey, req *request, fire *[]func()) {
-	pts := make([]poly.Point, 0, len(req.openPts))
-	for id, sh := range req.openPts {
-		pts = append(pts, poly.Point{X: int64(id), Y: sh})
-		if len(pts) == s.cfg.T+1 {
-			break
-		}
-	}
-	opened, err := poly.Interpolate(s.gr.Q(), pts, 0)
-	if err != nil {
+	var res Result
+	if req.op == OpBeacon {
+		res.Beacon = BeaconResult{Round: req.round, Output: thresh.BeaconOutput(s.gr, req.round, hs), Value: hs}
+	} else if res.Plain, err = s.gr.Div(req.ct.C2, hs); err != nil {
 		s.completeLocked(k, req, Result{}, err, fire)
 		return
 	}
-	if !s.gr.GExp(opened).Equal(req.roundV.PublicKey()) {
-		// Cannot happen with per-share verification; defensive.
-		s.completeLocked(k, req, Result{}, fmt.Errorf("%w: beacon opening mismatch", ErrUnavailable), fire)
-		return
-	}
-	res := Result{Beacon: BeaconResult{
-		Round:       req.round,
-		Output:      thresh.BeaconOutput(s.gr, req.round, opened),
-		Opened:      opened,
-		EphemeralPK: req.roundV.PublicKey(),
-	}}
 	s.completeLocked(k, req, res, nil, fire)
 }
 

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"runtime"
@@ -24,13 +25,12 @@ type sent struct {
 // testRig is a single standalone service with recorded side effects:
 // the test plays the rest of the cluster by hand.
 type testRig struct {
-	gr        *group.Group
-	svc       *Service
-	keyP      *poly.Poly
-	keyV      *commit.Vector
-	sends     []sent
-	submitted []msg.SessionID
-	issued    uint64 // nonce pairs the test has drawn for hand-played peers
+	gr     *group.Group
+	svc    *Service
+	keyP   *poly.Poly
+	keyV   *commit.Vector
+	sends  []sent
+	issued uint64 // nonce pairs the test has drawn for hand-played peers
 }
 
 func newTestRig(t *testing.T, n, th int, tweak func(*Config)) *testRig {
@@ -53,10 +53,7 @@ func newTestRigOn(t *testing.T, gr *group.Group, n, th int, tweak func(*Config))
 		T:     th,
 		Peers: peers,
 		Send:  func(to msg.NodeID, body msg.Body) { rig.sends = append(rig.sends, sent{to, body}) },
-		Submit: func(sid msg.SessionID) {
-			rig.submitted = append(rig.submitted, sid)
-		},
-		Rand: rng,
+		Rand:  rng,
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -198,17 +195,6 @@ func (r *testRig) ask(agg msg.NodeID, it ReqItem) RespItem {
 	return r.lastRespTo(agg).Items[0]
 }
 
-// dealBeacon fabricates one beacon round session and installs node 1's
-// share on the rig's service.
-func (r *testRig) dealBeacon(t *testing.T, sid msg.SessionID) {
-	t.Helper()
-	p, err := poly.NewRandom(r.gr.Q(), r.svc.cfg.T, randutil.NewReader(uint64(sid)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.svc.InstallAux(sid, []*big.Int{p.EvalInt(1)}, []*commit.Vector{commit.NewVector(r.gr, p)})
-}
-
 // lastRespTo returns the most recent PartialResp sent to the node.
 func (r *testRig) lastRespTo(to msg.NodeID) *PartialResp {
 	for i := len(r.sends) - 1; i >= 0; i-- {
@@ -223,9 +209,9 @@ func (r *testRig) lastRespTo(to msg.NodeID) *PartialResp {
 
 func TestInstallKeyValidation(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
-	// Session IDs must fit the 24-bit aux derivation range.
-	if _, err := rig.svc.InstallKey(1<<24, rig.keyP.EvalInt(1), rig.keyV); err == nil {
-		t.Fatal("25-bit key session accepted")
+	// Any session ID names a key.
+	if _, err := rig.svc.InstallKey(1<<40, rig.keyP.EvalInt(1), rig.keyV); err != nil {
+		t.Fatalf("41-bit key session refused: %v", err)
 	}
 	// A share that fails the commitment check is rejected.
 	bad := new(big.Int).Add(rig.keyP.EvalInt(1), big.NewInt(1))
@@ -257,7 +243,7 @@ func TestIdleKeyHoldsNoPresizedRing(t *testing.T) {
 }
 
 // TestSignProvisionAndServe walks the full aggregator path by hand:
-// the first Sign asks every peer for commitments and starts no session,
+// the first Sign asks every peer for commitments,
 // the request dispatches once a peer's commitments arrive, self plus
 // that peer reach t+1=2, and the sum verifies.
 func TestSignProvisionAndServe(t *testing.T) {
@@ -271,9 +257,6 @@ func TestSignProvisionAndServe(t *testing.T) {
 		got, gotErr, called = r, err, true
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if len(rig.submitted) != 0 {
-		t.Fatalf("signing submitted sessions %x", rig.submitted)
 	}
 	for _, p := range []msg.NodeID{2, 3} {
 		if req := rig.lastReqTo(p); req == nil || req.Want != startBatch || len(req.Items) != 0 {
@@ -454,25 +437,6 @@ func TestPartialReqErrorStatuses(t *testing.T) {
 	}
 }
 
-func TestPrepareSubmitsIdempotently(t *testing.T) {
-	rig := newTestRig(t, 3, 1, nil)
-	sids := []msg.SessionID{BeaconSID(1, 1), BeaconSID(1, 2)}
-	rig.svc.HandleMessage(2, &Prepare{Key: 1, Sids: sids})
-	if len(rig.submitted) != 2 {
-		t.Fatalf("submitted %d sessions, want 2", len(rig.submitted))
-	}
-	// A duplicate Prepare (another aggregator, a retry) is a no-op.
-	rig.svc.HandleMessage(3, &Prepare{Key: 1, Sids: sids})
-	if len(rig.submitted) != 2 {
-		t.Fatalf("duplicate Prepare re-submitted: %v", rig.submitted)
-	}
-	// Non-aux session IDs are never submitted.
-	rig.svc.HandleMessage(2, &Prepare{Key: 1, Sids: []msg.SessionID{5}})
-	if len(rig.submitted) != 2 {
-		t.Fatal("non-aux sid submitted")
-	}
-}
-
 func TestAdmissionTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
 	rig := newTestRig(t, 3, 1, func(cfg *Config) {
@@ -616,35 +580,43 @@ func TestBatchConsumeOncePerNonce(t *testing.T) {
 	}
 }
 
-// TestInstallAuxRejectsWrongShape: a beacon session installs exactly one
-// share, under an id BeaconSID can have produced.
-func TestInstallAuxRejectsWrongShape(t *testing.T) {
+// TestBeaconPeerDerivesBase: a peer answers a beacon item with
+// H_r^{s_i} under the base it derives from its own key and the round in
+// the payload, DLEQ-proved against V(i), at any round — 2^40 included.
+// An item whose digest names another round, or whose payload is not one
+// round ≥ 1, is refused; a re-ask replays the cached answer.
+func TestBeaconPeerDerivesBase(t *testing.T) {
 	rig := newTestRig(t, 3, 1, nil)
-	p, _ := poly.NewRandom(rig.gr.Q(), 1, randutil.NewReader(9))
-	share, v := p.EvalInt(1), commit.NewVector(rig.gr, p)
-	rig.svc.InstallAux(BeaconSID(1, 1), []*big.Int{share, share}, []*commit.Vector{v, v})
-	rig.svc.InstallAux(BeaconSID(1, 2)|1<<56, []*big.Int{share}, []*commit.Vector{v})
-	rig.svc.InstallAux(BeaconSID(1, 3)&^(1<<61), []*big.Int{share}, []*commit.Vector{v})
-	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{
-		{Digest: [32]byte{1}, Op: OpOpen, Sid: BeaconSID(1, 1)},
-		{Digest: [32]byte{2}, Op: OpOpen, Sid: BeaconSID(1, 2)},
-		{Digest: [32]byte{3}, Op: OpOpen, Sid: BeaconSID(1, 3)},
-	}})
-	for _, it := range rig.lastRespTo(2).Items {
-		if it.Status != StNotReady {
-			t.Fatalf("mis-shaped install was accepted: %+v", it)
-		}
+	pk := rig.keyV.PublicKey()
+	round := uint64(1) << 40
+	item := ReqItem{Digest: BeaconDigest(1, round), Op: OpBeacon, Payload: binary.BigEndian.AppendUint64(nil, round)}
+	it := rig.ask(2, item)
+	h := thresh.BeaconBase(rig.gr, pk, round)
+	if it.Status != StOK || !it.D.Equal(rig.gr.Exp(h, rig.keyP.EvalInt(1))) {
+		t.Fatalf("beacon item not answered with H_r^s1: %+v", it)
 	}
-	rig.dealBeacon(t, BeaconSID(1, 4))
-	rig.svc.HandleMessage(2, &PartialReq{Key: 1, Items: []ReqItem{{Digest: [32]byte{4}, Op: OpOpen, Sid: BeaconSID(1, 4)}}})
-	if it := rig.lastRespTo(2).Items[0]; it.Status != StOK || it.Share == nil {
-		t.Fatalf("well-shaped install not served: %+v", it)
+	if !thresh.VerifyDecryption(rig.gr, rig.keyV.Eval(1), h, thresh.PartialDecryption{Decryptor: 1, D: it.D, Proof: thresh.DLEQProof{E: it.E, Z: it.Z}}) {
+		t.Fatal("beacon partial's proof does not verify against V(1)")
+	}
+	if again := rig.ask(2, item); again.D == nil || !again.D.Equal(it.D) || rig.svc.Stats().PeerCacheHits != 1 {
+		t.Fatalf("re-ask not replayed from the cache: %+v", rig.svc.Stats())
+	}
+	for _, bad := range []ReqItem{
+		{Digest: BeaconDigest(1, 2), Op: OpBeacon, Payload: binary.BigEndian.AppendUint64(nil, 3)},
+		{Digest: BeaconDigest(1, 0), Op: OpBeacon, Payload: make([]byte, 8)},
+		{Digest: BeaconDigest(1, 2), Op: OpBeacon, Payload: []byte{2}},
+		{Digest: BeaconDigest(2, 2), Op: OpBeacon, Payload: binary.BigEndian.AppendUint64(nil, 2)},
+	} {
+		if got := rig.ask(2, bad); got.Status != StBadOp || got.D != nil {
+			t.Fatalf("malformed beacon item %+v answered: %+v", bad, got)
+		}
 	}
 }
 
-// TestProvisionPerOperationKind: a key starts the auxiliary sessions of
-// the operations it is asked for, and no others. Signing starts none:
-// it asks the peers for commitments.
+// TestProvisionPerOperationKind: a key prepares only what its requests
+// use, and nothing starts a session. Decrypts and beacon rounds send
+// their items alone; signing, and Activate, ask each peer once for
+// commitments and send nothing else.
 func TestProvisionPerOperationKind(t *testing.T) {
 	fetches := func(r *testRig) int {
 		n := 0
@@ -666,27 +638,38 @@ func TestProvisionPerOperationKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.svc.Flush(1)
-	if info, _ := rig.svc.KeyInfo(1); len(rig.submitted) != 0 || fetches(rig) != 0 || info.State != StateServing {
-		t.Fatalf("decrypt: %d sessions submitted, %d fetches, state %v", len(rig.submitted), fetches(rig), info.State)
+	if info, _ := rig.svc.KeyInfo(1); fetches(rig) != 0 || info.State != StateServing {
+		t.Fatalf("decrypt: %d fetches, state %v", fetches(rig), info.State)
 	}
+	sent := len(rig.sends)
 	if err := rig.svc.Beacon(1, 1, cb); err != nil {
 		t.Fatal(err)
 	}
-	if len(rig.submitted) == 0 || fetches(rig) != 0 {
-		t.Fatalf("beacon: %d sessions, %d fetches", len(rig.submitted), fetches(rig))
+	rig.svc.Flush(1)
+	for _, s := range rig.sends[sent:] {
+		if req, ok := s.body.(*PartialReq); !ok || req.Want != 0 || len(req.Items) != 1 || req.Items[0].Op != OpBeacon {
+			t.Fatalf("beacon sent %T %+v, want its item alone", s.body, s.body)
+		}
 	}
-	rig.submitted = nil
+	if len(rig.sends) == sent {
+		t.Fatal("beacon round sent no item")
+	}
 	if err := rig.svc.Sign(1, []byte("m"), cb); err != nil {
 		t.Fatal(err)
 	}
-	if len(rig.submitted) != 0 || fetches(rig) != 2 {
-		t.Fatalf("sign: %d sessions, %d fetches, want 0 and 2", len(rig.submitted), fetches(rig))
+	if fetches(rig) != 2 {
+		t.Fatalf("sign: %d fetches, want 2", fetches(rig))
 	}
 
 	eager := newTestRig(t, 3, 1, nil)
 	eager.svc.Activate(1)
-	if len(eager.submitted) != 2 || fetches(eager) != 2 {
-		t.Fatalf("activate: %d beacon sessions and %d fetches, want 2 and 2", len(eager.submitted), fetches(eager))
+	for _, s := range eager.sends {
+		if req, ok := s.body.(*PartialReq); !ok || req.Want != startBatch || len(req.Items) != 0 {
+			t.Fatalf("activate sent %T %+v, want commitment fetches only", s.body, s.body)
+		}
+	}
+	if len(eager.sends) != 2 {
+		t.Fatalf("activate: %d sends, want one fetch per peer", len(eager.sends))
 	}
 }
 

@@ -19,7 +19,6 @@ type KeySnapshot struct {
 	// Commitments counts the unused signing commitments peers have
 	// issued to this aggregator.
 	Commitments int          `json:"commitments"`
-	BeaconHigh  uint64       `json:"beacon_high,omitempty"`
 	Requests    uint64       `json:"requests_total"`
 	Suspects    []msg.NodeID `json:"suspects,omitempty"`
 }
@@ -36,7 +35,6 @@ func (s *Service) KeysSnapshot() []KeySnapshot {
 			State:      k.state.String(),
 			QueueDepth: len(k.queue),
 			Inflight:   len(k.inflight),
-			BeaconHigh: k.beaconHi,
 			Requests:   k.served,
 		}
 		for _, b := range k.book {

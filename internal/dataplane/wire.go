@@ -14,9 +14,8 @@ import (
 type ReqItem struct {
 	Digest  [32]byte
 	Op      uint8
-	Sid     msg.SessionID // open: beacon session; 0 otherwise
-	Payload []byte        // sign: message; decrypt: blob(C1) ‖ blob(C2), compressed
-	B       []byte        // sign: the signing set's commitment list (thresh.EncodeCommitments)
+	Payload []byte // sign: message; decrypt: blob(C1) ‖ blob(C2), compressed; beacon: round
+	B       []byte // sign: the signing set's commitment list (thresh.EncodeCommitments)
 }
 
 // PartialReq asks a peer for partial operations against one key. It
@@ -43,7 +42,6 @@ func (m *PartialReq) MarshalBinary() ([]byte, error) {
 		it := &m.Items[i]
 		w.Blob(it.Digest[:])
 		w.U8(it.Op)
-		w.U64(uint64(it.Sid))
 		w.Blob(it.Payload)
 		if it.Op == OpSign {
 			w.Blob(it.B)
@@ -71,7 +69,6 @@ func decodePartialReq(data []byte) (msg.Body, error) {
 		}
 		copy(it.Digest[:], d)
 		it.Op = r.U8()
-		it.Sid = msg.SessionID(r.U64())
 		it.Payload = r.Blob()
 		if it.Op == OpSign {
 			it.B = r.Blob()
@@ -96,9 +93,8 @@ type RespItem struct {
 	Status uint8
 	Sigma  *big.Int      // sign: z_i
 	Nonce  uint64        // sign: ID of the nonce pair z_i was made with
-	D      group.Element // decrypt: C1^{s_i}
-	E, Z   *big.Int      // decrypt: Chaum–Pedersen DLEQ proof
-	Share  *big.Int      // open: s_i of the beacon session
+	D      group.Element // decrypt: C1^{s_i}; beacon: H_r^{s_i}
+	E, Z   *big.Int      // decrypt, beacon: Chaum–Pedersen DLEQ proof
 }
 
 // PartialResp carries a peer's answers for one PartialReq, and the
@@ -117,7 +113,6 @@ func (*PartialResp) MsgType() msg.Type { return msg.TDataResp }
 const (
 	fSigma uint8 = 1 << 0
 	fDec   uint8 = 1 << 1
-	fShare uint8 = 1 << 2
 )
 
 // MarshalBinary implements msg.Body.
@@ -136,9 +131,6 @@ func (m *PartialResp) MarshalBinary() ([]byte, error) {
 		if it.D != nil {
 			mask |= fDec
 		}
-		if it.Share != nil {
-			mask |= fShare
-		}
 		w.U8(mask)
 		if mask&fSigma != 0 {
 			w.Big(it.Sigma)
@@ -148,9 +140,6 @@ func (m *PartialResp) MarshalBinary() ([]byte, error) {
 			w.Blob(it.D.Bytes())
 			w.Big(it.E)
 			w.Big(it.Z)
-		}
-		if mask&fShare != 0 {
-			w.Big(it.Share)
 		}
 	}
 	if len(m.Commits) > 0 { // optional trailer, as PartialReq.Want
@@ -192,52 +181,9 @@ func decodePartialResp(gr *group.Group, data []byte) (msg.Body, error) {
 			it.E = r.Big()
 			it.Z = r.Big()
 		}
-		if mask&fShare != 0 {
-			it.Share = r.Big()
-		}
 	}
 	if r.More() {
 		m.Commits = r.Blob()
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Prepare tells peers to run the listed auxiliary DKG sessions (beacon
-// window extension). Session IDs are self-describing (BeaconSID), so
-// handling is idempotent:
-// peers submit each session to their engine at most once.
-type Prepare struct {
-	Key  msg.SessionID
-	Sids []msg.SessionID
-}
-
-// MsgType implements msg.Body.
-func (*Prepare) MsgType() msg.Type { return msg.TDataPrepare }
-
-// MarshalBinary implements msg.Body.
-func (m *Prepare) MarshalBinary() ([]byte, error) {
-	w := msg.NewWriter(16 + len(m.Sids)*8)
-	w.U64(uint64(m.Key))
-	w.U32(uint32(len(m.Sids)))
-	for _, sid := range m.Sids {
-		w.U64(uint64(sid))
-	}
-	return w.Bytes(), nil
-}
-
-func decodePrepare(data []byte) (msg.Body, error) {
-	r := msg.NewReader(data)
-	m := &Prepare{Key: msg.SessionID(r.U64())}
-	n := r.U32()
-	if n > maxItemsPerReq {
-		return nil, fmt.Errorf("%w: %d sids", msg.ErrBadEnvelope, n)
-	}
-	m.Sids = make([]msg.SessionID, n)
-	for i := range m.Sids {
-		m.Sids[i] = msg.SessionID(r.U64())
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -251,10 +197,7 @@ func RegisterCodec(c *msg.Codec, gr *group.Group) error {
 	if err := c.Register(msg.TDataReq, decodePartialReq); err != nil {
 		return err
 	}
-	if err := c.Register(msg.TDataResp, func(data []byte) (msg.Body, error) {
+	return c.Register(msg.TDataResp, func(data []byte) (msg.Body, error) {
 		return decodePartialResp(gr, data)
-	}); err != nil {
-		return err
-	}
-	return c.Register(msg.TDataPrepare, decodePrepare)
+	})
 }

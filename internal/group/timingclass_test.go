@@ -54,6 +54,7 @@ var secretRoots = []string{
 	"internal/thresh.NewNoncePair",
 	"internal/thresh.ProveDecryption",
 	"internal/thresh.CombineDecryptWith",
+	"internal/thresh.CombineShares",
 }
 
 func TestVarTimeMultiExpTimingClass(t *testing.T) {

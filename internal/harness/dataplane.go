@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
 	"hybriddkg/internal/commit"
@@ -30,8 +29,8 @@ type DataPlaneOptions struct {
 }
 
 // DataPlaneCluster is an n-node data-plane deployment over the
-// deterministic simulator, with key and beacon shares dealt
-// directly from polynomials (the control plane is exercised
+// deterministic simulator, with the key shares dealt directly from
+// a polynomial (the control plane is exercised
 // elsewhere; this fixture isolates the serving path). It backs the
 // dataplane unit tests and the E20 benchmark.
 type DataPlaneCluster struct {
@@ -80,10 +79,7 @@ func NewDataPlaneCluster(opts DataPlaneOptions) (*DataPlaneCluster, error) {
 			T:     opts.T,
 			Peers: peers,
 			Send:  func(to msg.NodeID, body msg.Body) { env.Send(to, body) },
-			Provision: func(key msg.SessionID, sids []msg.SessionID) {
-				c.provision(sids)
-			},
-			Rand: randutil.NewReader(opts.Seed ^ uint64(id)<<16),
+			Rand:  randutil.NewReader(opts.Seed ^ uint64(id)<<16),
 		}
 		if opts.Timers {
 			cfg.Defer = func(d time.Duration, fn func()) {
@@ -129,21 +125,6 @@ func (c *DataPlaneCluster) deal() (*poly.Poly, *commit.Vector, error) {
 		return nil, nil, err
 	}
 	return p, commit.NewVector(c.Group, p), nil
-}
-
-// provision deals the requested beacon sessions and installs the
-// shares on every node — the fixture's stand-in for running real beacon
-// DKGs through the engine.
-func (c *DataPlaneCluster) provision(sids []msg.SessionID) {
-	for _, sid := range sids {
-		p, v, err := c.deal()
-		if err != nil {
-			panic(err)
-		}
-		for id, svc := range c.Services {
-			svc.InstallAux(sid, []*big.Int{p.EvalInt(int64(id))}, []*commit.Vector{v})
-		}
-	}
 }
 
 // PrefillNonces has every other node issue count signing commitments to

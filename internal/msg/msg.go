@@ -66,11 +66,12 @@ const (
 	TVSSMatrix
 
 	// Threshold data plane (internal/dataplane): partial-operation
-	// fan-out between an aggregator and its peers, and beacon-window
-	// provisioning.
+	// fan-out between an aggregator and its peers. The slot after them
+	// carried beacon-window provisioning when beacon rounds were DKGs; it
+	// stays reserved so the codes after it keep their values.
 	TDataReq
 	TDataResp
-	TDataPrepare
+	_
 
 	// Quorum certificates (certificate mode): committee members send
 	// signed echo/ready attestations to sampled relays (TVSSCertSign /
@@ -125,8 +126,6 @@ func (t Type) String() string {
 		return "data-req"
 	case TDataResp:
 		return "data-resp"
-	case TDataPrepare:
-		return "data-prepare"
 	case TVSSCertSign:
 		return "vss-cert-sign"
 	case TVSSCert:

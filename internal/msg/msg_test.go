@@ -32,6 +32,29 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
+// TestTypeCodes pins every message type's wire code. The codes are
+// iota-assigned, so removing a slot from the middle of the list would
+// silently renumber every type after it, and nodes of two builds would
+// misread each other's frames; a retired type keeps its slot, blank.
+func TestTypeCodes(t *testing.T) {
+	for _, c := range []struct {
+		tt   Type
+		code uint8
+	}{
+		{TVSSSend, 1}, {TVSSEcho, 2}, {TVSSReady, 3}, {TVSSHelp, 4}, {TRecShare, 5},
+		{TDKGSend, 6}, {TDKGEcho, 7}, {TDKGReady, 8}, {TDKGLeadCh, 9}, {TDKGHelp, 10},
+		{TRBCSend, 11}, {TRBCEcho, 12}, {TRBCReady, 13},
+		{TGroupModProposal, 14}, {TClockTick, 15}, {TSubshare, 16},
+		{TVSSFetch, 17}, {TVSSMatrix, 18},
+		{TDataReq, 19}, {TDataResp, 20}, // 21: reserved (beacon-window provisioning)
+		{TVSSCertSign, 22}, {TVSSCert, 23}, {TDKGCertSign, 24}, {TDKGCert, 25},
+	} {
+		if uint8(c.tt) != c.code {
+			t.Errorf("%v has code %d, want %d", c.tt, uint8(c.tt), c.code)
+		}
+	}
+}
+
 func TestCodecRegisterDecode(t *testing.T) {
 	c := NewCodec()
 	if err := c.Register(TVSSSend, func(data []byte) (Body, error) {

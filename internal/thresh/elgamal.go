@@ -58,25 +58,26 @@ func PartialDecrypt(gr *group.Group, key KeyShare, ct Ciphertext, rand io.Reader
 	if err := key.Validate(); err != nil {
 		return PartialDecryption{}, err
 	}
-	return ProveDecryption(gr, key.Self, key.Share, key.V.Eval(int64(key.Self)), ct, rand)
+	return ProveDecryption(gr, key.Self, key.Share, key.V.Eval(int64(key.Self)), ct.C1, rand)
 }
 
-// ProveDecryption is the proving core: D = C1^share with a DLEQ proof
-// against the public share y = g^share. The share is not re-checked
-// against y; callers pass one they validated once (a data plane at key
-// install, PartialDecrypt per call).
-func ProveDecryption(gr *group.Group, self msg.NodeID, share *big.Int, y group.Element, ct Ciphertext, rand io.Reader) (PartialDecryption, error) {
-	if !gr.IsElement(ct.C1) {
+// ProveDecryption is the proving core: D = h^share with a DLEQ proof
+// against the public share y = g^share. A decryption passes h = C1; the
+// beacon passes its round base. The share is not re-checked against y;
+// callers pass one they validated once (a data plane at key install,
+// PartialDecrypt per call).
+func ProveDecryption(gr *group.Group, self msg.NodeID, share *big.Int, y, h group.Element, rand io.Reader) (PartialDecryption, error) {
+	if !gr.IsElement(h) {
 		return PartialDecryption{}, ErrBadCipher
 	}
-	d := gr.Exp(ct.C1, share)
+	d := gr.Exp(h, share)
 	w, err := gr.RandNonZeroScalar(rand)
 	if err != nil {
 		return PartialDecryption{}, err
 	}
 	a1 := gr.GExp(w)
-	a2 := gr.Exp(ct.C1, w)
-	e := gr.HashToScalar(dleqDomain, y.Bytes(), ct.C1.Bytes(), d.Bytes(), a1.Bytes(), a2.Bytes())
+	a2 := gr.Exp(h, w)
+	e := gr.HashToScalar(dleqDomain, y.Bytes(), h.Bytes(), d.Bytes(), a1.Bytes(), a2.Bytes())
 	z := gr.AddQ(w, gr.MulQ(e, share))
 	return PartialDecryption{
 		Decryptor: self,
@@ -88,11 +89,12 @@ func ProveDecryption(gr *group.Group, self msg.NodeID, share *big.Int, y group.E
 // VerifyPartialDecryption checks pd's DLEQ proof against the public
 // share V(pd.Decryptor).
 func VerifyPartialDecryption(gr *group.Group, v *commit.Vector, ct Ciphertext, pd PartialDecryption) bool {
-	return VerifyDecryption(gr, v.Eval(int64(pd.Decryptor)), ct, pd)
+	return VerifyDecryption(gr, v.Eval(int64(pd.Decryptor)), ct.C1, pd)
 }
 
 // VerifyDecryption is the verifying core: with y the decryptor's public
-// share, a1 = g^z·y^{−e} and a2 = C1^z·D^{−e} must hash back to e. The
+// share and h the base (C1, or a beacon round's), a1 = g^z·y^{−e} and
+// a2 = h^z·D^{−e} must hash back to e. The
 // exponent q−e spares inversions. Every input is public, yet the check
 // stays on the ladders: on p256 a 2-term VarTimeMultiExp for a2 reads
 // 161 µs against 216 µs for two Exp and a Mul (BenchmarkMultiExp k=2,
@@ -100,7 +102,7 @@ func VerifyPartialDecryption(gr *group.Group, v *commit.Vector, ct Ciphertext, p
 // chain and y^{−e} onto per-epoch comb tables left decrypt_n7 unmoved
 // (+5/−1/−3 % over three rig pairs); on Z_p* big.Int.Exp beats the
 // Straus chain (DESIGN.md, data plane).
-func VerifyDecryption(gr *group.Group, y group.Element, ct Ciphertext, pd PartialDecryption) bool {
+func VerifyDecryption(gr *group.Group, y, h group.Element, pd PartialDecryption) bool {
 	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil {
 		return false
 	}
@@ -109,8 +111,8 @@ func VerifyDecryption(gr *group.Group, y group.Element, ct Ciphertext, pd Partia
 	}
 	ne := gr.NegQ(pd.Proof.E)
 	a1 := gr.Mul(gr.GExp(pd.Proof.Z), gr.Exp(y, ne))
-	a2 := gr.Mul(gr.Exp(ct.C1, pd.Proof.Z), gr.Exp(pd.D, ne))
-	e := gr.HashToScalar(dleqDomain, y.Bytes(), ct.C1.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
+	a2 := gr.Mul(gr.Exp(h, pd.Proof.Z), gr.Exp(pd.D, ne))
+	e := gr.HashToScalar(dleqDomain, y.Bytes(), h.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
 	return e.Cmp(pd.Proof.E) == 0
 }
 
@@ -121,17 +123,31 @@ func CombineDecrypt(gr *group.Group, v *commit.Vector, t int, ct Ciphertext, par
 	return CombineDecryptWith(gr, t, ct, nil, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
 }
 
-// CombineDecryptWith is the combining core. own, when non-nil, is the
-// caller's own share D = C1^{s_self}: it is trusted without a proof, as
-// the caller checked its share once against the commitment. Each other
-// decryptor is verified at most once, against pub(id), and verification
-// stops once t+1 shares are in hand; PartialsError names every decryptor
-// that was checked and failed. The combination involves own's secret
-// share, so it stays on the constant-time MultiExp, with λ from cache,
-// which must interpolate at 0.
+// CombineDecryptWith combines as CombineShares does, over h = C1, and
+// returns m = C2 / C1^s.
 func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, own *PartialDecryption, parts []PartialDecryption,
 	pub func(msg.NodeID) group.Element, cache *poly.LagrangeCache) (group.Element, error) {
-	if !gr.IsElement(ct.C1) || !gr.IsElement(ct.C2) {
+	if !gr.IsElement(ct.C2) {
+		return nil, ErrBadCipher
+	}
+	hs, err := CombineShares(gr, t, ct.C1, own, parts, pub, cache)
+	if err != nil {
+		return nil, err
+	}
+	return gr.Div(ct.C2, hs)
+}
+
+// CombineShares is the combining core: from t+1 valid shares
+// D_i = h^{s_i} it returns h^s. own, when non-nil, is the caller's own
+// share: it is trusted without a proof, as the caller checked its share
+// once against the commitment. Each other share is verified at most
+// once, against pub(id), and verification stops once t+1 shares are in
+// hand; PartialsError names every sender that was checked and failed.
+// The combination involves own's secret share, so it stays on the
+// constant-time MultiExp, with λ from cache, which must interpolate at 0.
+func CombineShares(gr *group.Group, t int, h group.Element, own *PartialDecryption, parts []PartialDecryption,
+	pub func(msg.NodeID) group.Element, cache *poly.LagrangeCache) (group.Element, error) {
+	if !gr.IsElement(h) {
 		return nil, ErrBadCipher
 	}
 	valid := make([]PartialDecryption, 0, t+1)
@@ -149,7 +165,7 @@ func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, own *PartialDecry
 			continue
 		}
 		checked[pd.Decryptor] = true
-		if !VerifyDecryption(gr, pub(pd.Decryptor), ct, pd) {
+		if !VerifyDecryption(gr, pub(pd.Decryptor), h, pd) {
 			bad = append(bad, pd.Decryptor)
 			continue
 		}
@@ -168,5 +184,5 @@ func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, own *PartialDecry
 	if err != nil {
 		return nil, err
 	}
-	return gr.Div(ct.C2, gr.MultiExp(bases, lambdas))
+	return gr.MultiExp(bases, lambdas), nil
 }

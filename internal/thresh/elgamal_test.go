@@ -70,7 +70,7 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := thresh.ProveDecryption(gr, 3, keys[3].Share, keyV.Eval(3), ct, rng)
+			core, err := thresh.ProveDecryption(gr, 3, keys[3].Share, keyV.Eval(3), ct.C1, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 			for _, c := range cases {
 				ref := ladderVerify(gr, keyV, c.ct, c.pd)
 				got := thresh.VerifyPartialDecryption(gr, keyV, c.ct, c.pd)
-				core := thresh.VerifyDecryption(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct, c.pd)
+				core := thresh.VerifyDecryption(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
 				if ref != c.want || got != c.want || core != c.want {
 					t.Errorf("%s: ladder %v, wrapper %v, core %v, want %v", c.name, ref, got, core, c.want)
 				}

@@ -1,7 +1,7 @@
 // Package thresh builds the threshold-cryptography applications that
 // motivate the paper (§1): dealerless threshold Schnorr signatures,
 // threshold ElGamal decryption with Chaum–Pedersen-verified partial
-// decryptions, and a commit-reveal random beacon — all operating on
+// decryptions, and a threshold-coin random beacon — all operating on
 // shares and Feldman vector commitments produced by the DKG.
 //
 // Threshold Schnorr needs a fresh nonce per signature. The served path

@@ -246,21 +246,72 @@ func TestSchnorrOverRealDKG(t *testing.T) {
 
 func TestBeaconOutput(t *testing.T) {
 	gr := group.Test256()
-	a := thresh.BeaconOutput(gr, 1, big.NewInt(777))
-	b := thresh.BeaconOutput(gr, 1, big.NewInt(777))
+	v := gr.GExp(big.NewInt(777))
+	a := thresh.BeaconOutput(gr, 1, v)
+	b := thresh.BeaconOutput(gr, 1, gr.GExp(big.NewInt(777)))
 	if a != b {
 		t.Fatal("beacon not deterministic")
 	}
-	c := thresh.BeaconOutput(gr, 2, big.NewInt(777))
+	c := thresh.BeaconOutput(gr, 2, v)
 	if a == c {
 		t.Fatal("round not bound")
 	}
-	d := thresh.BeaconOutput(gr, 1, big.NewInt(778))
+	d := thresh.BeaconOutput(gr, 1, gr.GExp(big.NewInt(778)))
 	if a == d {
-		t.Fatal("opening not bound")
+		t.Fatal("value not bound")
 	}
 	// BeaconBit is a function of the output.
 	_ = thresh.BeaconBit(a)
+}
+
+// TestBeaconCoin: t+1 DLEQ-proved shares H_r^{s_i} combine to H_r^s,
+// whichever t+1 they are; the base depends on the key and the round; a
+// share proved against another round's base is named bad.
+func TestBeaconCoin(t *testing.T) {
+	for _, gr := range backends {
+		t.Run(gr.Name(), func(t *testing.T) {
+			const tt = 2
+			keys, keyV := dealKey(t, gr, tt, 50)
+			pk := keyV.PublicKey()
+			rng := randutil.NewReader(51)
+			h := thresh.BeaconBase(gr, pk, 1<<40)
+			if h.Equal(thresh.BeaconBase(gr, pk, 1<<40+1)) || h.Equal(thresh.BeaconBase(gr, gr.Generator(), 1<<40)) {
+				t.Fatal("round base ignores the round or the key")
+			}
+			secret, err := poly.Interpolate(gr.Q(), []poly.Point{
+				{X: 1, Y: keys[1].Share}, {X: 2, Y: keys[2].Share}, {X: 3, Y: keys[3].Share},
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := gr.Exp(h, secret)
+			parts := make([]thresh.PartialDecryption, 0, len(keys))
+			for i := 1; i <= len(keys); i++ {
+				pd, err := thresh.ProveDecryption(gr, msg.NodeID(i), keys[msg.NodeID(i)].Share, keyV.Eval(int64(i)), h, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = append(parts, pd)
+			}
+			pub := func(i msg.NodeID) group.Element { return keyV.Eval(int64(i)) }
+			lag := poly.NewLagrangeCache(gr.Q(), 0)
+			for _, set := range [][]thresh.PartialDecryption{parts[:tt+1], parts[len(parts)-tt-1:]} {
+				got, err := thresh.CombineShares(gr, tt, h, nil, set, pub, lag)
+				if err != nil || !got.Equal(want) {
+					t.Fatalf("combine: %v", err)
+				}
+			}
+			other, err := thresh.ProveDecryption(gr, 1, keys[1].Share, keyV.Eval(1), thresh.BeaconBase(gr, pk, 2), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = thresh.CombineShares(gr, tt, h, nil, append([]thresh.PartialDecryption{other}, parts[1:tt+1]...), pub, lag)
+			var pe *thresh.PartialsError
+			if !errors.As(err, &pe) || len(pe.Bad) != 1 || pe.Bad[0] != 1 {
+				t.Fatalf("share for another round not named: %v", err)
+			}
+		})
+	}
 }
 
 func TestCombineReportsBadSigners(t *testing.T) {

@@ -7,9 +7,8 @@ import (
 )
 
 // Early-frame admission. Nodes do not register a session at the same
-// instant: an operator's Start, or the data plane's Prepare, reaches
-// them microseconds to milliseconds apart, and a node that is ahead
-// deals at once. A message the router finds no handler for, whose
+// instant: an operator's Start reaches them microseconds to
+// milliseconds apart, and a node that is ahead deals at once. A message the router finds no handler for, whose
 // session is neither retired nor session 0, is therefore held, not
 // dropped, until RegisterSession claims it — nothing below the
 // protocol's own help messages retransmits a dealer's send, and a

@@ -32,8 +32,8 @@ const (
 )
 
 // BeaconResult is one random-beacon round: Output is the 32-byte
-// beacon value, publicly verifiable from the Opened round secret and
-// its EphemeralPK (g^Opened = EphemeralPK).
+// beacon value, the hash of the round's threshold-coin value
+// Value = H_r^s (thresh.BeaconOutput).
 type BeaconResult = dataplane.BeaconResult
 
 // ServiceStats is one node's data-plane activity counters.
@@ -67,12 +67,6 @@ type Network struct {
 	services map[msg.NodeID]*dataplane.Service
 	pool     *verify.Pool
 
-	// Beacon DKG sessions requested by the services
-	// but not yet run. The pump loop drains this between simulator
-	// runs so a DKG never starts from inside a message handler.
-	pendingAux  []msg.SessionID
-	provisioned map[msg.SessionID]bool
-
 	closed bool
 }
 
@@ -101,15 +95,14 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 		privs[msg.NodeID(i)] = priv
 	}
 	nw := &Network{
-		cfg:         cfg,
-		roster:      roster,
-		gr:          gr,
-		sim:         simnet.New(simnet.Options{Seed: cfg.seed}),
-		dir:         dir,
-		privs:       privs,
-		rng:         rng,
-		services:    make(map[msg.NodeID]*dataplane.Service, roster.N),
-		provisioned: make(map[msg.SessionID]bool),
+		cfg:      cfg,
+		roster:   roster,
+		gr:       gr,
+		sim:      simnet.New(simnet.Options{Seed: cfg.seed}),
+		dir:      dir,
+		privs:    privs,
+		rng:      rng,
+		services: make(map[msg.NodeID]*dataplane.Service, roster.N),
 	}
 	if cfg.verifyWorkers != 0 {
 		workers := cfg.verifyWorkers
@@ -127,19 +120,17 @@ func New(roster Roster, opts ...Option) (*Network, error) {
 		id := msg.NodeID(i)
 		env := nw.sim.SessionEnv(id, dataplane.PeerSession)
 		svc := dataplane.NewService(dataplane.Config{
-			Group:       gr,
-			Self:        id,
-			N:           roster.N,
-			T:           roster.T,
-			Peers:       peers,
-			Send:        func(to msg.NodeID, body msg.Body) { env.Send(to, body) },
-			Provision:   nw.requestAux,
-			Rand:        randutil.NewReader(cfg.seed ^ uint64(id)<<16),
-			Rate:        cfg.rate,
-			Burst:       cfg.burst,
-			MaxPending:  cfg.maxPending,
-			MaxBatch:    cfg.maxBatch,
-			BeaconAhead: cfg.beaconAhead,
+			Group:      gr,
+			Self:       id,
+			N:          roster.N,
+			T:          roster.T,
+			Peers:      peers,
+			Send:       func(to msg.NodeID, body msg.Body) { env.Send(to, body) },
+			Rand:       randutil.NewReader(cfg.seed ^ uint64(id)<<16),
+			Rate:       cfg.rate,
+			Burst:      cfg.burst,
+			MaxPending: cfg.maxPending,
+			MaxBatch:   cfg.maxBatch,
 		})
 		nw.services[id] = svc
 		if err := nw.sim.RegisterSession(id, dataplane.PeerSession, serviceHandler{svc}); err != nil {
@@ -310,43 +301,7 @@ func (nw *Network) runDKG(tau uint64) (*dkgResult, error) {
 	return res, nil
 }
 
-// requestAux is every service's Provision hook: it queues the listed
-// beacon sessions for a real DKG run. The pump loop drains the
-// queue between simulator runs — never from inside a message handler,
-// where a nested simulator run would re-enter the scheduler.
-func (nw *Network) requestAux(_ msg.SessionID, sids []msg.SessionID) {
-	for _, sid := range sids {
-		if nw.provisioned[sid] {
-			continue
-		}
-		nw.provisioned[sid] = true
-		nw.pendingAux = append(nw.pendingAux, sid)
-	}
-}
-
-// drainAux runs every queued auxiliary DKG and installs the resulting
-// shares on all services.
-func (nw *Network) drainAux() {
-	for len(nw.pendingAux) > 0 {
-		sid := nw.pendingAux[0]
-		nw.pendingAux = nw.pendingAux[1:]
-		out, err := nw.runDKG(uint64(sid))
-		if err != nil {
-			// Leave the session unprovisioned; the affected requests
-			// fail through the data plane's availability accounting.
-			delete(nw.provisioned, sid)
-			continue
-		}
-		for id, svc := range nw.services {
-			if share := out.shares[id]; share != nil {
-				svc.InstallAux(sid, []*big.Int{share}, []*commit.Vector{out.v})
-			}
-		}
-	}
-}
-
-// pump drives the simulator (and any beacon DKGs the data plane
-// requests along the way) until done or no progress is possible.
+// pump drives the simulator until done or no progress is possible.
 func (nw *Network) pump(ctx context.Context, key msg.SessionID, done func() bool) error {
 	for i := 0; i < 256; i++ {
 		if ctx != nil {
@@ -354,7 +309,6 @@ func (nw *Network) pump(ctx context.Context, key msg.SessionID, done func() bool
 				return err
 			}
 		}
-		nw.drainAux()
 		nw.sim.RunUntil(done, 2_000_000)
 		if done() {
 			return nil
@@ -365,7 +319,7 @@ func (nw *Network) pump(ctx context.Context, key msg.SessionID, done func() bool
 		if done() {
 			return nil
 		}
-		if len(nw.pendingAux) == 0 && nw.sim.Pending() == 0 {
+		if nw.sim.Pending() == 0 {
 			return ErrIncomplete
 		}
 	}
@@ -420,7 +374,7 @@ func (nw *Network) GenerateKey(ctx context.Context, opts ...KeyOption) (*Key, er
 		nw.services[k.aggregator()].Activate(sid)
 		if err := nw.pump(ctx, sid, func() bool {
 			info, ok := nw.services[k.aggregator()].KeyInfo(sid)
-			return ok && info.State == KeyServing && len(nw.pendingAux) == 0
+			return ok && info.State == KeyServing
 		}); err != nil {
 			return nil, fmt.Errorf("eager activation: %w", err)
 		}
@@ -560,9 +514,9 @@ func (k *Key) Decrypt(ctx context.Context, ct Ciphertext) (Element, error) {
 	return res.Plain, nil
 }
 
-// Beacon opens one random-beacon round (rounds start at 1). Round
-// keys are independent DKG sessions provisioned ahead of demand;
-// every aggregator opening the same round gets the same output.
+// Beacon opens one random-beacon round (rounds start at 1): a threshold
+// coin over the key's own sharing, so no DKG runs per round and every
+// aggregator opening the same round gets the same output.
 func (k *Key) Beacon(ctx context.Context, round uint64) (BeaconResult, error) {
 	res, err := k.do(ctx, func(svc *dataplane.Service, cb dataplane.Callback) error {
 		return svc.Beacon(k.id, round, cb)
@@ -657,8 +611,8 @@ func (k *Key) Retire() {
 }
 
 // Reconstruct opens the shared secret by combining t+1 shares (the
-// Rec protocol's arithmetic; exposed for beacons and tests — real
-// deployments never open long-term keys).
+// Rec protocol's arithmetic; exposed for tests — real deployments never
+// open long-term keys).
 func (k *Key) Reconstruct() (*big.Int, error) {
 	pts := make([]poly.Point, 0, k.nw.roster.T+1)
 	for id, share := range k.shares {

@@ -32,11 +32,10 @@ type netConfig struct {
 	verifyWorkers int
 
 	// Data-plane (serving) knobs.
-	rate        float64
-	burst       int
-	maxPending  int
-	maxBatch    int
-	beaconAhead int
+	rate       float64
+	burst      int
+	maxPending int
+	maxBatch   int
 }
 
 // resolve applies opts and checks the profile they select.
@@ -120,12 +119,6 @@ func WithBatchWindow(n int) Option {
 	return func(c *netConfig) { c.maxBatch = n }
 }
 
-// WithBeaconAhead sets the beacon look-ahead window: how many rounds
-// past the highest requested one are provisioned eagerly (default 2).
-func WithBeaconAhead(rounds int) Option {
-	return func(c *netConfig) { c.beaconAhead = rounds }
-}
-
 // keyConfig is the resolved per-key configuration.
 type keyConfig struct {
 	aggregator msg.NodeID
@@ -142,9 +135,9 @@ func WithAggregator(id NodeID) KeyOption {
 }
 
 // WithEagerServing activates the key on its aggregator immediately,
-// fetching the peers' signing commitments and provisioning the beacon
-// window before the first request arrives (otherwise each is prepared
-// by the first Sign or Beacon).
+// fetching the peers' signing commitments before the first request
+// arrives (otherwise the first Sign fetches them). Decryption and
+// beacon rounds need no preparation.
 func WithEagerServing() KeyOption {
 	return func(c *keyConfig) { c.eager = true }
 }

@@ -229,14 +229,18 @@ echo "== e2e restart OK: node 1 SIGKILLed mid-DKG, restarted from --state-dir, c
 # requests a signature, an encrypt/decrypt round-trip and 3 beacon
 # rounds, and verifies every result it can check publicly. The client
 # binary fails non-zero on any verification miss, so the gate here is
-# its exit status plus the per-operation JSON lines. Six more clients
+# its exit status plus the per-operation JSON lines. A beacon round is a
+# threshold coin on the key, so the same rounds opened through node 3
+# must return the same outputs. Six more clients
 # then round-trip six fresh ciphertexts at once, so node 1 combines
 # decryptions from several peers' partials in one batch. Forty more clients
 # then sign forty distinct messages, eight at a time: signing is FROST,
 # each signer bringing its own nonce pair, so no session may complete
 # meanwhile, and every signature is checked. Node 2 is then SIGKILLed
 # and eight more messages are signed through node 1, whose attempts
-# that waited on node 2 must be retried with other signers. The other
+# that waited on node 2 must be retried with other signers; with node 2
+# still down, rounds 1-5 opened through node 1 and through node 3 must
+# agree, rounds 1-3 with the outputs from before the kill. The other
 # nodes then get SIGTERM and must shut down cleanly (exit 0).
 DP_PORT=$((BASE_PORT + 20))
 dpeers=""
@@ -306,6 +310,34 @@ if ! grep -q "$(grep -o '"publicKey":"[^"]*"' "$workdir/dp-node1.out" | head -1)
   echo "!! data-plane client reported a different public key than the cluster" >&2
   exit 1
 fi
+# beacon_outputs prints a client run's beacon outputs, in round order.
+beacon_outputs() {
+  grep -o '"output":"[0-9a-f]*"' "$1" | tr '\n' ' '
+}
+
+# beacon_via runs a client that opens beacon rounds 1..ROUNDS through
+# node NODE's client endpoint, writing its JSON lines to OUT.
+beacon_via() {
+  local node=$1 rounds=$2 out=$3
+  if ! "$workdir/dkgnode" client \
+      -addr "127.0.0.1:$((DP_PORT + 10 + node))" -key 1 -beacon "$rounds" \
+      >"$out" 2>"$out.err"; then
+    echo "!! beacon client through node $node failed" >&2
+    cat "$out.err" >&2
+    tail -n +1 "$workdir"/dp-node*.err >&2 || true
+    exit 1
+  fi
+}
+
+echo "== external client: the same 3 beacon rounds through node 3"
+beacon_via 3 3 "$workdir/dp-beacon-node3.out"
+want_beacon=$(beacon_outputs "$workdir/dp-client.out")
+if [ "$(beacon_outputs "$workdir/dp-beacon-node3.out")" != "$want_beacon" ]; then
+  echo "!! beacon outputs differ between aggregators node 1 and node 3" >&2
+  cat "$workdir/dp-client.out" "$workdir/dp-beacon-node3.out" >&2
+  exit 1
+fi
+
 # The client's handshake names the cluster's group: the one the rig
 # measures.
 if ! grep '"op":"keyinfo"' "$workdir/dp-client.out" | grep -q '"group":"p256"'; then
@@ -465,6 +497,25 @@ if ! awk '$1 == "dataplane_sign_attempts_total" { found = 1; ok = ($2 + 0 > 0) }
 fi
 echo "   $SIGN_WIDTH signatures verified with node $DOWN down"
 
+echo "== beacon rounds 1-5 through nodes 1 and 3 with node $DOWN down"
+beacon_via 1 5 "$workdir/dp-beacon-down-node1.out"
+beacon_via 3 5 "$workdir/dp-beacon-down-node3.out"
+down1=$(beacon_outputs "$workdir/dp-beacon-down-node1.out")
+if [ "$down1" != "$(beacon_outputs "$workdir/dp-beacon-down-node3.out")" ]; then
+  echo "!! with node $DOWN down, nodes 1 and 3 disagree on beacon rounds 1-5" >&2
+  cat "$workdir/dp-beacon-down-node1.out" "$workdir/dp-beacon-down-node3.out" >&2
+  exit 1
+fi
+case "$down1" in
+  "$want_beacon"*) ;;
+  *)
+    echo "!! beacon rounds 1-3 changed after node $DOWN was killed" >&2
+    echo "   before: $want_beacon" >&2
+    echo "   after:  $down1" >&2
+    exit 1
+    ;;
+esac
+
 echo "== SIGTERM: serving nodes must shut down cleanly"
 for i in $(seq 1 "$N"); do
   [ "$i" -eq "$DOWN" ] && continue
@@ -496,4 +547,4 @@ grep -Eq "node 1: wire: [0-9]+ frames, [0-9]+ bytes sent" "$workdir/dp-node1.err
   exit 1
 }
 
-echo "== e2e data plane OK: external clients verified sign/beacon, $((DECRYPT_CLIENTS + 1)) decryptions and $((SIGN_WAVES * SIGN_WIDTH + SIGN_WIDTH)) FROST signatures, $SIGN_WIDTH of them with node $DOWN down"
+echo "== e2e data plane OK: external clients verified sign/beacon (same outputs via nodes 1 and 3, before and after the kill), $((DECRYPT_CLIENTS + 1)) decryptions and $((SIGN_WAVES * SIGN_WIDTH + SIGN_WIDTH)) FROST signatures, $SIGN_WIDTH of them with node $DOWN down"

@@ -3,14 +3,12 @@ package hybriddkg
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"math/big"
 	"net"
 	"os"
 	"time"
 
-	"hybriddkg/internal/commit"
 	"hybriddkg/internal/dataplane"
 	"hybriddkg/internal/dkg"
 	"hybriddkg/internal/engine"
@@ -94,7 +92,7 @@ type ServerConfig struct {
 	Roster Roster
 	// Listen is the peer-transport address; ClientListen, when set,
 	// additionally serves the client request protocol (Sign, Decrypt,
-	// BeaconRound over length-prefixed frames) on that address.
+	// Beacon over length-prefixed frames) on that address.
 	Listen       string
 	ClientListen string
 	Peers        []PeerAddr
@@ -166,8 +164,8 @@ type SessionID = msg.SessionID
 // DKG sessions over one transport endpoint, a data-plane service
 // serving partial threshold operations to peers, and (optionally) the
 // client request protocol on a second listener. Completed DKG
-// sessions are installed on the data plane automatically: beacon
-// sessions as round material, primary sessions as serving keys.
+// sessions are installed on the data plane automatically as serving
+// keys.
 type Server struct {
 	cfg    ServerConfig
 	gr     *group.Group
@@ -346,11 +344,8 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 	}
 
 	// The data-plane service rides the same transport on its reserved
-	// session. Beacon DKGs are provisioned through the engine: the
-	// default Provision submits locally and broadcasts a Prepare,
-	// whose handler submits on every peer. The handler is registered
-	// before the service exists (the port is part of its config), so
-	// it late-binds.
+	// session. The handler is registered before the service exists (the
+	// port is part of its config), so it late-binds.
 	peerIDs := make([]msg.NodeID, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
 		peerIDs = append(peerIDs, p.ID)
@@ -368,22 +363,14 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		T:     cfg.Roster.T,
 		Peers: peerIDs,
 		Send:  func(to msg.NodeID, body msg.Body) { port.Send(to, body) },
-		Submit: func(sid msg.SessionID) {
-			tnode.Do(func() {
-				if err := s.eng.Submit(sid); err != nil && !errors.Is(err, engine.ErrDuplicate) {
-					s.fail(uint64(sid), err)
-				}
-			})
-		},
 		Defer: func(d time.Duration, fn func()) {
 			time.AfterFunc(d, fn)
 		},
-		Rand:        rand.Reader,
-		Rate:        nc.rate,
-		Burst:       nc.burst,
-		MaxPending:  nc.maxPending,
-		MaxBatch:    nc.maxBatch,
-		BeaconAhead: nc.beaconAhead,
+		Rand:       rand.Reader,
+		Rate:       nc.rate,
+		Burst:      nc.burst,
+		MaxPending: nc.maxPending,
+		MaxBatch:   nc.maxBatch,
 	}
 	svc := dataplane.NewService(dcfg)
 	s.svc = svc
@@ -499,20 +486,12 @@ func (h *dataServiceHandler) HandleMessage(from msg.NodeID, body msg.Body) {
 func (h *dataServiceHandler) HandleTimer(uint64) {}
 func (h *dataServiceHandler) HandleRecover()     {}
 
-// onCompleted routes every finished DKG session: beacon sessions
-// install round material, primary sessions become serving keys and are
-// reported on Events.
+// onCompleted routes every finished DKG session: it becomes a serving
+// key and is reported on Events.
 func (s *Server) onCompleted(sid msg.SessionID, r engine.Runner) {
 	ev := r.(*dkg.Node).Result()
-	if dataplane.IsAux(sid) {
-		s.svc.InstallAux(sid, []*big.Int{ev.Share}, []*commit.Vector{ev.V})
-		return
-	}
-	if uint64(sid) < 1<<24 {
-		// Session IDs in key-ID range serve through the data plane;
-		// re-installation after a restore is a harmless no-op error.
-		_, _ = s.svc.InstallKey(sid, ev.Share, ev.V)
-	}
+	// Re-installation after a restore is a harmless no-op error.
+	_, _ = s.svc.InstallKey(sid, ev.Share, ev.V)
 	select {
 	case s.events <- SessionEvent{
 		Session:   ev.Tau,
@@ -751,17 +730,15 @@ func (c *Client) Decrypt(ctx context.Context, key uint64, ct Ciphertext) (Elemen
 	return c.c.Decrypt(ctx, key, thresh.Ciphertext{C1: ct.C1, C2: ct.C2})
 }
 
-// Beacon requests one random-beacon round and verifies the output
-// against its opening before returning it.
+// Beacon requests one random-beacon round and checks that the output is
+// the hash of the returned coin value before returning it.
 func (c *Client) Beacon(ctx context.Context, key uint64, round uint64) (BeaconResult, error) {
 	out, err := c.c.Beacon(ctx, key, round)
 	if err != nil {
 		return BeaconResult{}, err
 	}
-	gr := c.c.Group()
-	if out.Output != thresh.BeaconOutput(gr, round, out.Opened) ||
-		!gr.GExp(out.Opened).Equal(out.EphemeralPK) {
-		return BeaconResult{}, fmt.Errorf("hybriddkg: beacon round %d output fails public verification", round)
+	if out.Output != thresh.BeaconOutput(c.c.Group(), round, out.Value) {
+		return BeaconResult{}, fmt.Errorf("hybriddkg: beacon round %d output does not match its value", round)
 	}
 	return out, nil
 }
