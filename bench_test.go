@@ -325,39 +325,74 @@ func BenchmarkE12FeldmanVsPedersen(b *testing.B) {
 	})
 }
 
+// frostAttempt plays one FROST signing attempt of the given signers,
+// in increasing order, on the key keyPoly: each draws a nonce pair, all
+// bind the one commitment list, and each answers. It returns the
+// binding and the answers z_i in list order.
+func frostAttempt(b *testing.B, gr *group.Group, keyPoly *poly.Poly, pk group.Element, message []byte, signers []int64, r io.Reader) (*thresh.Binding, []*big.Int) {
+	b.Helper()
+	pairs := make([]*thresh.NoncePair, len(signers))
+	list := make([]thresh.Commitment, len(signers))
+	for i, s := range signers {
+		pair, err := thresh.NewNoncePair(gr, msg.NodeID(s), uint64(i+1), keyPoly.EvalInt(s), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs[i], list[i] = pair, pair.Commitment
+	}
+	bind, err := thresh.Bind(gr, pk, message, thresh.EncodeCommitments(gr, list), list, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zs := make([]*big.Int, len(signers))
+	for i, s := range signers {
+		if zs[i], err = bind.Sign(gr, i, pairs[i], keyPoly.EvalInt(s)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bind, zs
+}
+
 // BenchmarkE13ThresholdApps times the application-layer operations
-// over fixed key material (crypto only, no network).
+// over fixed key material (crypto only, no network): a FROST signer's
+// answer and the aggregator's sum-and-check, then threshold ElGamal.
 func BenchmarkE13ThresholdApps(b *testing.B) {
 	gr := group.Test256()
 	const t = 2
 	r := randutil.NewReader(2)
 	keyPoly, _ := poly.NewRandom(gr.Q(), t, r)
-	noncePoly, _ := poly.NewRandom(gr.Q(), t, r)
-	keyV, nonceV := commit.NewVector(gr, keyPoly), commit.NewVector(gr, noncePoly)
+	keyV := commit.NewVector(gr, keyPoly)
+	pk := keyV.PublicKey()
 	message := []byte("benchmark")
 	keyShare := func(i int64, p *poly.Poly, v *commit.Vector) thresh.KeyShare {
 		return thresh.KeyShare{Self: msg.NodeID(i), Share: p.EvalInt(i), V: v}
 	}
 
-	b.Run("schnorr/partial-sign", func(b *testing.B) {
+	// Signer 1 answers one attempt with signers 2 and 3: it draws the
+	// pair it issued, binds the list and signs.
+	bind, zs := frostAttempt(b, gr, keyPoly, pk, message, []int64{1, 2, 3}, r)
+	share := keyPoly.EvalInt(1)
+	b.Run("frost/sign", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := thresh.PartialSign(gr, keyShare(1, keyPoly, keyV), keyShare(1, noncePoly, nonceV), message); err != nil {
+			pair, err := thresh.NewNoncePair(gr, 1, uint64(i), share, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			list := []thresh.Commitment{pair.Commitment, bind.List[1], bind.List[2]}
+			ib, err := thresh.Bind(gr, pk, message, thresh.EncodeCommitments(gr, list), list, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ib.Sign(gr, 0, pair, share); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	partials := make([]thresh.PartialSig, 0, t+1)
-	for i := int64(1); i <= t+1; i++ {
-		p, err := thresh.PartialSign(gr, keyShare(i, keyPoly, keyV), keyShare(i, noncePoly, nonceV), message)
-		if err != nil {
-			b.Fatal(err)
-		}
-		partials = append(partials, p)
-	}
-	b.Run("schnorr/combine", func(b *testing.B) {
+	b.Run("frost/aggregate-verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := thresh.Combine(gr, keyV, nonceV, t, message, partials); err != nil {
-				b.Fatal(err)
+			sig := bind.Aggregate(gr, zs)
+			if !thresh.BatchVerifySignaturesPre(gr, pk, [][]byte{message}, []*big.Int{bind.C}, []thresh.Signature{sig}) {
+				b.Fatal("signature does not verify")
 			}
 		}
 	})
@@ -416,11 +451,7 @@ func BenchmarkE14Backends(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		noncePoly, err := poly.NewRandom(gr.Q(), t, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		keyV, nonceV := commit.NewVector(gr, keyPoly), commit.NewVector(gr, noncePoly)
+		keyV := commit.NewVector(gr, keyPoly)
 		share := keyPoly.EvalInt(signer)
 		secret, _ := gr.RandScalar(r)
 		f, err := poly.NewRandomSymmetric(gr.Q(), secret, t, r)
@@ -431,13 +462,8 @@ func BenchmarkE14Backends(b *testing.B) {
 		alpha := f.Eval(2, signer)
 		e, _ := gr.RandScalar(r)
 		message := []byte("backend benchmark")
-		psig, err := thresh.PartialSign(gr,
-			thresh.KeyShare{Self: signer, Share: keyPoly.EvalInt(signer), V: keyV},
-			thresh.KeyShare{Self: signer, Share: noncePoly.EvalInt(signer), V: nonceV},
-			message)
-		if err != nil {
-			b.Fatal(err)
-		}
+		bind, zs := frostAttempt(b, gr, keyPoly, keyV.PublicKey(), message, []int64{1, 3, signer}, r)
+		y := keyV.Eval(signer)
 
 		b.Run(name+"/gexp", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -468,9 +494,9 @@ func BenchmarkE14Backends(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/partial-sig-verify", func(b *testing.B) {
+		b.Run(name+"/frost-share-verify", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !thresh.VerifyPartial(gr, keyV, nonceV, message, psig) {
+				if !bind.VerifyShare(gr, 2, zs[2], y) {
 					b.Fatal("verify failed")
 				}
 			}
@@ -561,9 +587,10 @@ func BenchmarkE15SessionThroughput(b *testing.B) {
 //     per-item Matrix.VerifyPoint versus one commit.BatchVerifier
 //     flush (interpolation + randomized-linear-combination
 //     multi-exp, cost independent of the flood size);
-//   - partial-sig: n−t partial signatures on one message — per-item
-//     thresh.VerifyPartial versus one thresh.BatchVerifyPartials
-//     call.
+//   - frost-flush: n−t FROST signatures of t+1 signers each, as one
+//     aggregator flush completes them — every member's answer checked
+//     with Binding.VerifyShare (the blame path) versus one
+//     thresh.BatchVerifySignaturesPre over the aggregated signatures.
 //
 // Both legs are timed pairwise inside each iteration (the E15
 // discipline) so machine noise cancels in the speedup metric. The
@@ -626,41 +653,45 @@ func BenchmarkE17BatchVerify(b *testing.B) {
 		})
 
 		keyPoly, _ := poly.NewRandom(gr.Q(), t, r)
-		noncePoly, _ := poly.NewRandom(gr.Q(), t, r)
-		keyV, nonceV := commit.NewVector(gr, keyPoly), commit.NewVector(gr, noncePoly)
-		message := []byte("E17 batch verification")
-		partials := make([]thresh.PartialSig, 0, n-t)
-		for s := int64(1); s <= n-t; s++ {
-			p, err := thresh.PartialSign(gr,
-				thresh.KeyShare{Self: msg.NodeID(s), Share: keyPoly.EvalInt(s), V: keyV},
-				thresh.KeyShare{Self: msg.NodeID(s), Share: noncePoly.EvalInt(s), V: nonceV},
-				message)
-			if err != nil {
-				b.Fatal(err)
-			}
-			partials = append(partials, p)
+		keyV := commit.NewVector(gr, keyPoly)
+		pk := keyV.PublicKey()
+		signers := make([]int64, t+1)
+		ys := make([]group.Element, t+1) // V(i), memoised as an aggregator does
+		for i := range signers {
+			signers[i] = int64(i + 1)
+			ys[i] = keyV.Eval(signers[i])
 		}
-		b.Run(name+"/partial-sig", func(b *testing.B) {
+		binds := make([]*thresh.Binding, n-t)
+		answers := make([][]*big.Int, n-t)
+		messages := make([][]byte, n-t)
+		cs := make([]*big.Int, n-t)
+		sigs := make([]thresh.Signature, n-t)
+		for k := range binds {
+			messages[k] = []byte{'E', '1', '7', byte(k)}
+			binds[k], answers[k] = frostAttempt(b, gr, keyPoly, pk, messages[k], signers, r)
+			cs[k], sigs[k] = binds[k].C, binds[k].Aggregate(gr, answers[k])
+		}
+		b.Run(name+"/frost-flush", func(b *testing.B) {
 			var unbatchedNs, batchedNs int64
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				for _, p := range partials {
-					if !thresh.VerifyPartial(gr, keyV, nonceV, message, p) {
-						b.Fatal("verify failed")
+				for k, bind := range binds {
+					for j, z := range answers[k] {
+						if !bind.VerifyShare(gr, j, z, ys[j]) {
+							b.Fatal("verify failed")
+						}
 					}
 				}
 				unbatchedNs += time.Since(t0).Nanoseconds()
 
 				t1 := time.Now()
-				for _, ok := range thresh.BatchVerifyPartials(gr, keyV, nonceV, message, partials) {
-					if !ok {
-						b.Fatal("batch rejected valid partial")
-					}
+				if !thresh.BatchVerifySignaturesPre(gr, pk, messages, cs, sigs) {
+					b.Fatal("batch rejected valid signatures")
 				}
 				batchedNs += time.Since(t1).Nanoseconds()
 			}
-			b.ReportMetric(float64(unbatchedNs)/float64(b.N)/1e3, "unbatched-us/set")
-			b.ReportMetric(float64(batchedNs)/float64(b.N)/1e3, "batched-us/set")
+			b.ReportMetric(float64(unbatchedNs)/float64(b.N)/1e3, "unbatched-us/flush")
+			b.ReportMetric(float64(batchedNs)/float64(b.N)/1e3, "batched-us/flush")
 			b.ReportMetric(float64(unbatchedNs)/float64(batchedNs), "speedup")
 		})
 	}

@@ -286,7 +286,7 @@ func serve(args []string) error {
 		snapEvery    = fs.Int("snapshot-every", 64, "events between periodic state snapshots (with -state-dir)")
 		syncEvery    = fs.Int("sync-every", 1, "fsync the WAL every N appends (with -state-dir; negative = page cache only)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-		verWorkers   = fs.Int("verify-workers", runtime.NumCPU(), "worker goroutines that verify live sessions' signatures ahead of the state machines and run batch flushes (0 = everything inline)")
+		verWorkers   = fs.Int("verify-workers", runtime.NumCPU(), "worker goroutines that verify live sessions' signatures ahead of the state machines, run batch flushes and run the data plane's decrypt and beacon combines (0 = everything inline)")
 		shard        = fs.Bool("shard-sessions", true, "per-session dispatch lanes so concurrent sessions occupy multiple cores; incompatible with -state-dir (durable checkpoints need the single event loop), which forces it off with a startup warning")
 		clientListen = fs.String("client-listen", "", "serve the client request protocol (sign/decrypt/beacon) on this address (empty = off)")
 		linger       = fs.Bool("linger", false, "keep serving after all initial sessions complete (until -timeout or a signal); implied by -client-listen")

@@ -4,14 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
+	"hybriddkg/internal/commit"
 	"hybriddkg/internal/dataplane"
 	"hybriddkg/internal/group"
 	"hybriddkg/internal/harness"
 	"hybriddkg/internal/msg"
+	"hybriddkg/internal/poly"
 	"hybriddkg/internal/randutil"
 	"hybriddkg/internal/thresh"
+	"hybriddkg/internal/verify"
 )
 
 func newCluster(t *testing.T, n, th int, tweak func(*dataplane.Config)) *harness.DataPlaneCluster {
@@ -572,5 +578,258 @@ func TestSignRenewalMidFlight(t *testing.T) {
 				t.Fatalf("no attempt restarted across the renewal: %+v", st)
 			}
 		})
+	}
+}
+
+// TestDecryptSilentPeersOneKick: an aggregator asks exactly t peers, and
+// the retry tick re-fans a stalled item to every peer. With one silent
+// peer, then t silent peers, among those node 1 asks (n = 7, t = 2, no
+// timers), every decryption and beacon round completes after at most
+// one Kick, that is within two of the n−t fan-outs, and nobody is
+// evicted for keeping quiet.
+func TestDecryptSilentPeersOneKick(t *testing.T) {
+	const n, th = 7, 2
+	honest := newCluster(t, n, th, nil)
+	for _, silent := range [][]msg.NodeID{{2}, {2, 3}} {
+		c := newCluster(t, n, th, func(cfg *dataplane.Config) {
+			if !slices.Contains(silent, cfg.Self) {
+				return
+			}
+			orig := cfg.Send
+			cfg.Send = func(to msg.NodeID, body msg.Body) {
+				if _, ok := body.(*dataplane.PartialResp); !ok {
+					orig(to, body)
+				}
+			}
+		})
+		svc, rng, kicks := c.Services[1], randutil.NewReader(7), 0
+		for i := 0; i < 6; i++ {
+			plain := c.Group.GExp(big.NewInt(int64(100 + i)))
+			ct, err := thresh.Encrypt(c.Group, c.KeyV.PublicKey(), plain, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			round := uint64(1 + i)
+			want, err := honest.Beacon(2, round) // same seed, same key
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []string{"decrypt", "beacon"} {
+				var res dataplane.Result
+				var rerr error
+				done := false
+				cb := func(r dataplane.Result, err error) { res, rerr, done = r, err, true }
+				if op == "decrypt" {
+					err = svc.Decrypt(c.KeyID, ct, cb)
+				} else {
+					err = svc.Beacon(c.KeyID, round, cb)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc.Flush(c.KeyID)
+				c.Net.Run(0)
+				if !done {
+					kicks++
+					svc.Kick(c.KeyID)
+					c.Net.Run(0)
+				}
+				switch {
+				case !done:
+					t.Fatalf("silent %v: %s %d stalled after one kick", silent, op, i)
+				case rerr != nil:
+					t.Fatalf("silent %v: %s %d: %v", silent, op, i, rerr)
+				case op == "decrypt" && !res.Plain.Equal(plain):
+					t.Fatalf("silent %v: decrypt %d: wrong plaintext", silent, i)
+				case op == "beacon" && res.Beacon.Output != want.Output:
+					t.Fatalf("silent %v: beacon round %d: wrong output", silent, round)
+				}
+			}
+		}
+		if kicks == 0 {
+			t.Fatalf("silent %v: no request asked a silent peer", silent)
+		}
+		if st := svc.Stats(); st.Evicted != 0 {
+			t.Fatalf("silent %v: silent peers evicted: %+v", silent, st)
+		}
+	}
+}
+
+// heldPool is a real verify.Pool whose tasks wait for a gate to open.
+type heldPool struct {
+	pool *verify.Pool
+	gate chan struct{}
+}
+
+func (h heldPool) Submit(fn func()) bool {
+	return h.pool.Submit(func() { <-h.gate; fn() })
+}
+
+// TestDecryptParallelCombine runs aggregator 1's combines on a real
+// 4-worker verify.Pool with 64 decryptions and beacon rounds in flight
+// at once and node 3 answering every item with a bad proof. A renewal
+// lands while all 64 combines wait on the pool, so each is redone in
+// the new epoch: at every node at once, or, staggered, at the peers
+// before they answer and at node 1 only then — its waiting combines
+// hold new-epoch partials that fail against the old V(j), and must blame
+// no one. The peers are real services answering on goroutines of their
+// own; a renewal waits out the answers being delivered. Every result
+// must be right, and only node 3 may be evicted. CI runs it under -race.
+func TestDecryptParallelCombine(t *testing.T) {
+	for _, staggered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("staggered=%v", staggered), func(t *testing.T) {
+			parallelCombine(t, staggered)
+		})
+	}
+}
+
+func parallelCombine(t *testing.T, staggered bool) {
+	const n, th, byz, reqs = 5, 2, msg.NodeID(3), 64
+	gr := group.Test256()
+	rng := randutil.NewReader(64)
+	keyP, err := poly.NewRandom(gr.Q(), th, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newP, err := poly.NewRandomWithConstant(gr.Q(), keyP.Secret(), th, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyV, newV := commit.NewVector(gr, keyP), commit.NewVector(gr, newP)
+	pool := verify.NewPool(4)
+	defer pool.Close()
+	held := heldPool{pool, make(chan struct{})}
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(held.gate) }) }
+	defer release()        // before pool.Close, which waits for held tasks
+	var epoch sync.RWMutex // read: a peer answering; write: the renewal
+	peers := make([]msg.NodeID, 0, n)
+	for i := 1; i <= n; i++ {
+		peers = append(peers, msg.NodeID(i))
+	}
+	svcs := make(map[msg.NodeID]*dataplane.Service, n)
+	for _, id := range peers {
+		cfg := dataplane.Config{Group: gr, Self: id, N: n, T: th, Peers: peers, Rand: randutil.NewReader(uint64(id))}
+		if id == 1 {
+			cfg.Parallel = held
+			cfg.RetryDelay = 5 * time.Millisecond
+			cfg.Defer = func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
+			cfg.Send = func(to msg.NodeID, body msg.Body) {
+				go func() {
+					epoch.RLock()
+					defer epoch.RUnlock()
+					svcs[to].HandleMessage(1, body)
+				}()
+			}
+		} else {
+			cfg.Send = func(to msg.NodeID, body msg.Body) {
+				if resp, ok := body.(*dataplane.PartialResp); ok && id == byz {
+					bad := &dataplane.PartialResp{Key: resp.Key, Items: append([]dataplane.RespItem(nil), resp.Items...)}
+					for i := range bad.Items {
+						bad.Items[i].Z = new(big.Int).Add(bad.Items[i].Z, big.NewInt(1))
+					}
+					body = bad
+				}
+				svcs[to].HandleMessage(id, body)
+			}
+		}
+		svcs[id] = dataplane.NewService(cfg)
+	}
+	install := func(p *poly.Poly, v *commit.Vector, ids []msg.NodeID) error {
+		for _, id := range ids {
+			if _, err := svcs[id].InstallKey(1, p.EvalInt(int64(id)), v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := install(keyP, keyV, peers); err != nil {
+		t.Fatal(err)
+	}
+	renewNow := peers
+	if staggered {
+		if err := install(newP, newV, peers[1:]); err != nil {
+			t.Fatal(err)
+		}
+		renewNow = peers[:1]
+	}
+	defer func() {
+		for _, svc := range svcs {
+			svc.Close()
+		}
+	}()
+
+	type outcome struct {
+		i   int
+		res dataplane.Result
+		err error
+	}
+	results := make(chan outcome, reqs)
+	plains := make([]group.Element, reqs)
+	cts := make([]thresh.Ciphertext, reqs)
+	for i := 0; i < reqs; i += 2 {
+		plains[i] = gr.GExp(big.NewInt(int64(500 + i)))
+		if cts[i], err = thresh.Encrypt(gr, keyV.PublicKey(), plains[i], rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < reqs; i++ {
+		go func(i int) {
+			cb := func(r dataplane.Result, err error) { results <- outcome{i, r, err} }
+			var err error
+			if i%2 == 0 {
+				err = svcs[1].Decrypt(1, cts[i], cb)
+			} else {
+				err = svcs[1].Beacon(1, uint64(i), cb)
+			}
+			if err != nil {
+				results <- outcome{i, dataplane.Result{}, err}
+			}
+			svcs[1].Flush(1)
+		}(i)
+	}
+
+	// Every request reaches t answers, so each has a combine waiting.
+	deadline := time.Now().Add(60 * time.Second)
+	for pool.Stats().Submitted < reqs {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d combines submitted", pool.Stats().Submitted, reqs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	epoch.Lock()
+	err = install(newP, newV, renewNow)
+	epoch.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	for got := 0; got < reqs; got++ {
+		var o outcome
+		select {
+		case o = <-results:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%d of %d requests stalled", reqs-got, reqs)
+		}
+		switch {
+		case o.err != nil:
+			t.Fatalf("request %d: %v", o.i, o.err)
+		case o.i%2 == 0 && !o.res.Plain.Equal(plains[o.i]):
+			t.Fatalf("decrypt %d: wrong plaintext", o.i)
+		case o.i%2 == 1:
+			round := uint64(o.i)
+			value := gr.Exp(thresh.BeaconBase(gr, keyV.PublicKey(), round), keyP.Secret())
+			if !o.res.Beacon.Value.Equal(value) || o.res.Beacon.Output != thresh.BeaconOutput(gr, round, value) {
+				t.Fatalf("beacon round %d: wrong output", round)
+			}
+		}
+	}
+	st := svcs[1].Stats()
+	if sus := svcs[1].KeysSnapshot()[0].Suspects; st.Evicted > 1 || (len(sus) > 0 && !slices.Equal(sus, []msg.NodeID{byz})) {
+		t.Fatalf("suspects %v, evicted %d; only node %d may be", sus, st.Evicted, byz)
+	}
+	if sub := pool.Stats().Submitted; sub <= reqs {
+		t.Fatalf("%d combines submitted: none was redone after the renewal", sub)
 	}
 }

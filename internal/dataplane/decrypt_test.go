@@ -97,18 +97,21 @@ func (pd pendingDecrypt) check(t *testing.T) {
 	}
 }
 
-// TestDecryptOwnShareNeverLeaves: the aggregator's own D is computed
-// without a proof, is sent to nobody, never enters the peer partial
-// cache and is counted in PeerItems like every other self item; a peer
-// that asks for the same digest still gets a fully proved partial.
+// TestDecryptOwnShareNeverLeaves: the aggregator's own share enters the
+// combine without a proof, is sent to nobody, never enters the peer
+// partial cache and is counted in PeerItems like every other self item;
+// the flush asks exactly t peers, and a peer that asks for the same
+// digest still gets a fully proved partial.
 func TestDecryptOwnShareNeverLeaves(t *testing.T) {
 	for _, gr := range backends {
 		t.Run(gr.Name(), func(t *testing.T) {
 			rig := newTestRigOn(t, gr, 3, 1, nil)
 			pd := rig.startDecrypt(t, 1)
-			ownD := rig.gr.Exp(pd.ct.C1, rig.keyP.EvalInt(1))
-			if got := rig.svc.keys[1].inflight[pd.digest].decParts[1].D; got == nil || !got.Equal(ownD) {
-				t.Fatal("own share not recorded at flush")
+			if parts := rig.svc.keys[1].inflight[pd.digest].decParts; len(parts) != 0 {
+				t.Fatalf("own share recorded as a partial: %v", parts)
+			}
+			if len(rig.sends) != 1 {
+				t.Fatalf("flush asked %d peers, want t = 1", len(rig.sends))
 			}
 			rig.answer(t, pd, 2, rig.keyP.EvalInt(2), rig.keyV, nil)
 			pd.check(t)

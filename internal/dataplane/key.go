@@ -82,8 +82,9 @@ type request struct {
 	gen      uint64
 	pending  map[msg.NodeID]bool
 
-	decParts map[msg.NodeID]thresh.PartialDecryption // decrypt, beacon: shares C1^{s_i}
-	refused  map[msg.NodeID]bool                     // permanent per-request refusals
+	decParts  map[msg.NodeID]thresh.PartialDecryption // decrypt, beacon: peer shares C1^{s_j}
+	combining bool                                    // decrypt, beacon: a combine job is running
+	refused   map[msg.NodeID]bool                     // permanent per-request refusals
 
 	cbs  []Callback
 	done bool
@@ -117,6 +118,7 @@ type serveKey struct {
 	v     *commit.Vector
 	pk    group.Element
 	state KeyState
+	epoch uint64 // installs so far: a combine from an earlier one is redone
 	// pubs memoises the public shares V(i) of this key epoch, filled on
 	// first use; InstallKey empties it on renewal.
 	pubs map[msg.NodeID]group.Element

@@ -68,6 +68,10 @@ type Config struct {
 	// cache and each aggregator's spent-nonce tombstones, in entries per
 	// key (default 1024).
 	CacheSize int
+
+	// Parallel runs decrypt and beacon combines off the service lock;
+	// when it is nil or refuses one, it runs inline after the lock.
+	Parallel commit.Parallel
 }
 
 // Signing preprocessing sizes. startBatch is the number of commitments
@@ -99,19 +103,20 @@ func (c *Config) applyDefaults() {
 
 // Stats counts service activity (monotonic).
 type Stats struct {
-	Requests      uint64 // admitted client operations
-	Shed          uint64 // admission-control rejections (= ShedRate + ShedBacklog)
-	ShedRate      uint64 // of those, token-bucket rejections
-	ShedBacklog   uint64 // of those, pending-queue-bound rejections
-	ShedState     uint64 // rejections by key state (retiring / unknown key)
-	Batches       uint64 // partial-request batches fanned out
-	Items         uint64 // items across those batches
-	CacheHits     uint64 // aggregator results served from cache
-	Coalesced     uint64 // duplicate digests attached to in-flight ops
-	PeerItems     uint64 // peer-side items answered
-	PeerCacheHits uint64 // of those, served from the partial cache
-	Evicted       uint64 // bad partials evicted after verification
-	SignAttempts  uint64 // signing attempts after a request's first (ROAST retries)
+	Requests       uint64 // admitted client operations
+	Shed           uint64 // admission-control rejections (= ShedRate + ShedBacklog)
+	ShedRate       uint64 // of those, token-bucket rejections
+	ShedBacklog    uint64 // of those, pending-queue-bound rejections
+	ShedState      uint64 // rejections by key state (retiring / unknown key)
+	Batches        uint64 // partial-request batches fanned out
+	Items          uint64 // items across those batches
+	CacheHits      uint64 // aggregator results served from cache
+	Coalesced      uint64 // duplicate digests attached to in-flight ops
+	PeerItems      uint64 // peer-side items answered
+	PeerCacheHits  uint64 // of those, served from the partial cache
+	Evicted        uint64 // bad partials evicted after verification
+	SignAttempts   uint64 // signing attempts after a request's first (ROAST retries)
+	InlineCombines uint64 // decrypt/beacon combines Parallel refused, run inline
 }
 
 // Service is one node's data plane: it serves partial operations to
@@ -184,18 +189,13 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 		for _, p := range k.pools {
 			p.spent, p.tombs = make(map[uint64]spentPair), nil
 		}
-		// An in-flight decrypt's or beacon round's own share is trusted
-		// without a proof, so it is recomputed under the new share (a
-		// renewal keeps pk, hence each round's base); peers' old-epoch
-		// partials fail verification against the new V(j) instead. A sign
-		// attempt's peers may have answered under their old shares, which
-		// would sum to no signature and name honest peers: each attempt
-		// gives way.
+		// Answers made under peers' old shares would fail against the new
+		// V(j) (decrypt, beacon: the next tick asks again) or sum to no
+		// signature (each sign attempt gives way): drop them.
 		for _, req := range k.inflight {
-			if _, ok := req.decParts[s.cfg.Self]; ok && !req.done {
-				req.decParts[s.cfg.Self] = thresh.PartialDecryption{Decryptor: s.cfg.Self, D: s.gr.Exp(req.ct.C1, share)}
-			}
-			if req.op == OpSign && !req.done && req.live() {
+			if req.op != OpSign {
+				clear(req.decParts)
+			} else if !req.done && req.live() {
 				for _, a := range req.attempts {
 					a.own = nil
 				}
@@ -205,6 +205,7 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 	}
 	k.share = share
 	k.v = v
+	k.epoch++
 	k.pubs = make(map[msg.NodeID]group.Element) // V(i) of the old epoch are stale
 	k.pk = v.PublicKey()
 	s.dispatchSignsLocked(k, restart, &fire, &acts)
@@ -501,9 +502,9 @@ func (s *Service) Activate(id msg.SessionID) {
 }
 
 // flushLocked dispatches every queued request. Decrypt and beacon
-// requests go as one batch: the own shares are computed locally, then a
-// single PartialReq per fan-out target carries all items. Each sign
-// request starts its first FROST attempt, one PartialReq per signer.
+// requests go as one batch: a single PartialReq per fan-out target
+// carries all items. Each sign request starts its first FROST attempt,
+// one PartialReq per signer.
 func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	if len(k.queue) == 0 {
 		return
@@ -523,23 +524,22 @@ func (s *Service) flushLocked(k *serveKey, fire, acts *[]func()) {
 	if len(ready) == 0 {
 		return
 	}
-	// The own share D = C1^{s_self} (a beacon round's C1 is its base
-	// H_r) needs no proof — InstallKey checked the share — and is never
-	// sent or cached; it is counted like a peer item.
+	// The own share is never sent or cached: the combine folds it in,
+	// trusted (InstallKey checked it). It counts like a peer item.
 	items := make([]ReqItem, 0, len(ready))
-	self := make([]RespItem, 0, len(ready))
 	for _, req := range ready {
 		if req.op == OpBeacon {
 			req.ct.C1 = thresh.BeaconBase(s.gr, k.pk, req.round)
 		}
-		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+2)
+		req.decParts = make(map[msg.NodeID]thresh.PartialDecryption, s.cfg.T+1)
 		k.inflight[req.digest] = req
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Payload: req.payload})
 		s.stats.PeerItems++
-		self = append(self, RespItem{Digest: req.digest, Status: StOK, D: s.gr.Exp(req.ct.C1, k.share)})
+		s.combineLocked(k, req, fire, acts)
 	}
-	s.recordItemsLocked(k, s.cfg.Self, self, fire, acts)
-	targets := s.fanoutTargetsLocked(k, s.cfg.T+1)
+	// Exactly t peers, as a ROAST coordinator asks: the retry tick, not
+	// a spare, replaces a silent one.
+	targets := s.fanoutTargetsLocked(k, s.cfg.T)
 	req := &PartialReq{Key: k.id, Items: items}
 	for _, to := range targets {
 		s.cfg.Send(to, req)
@@ -590,7 +590,7 @@ func (s *Service) armTimerLocked(k *serveKey, acts *[]func()) {
 func (s *Service) kickLocked(k *serveKey, fire, acts *[]func()) {
 	var items []ReqItem
 	for _, req := range k.inflight {
-		if req.done || req.op == OpSign {
+		if req.done || req.op == OpSign || req.combining {
 			continue
 		}
 		items = append(items, ReqItem{Digest: req.digest, Op: req.op, Payload: req.payload})
@@ -827,12 +827,11 @@ func (s *Service) handlePartialResp(from msg.NodeID, m *PartialResp) {
 	run(fire, acts)
 }
 
-// recordItemsLocked records a sender's items and completes every
-// request that reaches the t+1 threshold. Sign attempts completed by
-// the same delivery are verified together. A malformed OK item evicts
-// its sender like a bad partial.
+// recordItemsLocked records a sender's items and starts the combine of
+// every decrypt or beacon request that reaches t peer partials. Sign
+// attempts completed by the same delivery are verified together. A
+// malformed OK item evicts its sender like a bad partial.
 func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespItem, fire *[]func(), acts *[]func()) {
-	t := s.cfg.T
 	var finished []*attempt
 	var restart []*request
 	for _, it := range items {
@@ -861,9 +860,8 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 		default:
 			continue
 		}
-		// Only the aggregator's own share comes without a proof.
 		proved := it.E != nil && it.Z != nil && s.gr.IsScalar(it.E) && s.gr.IsScalar(it.Z)
-		if it.D == nil || !s.gr.IsElement(it.D) || (!proved && from != s.cfg.Self) {
+		if it.D == nil || !s.gr.IsElement(it.D) || !proved {
 			s.evictBadLocked(k, req, []msg.NodeID{from})
 			continue
 		}
@@ -873,9 +871,7 @@ func (s *Service) recordItemsLocked(k *serveKey, from msg.NodeID, items []RespIt
 		req.decParts[from] = thresh.PartialDecryption{
 			Decryptor: from, D: it.D, Proof: thresh.DLEQProof{E: it.E, Z: it.Z},
 		}
-		if len(req.decParts) >= t+1 {
-			s.finishDecryptLocked(k, req, fire, acts)
-		}
+		s.combineLocked(k, req, fire, acts)
 	}
 	restart = append(restart, s.finishSignsLocked(k, finished, fire)...)
 	s.dispatchSignsLocked(k, restart, fire, acts)
@@ -1177,18 +1173,14 @@ func (s *Service) evictBadLocked(k *serveKey, req *request, bad []msg.NodeID) {
 	}
 }
 
-// evictLocked processes a failed combine: senders named by a
-// PartialsError become suspects, and the request is re-fanned out —
-// or failed when the threshold is provably out of reach.
-func (s *Service) evictLocked(k *serveKey, req *request, err error, fire, acts *[]func()) {
-	if pe, ok := err.(*thresh.PartialsError); ok {
-		s.evictBadLocked(k, req, pe.Bad)
-	}
-	// The threshold is still reachable while recorded contributions
-	// plus peers that could yet answer — not suspect, not permanently
-	// refused for this request — cover t+1. Peers already asked still
-	// count: their answers may be in flight, and re-asks replay
-	// idempotently.
+// evictLocked handles a failed combine: the senders in bad become
+// suspects, then req combines again from the partials left, is re-fanned
+// out, or fails when the threshold is provably out of reach.
+func (s *Service) evictLocked(k *serveKey, req *request, bad []msg.NodeID, fire, acts *[]func()) {
+	s.evictBadLocked(k, req, bad)
+	// The threshold is still reachable while recorded partials plus
+	// peers that could yet answer cover t: not suspect, not refused for
+	// this request, and maybe asked already (re-asks replay).
 	possible := len(req.decParts)
 	for _, p := range s.cfg.Peers {
 		if _, in := req.decParts[p]; p == s.cfg.Self || k.suspects[p] || req.refused[p] || in {
@@ -1196,40 +1188,101 @@ func (s *Service) evictLocked(k *serveKey, req *request, err error, fire, acts *
 		}
 		possible++
 	}
-	if possible < s.cfg.T+1 {
-		s.completeLocked(k, req, Result{}, fmt.Errorf("%w: %v", ErrUnavailable, err), fire)
-		return
+	switch {
+	case possible < s.cfg.T:
+		s.completeLocked(k, req, Result{}, fmt.Errorf("%w: %d peers can answer, %d needed", ErrUnavailable, possible, s.cfg.T), fire)
+	case len(req.decParts) >= s.cfg.T:
+		s.combineLocked(k, req, fire, acts)
+	default:
+		s.kickLocked(k, fire, acts)
 	}
-	s.kickLocked(k, fire, acts)
 }
 
-// finishDecryptLocked combines the aggregator's own share, trusted,
-// with peer partials, each DLEQ-verified against the memoised V(j)
-// until t of them pass (inside CombineShares), into C1^s: a decryption
-// divides it out of C2, a beacon round hashes it into the output.
-func (s *Service) finishDecryptLocked(k *serveKey, req *request, fire, acts *[]func()) {
-	var own *thresh.PartialDecryption
-	parts := make([]thresh.PartialDecryption, 0, len(req.decParts))
-	for id, pd := range req.decParts {
-		if id == s.cfg.Self {
-			own = &pd
-			continue
-		}
-		parts = append(parts, pd)
-	}
-	hs, err := thresh.CombineShares(s.gr, s.cfg.T, req.ct.C1, own, parts, k.pub, s.lag)
-	if err != nil {
-		s.evictLocked(k, req, err, fire, acts)
+// combine is what a decrypt or beacon combine snapshots under the lock
+// to run outside it; lambda[0] is this node's coefficient.
+type combine struct {
+	req    *request
+	epoch  uint64
+	share  *big.Int
+	parts  []thresh.PartialDecryption
+	pubs   []group.Element
+	lambda []*big.Int
+	inline bool // Parallel refused it
+}
+
+// combineLocked starts req's combine over its first t peer partials in
+// roster order, once the lock is released (on Parallel, else inline).
+func (s *Service) combineLocked(k *serveKey, req *request, fire, acts *[]func()) {
+	if req.combining || req.done {
 		return
 	}
-	var res Result
-	if req.op == OpBeacon {
-		res.Beacon = BeaconResult{Round: req.round, Output: thresh.BeaconOutput(s.gr, req.round, hs), Value: hs}
-	} else if res.Plain, err = s.gr.Div(req.ct.C2, hs); err != nil {
+	c := &combine{req: req, epoch: k.epoch, share: k.share}
+	idx := []int64{int64(s.cfg.Self)}
+	for _, id := range s.cfg.Peers {
+		if pd, ok := req.decParts[id]; ok && len(c.parts) < s.cfg.T {
+			c.parts, c.pubs, idx = append(c.parts, pd), append(c.pubs, k.pub(id)), append(idx, int64(id))
+		}
+	}
+	if len(c.parts) < s.cfg.T { // a sender outside the roster never counts
+		return
+	}
+	var err error
+	if c.lambda, err = s.lag.Coeffs(idx); err != nil {
 		s.completeLocked(k, req, Result{}, err, fire)
 		return
 	}
-	s.completeLocked(k, req, res, nil, fire)
+	req.combining = true
+	*acts = append(*acts, func() {
+		if p := s.cfg.Parallel; p == nil || !p.Submit(func() { s.runCombine(k, c) }) {
+			c.inline = p != nil
+			s.runCombine(k, c)
+		}
+	})
+}
+
+// runCombine checks the peer proofs and combines
+// h^s = h^{λ_self·s_self}·Π D_j^{λ_j} (h = C1 or H_r) on the constant-time
+// MultiExp, as the own term holds the share. Re-locked, it completes req
+// or evicts; a job whose key epoch moved on is redone, blaming no one.
+func (s *Service) runCombine(k *serveKey, c *combine) {
+	req, h := c.req, c.req.ct.C1
+	var bad []msg.NodeID
+	for i, pd := range c.parts {
+		if !thresh.VerifyDecryption(s.gr, c.pubs[i], h, pd) {
+			bad = append(bad, pd.Decryptor)
+		}
+	}
+	var res Result
+	var err error
+	if bad == nil {
+		bases, exps := []group.Element{h}, []*big.Int{s.gr.MulQ(c.lambda[0], c.share)}
+		for i, pd := range c.parts {
+			bases, exps = append(bases, pd.D), append(exps, c.lambda[i+1])
+		}
+		hs := s.gr.MultiExp(bases, exps)
+		if req.op == OpBeacon {
+			res.Beacon = BeaconResult{Round: req.round, Output: thresh.BeaconOutput(s.gr, req.round, hs), Value: hs}
+		} else {
+			res.Plain, err = s.gr.Div(req.ct.C2, hs)
+		}
+	}
+	var fire, acts []func()
+	s.mu.Lock()
+	req.combining = false
+	if c.inline {
+		s.stats.InlineCombines++
+	}
+	switch {
+	case req.done:
+	case k.epoch != c.epoch:
+		s.evictLocked(k, req, nil, &fire, &acts)
+	case bad != nil:
+		s.evictLocked(k, req, bad, &fire, &acts)
+	default:
+		s.completeLocked(k, req, res, err, &fire)
+	}
+	s.mu.Unlock()
+	run(fire, acts)
 }
 
 // completeLocked finishes one request: caches the result, removes it

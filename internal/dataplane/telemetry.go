@@ -76,6 +76,7 @@ func (s *Service) RegisterMetrics(reg *telemetry.Registry) {
 		emit(ctr("dataplane_peer_cache_hits_total", "Peer answers served from the partial cache", st.PeerCacheHits))
 		emit(ctr("dataplane_evicted_total", "Bad partials evicted after verification", st.Evicted))
 		emit(ctr("dataplane_sign_attempts_total", "Signing attempts after a request's first", st.SignAttempts))
+		emit(ctr("dataplane_combine_inline_total", "Decrypt and beacon combines the verify pool refused, run inline", st.InlineCombines))
 		for _, k := range s.KeysSnapshot() {
 			id := fmt.Sprintf("%d", k.ID)
 			emit(telemetry.Sample{

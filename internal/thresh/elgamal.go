@@ -100,7 +100,9 @@ func VerifyPartialDecryption(gr *group.Group, v *commit.Vector, ct Ciphertext, p
 // 161 µs against 216 µs for two Exp and a Mul (BenchmarkMultiExp k=2,
 // medians of 12 runs, 2-vCPU host), and a trial that moved a2 onto the
 // chain and y^{−e} onto per-epoch comb tables left decrypt_n7 unmoved
-// (+5/−1/−3 % over three rig pairs); on Z_p* big.Int.Exp beats the
+// (+5/−1/−3 % over three rig pairs): the aggregator then checked proofs
+// under its service lock, which bounded it. They now run on the verify
+// pool, so the trial is worth repeating. On Z_p* big.Int.Exp beats the
 // Straus chain (DESIGN.md, data plane).
 func VerifyDecryption(gr *group.Group, y, h group.Element, pd PartialDecryption) bool {
 	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil {

@@ -285,6 +285,15 @@ func TestCoalescedDKGOverTCP(t *testing.T) {
 			t.Fatalf("node %d share invalid", i)
 		}
 	}
+	// An envelope still queued in a coalescer is booked as envelope
+	// bytes but not yet as frame bytes: close every node first, which
+	// flushes its queues. Close flushes before it stops the node's
+	// loops, so a second pass flushes what those loops sent meanwhile.
+	for pass := 0; pass < 2; pass++ {
+		for i := 1; i <= n; i++ {
+			nodesT[i].Close()
+		}
+	}
 	for i := 1; i <= n; i++ {
 		ws := nodesT[i].WireStats()
 		if ws.Frames == 0 || ws.FrameBytes == 0 {

@@ -107,7 +107,8 @@ type ServerConfig struct {
 	// MaxActive bounds concurrently active sessions (0 = unbounded).
 	MaxActive int
 	// VerifyWorkers sizes the pool that checks live sessions'
-	// signatures ahead of the state machines and runs batch flushes
+	// signatures ahead of the state machines, runs batch flushes and
+	// runs the data plane's decrypt and beacon combines off its lock
 	// (0 = everything inline). ShardSessions gives concurrent sessions
 	// their own dispatch lanes (forced off with StateDir).
 	VerifyWorkers int
@@ -371,6 +372,7 @@ func Serve(cfg ServerConfig, opts ...Option) (*Server, error) {
 		Burst:      nc.burst,
 		MaxPending: nc.maxPending,
 		MaxBatch:   nc.maxBatch,
+		Parallel:   params.Parallel,
 	}
 	svc := dataplane.NewService(dcfg)
 	s.svc = svc
