@@ -561,7 +561,7 @@ func e13(seed uint64) error {
 		coin = append(coin, pd)
 	}
 	pub := func(i msg.NodeID) group.Element { return keyV.Eval(int64(i)) }
-	value, err := thresh.CombineShares(gr, t, h, nil, coin, pub, poly.NewLagrangeCache(gr.Q(), 0))
+	value, err := thresh.CombineShares(gr, t, h, coin, pub, poly.NewLagrangeCache(gr.Q(), 0))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 
 	"hybriddkg/internal/commit"
@@ -209,7 +210,9 @@ func TestSignMalformedPartialEvicts(t *testing.T) {
 // TestDecryptRenewalDropsPublicShares: after a renewal re-install, a
 // partial proved under the old epoch is rejected. With the V(i) memo of
 // the old epoch still in place it would verify and combine into a wrong
-// plaintext.
+// plaintext. It passes under the previous epoch's V(i), so it is dropped
+// without blame and its sender is asked again on the next tick; a
+// partial wrong under both epochs still evicts its sender.
 func TestDecryptRenewalDropsPublicShares(t *testing.T) {
 	for _, gr := range backends {
 		t.Run(gr.Name(), func(t *testing.T) {
@@ -229,8 +232,21 @@ func TestDecryptRenewalDropsPublicShares(t *testing.T) {
 			}
 			pd = rig.startDecrypt(t, 22)
 			rig.answer(t, pd, 2, oldP.EvalInt(2), oldV, nil)
+			if *pd.done || rig.svc.Stats().Evicted != 0 {
+				t.Fatalf("old-epoch partial accepted or blamed: done=%v stats=%+v", *pd.done, rig.svc.Stats())
+			}
+			rig.sends = nil
+			rig.svc.Kick(1)
+			if !slices.ContainsFunc(rig.sends, func(s sent) bool { return s.to == 2 }) {
+				t.Fatalf("the late peer is not asked again: %v", rig.sends)
+			}
+			rig.answer(t, pd, 3, newP.EvalInt(3), rig.keyV, nil)
+			pd.check(t)
+
+			pd = rig.startDecrypt(t, 23)
+			rig.answer(t, pd, 2, oldP.EvalInt(2), oldV, func(it *RespItem) { it.Z = rig.gr.AddQ(it.Z, big.NewInt(1)) })
 			if *pd.done || rig.svc.Stats().Evicted != 1 {
-				t.Fatalf("old-epoch partial accepted: done=%v stats=%+v", *pd.done, rig.svc.Stats())
+				t.Fatalf("partial wrong under both epochs not evicted: done=%v stats=%+v", *pd.done, rig.svc.Stats())
 			}
 			rig.answer(t, pd, 3, newP.EvalInt(3), rig.keyV, nil)
 			pd.check(t)

@@ -122,6 +122,10 @@ type serveKey struct {
 	// pubs memoises the public shares V(i) of this key epoch, filled on
 	// first use; InstallKey empties it on renewal.
 	pubs map[msg.NodeID]group.Element
+	// prevV is the previous epoch's commitment: a partial that fails
+	// under V(j) but passes under prevV(j) was made by a peer that has
+	// not renewed yet, and is dropped without blame.
+	prevV *commit.Vector
 
 	// Aggregator side.
 	queue    []*request

@@ -204,7 +204,7 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 		}
 	}
 	k.share = share
-	k.v = v
+	k.prevV, k.v = k.v, v
 	k.epoch++
 	k.pubs = make(map[msg.NodeID]group.Element) // V(i) of the old epoch are stale
 	k.pk = v.PublicKey()
@@ -1206,6 +1206,7 @@ type combine struct {
 	share  *big.Int
 	parts  []thresh.PartialDecryption
 	pubs   []group.Element
+	prevV  *commit.Vector
 	lambda []*big.Int
 	inline bool // Parallel refused it
 }
@@ -1216,7 +1217,7 @@ func (s *Service) combineLocked(k *serveKey, req *request, fire, acts *[]func())
 	if req.combining || req.done {
 		return
 	}
-	c := &combine{req: req, epoch: k.epoch, share: k.share}
+	c := &combine{req: req, epoch: k.epoch, share: k.share, prevV: k.prevV}
 	idx := []int64{int64(s.cfg.Self)}
 	for _, id := range s.cfg.Peers {
 		if pd, ok := req.decParts[id]; ok && len(c.parts) < s.cfg.T {
@@ -1240,26 +1241,34 @@ func (s *Service) combineLocked(k *serveKey, req *request, fire, acts *[]func())
 	})
 }
 
-// runCombine checks the peer proofs and combines
-// h^s = h^{λ_self·s_self}·Π D_j^{λ_j} (h = C1 or H_r) on the constant-time
-// MultiExp, as the own term holds the share. Re-locked, it completes req
-// or evicts; a job whose key epoch moved on is redone, blaming no one.
+// runCombine checks the peer proofs, with each V(j) on comb tables (the
+// first job of a key epoch to meet V(j) builds them; Precompute is a
+// no-op afterwards), and combines h^s = h^{λ_self·s_self}·Π D_j^{λ_j}
+// (h = C1 or H_r): the own term holds the share and stays on the
+// constant-time ladder, the published partials combine on the
+// variable-time chain. Re-locked, it completes req or evicts; a partial
+// that passes under the sender's previous V(j) is dropped without blame
+// for the retry tick to ask again, and a job whose key epoch moved on is
+// redone, blaming no one.
 func (s *Service) runCombine(k *serveKey, c *combine) {
 	req, h := c.req, c.req.ct.C1
-	var bad []msg.NodeID
+	for _, y := range c.pubs {
+		s.gr.Precompute(y)
+	}
+	var bad, stale []msg.NodeID
 	for i, pd := range c.parts {
-		if !thresh.VerifyDecryption(s.gr, c.pubs[i], h, pd) {
+		switch {
+		case thresh.VerifyDecryption(s.gr, c.pubs[i], h, pd):
+		case c.prevV != nil && thresh.VerifyDecryption(s.gr, c.prevV.Eval(int64(pd.Decryptor)), h, pd):
+			stale = append(stale, pd.Decryptor)
+		default:
 			bad = append(bad, pd.Decryptor)
 		}
 	}
 	var res Result
 	var err error
-	if bad == nil {
-		bases, exps := []group.Element{h}, []*big.Int{s.gr.MulQ(c.lambda[0], c.share)}
-		for i, pd := range c.parts {
-			bases, exps = append(bases, pd.D), append(exps, c.lambda[i+1])
-		}
-		hs := s.gr.MultiExp(bases, exps)
+	if bad == nil && stale == nil {
+		hs := s.gr.Mul(thresh.OwnTerm(s.gr, h, c.lambda[0], c.share), thresh.CombinePublic(s.gr, c.parts, c.lambda[1:]))
 		if req.op == OpBeacon {
 			res.Beacon = BeaconResult{Round: req.round, Output: thresh.BeaconOutput(s.gr, req.round, hs), Value: hs}
 		} else {
@@ -1276,8 +1285,17 @@ func (s *Service) runCombine(k *serveKey, c *combine) {
 	case req.done:
 	case k.epoch != c.epoch:
 		s.evictLocked(k, req, nil, &fire, &acts)
-	case bad != nil:
-		s.evictLocked(k, req, bad, &fire, &acts)
+	case bad != nil || stale != nil:
+		for _, id := range stale {
+			delete(req.decParts, id)
+		}
+		if bad == nil && len(req.decParts) < s.cfg.T {
+			// Asked now, the late peers would replay the same partials
+			// from their caches: the retry tick asks again.
+			s.armTimerLocked(k, &acts)
+		} else {
+			s.evictLocked(k, req, bad, &fire, &acts)
+		}
 	default:
 		s.completeLocked(k, req, res, err, &fire)
 	}

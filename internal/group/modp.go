@@ -44,8 +44,7 @@ type ModP struct {
 	gTab     *fbTable  // fixed-base table for g, built on first GExp
 	gTabOnce sync.Once // guards gTab construction
 
-	mu   sync.RWMutex        // guards tabs
-	tabs map[string]*fbTable // Precompute'd bases, keyed by encoding
+	tabs baseCache[string, *fbTable] // Precompute'd bases, keyed by encoding
 }
 
 var _ Backend = (*ModP)(nil)
@@ -112,7 +111,6 @@ func NewModP(name string, p, q, g *big.Int) (*ModP, error) {
 		q:        new(big.Int).Set(q),
 		g:        new(big.Int).Set(g),
 		cofactor: cofactor,
-		tabs:     make(map[string]*fbTable),
 	}, nil
 }
 
@@ -368,16 +366,10 @@ func (b *ModP) Precompute(base Element) {
 		return
 	}
 	key := string(v.Bytes())
-	b.mu.RLock()
-	_, ok := b.tabs[key]
-	b.mu.RUnlock()
-	if ok {
+	if _, ok := b.tabs.get(key); ok {
 		return
 	}
-	t := newFBTable(v, b.p, b.q.BitLen())
-	b.mu.Lock()
-	b.tabs[key] = t
-	b.mu.Unlock()
+	b.tabs.put(key, newFBTable(v, b.p, b.q.BitLen()))
 }
 
 // ParamsID implements Backend.
@@ -402,9 +394,7 @@ func (b *ModP) tableFor(base *big.Int) *fbTable {
 	if base.Cmp(b.g) == 0 {
 		return b.generatorTable()
 	}
-	b.mu.RLock()
-	t := b.tabs[string(base.Bytes())]
-	b.mu.RUnlock()
+	t, _ := b.tabs.get(string(base.Bytes()))
 	return t
 }
 

@@ -81,11 +81,19 @@ func (b *ModP) VarTimeMultiExp(bases []Element, exps []*big.Int) Element {
 		}
 	}
 
+	// big.Int.Exp's Montgomery arithmetic beats the shared chain's
+	// schoolbook products for one term, and for two full-width ones
+	// (a DLEQ check's h^z·D^{−e}: 36 µs against 74 on test256, 985
+	// against 1254 on prod2048, medians of alternated calls on a
+	// 2-vCPU host); short exponents still share the chain.
+	wide := len(genBases) == 2 && genExps[0].BitLen() > 96 && genExps[1].BitLen() > 96
 	switch {
 	case len(genBases) == 0:
 		// nothing further
-	case len(genBases) == 1:
-		mulAcc(new(big.Int).Exp(genBases[0], genExps[0], b.p))
+	case len(genBases) == 1 || wide:
+		for i, v := range genBases {
+			mulAcc(new(big.Int).Exp(v, genExps[i], b.p))
+		}
 	case len(genBases) >= pippengerCutoff:
 		mulAcc(b.pippenger(genBases, genExps))
 	default:

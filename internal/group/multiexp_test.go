@@ -1,7 +1,9 @@
 package group
 
 import (
+	"fmt"
 	"math/big"
+	"sync"
 	"testing"
 
 	"hybriddkg/internal/randutil"
@@ -226,6 +228,109 @@ func TestMultiExpPrecomputedBases(t *testing.T) {
 				if got := gr.VarTimeMultiExp(mb, me); !got.Equal(want) {
 					t.Fatalf("k=%d: mismatch mixing precomputed and ad-hoc terms", k)
 				}
+			}
+		})
+	}
+}
+
+// tabled reports whether base has a Precompute'd table in gr's backend,
+// and fixedBases counts the tables.
+func tabled(gr *Group, base Element) bool {
+	switch b := gr.Backend().(type) {
+	case *P256Backend:
+		return b.comb(b.el(base)) != nil
+	case *ModP:
+		_, ok := b.tabs.get(string(b.el(base).v.Bytes()))
+		return ok
+	}
+	return false
+}
+
+func fixedBases(gr *Group) int {
+	switch b := gr.Backend().(type) {
+	case *P256Backend:
+		b.combs.mu.RLock()
+		defer b.combs.mu.RUnlock()
+		return len(b.combs.m)
+	case *ModP:
+		b.tabs.mu.RLock()
+		defer b.tabs.mu.RUnlock()
+		return len(b.tabs.m)
+	}
+	return -1
+}
+
+// TestPrecomputeCacheBounded: a backend keeps at most maxFixedBases
+// Precompute'd tables, evicting the oldest first; an evicted base gives
+// the same VarTimeMultiExp result, and Precompute builds its table
+// again.
+func TestPrecomputeCacheBounded(t *testing.T) {
+	for _, gr := range []*Group{Test256(), P256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			base := func(i int) Element {
+				return gr.HashToElement("hybriddkg/fixed-bases", []byte(fmt.Sprint(i)))
+			}
+			first := base(-1)
+			e, err := gr.RandScalar(randutil.NewReader(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bases, exps := []Element{gr.Generator(), first}, []*big.Int{gr.NegQ(e), e}
+			want := naiveMultiExp(gr, bases, exps)
+			gr.Precompute(first)
+			if !tabled(gr, first) || !gr.VarTimeMultiExp(bases, exps).Equal(want) {
+				t.Fatal("tabled base: no table or a wrong result")
+			}
+			for i := 0; i < maxFixedBases; i++ {
+				gr.Precompute(base(i))
+				if n := fixedBases(gr); n > maxFixedBases {
+					t.Fatalf("%d tables after %d bases, cap %d", n, i+2, maxFixedBases)
+				}
+			}
+			if n := fixedBases(gr); n != maxFixedBases {
+				t.Fatalf("%d tables, want the cap %d", n, maxFixedBases)
+			}
+			if tabled(gr, first) || !tabled(gr, base(0)) {
+				t.Fatal("eviction did not take the oldest table first")
+			}
+			if !gr.VarTimeMultiExp(bases, exps).Equal(want) {
+				t.Fatal("evicted base: wrong result")
+			}
+			gr.Precompute(first)
+			if !tabled(gr, first) || tabled(gr, base(0)) || !gr.VarTimeMultiExp(bases, exps).Equal(want) {
+				t.Fatal("re-Precompute did not rebuild the evicted table")
+			}
+		})
+	}
+}
+
+// TestConcurrentPrecomputeMultiExp: Precompute and VarTimeMultiExp from
+// several goroutines at once, with enough fresh bases to keep evicting,
+// agree with the ladder reference (run under -race in CI).
+func TestConcurrentPrecomputeMultiExp(t *testing.T) {
+	for _, gr := range []*Group{Test256(), P256()} {
+		t.Run(gr.Name(), func(t *testing.T) {
+			const workers, perWorker = 4, maxFixedBases/4 + 8
+			hot, exps := randomTerms(t, gr, 4, 9)
+			want := naiveMultiExp(gr, hot, exps)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWorker; i++ {
+						gr.Precompute(gr.HashToElement("hybriddkg/fixed-bases-race", []byte(fmt.Sprint(w, i))))
+						gr.Precompute(hot[(w+i)%len(hot)])
+						if !gr.VarTimeMultiExp(hot, exps).Equal(want) {
+							t.Errorf("worker %d, base %d: VarTimeMultiExp mismatch", w, i)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if n := fixedBases(gr); n > maxFixedBases {
+				t.Fatalf("%d tables, cap %d", n, maxFixedBases)
 			}
 		})
 	}

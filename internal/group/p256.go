@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"math/big"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -29,8 +28,7 @@ type P256Backend struct {
 	// fast path (compare-and-peel into one ScalarBaseMult).
 	genFx, genFy fe
 
-	mu    sync.RWMutex
-	combs map[[2]fe]*p256Comb // Precompute'd bases, by affine coords
+	combs baseCache[[2]fe, *p256Comb] // Precompute'd bases, by affine coords
 }
 
 var _ Backend = (*P256Backend)(nil)
@@ -101,7 +99,6 @@ func NewP256() *P256Backend {
 	b := &P256Backend{
 		curve: c,
 		q:     new(big.Int).Set(c.Params().N),
-		combs: make(map[[2]fe]*p256Comb),
 	}
 	feFromBig(&b.genFx, c.Params().Gx)
 	feFromBig(&b.genFy, c.Params().Gy)
@@ -322,21 +319,20 @@ type p256Comb struct {
 
 // Precompute implements Backend: builds the comb tables above so that
 // VarTimeMultiExp serves full-width public exponentiations of base
-// (batch-verification public keys, Pedersen h) from precomputed
-// affine points. crypto/elliptic already accelerates the generator;
-// Exp stays on the constant-time ladder regardless, so secret
-// exponents never touch these tables. Building costs ~256 doublings
-// plus one batched normalization, amortized over a key's lifetime.
+// (batch-verification public keys, Pedersen h, the public shares
+// decryption proofs are checked against) from precomputed affine
+// points. crypto/elliptic already accelerates the generator; Exp stays
+// on the constant-time ladder regardless, so secret exponents never
+// touch these tables. Building costs ~256 doublings plus one batched
+// normalization, amortized over a key's lifetime or epoch; at most
+// maxFixedBases tables are kept.
 func (b *P256Backend) Precompute(base Element) {
 	pe, ok := base.(*p256Element)
 	if !ok || pe.infinity() {
 		return
 	}
 	key := [2]fe{pe.fx, pe.fy}
-	b.mu.RLock()
-	_, done := b.combs[key]
-	b.mu.RUnlock()
-	if done {
+	if _, done := b.combs.get(key); done {
 		return
 	}
 	all := make([]jp, 0, combChunks*combEntries)
@@ -362,16 +358,12 @@ func (b *P256Backend) Precompute(base Element) {
 	for j := 0; j < combChunks; j++ {
 		comb.tab[j] = aff[j*combEntries : (j+1)*combEntries]
 	}
-	b.mu.Lock()
-	b.combs[key] = comb
-	b.mu.Unlock()
+	b.combs.put(key, comb)
 }
 
 // comb returns the precomputed tables for pe, or nil.
 func (b *P256Backend) comb(pe *p256Element) *p256Comb {
-	b.mu.RLock()
-	c := b.combs[[2]fe{pe.fx, pe.fy}]
-	b.mu.RUnlock()
+	c, _ := b.combs.get([2]fe{pe.fx, pe.fy})
 	return c
 }
 

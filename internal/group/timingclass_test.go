@@ -28,8 +28,8 @@ import (
 //     edge to every method of that name whose receiver implements the
 //     interface, and a function mentioned without being called (a
 //     method value) counts as called. A function passed in as a
-//     parameter is its caller's: CombineDecryptWith's pub callback is
-//     checked where it is written, not inside CombineDecryptWith.
+//     parameter is its caller's: CombineShares's pub callback is
+//     checked where it is written, not inside CombineShares.
 
 // varTimeCallers are the functions allowed to call VarTimeMultiExp, as
 // package directory and function ("Recv.Method" for methods).
@@ -40,6 +40,8 @@ var varTimeCallers = map[string]bool{
 	"internal/thresh.BatchVerifySignaturesPre":    true, // Verify is its one-signature case
 	"internal/thresh.VerifyPartial":               true,
 	"internal/thresh.BatchVerifyPartials":         true,
+	"internal/thresh.VerifyDecryption":            true, // a1 = g^z·y^{−e}, a2 = h^z·D^{−e}
+	"internal/thresh.CombinePublic":               true, // Π D_j^{λ_j} over published partials
 	"internal/commit.BatchVerifier.checkIdentity": true,
 	"internal/commit.CombineColumn0":              true,
 	"internal/sig.Schnorr.Verify":                 true,
@@ -53,8 +55,7 @@ var secretRoots = []string{
 	"internal/thresh.Binding.Sign",
 	"internal/thresh.NewNoncePair",
 	"internal/thresh.ProveDecryption",
-	"internal/thresh.CombineDecryptWith",
-	"internal/thresh.CombineShares",
+	"internal/thresh.OwnTerm",
 }
 
 func TestVarTimeMultiExpTimingClass(t *testing.T) {

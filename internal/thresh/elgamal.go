@@ -93,17 +93,14 @@ func VerifyPartialDecryption(gr *group.Group, v *commit.Vector, ct Ciphertext, p
 }
 
 // VerifyDecryption is the verifying core: with y the decryptor's public
-// share and h the base (C1, or a beacon round's), a1 = g^z·y^{−e} and
-// a2 = h^z·D^{−e} must hash back to e. The
-// exponent q−e spares inversions. Every input is public, yet the check
-// stays on the ladders: on p256 a 2-term VarTimeMultiExp for a2 reads
-// 161 µs against 216 µs for two Exp and a Mul (BenchmarkMultiExp k=2,
-// medians of 12 runs, 2-vCPU host), and a trial that moved a2 onto the
-// chain and y^{−e} onto per-epoch comb tables left decrypt_n7 unmoved
-// (+5/−1/−3 % over three rig pairs): the aggregator then checked proofs
-// under its service lock, which bounded it. They now run on the verify
-// pool, so the trial is worth repeating. On Z_p* big.Int.Exp beats the
-// Straus chain (DESIGN.md, data plane).
+// share and h the base (C1, or a beacon round's), a1 = g^z·y^{q−e} and
+// a2 = h^z·D^{q−e} must hash back to e; the exponent q−e spares the
+// inversions. Every input is public, so a1 and a2 are one
+// VarTimeMultiExp each: g^z is one fixed-base multiplication, y^{q−e}
+// rides y's comb tables when the caller has Precompute'd y (a data plane
+// does once per key epoch), and h^z·D^{q−e} shares one doubling chain.
+// The prover's exponentiations hold the share and the nonce and stay on
+// the constant-time ladders (ProveDecryption).
 func VerifyDecryption(gr *group.Group, y, h group.Element, pd PartialDecryption) bool {
 	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil {
 		return false
@@ -111,9 +108,9 @@ func VerifyDecryption(gr *group.Group, y, h group.Element, pd PartialDecryption)
 	if !gr.IsElement(pd.D) || !gr.IsScalar(pd.Proof.E) || !gr.IsScalar(pd.Proof.Z) {
 		return false
 	}
-	ne := gr.NegQ(pd.Proof.E)
-	a1 := gr.Mul(gr.GExp(pd.Proof.Z), gr.Exp(y, ne))
-	a2 := gr.Mul(gr.Exp(h, pd.Proof.Z), gr.Exp(pd.D, ne))
+	exps := []*big.Int{pd.Proof.Z, gr.NegQ(pd.Proof.E)}
+	a1 := gr.VarTimeMultiExp([]group.Element{gr.Generator(), y}, exps)
+	a2 := gr.VarTimeMultiExp([]group.Element{h, pd.D}, exps)
 	e := gr.HashToScalar(dleqDomain, y.Bytes(), h.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
 	return e.Cmp(pd.Proof.E) == 0
 }
@@ -122,17 +119,17 @@ func VerifyDecryption(gr *group.Group, y, h group.Element, pd PartialDecryption)
 // them in the exponent: C1^s = Π D_i^{λ_i}, then m = C2 / C1^s.
 func CombineDecrypt(gr *group.Group, v *commit.Vector, t int, ct Ciphertext, parts []PartialDecryption) (group.Element, error) {
 	pub := func(i msg.NodeID) group.Element { return v.Eval(int64(i)) }
-	return CombineDecryptWith(gr, t, ct, nil, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
+	return CombineDecryptWith(gr, t, ct, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
 }
 
 // CombineDecryptWith combines as CombineShares does, over h = C1, and
 // returns m = C2 / C1^s.
-func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, own *PartialDecryption, parts []PartialDecryption,
+func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, parts []PartialDecryption,
 	pub func(msg.NodeID) group.Element, cache *poly.LagrangeCache) (group.Element, error) {
 	if !gr.IsElement(ct.C2) {
 		return nil, ErrBadCipher
 	}
-	hs, err := CombineShares(gr, t, ct.C1, own, parts, pub, cache)
+	hs, err := CombineShares(gr, t, ct.C1, parts, pub, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -140,24 +137,18 @@ func CombineDecryptWith(gr *group.Group, t int, ct Ciphertext, own *PartialDecry
 }
 
 // CombineShares is the combining core: from t+1 valid shares
-// D_i = h^{s_i} it returns h^s. own, when non-nil, is the caller's own
-// share: it is trusted without a proof, as the caller checked its share
-// once against the commitment. Each other share is verified at most
-// once, against pub(id), and verification stops once t+1 shares are in
-// hand; PartialsError names every sender that was checked and failed.
-// The combination involves own's secret share, so it stays on the
-// constant-time MultiExp, with λ from cache, which must interpolate at 0.
-func CombineShares(gr *group.Group, t int, h group.Element, own *PartialDecryption, parts []PartialDecryption,
+// D_i = h^{s_i} it returns h^s. Each share is verified at most once,
+// against pub(id), and verification stops once t+1 shares are in hand;
+// PartialsError names every sender that was checked and failed. Every
+// share was published, so they combine on CombinePublic, with λ from
+// cache, which must interpolate at 0.
+func CombineShares(gr *group.Group, t int, h group.Element, parts []PartialDecryption,
 	pub func(msg.NodeID) group.Element, cache *poly.LagrangeCache) (group.Element, error) {
 	if !gr.IsElement(h) {
 		return nil, ErrBadCipher
 	}
 	valid := make([]PartialDecryption, 0, t+1)
-	checked := make(map[msg.NodeID]bool, t+2)
-	if own != nil {
-		valid = append(valid, *own)
-		checked[own.Decryptor] = true
-	}
+	checked := make(map[msg.NodeID]bool, t+1)
 	var bad []msg.NodeID
 	for _, pd := range parts {
 		if len(valid) > t {
@@ -177,14 +168,30 @@ func CombineShares(gr *group.Group, t int, h group.Element, own *PartialDecrypti
 		return nil, &PartialsError{Bad: bad, Valid: len(valid), Needed: t + 1}
 	}
 	indices := make([]int64, len(valid))
-	bases := make([]group.Element, len(valid))
 	for i, pd := range valid {
 		indices[i] = int64(pd.Decryptor)
-		bases[i] = pd.D
 	}
 	lambdas, err := cache.Coeffs(indices)
 	if err != nil {
 		return nil, err
 	}
-	return gr.MultiExp(bases, lambdas), nil
+	return CombinePublic(gr, valid, lambdas), nil
+}
+
+// CombinePublic returns Π D_j^{λ_j} over published shares: every base
+// went over the wire and every λ_j is a public Lagrange coefficient, so
+// it runs on the variable-time multi-exp.
+func CombinePublic(gr *group.Group, parts []PartialDecryption, lambdas []*big.Int) group.Element {
+	bases := make([]group.Element, len(parts))
+	for i, pd := range parts {
+		bases[i] = pd.D
+	}
+	return gr.VarTimeMultiExp(bases, lambdas)
+}
+
+// OwnTerm returns h^{λ·share}, a combiner's own term of h^s when it
+// folds in its share rather than publishing a partial. The exponent
+// holds the share, so it stays on the constant-time Exp.
+func OwnTerm(gr *group.Group, h group.Element, lambda, share *big.Int) group.Element {
+	return gr.Exp(h, gr.MulQ(lambda, share))
 }

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"testing"
 
-	"hybriddkg/internal/commit"
 	"hybriddkg/internal/group"
 	"hybriddkg/internal/msg"
 	"hybriddkg/internal/poly"
@@ -33,12 +32,11 @@ func ladderProve(gr *group.Group, key thresh.KeyShare, ct thresh.Ciphertext, ran
 		Proof: thresh.DLEQProof{E: e, Z: gr.AddQ(w, gr.MulQ(e, key.Share))}}
 }
 
-func ladderVerify(gr *group.Group, v *commit.Vector, ct thresh.Ciphertext, pd thresh.PartialDecryption) bool {
+func ladderVerify(gr *group.Group, y, h group.Element, pd thresh.PartialDecryption) bool {
 	if pd.D == nil || pd.Proof.E == nil || pd.Proof.Z == nil ||
 		!gr.IsElement(pd.D) || !gr.IsScalar(pd.Proof.E) || !gr.IsScalar(pd.Proof.Z) {
 		return false
 	}
-	y := v.Eval(int64(pd.Decryptor))
 	yInvE, err := gr.Inv(gr.Exp(y, pd.Proof.E))
 	if err != nil {
 		return false
@@ -48,8 +46,8 @@ func ladderVerify(gr *group.Group, v *commit.Vector, ct thresh.Ciphertext, pd th
 		return false
 	}
 	a1 := gr.Mul(gr.GExp(pd.Proof.Z), yInvE)
-	a2 := gr.Mul(gr.Exp(ct.C1, pd.Proof.Z), dInvE)
-	e := gr.HashToScalar("hybriddkg/thresh-dleq/v1", y.Bytes(), ct.C1.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
+	a2 := gr.Mul(gr.Exp(h, pd.Proof.Z), dInvE)
+	e := gr.HashToScalar("hybriddkg/thresh-dleq/v1", y.Bytes(), h.Bytes(), pd.D.Bytes(), a1.Bytes(), a2.Bytes())
 	return e.Cmp(pd.Proof.E) == 0
 }
 
@@ -102,64 +100,138 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 				{"wrong ciphertext", ct2, core, false},
 			}
 			for _, c := range cases {
-				ref := ladderVerify(gr, keyV, c.ct, c.pd)
+				ref := ladderVerify(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
 				got := thresh.VerifyPartialDecryption(gr, keyV, c.ct, c.pd)
 				core := thresh.VerifyDecryption(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
 				if ref != c.want || got != c.want || core != c.want {
 					t.Errorf("%s: ladder %v, wrapper %v, core %v, want %v", c.name, ref, got, core, c.want)
 				}
 			}
-			if ladderVerify(gr, keyV, ct, core) != true {
+			if !ladderVerify(gr, keyV.Eval(3), ct.C1, core) {
 				t.Error("ladder verifier rejects a core-proved partial")
 			}
 		})
 	}
 }
 
-// TestCombineDecryptWithTrustsOwnShare: the caller's own share enters
-// without a proof or a lookup of its public share, peers are checked
-// against pub until t have passed, and the plaintext is right.
-func TestCombineDecryptWithTrustsOwnShare(t *testing.T) {
-	for _, gr := range backends {
-		t.Run(gr.Name(), func(t *testing.T) {
-			const tt = 2
-			keys, keyV := dealKey(t, gr, tt, 42)
-			rng := randutil.NewReader(43)
-			m := gr.GExp(big.NewInt(99))
-			ct, err := thresh.Encrypt(gr, keyV.PublicKey(), m, rng)
+// combedPair returns two fresh groups of backend name, the second with
+// comb (or fixed-base) tables for y, so VerifyDecryption is checked on
+// both of y's paths.
+func combedPair(tb testing.TB, name string, y group.Element) [2]*group.Group {
+	tb.Helper()
+	var out [2]*group.Group
+	for i := range out {
+		gr, err := group.ByName(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = gr
+	}
+	out[1].Precompute(y)
+	return out
+}
+
+// TestVerifyDecryptionMatchesLadder: the multi-exp verifier gives the
+// ladder reference's verdict, with and without a comb on y, for honest
+// proofs (core- and ladder-proved, a decryption and a beacon base) and
+// for a changed E, Z or D, the wrong y or h, and D = identity.
+func TestVerifyDecryptionMatchesLadder(t *testing.T) {
+	for _, base := range backends {
+		t.Run(base.Name(), func(t *testing.T) {
+			keys, keyV := dealKey(t, base, 2, 46)
+			rng := randutil.NewReader(47)
+			ct, err := thresh.Encrypt(base, keyV.PublicKey(), base.GExp(big.NewInt(7)), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			own := thresh.PartialDecryption{Decryptor: 1, D: gr.Exp(ct.C1, keys[1].Share)}
-			var parts []thresh.PartialDecryption
-			for i := msg.NodeID(2); i <= 5; i++ {
-				pd, err := thresh.PartialDecrypt(gr, keys[i], ct, rng)
+			y := keyV.Eval(3)
+			beacon := thresh.BeaconBase(base, keyV.PublicKey(), 5)
+			proved := func(h group.Element) thresh.PartialDecryption {
+				pd, err := thresh.ProveDecryption(base, 3, keys[3].Share, y, h, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts = append(parts, pd)
+				return pd
 			}
-			looked := map[msg.NodeID]int{}
-			pub := func(id msg.NodeID) group.Element { looked[id]++; return keyV.Eval(int64(id)) }
-			lag := poly.NewLagrangeCache(gr.Q(), 0)
-			got, err := thresh.CombineDecryptWith(gr, tt, ct, &own, parts, pub, lag)
-			if err != nil {
-				t.Fatal(err)
+			core, coin := proved(ct.C1), proved(beacon)
+			one := big.NewInt(1)
+			with := func(f func(*thresh.PartialDecryption)) thresh.PartialDecryption {
+				pd := core
+				f(&pd)
+				return pd
 			}
-			if !got.Equal(m) {
-				t.Fatal("decryption mismatch")
+			cases := []struct {
+				name string
+				y, h group.Element
+				pd   thresh.PartialDecryption
+				want bool
+			}{
+				{"honest", y, ct.C1, core, true},
+				{"honest ladder", y, ct.C1, ladderProve(base, keys[3], ct, rng), true},
+				{"honest beacon", y, beacon, coin, true},
+				{"changed E", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.E = base.AddQ(p.Proof.E, one) }), false},
+				{"changed Z", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.Z = base.AddQ(p.Proof.Z, one) }), false},
+				{"changed D", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.D = base.Mul(p.D, base.Generator()) }), false},
+				{"D = identity", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.D = base.Identity() }), false},
+				{"zero E", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.E = new(big.Int) }), false},
+				{"wrong y", keyV.Eval(4), ct.C1, core, false},
+				{"wrong h", y, beacon, core, false},
 			}
-			if len(looked) != tt || looked[2] != 1 || looked[3] != 1 {
-				t.Fatalf("verified %v, want exactly peers 2 and 3 once each", looked)
-			}
-			// A wrong own share is not caught (it is trusted) and yields a
-			// wrong plaintext; the aggregator's share is checked at install.
-			wrong := thresh.PartialDecryption{Decryptor: 1, D: gr.Mul(own.D, gr.Generator())}
-			if got, err := thresh.CombineDecryptWith(gr, tt, ct, &wrong, parts, pub, lag); err != nil || got.Equal(m) {
-				t.Fatalf("trusted own share was re-verified: %v", err)
+			for i, gr := range combedPair(t, base.Name(), y) {
+				for _, c := range cases {
+					ref := ladderVerify(gr, c.y, c.h, c.pd)
+					got := thresh.VerifyDecryption(gr, c.y, c.h, c.pd)
+					if ref != c.want || got != c.want {
+						t.Errorf("%s (comb on y %v): ladder %v, verifier %v, want %v", c.name, i == 1, ref, got, c.want)
+					}
+				}
 			}
 		})
 	}
+}
+
+// FuzzVerifyDecryption: on arbitrary E, Z and D, around an honest
+// proof, the multi-exp verifier, with and without a comb on y, agrees
+// with the ladder reference.
+func FuzzVerifyDecryption(f *testing.F) {
+	type fixture struct {
+		grs   [2]*group.Group
+		y, h  group.Element
+		proof thresh.PartialDecryption
+	}
+	var fx []fixture
+	for _, gr := range backends {
+		p, err := poly.NewRandom(gr.Q(), 1, randutil.NewReader(48))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rng := randutil.NewReader(49)
+		y := gr.GExp(p.EvalInt(2))
+		h := gr.HashToElement("hybriddkg/fuzz-dleq", []byte(gr.Name()))
+		pd, err := thresh.ProveDecryption(gr, 2, p.EvalInt(2), y, h, rng)
+		if err != nil {
+			f.Fatal(err)
+		}
+		fx = append(fx, fixture{combedPair(f, gr.Name(), y), y, h, pd})
+		f.Add(uint8(len(fx)-1), pd.Proof.E.Bytes(), pd.Proof.Z.Bytes(), gr.EncodeCompressed(pd.D))
+		f.Add(uint8(len(fx)-1), pd.Proof.E.Bytes(), []byte{1}, gr.EncodeCompressed(gr.Identity()))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, e, z, d []byte) {
+		x := fx[int(which)%len(fx)]
+		pd := x.proof
+		pd.Proof.E, pd.Proof.Z = new(big.Int).SetBytes(e), new(big.Int).SetBytes(z)
+		D, err := x.grs[0].DecodeCompressed(d)
+		if err != nil {
+			return
+		}
+		pd.D = D
+		want := ladderVerify(x.grs[0], x.y, x.h, pd)
+		for i, gr := range x.grs {
+			if got := thresh.VerifyDecryption(gr, x.y, x.h, pd); got != want {
+				t.Fatalf("comb on y %v: verifier %v, ladder %v", i == 1, got, want)
+			}
+		}
+	})
 }
 
 // TestCombineDecryptVerifiesEachDecryptorOnce: verification stops at
@@ -193,7 +265,7 @@ func TestCombineDecryptVerifiesEachDecryptorOnce(t *testing.T) {
 			// Bad 5 twice, then its honest partial, then 1, 2, 3 and a bad 6
 			// past the threshold: 5 is checked once, 6 never.
 			parts := []thresh.PartialDecryption{bad(5), bad(5), pds[5], pds[1], pds[2], pds[3], bad(6)}
-			got, err := thresh.CombineDecryptWith(gr, tt, ct, nil, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
+			got, err := thresh.CombineDecryptWith(gr, tt, ct, parts, pub, poly.NewLagrangeCache(gr.Q(), 0))
 			if err != nil || !got.Equal(m) {
 				t.Fatalf("combine: %v", err)
 			}

@@ -296,7 +296,7 @@ func TestBeaconCoin(t *testing.T) {
 			pub := func(i msg.NodeID) group.Element { return keyV.Eval(int64(i)) }
 			lag := poly.NewLagrangeCache(gr.Q(), 0)
 			for _, set := range [][]thresh.PartialDecryption{parts[:tt+1], parts[len(parts)-tt-1:]} {
-				got, err := thresh.CombineShares(gr, tt, h, nil, set, pub, lag)
+				got, err := thresh.CombineShares(gr, tt, h, set, pub, lag)
 				if err != nil || !got.Equal(want) {
 					t.Fatalf("combine: %v", err)
 				}
@@ -305,7 +305,7 @@ func TestBeaconCoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = thresh.CombineShares(gr, tt, h, nil, append([]thresh.PartialDecryption{other}, parts[1:tt+1]...), pub, lag)
+			_, err = thresh.CombineShares(gr, tt, h, append([]thresh.PartialDecryption{other}, parts[1:tt+1]...), pub, lag)
 			var pe *thresh.PartialsError
 			if !errors.As(err, &pe) || len(pe.Bad) != 1 || pe.Bad[0] != 1 {
 				t.Fatalf("share for another round not named: %v", err)
