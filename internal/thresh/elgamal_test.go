@@ -53,7 +53,8 @@ func ladderVerify(gr *group.Group, y, h group.Element, pd thresh.PartialDecrypti
 
 // TestDecryptionCoreMatchesLadder: the proving and verifying cores
 // accept and reject exactly as the ladder formulation does, for honest
-// and forged partials, and partials proved the ladder way still verify.
+// and forged partials, with and without a comb on the decryptor's
+// public share, and partials proved the ladder way still verify.
 func TestDecryptionCoreMatchesLadder(t *testing.T) {
 	for _, gr := range backends {
 		t.Run(gr.Name(), func(t *testing.T) {
@@ -77,6 +78,11 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 				t.Fatal(err)
 			}
 			ladder := ladderProve(gr, keys[3], ct, rng)
+			beacon := thresh.Ciphertext{C1: thresh.BeaconBase(gr, keyV.PublicKey(), 5)}
+			coin, err := thresh.ProveDecryption(gr, 3, keys[3].Share, keyV.Eval(3), beacon.C1, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			forge := func(pd thresh.PartialDecryption, f func(*thresh.PartialDecryption)) thresh.PartialDecryption {
 				f(&pd)
 				return pd
@@ -91,6 +97,8 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 				{"honest core", ct, core, true},
 				{"honest wrapper", ct, wrapped, true},
 				{"honest ladder", ct, ladder, true},
+				{"honest beacon", beacon, coin, true},
+				{"D = identity", ct, forge(core, func(p *thresh.PartialDecryption) { p.D = gr.Identity() }), false},
 				{"forged D", ct, forge(core, func(p *thresh.PartialDecryption) { p.D = gr.Mul(p.D, gr.Generator()) }), false},
 				{"forged E", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.E = gr.AddQ(p.Proof.E, one) }), false},
 				{"forged Z", ct, forge(core, func(p *thresh.PartialDecryption) { p.Proof.Z = gr.AddQ(p.Proof.Z, one) }), false},
@@ -99,12 +107,14 @@ func TestDecryptionCoreMatchesLadder(t *testing.T) {
 				{"wrong decryptor", ct, forge(core, func(p *thresh.PartialDecryption) { p.Decryptor = 4 }), false},
 				{"wrong ciphertext", ct2, core, false},
 			}
-			for _, c := range cases {
-				ref := ladderVerify(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
-				got := thresh.VerifyPartialDecryption(gr, keyV, c.ct, c.pd)
-				core := thresh.VerifyDecryption(gr, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
-				if ref != c.want || got != c.want || core != c.want {
-					t.Errorf("%s: ladder %v, wrapper %v, core %v, want %v", c.name, ref, got, core, c.want)
+			for i, vg := range combedPair(t, gr.Name(), keyV.Eval(3)) {
+				for _, c := range cases {
+					ref := ladderVerify(vg, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
+					got := thresh.VerifyPartialDecryption(vg, keyV, c.ct, c.pd)
+					core := thresh.VerifyDecryption(vg, keyV.Eval(int64(c.pd.Decryptor)), c.ct.C1, c.pd)
+					if ref != c.want || got != c.want || core != c.want {
+						t.Errorf("%s (comb on y %v): ladder %v, wrapper %v, core %v, want %v", c.name, i == 1, ref, got, core, c.want)
+					}
 				}
 			}
 			if !ladderVerify(gr, keyV.Eval(3), ct.C1, core) {
@@ -129,65 +139,6 @@ func combedPair(tb testing.TB, name string, y group.Element) [2]*group.Group {
 	}
 	out[1].Precompute(y)
 	return out
-}
-
-// TestVerifyDecryptionMatchesLadder: the multi-exp verifier gives the
-// ladder reference's verdict, with and without a comb on y, for honest
-// proofs (core- and ladder-proved, a decryption and a beacon base) and
-// for a changed E, Z or D, the wrong y or h, and D = identity.
-func TestVerifyDecryptionMatchesLadder(t *testing.T) {
-	for _, base := range backends {
-		t.Run(base.Name(), func(t *testing.T) {
-			keys, keyV := dealKey(t, base, 2, 46)
-			rng := randutil.NewReader(47)
-			ct, err := thresh.Encrypt(base, keyV.PublicKey(), base.GExp(big.NewInt(7)), rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y := keyV.Eval(3)
-			beacon := thresh.BeaconBase(base, keyV.PublicKey(), 5)
-			proved := func(h group.Element) thresh.PartialDecryption {
-				pd, err := thresh.ProveDecryption(base, 3, keys[3].Share, y, h, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return pd
-			}
-			core, coin := proved(ct.C1), proved(beacon)
-			one := big.NewInt(1)
-			with := func(f func(*thresh.PartialDecryption)) thresh.PartialDecryption {
-				pd := core
-				f(&pd)
-				return pd
-			}
-			cases := []struct {
-				name string
-				y, h group.Element
-				pd   thresh.PartialDecryption
-				want bool
-			}{
-				{"honest", y, ct.C1, core, true},
-				{"honest ladder", y, ct.C1, ladderProve(base, keys[3], ct, rng), true},
-				{"honest beacon", y, beacon, coin, true},
-				{"changed E", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.E = base.AddQ(p.Proof.E, one) }), false},
-				{"changed Z", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.Z = base.AddQ(p.Proof.Z, one) }), false},
-				{"changed D", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.D = base.Mul(p.D, base.Generator()) }), false},
-				{"D = identity", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.D = base.Identity() }), false},
-				{"zero E", y, ct.C1, with(func(p *thresh.PartialDecryption) { p.Proof.E = new(big.Int) }), false},
-				{"wrong y", keyV.Eval(4), ct.C1, core, false},
-				{"wrong h", y, beacon, core, false},
-			}
-			for i, gr := range combedPair(t, base.Name(), y) {
-				for _, c := range cases {
-					ref := ladderVerify(gr, c.y, c.h, c.pd)
-					got := thresh.VerifyDecryption(gr, c.y, c.h, c.pd)
-					if ref != c.want || got != c.want {
-						t.Errorf("%s (comb on y %v): ladder %v, verifier %v, want %v", c.name, i == 1, ref, got, c.want)
-					}
-				}
-			}
-		})
-	}
 }
 
 // FuzzVerifyDecryption: on arbitrary E, Z and D, around an honest
