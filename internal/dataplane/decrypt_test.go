@@ -288,3 +288,47 @@ func TestDecryptRenewalMidFlight(t *testing.T) {
 		})
 	}
 }
+
+// TestDecryptRenewalForgivesEarlyPeer: a peer that renews before the
+// aggregator answers under its new share. The partial fails under both
+// V(j) the aggregator knows, so the peer is evicted; once the
+// aggregator installs the renewal too, the peer is asked again and the
+// decrypt completes from its answer. A partial wrong under the new
+// epoch still evicts.
+func TestDecryptRenewalForgivesEarlyPeer(t *testing.T) {
+	for _, gr := range backends {
+		t.Run(gr.Name(), func(t *testing.T) {
+			rig := newTestRigOn(t, gr, 3, 1, nil)
+			newP, err := poly.NewRandomWithConstant(rig.gr.Q(), rig.keyP.Secret(), 1, randutil.NewReader(41))
+			if err != nil {
+				t.Fatal(err)
+			}
+			newV := commit.NewVector(rig.gr, newP)
+			pd := rig.startDecrypt(t, 40)
+			rig.answer(t, pd, 2, newP.EvalInt(2), newV, nil)
+			if *pd.done || rig.svc.Stats().Evicted != 1 || !rig.svc.keys[1].suspects[2] {
+				t.Fatalf("renewed peer's partial not evicted before the re-install: done=%v stats=%+v", *pd.done, rig.svc.Stats())
+			}
+
+			rig.keyP, rig.keyV = newP, newV
+			if _, err := rig.svc.InstallKey(1, newP.EvalInt(1), newV); err != nil {
+				t.Fatal(err)
+			}
+			rig.sends = nil
+			rig.svc.Kick(1)
+			if !slices.ContainsFunc(rig.sends, func(s sent) bool { return s.to == 2 }) {
+				t.Fatalf("the renewed peer is not asked again: %v", rig.sends)
+			}
+			rig.answer(t, pd, 2, newP.EvalInt(2), newV, nil)
+			pd.check(t)
+
+			pd = rig.startDecrypt(t, 42)
+			rig.answer(t, pd, 2, newP.EvalInt(2), newV, func(it *RespItem) { it.Z = rig.gr.AddQ(it.Z, big.NewInt(1)) })
+			if *pd.done || rig.svc.Stats().Evicted != 2 || !rig.svc.keys[1].suspects[2] {
+				t.Fatalf("partial wrong under the new epoch not evicted: done=%v stats=%+v", *pd.done, rig.svc.Stats())
+			}
+			rig.answer(t, pd, 3, newP.EvalInt(3), newV, nil)
+			pd.check(t)
+		})
+	}
+}

@@ -131,6 +131,9 @@ type serveKey struct {
 	queue    []*request
 	inflight map[[32]byte]*request
 	results  *ring[Result]
+	// suspects are the peers evicted in this key epoch; a renewal
+	// forgives them, since a peer that renewed first answers under a
+	// share no earlier V(j) vouches for.
 	suspects map[msg.NodeID]bool
 	rotor    int
 	// Signing: each peer's unused commitments, oldest first, whether

@@ -162,7 +162,8 @@ func (s *Service) Stats() Stats {
 // state Ready. Re-installing (proactive share renewal) replaces the
 // share and commitment and invalidates the peer partial cache and the
 // spent-nonce replays — old answers would not combine with new-epoch
-// ones — and restarts every signing attempt in flight.
+// ones — restarts every signing attempt in flight and clears the
+// suspects, so a Byzantine peer costs at most one bad partial per epoch.
 func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector) (KeyInfo, error) {
 	if share == nil || v == nil || !v.VerifyShare(int64(s.cfg.Self), share) {
 		return KeyInfo{}, fmt.Errorf("dataplane: key %d share fails commitment check", id)
@@ -186,6 +187,10 @@ func (s *Service) InstallKey(id msg.SessionID, share *big.Int, v *commit.Vector)
 		// Renewal epoch: cached partials and spent-pair replays mix epochs;
 		// drop them.
 		k.partials = newRing[RespItem](s.cfg.CacheSize)
+		// A peer that renewed before this node answered under its new
+		// share, which fails under both V(j) this node knew: evicted, it
+		// was honest all along.
+		clear(k.suspects)
 		for _, p := range k.pools {
 			p.spent, p.tombs = make(map[uint64]spentPair), nil
 		}

@@ -19,6 +19,7 @@ var (
 	sinkBool bool
 	sinkEl   Element
 	sinkEls  []Element
+	sinkBig  *big.Int
 )
 
 // benchFe returns n pseudo-random field elements (Montgomery domain).
@@ -259,4 +260,37 @@ func BenchmarkMultiExpMixed(b *testing.B) {
 			sinkEl = gr.VarTimeMultiExp(bases, exps)
 		}
 	})
+}
+
+// BenchmarkModPMultiExp compares, for k full-width exponents over
+// non-generator bases, the shared Straus chain and k big.Int.Exp calls
+// on each Z_p* backend: the comparison behind expTermsMax in
+// modp_multiexp.go.
+func BenchmarkModPMultiExp(b *testing.B) {
+	for _, gr := range []*Group{Test256(), Test512(), Prod2048()} {
+		mb := gr.Backend().(*ModP)
+		r := randutil.NewReader(17)
+		for _, k := range []int{2, 3, 4, 8, 16, 24} {
+			bases := make([]*big.Int, k)
+			exps := make([]*big.Int, k)
+			for i := range bases {
+				bases[i] = mb.el(gr.HashToElement("bench-modp", []byte{byte(i)})).v
+				e, err := gr.RandScalar(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				exps[i] = e
+			}
+			b.Run(fmt.Sprintf("%s/straus/k=%d", gr.Name(), k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkBig = mb.straus(bases, exps)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/exp/k=%d", gr.Name(), k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sinkBig = mb.expEach(bases, exps)
+				}
+			})
+		}
+	}
 }

@@ -81,25 +81,58 @@ func (b *ModP) VarTimeMultiExp(bases []Element, exps []*big.Int) Element {
 		}
 	}
 
-	// big.Int.Exp's Montgomery arithmetic beats the shared chain's
-	// schoolbook products for one term, and for two full-width ones
-	// (a DLEQ check's h^z·D^{−e}: 36 µs against 74 on test256, 985
-	// against 1254 on prod2048, medians of alternated calls on a
-	// 2-vCPU host); short exponents still share the chain.
-	wide := len(genBases) == 2 && genExps[0].BitLen() > 96 && genExps[1].BitLen() > 96
 	switch {
 	case len(genBases) == 0:
 		// nothing further
-	case len(genBases) == 1 || wide:
-		for i, v := range genBases {
-			mulAcc(new(big.Int).Exp(v, genExps[i], b.p))
-		}
+	case len(genBases) == 1 || b.expWins(genExps):
+		mulAcc(b.expEach(genBases, genExps))
 	case len(genBases) >= pippengerCutoff:
 		mulAcc(b.pippenger(genBases, genExps))
 	default:
 		mulAcc(b.straus(genBases, genExps))
 	}
 	return &modpElement{v: acc}
+}
+
+// expWins reports whether per-term big.Int.Exp beats the shared chain
+// for these exponents. Exp's Montgomery arithmetic outruns the chain's
+// schoolbook products (Mul + QuoRem) on full-width exponents up to a
+// term count that falls as the modulus widens; short exponents always
+// share the chain. BenchmarkModPMultiExp measures the crossover.
+func (b *ModP) expWins(exps []*big.Int) bool {
+	if len(exps) > b.expTermsMax() {
+		return false
+	}
+	for _, e := range exps {
+		if e.BitLen() <= 96 {
+			return false
+		}
+	}
+	return true
+}
+
+// expTermsMax is the largest count of full-width terms for which
+// per-term Exp beats the Straus chain. On a 2-vCPU host (medians of
+// six 300 ms runs): test256 k=8 140 against 204 µs, k=16 308 against
+// 326, k=24 a tie; test512 k=8 327 against 398, k=16 658 against 776;
+// prod2048 k=3 a tie, k=4 2148 against 1893.
+func (b *ModP) expTermsMax() int {
+	if b.p.BitLen() <= 512 {
+		return 16
+	}
+	return 3
+}
+
+// expEach computes Π bases[i]^exps[i] with one big.Int.Exp per term.
+func (b *ModP) expEach(bases, exps []*big.Int) *big.Int {
+	acc := new(big.Int).Exp(bases[0], exps[0], b.p)
+	tmp := new(big.Int)
+	quo := new(big.Int)
+	for i := 1; i < len(bases); i++ {
+		tmp.Mul(acc, new(big.Int).Exp(bases[i], exps[i], b.p))
+		quo.QuoRem(tmp, b.p, acc)
+	}
+	return acc
 }
 
 // straus computes Π bases[i]^exps[i] by interleaved fixed-window

@@ -13,10 +13,12 @@
 // DecodeFrameMulti accepts both — a coalescing node interoperates with
 // a v1-only peer in both directions.
 //
-// Coalescing is a per-destination flush queue: envelopes accumulate
-// until the pending frame reaches the size watermark, the latency
-// timer fires, or a send for a different session arrives (one session
-// per frame; switching flushes first, preserving per-link FIFO order).
+// Coalescing is a per-destination flush queue that never waits on a
+// clock: the first envelope of an empty queue starts a flush at once,
+// and what queues before it takes the lock leaves in the same frame.
+// The size watermark, or a send for a different session (one session
+// per frame; switching flushes first, preserving per-link FIFO order),
+// seals a frame at once.
 package transport
 
 import (
@@ -24,6 +26,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sync"
 	"time"
 
@@ -42,11 +45,8 @@ const batchOverhead = 1 + 8 + 8 + 8 + 2 + sha256.Size
 // payload length.
 const batchEnvOverhead = 1 + 4
 
-// Coalescing watermarks (Config overrides).
-const (
-	defCoalesceBytes = 16 << 10
-	defCoalesceDelay = 500 * time.Microsecond
-)
+// coalesceBytes is the batch-frame size watermark.
+const coalesceBytes = 16 << 10
 
 // Retry budget for batch frames that could not be written. A batch
 // frame concentrates a burst of protocol state — the dealer's send
@@ -115,14 +115,11 @@ func (w *wireBooks) addEnvelope(typ msg.Type, payloadLen int) {
 	w.mu.Unlock()
 }
 
-func (w *wireBooks) addFlush() {
+func (w *wireBooks) addFrame(sid msg.SessionID, frameLen int, batch bool) {
 	w.mu.Lock()
-	w.flushes++
-	w.mu.Unlock()
-}
-
-func (w *wireBooks) addFrame(sid msg.SessionID, frameLen int) {
-	w.mu.Lock()
+	if batch {
+		w.flushes++
+	}
 	w.frames++
 	w.frameBytes += int64(frameLen)
 	w.sessionFrames[sid]++
@@ -133,28 +130,15 @@ func (w *wireBooks) addFrame(sid msg.SessionID, frameLen int) {
 func (w *wireBooks) snapshot() WireStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := WireStats{
+	return WireStats{
 		Frames:          w.frames,
 		FrameBytes:      w.frameBytes,
 		CoalesceFlushes: w.flushes,
-		MsgCount:        make(map[msg.Type]int, len(w.msgCount)),
-		MsgBytes:        make(map[msg.Type]int64, len(w.msgBytes)),
-		SessionFrames:   make(map[msg.SessionID]int, len(w.sessionFrames)),
-		SessionBytes:    make(map[msg.SessionID]int64, len(w.sessionBytes)),
+		MsgCount:        maps.Clone(w.msgCount),
+		MsgBytes:        maps.Clone(w.msgBytes),
+		SessionFrames:   maps.Clone(w.sessionFrames),
+		SessionBytes:    maps.Clone(w.sessionBytes),
 	}
-	for k, v := range w.msgCount {
-		out.MsgCount[k] = v
-	}
-	for k, v := range w.msgBytes {
-		out.MsgBytes[k] = v
-	}
-	for k, v := range w.sessionFrames {
-		out.SessionFrames[k] = v
-	}
-	for k, v := range w.sessionBytes {
-		out.SessionBytes[k] = v
-	}
-	return out
 }
 
 // WireStats returns a snapshot of the node's send-side wire books.
@@ -168,14 +152,16 @@ type pendingEnv struct {
 
 // destQueue is one destination's coalescing state. Its mutex also
 // serialises the frame writes for the destination, so batch frames
-// from the latency timer and from the send path cannot interleave and
-// per-link FIFO order is preserved.
+// from the flush goroutine, the retry timer and the send path cannot
+// interleave and per-link FIFO order is preserved.
 type destQueue struct {
-	mu    sync.Mutex
-	sid   msg.SessionID
-	envs  []pendingEnv
-	size  int // projected batch-frame length so far (incl. fixed cost)
-	timer *time.Timer
+	mu   sync.Mutex
+	sid  msg.SessionID
+	envs []pendingEnv
+	size int // projected batch-frame length so far (incl. fixed cost)
+	// flushing: a flush goroutine (at most one) has yet to take mu.
+	flushing bool
+	retry    *time.Timer // backoff while the peer's connection fails
 	// backlog holds sealed frames that have not been written yet —
 	// normally empty, populated only while the peer's connection is
 	// failing. FIFO; bounded by coalesceMaxBacklog.
@@ -195,9 +181,7 @@ func (n *Node) destQ(to msg.NodeID) *destQueue {
 	return q
 }
 
-// sendCoalesced queues one envelope for batching toward a peer,
-// flushing first when the pending frame belongs to another session and
-// immediately after when the size watermark is reached.
+// sendCoalesced queues one envelope for batching toward a peer.
 func (n *Node) sendCoalesced(sid msg.SessionID, to msg.NodeID, body msg.Body) {
 	payload, err := body.MarshalBinary()
 	if err != nil {
@@ -206,7 +190,14 @@ func (n *Node) sendCoalesced(sid msg.SessionID, to msg.NodeID, body msg.Body) {
 	n.wire.addEnvelope(body.MsgType(), len(payload))
 	q := n.destQ(to)
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	n.queueLocked(to, q, sid, pendingEnv{typ: body.MsgType(), payload: payload})
+	q.mu.Unlock()
+}
+
+// queueLocked appends one envelope to q, flushing around a session
+// switch and at the size watermark, and otherwise starting a flush
+// goroutine unless one is on its way. Callers hold q.mu.
+func (n *Node) queueLocked(to msg.NodeID, q *destQueue, sid msg.SessionID, env pendingEnv) {
 	if len(q.envs) > 0 && q.sid != sid {
 		n.flushLocked(to, q)
 	}
@@ -214,19 +205,40 @@ func (n *Node) sendCoalesced(sid msg.SessionID, to msg.NodeID, body msg.Body) {
 		q.sid = sid
 		q.size = 4 + batchOverhead
 	}
-	q.envs = append(q.envs, pendingEnv{typ: body.MsgType(), payload: payload})
-	q.size += batchEnvOverhead + len(payload)
-	if q.size >= n.cfg.CoalesceBytes {
+	q.envs = append(q.envs, env)
+	q.size += batchEnvOverhead + len(env.payload)
+	switch {
+	case q.size >= coalesceBytes:
 		n.flushLocked(to, q)
-		return
-	}
-	if q.timer == nil {
-		q.timer = time.AfterFunc(n.cfg.CoalesceDelay, func() { n.flushDest(to) })
+	case q.flushing || q.retry != nil:
+		// Rides with the flush already on its way.
+	case !n.track():
+		n.flushLocked(to, q) // closed: nothing joins a goroutine now
+	default:
+		q.flushing = true
+		go func() {
+			defer n.wg.Done()
+			q.mu.Lock()
+			q.flushing = false
+			n.flushLocked(to, q)
+			q.mu.Unlock()
+		}()
 	}
 }
 
-// flushDest drains a destination's queue (latency-timer and shutdown
-// path).
+// track counts a goroutine for Close to join unless the node is closed;
+// Close sets closed under n.mu before it waits, so no Add races Wait.
+func (n *Node) track() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return false
+	}
+	n.wg.Add(1)
+	return true
+}
+
+// flushDest drains a destination's queue (retry and Close path).
 func (n *Node) flushDest(to msg.NodeID) {
 	q := n.destQ(to)
 	q.mu.Lock()
@@ -237,14 +249,13 @@ func (n *Node) flushDest(to msg.NodeID) {
 // flushLocked seals the pending batch frame onto the backlog and
 // drains it. Callers hold q.mu.
 func (n *Node) flushLocked(to msg.NodeID, q *destQueue) {
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
+	if q.retry != nil {
+		q.retry.Stop()
+		q.retry = nil
 	}
 	if len(q.envs) > 0 {
 		frame := appendBatchFrame(nil, n.cfg.Secret, q.sid, n.cfg.Self, to, q.envs)
-		n.wire.addFrame(q.sid, len(frame))
-		n.wire.addFlush()
+		n.wire.addFrame(q.sid, len(frame), true)
 		q.envs, q.size = nil, 0
 		q.backlog = append(q.backlog, frame)
 		q.backlogBytes += len(frame)
@@ -273,17 +284,12 @@ func (n *Node) drainLocked(to msg.NodeID, q *destQueue) {
 			}
 		}
 		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				// Endpoint shut down: nothing will ever drain this.
+			// A closed endpoint will never drain the backlog.
+			if q.tries++; errors.Is(err, ErrClosed) || q.tries > coalesceMaxTries {
 				q.backlog, q.backlogBytes, q.tries = nil, 0, 0
 				return
 			}
-			q.tries++
-			if q.tries > coalesceMaxTries {
-				q.backlog, q.backlogBytes, q.tries = nil, 0, 0
-				return
-			}
-			q.timer = time.AfterFunc(coalesceRetryBase<<(q.tries-1), func() { n.flushDest(to) })
+			q.retry = time.AfterFunc(coalesceRetryBase<<(q.tries-1), func() { n.flushDest(to) })
 			return
 		}
 		q.tries = 0

@@ -30,6 +30,7 @@
 package transport
 
 import (
+	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -105,17 +106,11 @@ type Config struct {
 	// holding the node's lock).
 	Observer func(sid msg.SessionID, from msg.NodeID, body msg.Body)
 	// Coalesce enables wire-format-v2 batch frames on the send side:
-	// envelopes to one destination accumulate in a per-peer flush queue
-	// and travel as one MAC-covered batch frame, draining on the size
-	// watermark (CoalesceBytes), the latency timer (CoalesceDelay), a
-	// session switch, or Close. Inbound decoding always accepts both
-	// formats, so coalescing and v1-only nodes interoperate.
+	// a per-peer flush queue starts a flush as soon as an envelope
+	// queues, and what queues before it reaches the link shares its
+	// MAC-covered frame (coalesce.go). Inbound decoding always accepts
+	// both formats, so coalescing and v1-only nodes interoperate.
 	Coalesce bool
-	// CoalesceBytes is the batch-frame size watermark (default 16 KiB).
-	CoalesceBytes int
-	// CoalesceDelay is the maximum time an envelope waits in the flush
-	// queue (default 500µs).
-	CoalesceDelay time.Duration
 	// ShardSessions gives every registered session its own serial
 	// dispatch lane (one goroutine per live session) instead of
 	// funnelling all sessions through the single event loop. Events of
@@ -277,12 +272,6 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.DialRetry <= 0 {
 		cfg.DialRetry = 250 * time.Millisecond
 	}
-	if cfg.CoalesceBytes <= 0 {
-		cfg.CoalesceBytes = defCoalesceBytes
-	}
-	if cfg.CoalesceDelay <= 0 {
-		cfg.CoalesceDelay = defCoalesceDelay
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
@@ -392,7 +381,11 @@ func (n *Node) Close() error {
 	}
 	n.mu.Unlock()
 	close(n.done)
+	// Under qmu, so the wake-up cannot fall between the event loop's
+	// check of done and its Wait.
+	n.qmu.Lock()
 	n.qcond.Broadcast()
+	n.qmu.Unlock()
 	n.listener.Close()
 	n.wg.Wait()
 	return nil
@@ -421,7 +414,7 @@ func (n *Node) sendSession(sid msg.SessionID, to msg.NodeID, body msg.Body) {
 		return
 	}
 	n.wire.addEnvelope(body.MsgType(), len(frame)-4-frameOverhead)
-	n.wire.addFrame(sid, len(frame))
+	n.wire.addFrame(sid, len(frame), false)
 	conn, err := n.conn(to)
 	if err != nil {
 		putFrameBuf(bufp, frame)
@@ -740,13 +733,16 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.inbound, conn)
 		n.mu.Unlock()
 	}()
+	// A burst of frames costs one read, not two reads per frame; a
+	// batch frame at the coalescing watermark fits the buffer whole.
+	br := bufio.NewReaderSize(conn, coalesceBytes)
 	for {
 		select {
 		case <-n.done:
 			return
 		default:
 		}
-		sid, from, bodies, size, err := n.readFrame(conn)
+		sid, from, bodies, size, err := n.readFrame(br)
 		if err != nil {
 			if errors.Is(err, ErrBadFrame) {
 				n.mu.Lock()
@@ -776,9 +772,6 @@ func (n *Node) conn(to msg.NodeID) (net.Conn, error) {
 		n.mu.Unlock()
 		return c, nil
 	}
-	n.mu.Unlock()
-
-	n.mu.Lock()
 	var addr string
 	for _, p := range n.cfg.Peers {
 		if p.ID == to {
@@ -916,12 +909,13 @@ func DecodeFrame(codec *msg.Codec, secret []byte, self msg.NodeID, inner []byte)
 
 // readFrame reads, authenticates and decodes one frame; size is its
 // length on the wire.
-func (n *Node) readFrame(conn net.Conn) (sid msg.SessionID, from msg.NodeID, bodies []msg.Body, size int, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+func (n *Node) readFrame(r *bufio.Reader) (sid msg.SessionID, from msg.NodeID, bodies []msg.Body, size int, err error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return 0, 0, nil, 0, err
 	}
-	length := binary.BigEndian.Uint32(lenBuf[:])
+	length := binary.BigEndian.Uint32(hdr)
+	r.Discard(4) //nolint:errcheck // the 4 bytes are buffered
 	if length < frameOverhead || length > 64<<20 {
 		return 0, 0, nil, 0, ErrBadFrame
 	}
@@ -934,7 +928,7 @@ func (n *Node) readFrame(conn net.Conn) (sid msg.SessionID, from msg.NodeID, bod
 	} else {
 		inner = make([]byte, length)
 	}
-	if _, err := io.ReadFull(conn, inner); err != nil {
+	if _, err := io.ReadFull(r, inner); err != nil {
 		putFrameBuf(bufp, inner)
 		return 0, 0, nil, 0, err
 	}
